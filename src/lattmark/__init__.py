@@ -22,7 +22,6 @@ from .augment import (
     SynthesisResult,
     augment,
     derive_sets,
-    extendable_from_base,
     omega_extend,
     project_to_base,
     project_once,
@@ -70,7 +69,6 @@ from .orders import (
     lattice_from_order,
     lattice_from_tables,
     lower_sets,
-    maximal_elements,
     poset_from_pairs,
     validate_poset,
 )

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .augment import ExtendableMarket, omega_extend, project_to_base
 from .constraints import ComplementJoinConstraint, JoinConstraint, uncomplement
 from .errors import InputError, InvariantError
-from .markets import Matching, MatchingMarket, enumerate_stable
+from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, enumerate_stable
 from .orders import set_key
 from .rotations import RealizedBase, antichain_base, matching_to_rotations
 
@@ -255,7 +255,7 @@ def min_cost_stable(
     market: MatchingMarket,
     pair_costs: Mapping[Pair, Fraction],
     sense: str = "min",
-    worker_order: Sequence[str] | None = None,
+    node_bound: int = DEFAULT_NODE_BOUND,
 ) -> tuple[Matching, Fraction]:
     """Exhaustive optimum of a pair-cost function over the stable matchings."""
     if sense not in ("min", "max"):
@@ -263,7 +263,7 @@ def min_cost_stable(
     sign = 1 if sense == "min" else -1
     best = None
     best_val = None
-    for mu in enumerate_stable(market, worker_order=worker_order):
+    for mu in enumerate_stable(market, node_bound=node_bound):
         val = pair_cost(pair_costs, mu)
         if best_val is None or sign * val < sign * best_val:
             best, best_val = mu, val

@@ -11,12 +11,12 @@ the full lattice synthesis pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .constraints import JoinConstraint, constraints_from_lattice, eval_join_constraint
 from .errors import (
-    ArgumentsNotAntichain,
+    AlphaArgumentsComparable,
     InputError,
     IsomorphismFailure,
     OverlappingRotationAgents,
@@ -77,7 +77,7 @@ def derive_sets(jc: JoinConstraint, rp: RotationPoset) -> RotationJoinConstraint
     for i, a in enumerate(alpha_ids):
         for b in alpha_ids[i + 1:]:
             if rp.poset.lt(a, b) or rp.poset.lt(b, a):
-                raise ArgumentsNotAntichain(a, b)
+                raise AlphaArgumentsComparable(a, b)
     f_rho = {rid: rp.rotations[rid].firms_minus() for rid in alpha_ids}
     w_rho = {rid: rp.rotations[rid].workers_plus() for rid in sorted(jc.beta_ids)}
     for groups in (f_rho, w_rho):
@@ -92,6 +92,9 @@ def derive_sets(jc: JoinConstraint, rp: RotationPoset) -> RotationJoinConstraint
 
 @dataclass(frozen=True)
 class AugmentStep:
+    """The agents one augmentation adds: auxiliary worker w0#k, auxiliary
+    firm f0#k and a copy w#k of each beta-side worker w."""
+
     constraint: RotationJoinConstraint
     w0: str
     f0: str
@@ -100,44 +103,30 @@ class AugmentStep:
 
 @dataclass(frozen=True, eq=False)
 class ExtendableMarket:
-    """A base market plus the bookkeeping needed to keep augmenting it."""
+    """A one-to-one base market plus the join constraints enforced on it, in
+    order.  The other fields are derived from these two in one pass and are
+    never passed in: the grown market, the copy map (every copy and base
+    worker onto its base worker), each base firm's auxiliary pair table a_f,
+    and the steps."""
 
-    market: MatchingMarket
     base: RealizedBase
-    copy_map: Mapping[str, str]
-    aux_workers: frozenset[str]
-    aux_firms: frozenset[str]
-    a_f: Mapping[str, tuple[tuple[str, str], ...]]
-    augment_count: int
-    steps: tuple[AugmentStep, ...]
+    constraints: tuple[RotationJoinConstraint, ...] = ()
+    market: MatchingMarket = field(init=False, repr=False)
+    copy_map: Mapping[str, str] = field(init=False, repr=False)
+    a_f: Mapping[str, tuple[tuple[str, str], ...]] = field(init=False, repr=False)
+    steps: tuple[AugmentStep, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        derived = _grow(self.base, self.constraints)
+        for name, value in zip(("market", "copy_map", "a_f", "steps"), derived):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExtendableMarket)
-            and self.market == other.market
             and self.base == other.base
-            and dict(self.copy_map) == dict(other.copy_map)
-            and self.aux_workers == other.aux_workers
-            and self.aux_firms == other.aux_firms
-            and dict(self.a_f) == dict(other.a_f)
-            and self.steps == other.steps
+            and self.constraints == other.constraints
         )
-
-    def copy_classes(self) -> dict[str, tuple[str, ...]]:
-        classes: dict[str, list[str]] = {w: [] for w in self.base.market.workers}
-        for member, base_worker in self.copy_map.items():
-            classes[base_worker].append(member)
-        return {w: tuple(sorted(ms)) for w, ms in classes.items()}
-
-    def worker_order(self) -> list[str]:
-        """Search order for enumeration: base workers, then each step's copies
-        directly followed by its auxiliary worker, so that inconsistent
-        branches die inside each step's segment.  Performance hint only."""
-        order = sorted(self.base.market.workers)
-        for step in self.steps:
-            order += sorted(step.copies)
-            order.append(step.w0)
-        return order
 
     def agent_count(self) -> int:
         return len(self.market.firms) + len(self.market.workers)
@@ -149,94 +138,72 @@ def _singleton_entries(spec, agent: str) -> list[str]:
     return [next(iter(e)) for e in spec.entries]
 
 
-def extendable_from_base(base: RealizedBase) -> ExtendableMarket:
-    """View a one-to-one base as an extendable market of itself: every firm's
-    list becomes a regular choice function over singleton copy classes."""
-    m = base.market
+def _copy_list(base: RealizedBase, rjc: RotationJoinConstraint, wj: str, f0: str) -> PreferenceList:
+    """A copy of beta-side worker wj prefers the auxiliary firm, then the
+    tail of wj's base list from its worst plus-side firm on."""
+    entries = _singleton_entries(base.market.spec(wj), wj)
+    candidates = {
+        f for rid in rjc.pi_beta for f, w in base.rotation_poset.rotations[rid].plus if w == wj
+    }
+    missing = candidates - set(entries)
+    if missing:
+        raise SpecError(f"plus-side firms {sorted(missing)} absent from base list of {wj!r}")
+    return PreferenceList.of(f0, *entries[max(entries.index(f) for f in candidates):])
+
+
+def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -> tuple:
+    """Apply every augmentation to the base at once.
+
+    Step k adds w0#k, f0#k and the copies w#k, and appends (w, w0#k) to a_f
+    of each minus pair (f, w) of its alpha rotations.  Each regular firm's
+    list becomes a regular choice function whose tiers are the copy classes
+    of its base entries.  The market lists its workers in the enumeration's
+    search order: the sorted base workers, then each step's sorted copies
+    directly followed by its auxiliary worker, so that inconsistent branches
+    die inside each step's segment.
+    """
+    m, rp = base.market, base.rotation_poset
     choice: dict = {}
     for w in m.workers:
         _singleton_entries(m.spec(w), w)
         choice[w] = m.spec(w)
+    copy_map = {w: w for w in m.workers}
+    a_f: dict[str, tuple[tuple[str, str], ...]] = {f: () for f in m.firms}
+    firms, workers, steps = list(m.firms), sorted(m.workers), []
+    for k, rjc in enumerate(constraints, 1):
+        w0, f0 = f"w0#{k}", f"f0#{k}"
+        copies = {f"{wj}#{k}": wj for wj in sorted(rjc.w_beta)}
+        for wc, wj in copies.items():
+            choice[wc] = _copy_list(base, rjc, wj, f0)
+        copy_map.update(copies)
+        for rid in sorted(rjc.pi_alpha):
+            for f, w in sorted(rp.rotations[rid].minus):
+                if f not in a_f:
+                    raise SpecError(f"rotation {rid!r} moves {f!r}, which is not a base firm")
+                a_f[f] += ((w, w0),)
+        rule = TriggerRule(
+            alpha_groups=rjc.constraint.alpha_groups,
+            blocks=tuple(sorted((rid, rjc.f_rho[rid]) for rid in rjc.pi_alpha)),
+        )
+        choice[w0] = Triggered(watch=rjc.f_alpha, trigger=f0, rule=rule)
+        choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
+        steps.append(AugmentStep(rjc, w0, f0, tuple(sorted(copies))))
+        firms.append(f0)
+        workers += [*steps[-1].copies, w0]
+
+    classes: dict[str, set[str]] = {w: set() for w in m.workers}
+    for member, base_worker in copy_map.items():
+        classes[base_worker].add(member)
     for f in m.firms:
-        entries = _singleton_entries(m.spec(f), f)
-        choice[f] = Regular(tuple(frozenset([w]) for w in entries), ())
-    market = MatchingMarket(m.firms, m.workers, choice)
-    return ExtendableMarket(
-        market=market,
-        base=base,
-        copy_map={w: w for w in m.workers},
-        aux_workers=frozenset(),
-        aux_firms=frozenset(),
-        a_f={f: () for f in m.firms},
-        augment_count=0,
-        steps=(),
-    )
+        tiers = tuple(frozenset(classes[w]) for w in _singleton_entries(m.spec(f), f))
+        choice[f] = Regular(tiers, a_f[f])
+    market = MatchingMarket(tuple(sorted(firms)), tuple(workers), choice)
+    return market, copy_map, a_f, tuple(steps)
 
 
 def augment(em: ExtendableMarket, rjc: RotationJoinConstraint) -> ExtendableMarket:
     """Apply one join-constraint augmentation, returning the grown market."""
-    base_market = em.base.market
-    rp = em.base.rotation_poset
-    k = em.augment_count + 1
-    w0, f0 = f"w0#{k}", f"f0#{k}"
-
-    copies: dict[str, str] = {wj: f"{wj}#{k}" for wj in sorted(rjc.w_beta)}
-    copy_specs: dict[str, PreferenceList] = {}
-    for wj, wc in copies.items():
-        entries = _singleton_entries(base_market.spec(wj), wj)
-        candidates = set()
-        for rid in rjc.pi_beta:
-            for f, w in rp.rotations[rid].plus:
-                if w == wj:
-                    candidates.add(f)
-        missing = candidates - set(entries)
-        if missing:
-            raise SpecError(f"plus-side firms {sorted(missing)} absent from base list of {wj!r}")
-        fj_index = max(entries.index(f) for f in candidates)
-        copy_specs[wc] = PreferenceList.of(f0, *entries[fj_index:])
-
-    rule = TriggerRule(
-        alpha_groups=rjc.constraint.alpha_groups,
-        blocks=tuple(sorted((rid, rjc.f_rho[rid]) for rid in rjc.pi_alpha)),
-    )
-    a_f = {f: em.a_f.get(f, ()) for f in base_market.firms}
-    for rid in sorted(rjc.pi_alpha):
-        for f, w in sorted(rp.rotations[rid].minus):
-            a_f[f] = a_f[f] + ((w, w0),)
-
-    copy_map = dict(em.copy_map)
-    for wj, wc in copies.items():
-        copy_map[wc] = wj
-    classes: dict[str, set[str]] = {w: set() for w in base_market.workers}
-    for member, base_worker in copy_map.items():
-        classes[base_worker].add(member)
-
-    choice: dict = dict(em.market.choice)
-    for f in base_market.firms:
-        entries = _singleton_entries(base_market.spec(f), f)
-        tiers = tuple(frozenset(classes[w]) for w in entries)
-        choice[f] = Regular(tiers, a_f[f])
-    choice[w0] = Triggered(watch=rjc.f_alpha, trigger=f0, rule=rule)
-    choice[f0] = IfElse(priority=w0, else_set=frozenset(copies.values()))
-    for wc, spec in copy_specs.items():
-        choice[wc] = spec
-
-    market = MatchingMarket(
-        firms=tuple(sorted((*em.market.firms, f0))),
-        workers=tuple(sorted((*em.market.workers, w0, *copies.values()))),
-        choice=choice,
-    )
-    step = AugmentStep(rjc, w0, f0, tuple(sorted(copies.values())))
-    return ExtendableMarket(
-        market=market,
-        base=em.base,
-        copy_map=copy_map,
-        aux_workers=em.aux_workers | {w0},
-        aux_firms=em.aux_firms | {f0},
-        a_f=a_f,
-        augment_count=k,
-        steps=em.steps + (step,),
-    )
+    return ExtendableMarket(em.base, em.constraints + (rjc,))
 
 
 def project_once(em_before: ExtendableMarket, em_after: ExtendableMarket, mu: Matching) -> Matching:
@@ -272,11 +239,8 @@ def project_to_base(em: ExtendableMarket, mu: Matching, check: bool = True) -> M
 
 
 def omega_extend(base: RealizedBase, constraints: Iterable[JoinConstraint]) -> ExtendableMarket:
-    """Fold augment over the constraints, in the given order."""
-    em = extendable_from_base(base)
-    for jc in constraints:
-        em = augment(em, derive_sets(jc, base.rotation_poset))
-    return em
+    """Augment the base by every constraint, in the given order."""
+    return ExtendableMarket(base, tuple(derive_sets(jc, base.rotation_poset) for jc in constraints))
 
 
 @dataclass(frozen=True)
@@ -310,7 +274,7 @@ def verify_extension(
     rp = base.rotation_poset
     checks: list[Check] = []
 
-    extended = enumerate_stable(em.market, worker_order=em.worker_order())
+    extended = enumerate_stable(em.market)
     projected = []
     proj_ok = True
     witness = None
@@ -398,7 +362,7 @@ def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisR
     lattice_cs = constraints_from_lattice(lattice)
     em = omega_extend(base, [transport(c) for c in (*order_cs, *lattice_cs)])
 
-    stables = enumerate_stable(em.market, worker_order=em.worker_order())
+    stables = enumerate_stable(em.market)
     if len(stables) != len(lattice.elements):
         raise IsomorphismFailure(
             f"{len(stables)} stable matchings for {len(lattice.elements)} lattice elements"

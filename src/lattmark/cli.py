@@ -99,8 +99,7 @@ def cmd_verify(args) -> int:
     report = Report("verify", [args.market, args.lattice])
     market, em, _ = _load_market_or_bundle(args.market)
     lattice = jsonio.lattice_from_json(jsonio.read_json(args.lattice))
-    worker_order = em.worker_order() if em is not None else None
-    lat, ms = stable_lattice(market, worker_order=worker_order, **_bound_kwargs(args))
+    lat, ms = stable_lattice(market, **_bound_kwargs(args))
     report.check("counts-match", len(ms) == len(lattice.elements),
                  {"stable": len(ms), "lattice": len(lattice.elements)})
     if em is not None:
@@ -144,9 +143,8 @@ def _bound_kwargs(args) -> dict:
 
 def cmd_enumerate(args) -> int:
     report = Report("enumerate", [args.market])
-    market, em, _ = _load_market_or_bundle(args.market)
-    worker_order = em.worker_order() if em is not None else None
-    ms = enumerate_stable(market, worker_order=worker_order, **_bound_kwargs(args))
+    market, _, _ = _load_market_or_bundle(args.market)
+    ms = enumerate_stable(market, **_bound_kwargs(args))
     payload = jsonio.matchings_to_json(ms)
     if args.out:
         jsonio.write_json(args.out, payload)
@@ -156,10 +154,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_rotations(args) -> int:
     report = Report("rotations", [args.market])
-    market, em, _ = _load_market_or_bundle(args.market)
-    worker_order = em.worker_order() if em is not None else None
-    rp = extract_rotations(market, worker_order=worker_order,
-                           node_bound=args.bound_nodes)
+    market, _, _ = _load_market_or_bundle(args.market)
+    rp = extract_rotations(market, **_bound_kwargs(args))
     payload = jsonio.rotation_poset_to_json(rp)
     if args.out:
         jsonio.write_json(args.out, payload)
@@ -210,7 +206,7 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     inputs = [args.bundle] + ([args.costs] if args.costs else [])
     report = Report("solve", inputs)
-    market, em, reduction = _load_market_or_bundle(args.bundle)
+    market, _, reduction = _load_market_or_bundle(args.bundle)
     if args.costs:
         kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
         if kind == "ground":
@@ -225,9 +221,7 @@ def cmd_solve(args) -> int:
         pair_costs = reduction.pair_costs
     else:
         raise InputError("no costs given and the input is not a reduction bundle")
-    worker_order = em.worker_order() if em is not None else None
-    mu, value = min_cost_stable(market, pair_costs, sense=args.sense, worker_order=worker_order,
-                                **_bound_kwargs(args))
+    mu, value = min_cost_stable(market, pair_costs, sense=args.sense, **_bound_kwargs(args))
     extra = {
         "value": [value.numerator, value.denominator],
         "matching": jsonio.matching_to_json(mu),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AlphaArgumentsComparable, UnknownElementId
-from .orders import Lattice, Poset, canonical_partial_rep, maximal_elements, set_key
+from .orders import Lattice, Poset, canonical_partial_rep, set_key
 
 
 def _canon_groups(groups: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
@@ -116,7 +116,7 @@ def constraints_from_lattice(lattice: Lattice) -> tuple[JoinConstraint, ...]:
             union = rep[x] | rep[y]
             if not union:
                 continue
-            x_alpha = maximal_elements(xj_poset, union)
+            x_alpha = xj_poset.maximal_of(union)
             x_beta = rep[lattice.join(x, y)]
             jc = JoinConstraint.make([{z} for z in sorted(x_alpha)], x_beta)
             if jc.key() not in seen:

@@ -105,10 +105,6 @@ class AlphaArgumentsComparable(InputError):
         super().__init__(f"alpha arguments {x!r} and {y!r} are comparable; an antichain is required")
 
 
-class ArgumentsNotAntichain(AlphaArgumentsComparable):
-    pass
-
-
 class OverlappingRotationAgents(InputError):
     def __init__(self, rot1, rot2, shared):
         self.witness = (rot1, rot2, tuple(sorted(shared)))

@@ -2,20 +2,27 @@
 
 All payloads carry a schema version field "v": 1.  Dumps are byte-
 deterministic: keys sorted, members sorted, rationals in lowest terms as
-[numerator, denominator].
+[numerator, denominator].  Loaders check the JSON type of every field they
+read, so a field of the wrong type or shape raises InputError, not a raw
+Python error.
+
+A bundle stores only what the construction cannot derive: the realized
+base and the join constraints enforced on it.  Loading replays the
+construction; the market and its bookkeeping are never read from a file.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .antimatroids import AntimatroidFamily, PathPoset, ReductionBundle
-from .augment import AugmentStep, ExtendableMarket, derive_sets
-from .constraints import ComplementJoinConstraint, JoinConstraint
-from .errors import InputError
+from .augment import ExtendableMarket, omega_extend
+from .constraints import JoinConstraint
+from .errors import InputError, UnknownElementId
 from .markets import (
     ChoiceSpec,
     TriggerRule,
@@ -26,7 +33,7 @@ from .markets import (
     Regular,
     Triggered,
 )
-from .orders import Lattice, Poset, lattice_from_tables, poset_from_pairs, set_key
+from .orders import Lattice, Poset, lattice_from_order, lattice_from_tables, poset_from_pairs, set_key
 from .rotations import RealizedBase, Rotation, RotationPoset
 
 VERSION = 1
@@ -43,17 +50,52 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 def read_json(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     return data
 
 
-def _need(data: Mapping, key: str, where: str):
+# Readers take (value, where) and return the value checked for its JSON type.
+
+
+def _of(kind: type, value, where: str):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InputError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+_str = partial(_of, str)
+_int = partial(_of, int)
+_list = partial(_of, list)
+
+
+def _strs(value, where: str) -> list[str]:
+    return [_str(x, where) for x in _list(value, where)]
+
+
+def _str_lists(value, where: str) -> list[list[str]]:
+    return [_strs(x, where) for x in _list(value, where)]
+
+
+def _pairs(value, where: str) -> list[tuple[str, str]]:
+    rows = _str_lists(value, where)
+    if any(len(r) != 2 for r in rows):
+        raise InputError(f"{where}: expected a list of [x, y] pairs")
+    return [(x, y) for x, y in rows]
+
+
+def _map(read: Callable, value, where: str) -> dict:
+    return {k: read(v, f"{where}.{k}") for k, v in _of(dict, value, where).items()}
+
+
+def _need(data, key: str, where: str, read: Callable = lambda v, _: v):
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected a JSON object")
     if key not in data:
         raise InputError(f"{where}: missing field {key!r}")
-    return data[key]
+    return read(data[key], f"{where}.{key}")
 
 
 def _sorted_sets(sets) -> list[list[str]]:
@@ -73,13 +115,12 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(data: Mapping) -> Lattice:
-    els = _need(data, "elements", "lattice")
+    els = _need(data, "elements", "lattice", _strs)
     if "join" in data or "meet" in data:
-        return lattice_from_tables(els, _need(data, "join", "lattice"), _need(data, "meet", "lattice"))
-    pairs = [(x, y) for x, y in _need(data, "leq", "lattice")]
-    from .orders import lattice_from_order
-
-    return lattice_from_order(poset_from_pairs(els, pairs, close=True))
+        return lattice_from_tables(
+            els, _need(data, "join", "lattice", _str_lists), _need(data, "meet", "lattice", _str_lists)
+        )
+    return lattice_from_order(poset_from_pairs(els, _need(data, "leq", "lattice", _pairs), close=True))
 
 
 def poset_to_json(poset: Poset) -> dict:
@@ -115,24 +156,26 @@ def _spec_to_json(spec: ChoiceSpec) -> dict:
     raise InputError(f"unknown spec type {type(spec).__name__}")
 
 
-def _spec_from_json(data: Mapping) -> ChoiceSpec:
-    kind = _need(data, "kind", "choice spec")
+def _spec_from_json(data, where: str) -> ChoiceSpec:
+    kind = _need(data, "kind", where, _str)
     if kind == "preference_list":
-        return PreferenceList(tuple(frozenset(e) for e in _need(data, "list", kind)))
+        return PreferenceList(tuple(frozenset(e) for e in _need(data, "list", where, _str_lists)))
     if kind == "triggered":
         rule = TriggerRule(
-            alpha_groups=tuple(frozenset(g) for g in _need(data, "alpha", kind)),
-            blocks=tuple(sorted((r, frozenset(fs)) for r, fs in _need(data, "f_rho", kind).items())),
+            alpha_groups=tuple(frozenset(g) for g in _need(data, "alpha", where, _str_lists)),
+            blocks=tuple(sorted(
+                (r, frozenset(fs)) for r, fs in _need(data, "f_rho", where, partial(_map, _strs)).items()
+            )),
         )
-        return Triggered(frozenset(_need(data, "watch", kind)), _need(data, "trigger", kind), rule)
+        return Triggered(frozenset(_need(data, "watch", where, _strs)), _need(data, "trigger", where, _str), rule)
     if kind == "if_else":
-        return IfElse(_need(data, "priority", kind), frozenset(_need(data, "else_set", kind)))
+        return IfElse(_need(data, "priority", where, _str), frozenset(_need(data, "else_set", where, _strs)))
     if kind == "regular":
         return Regular(
-            tuple(frozenset(t) for t in _need(data, "tiers", kind)),
-            tuple((a, b) for a, b in _need(data, "aux_pairs", kind)),
+            tuple(frozenset(t) for t in _need(data, "tiers", where, _str_lists)),
+            tuple(_need(data, "aux_pairs", where, _pairs)),
         )
-    raise InputError(f"unknown choice kind {kind!r}")
+    raise InputError(f"{where}: unknown choice kind {kind!r}")
 
 
 def market_to_json(market: MatchingMarket) -> dict:
@@ -146,9 +189,9 @@ def market_to_json(market: MatchingMarket) -> dict:
 
 def market_from_json(data: Mapping) -> MatchingMarket:
     return MatchingMarket(
-        tuple(_need(data, "firms", "market")),
-        tuple(_need(data, "workers", "market")),
-        {a: _spec_from_json(s) for a, s in _need(data, "choice", "market").items()},
+        tuple(_need(data, "firms", "market", _strs)),
+        tuple(_need(data, "workers", "market", _strs)),
+        _need(data, "choice", "market", partial(_map, _spec_from_json)),
     )
 
 
@@ -157,7 +200,7 @@ def matching_to_json(mu: Matching) -> dict:
 
 
 def matching_from_json(data: Mapping) -> Matching:
-    return Matching(frozenset((f, w) for f, w in _need(data, "pairs", "matching")))
+    return Matching(frozenset(_need(data, "pairs", "matching", _pairs)))
 
 
 def matchings_to_json(ms) -> dict:
@@ -181,14 +224,15 @@ def rotation_poset_to_json(rp: RotationPoset) -> dict:
 
 def rotation_poset_from_json(data: Mapping) -> RotationPoset:
     rots = {}
-    for r in _need(data, "rotations", "rotation poset"):
-        rots[r["id"]] = Rotation(
-            r["id"],
-            frozenset((f, w) for f, w in r["plus"]),
-            frozenset((f, w) for f, w in r["minus"]),
+    for r in _need(data, "rotations", "rotation poset", _list):
+        rid = _need(r, "id", "rotation", _str)
+        rots[rid] = Rotation(
+            rid,
+            frozenset(_need(r, "plus", f"rotation {rid!r}", _pairs)),
+            frozenset(_need(r, "minus", f"rotation {rid!r}", _pairs)),
         )
     ids = tuple(sorted(rots))
-    rel = frozenset((a, b) for a, b in data.get("leq", [])) | frozenset((i, i) for i in ids)
+    rel = frozenset(_pairs(data.get("leq", []), "rotation poset.leq")) | frozenset((i, i) for i in ids)
     return RotationPoset(Poset(ids, rel), rots, matching_from_json(_need(data, "worker_optimal", "rotation poset")))
 
 
@@ -202,11 +246,12 @@ def realized_base_to_json(base: RealizedBase) -> dict:
 
 
 def realized_base_from_json(data: Mapping) -> RealizedBase:
-    return RealizedBase(
-        market_from_json(_need(data, "market", "realized base")),
-        dict(_need(data, "phi", "realized base")),
-        rotation_poset_from_json(_need(data, "rotation_poset", "realized base")),
-    )
+    phi = _need(data, "phi", "realized base", partial(_map, _str))
+    rp = rotation_poset_from_json(_need(data, "rotation_poset", "realized base"))
+    unknown = sorted(set(phi.values()) - set(rp.rotations))
+    if unknown:
+        raise UnknownElementId(unknown[0])
+    return RealizedBase(market_from_json(_need(data, "market", "realized base")), phi, rp)
 
 
 # ------------------------------------------------------------- constraints
@@ -217,15 +262,9 @@ def constraint_to_json(jc: JoinConstraint) -> dict:
 
 
 def constraint_from_json(data: Mapping) -> JoinConstraint:
-    return JoinConstraint.make(_need(data, "alpha", "constraint"), _need(data, "beta", "constraint"))
-
-
-def complement_to_json(cjc: ComplementJoinConstraint) -> dict:
-    return {"beta_c": sorted(cjc.beta_c_ids), "alpha_c": _sorted_sets(cjc.alpha_c_groups)}
-
-
-def complement_from_json(data: Mapping) -> ComplementJoinConstraint:
-    return ComplementJoinConstraint.make(_need(data, "beta_c", "complement"), _need(data, "alpha_c", "complement"))
+    return JoinConstraint.make(
+        _need(data, "alpha", "constraint", _str_lists), _need(data, "beta", "constraint", _strs)
+    )
 
 
 # ----------------------------------------------------------------- bundles
@@ -234,41 +273,15 @@ def complement_from_json(data: Mapping) -> ComplementJoinConstraint:
 def extendable_to_json(em: ExtendableMarket) -> dict:
     return {
         "v": VERSION,
-        "market": market_to_json(em.market),
         "base": realized_base_to_json(em.base),
-        "copy_map": dict(sorted(em.copy_map.items())),
-        "aux_workers": sorted(em.aux_workers),
-        "aux_firms": sorted(em.aux_firms),
-        "a_f": {f: [list(p) for p in pairs] for f, pairs in sorted(em.a_f.items())},
-        "augment_count": em.augment_count,
-        "steps": [
-            {
-                "constraint": constraint_to_json(s.constraint.constraint),
-                "w0": s.w0,
-                "f0": s.f0,
-                "copies": list(s.copies),
-            }
-            for s in em.steps
-        ],
+        "constraints": [constraint_to_json(rjc.constraint) for rjc in em.constraints],
     }
 
 
 def extendable_from_json(data: Mapping) -> ExtendableMarket:
     base = realized_base_from_json(_need(data, "base", "bundle"))
-    steps = []
-    for s in data.get("steps", []):
-        rjc = derive_sets(constraint_from_json(s["constraint"]), base.rotation_poset)
-        steps.append(AugmentStep(rjc, s["w0"], s["f0"], tuple(s["copies"])))
-    return ExtendableMarket(
-        market=market_from_json(_need(data, "market", "bundle")),
-        base=base,
-        copy_map=dict(_need(data, "copy_map", "bundle")),
-        aux_workers=frozenset(data.get("aux_workers", [])),
-        aux_firms=frozenset(data.get("aux_firms", [])),
-        a_f={f: tuple((a, b) for a, b in pairs) for f, pairs in _need(data, "a_f", "bundle").items()},
-        augment_count=int(data.get("augment_count", len(steps))),
-        steps=tuple(steps),
-    )
+    constraints = _need(data, "constraints", "bundle", _list)
+    return omega_extend(base, [constraint_from_json(c) for c in constraints])
 
 
 def pair_costs_to_json(pair_costs: Mapping) -> list:
@@ -278,8 +291,16 @@ def pair_costs_to_json(pair_costs: Mapping) -> list:
     ]
 
 
-def pair_costs_from_json(rows) -> dict:
-    return {(f, w): Fraction(num, den) for f, w, num, den in rows}
+def pair_costs_from_json(rows, where: str = "pair costs") -> dict:
+    out = {}
+    for row in _list(rows, where):
+        if not isinstance(row, list) or len(row) != 4:
+            raise InputError(f"{where}: expected [firm, worker, numerator, denominator] rows")
+        f, w, num, den = _str(row[0], where), _str(row[1], where), _int(row[2], where), _int(row[3], where)
+        if den == 0:
+            raise InputError(f"{where}: zero denominator for ({f!r}, {w!r})")
+        out[(f, w)] = Fraction(num, den)
+    return out
 
 
 def reduction_to_json(bundle: ReductionBundle, cost_scale: int = 1) -> dict:
@@ -295,11 +316,12 @@ def reduction_to_json(bundle: ReductionBundle, cost_scale: int = 1) -> dict:
 
 
 def reduction_from_json(data: Mapping) -> ReductionBundle:
-    return ReductionBundle(
-        extendable_from_json(_need(data, "extension", "reduction bundle")),
-        pair_costs_from_json(data.get("pair_costs", [])),
-        tuple(_need(data, "ground", "reduction bundle")),
-    )
+    em = extendable_from_json(_need(data, "extension", "reduction bundle"))
+    ground = tuple(_need(data, "ground", "reduction bundle", _strs))
+    unknown = sorted(set(ground) - set(em.base.rotation_of))
+    if unknown:
+        raise UnknownElementId(unknown[0])
+    return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json), ground)
 
 
 # ------------------------------------------------------------- antimatroids
@@ -318,22 +340,22 @@ def path_poset_to_json(pp: PathPoset) -> dict:
 
 
 def antimatroid_from_json(data: Mapping) -> AntimatroidFamily | PathPoset:
-    ground = _need(data, "ground", "antimatroid")
+    ground = _need(data, "ground", "antimatroid", _strs)
     if "feasible" in data:
-        return AntimatroidFamily.of(ground, [frozenset(g) for g in data["feasible"]])
+        feasible = _str_lists(data["feasible"], "antimatroid.feasible")
+        return AntimatroidFamily.of(ground, [frozenset(g) for g in feasible])
     if "paths" in data:
-        return PathPoset.of(ground, [(frozenset(p["set"]), p["endpoint"]) for p in data["paths"]])
+        return PathPoset.of(ground, [
+            (frozenset(_need(p, "set", "path", _strs)), _need(p, "endpoint", "path", _str))
+            for p in _list(data["paths"], "antimatroid.paths")
+        ])
     raise InputError("antimatroid: need either 'feasible' or 'paths'")
-
-
-def graph_from_json(data: Mapping) -> tuple[list[str], list[tuple[str, str]]]:
-    return list(_need(data, "vertices", "graph")), [(u, v) for u, v in _need(data, "edges", "graph")]
 
 
 def costs_from_json(data: Mapping):
     """Returns ('ground', dict) or ('pairs', dict) depending on the payload."""
     if "ground" in data:
-        return "ground", {k: int(v) for k, v in data["ground"].items()}
+        return "ground", _map(_int, data["ground"], "costs.ground")
     if "pairs" in data:
-        return "pairs", pair_costs_from_json(data["pairs"])
+        return "pairs", pair_costs_from_json(data["pairs"], "costs.pairs")
     raise InputError("costs: need either 'ground' or 'pairs'")

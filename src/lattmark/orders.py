@@ -169,16 +169,6 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], 
     return validate_poset(els, rows)
 
 
-@dataclass(frozen=True)
-class LowerSet:
-    """A downward closed subset of some poset."""
-
-    members: frozenset[str]
-
-    def key(self) -> tuple:
-        return set_key(self.members)
-
-
 def is_lower_set(poset: Poset, members: Iterable[str]) -> bool:
     ms = frozenset(members)
     return all(poset.down_set(m) <= ms for m in ms)
@@ -328,9 +318,6 @@ def canonical_partial_rep(lattice: Lattice) -> dict[str, frozenset[str]]:
     return {x: frozenset(j for j in xj if lattice.leq(j, x)) for x in lattice.elements}
 
 
-SUBSET_ORDER: Callable[[frozenset, frozenset], bool] = lambda a, b: a <= b
-
-
 def _dst_leq(dst) -> Callable:
     if isinstance(dst, Poset):
         return dst.leq
@@ -358,10 +345,6 @@ def check_order_isomorphism(f: Mapping, src: Poset, dst_elements: Iterable, dst)
         extra = sorted(image - targets, key=repr)
         return False, ("image mismatch", tuple(missing), tuple(extra))
     return True, None
-
-
-def maximal_elements(poset: Poset, members: Iterable[str]) -> frozenset[str]:
-    return poset.maximal_of(members)
 
 
 def is_distributive(lattice: Lattice) -> tuple[bool, tuple | None]:

@@ -20,6 +20,7 @@ from .errors import (
     NotRepresentable,
 )
 from .markets import (
+    DEFAULT_NODE_BOUND,
     FirmOrder,
     Matching,
     MatchingMarket,
@@ -129,7 +130,7 @@ def _gadget_bank(ids: Sequence[str]) -> RealizedBase:
     return RealizedBase(market, {i: i for i in ids}, rp)
 
 
-def extract_rotations(market: MatchingMarket, node_bound: int | None = None, worker_order=None) -> RotationPoset:
+def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> RotationPoset:
     """Recover the rotation poset of a one-to-one market by enumeration.
 
     Rotations are read off the covering pairs of the comparison order over
@@ -137,8 +138,7 @@ def extract_rotations(market: MatchingMarket, node_bound: int | None = None, wor
     sets (one rotation sits below another when it occurs wherever the
     other does).
     """
-    kwargs = {} if node_bound is None else {"node_bound": node_bound}
-    ms = enumerate_stable(market, worker_order=worker_order, **kwargs)
+    ms = enumerate_stable(market, node_bound=node_bound)
     for mu in ms:
         if any(len(mu.workers_of(f)) > 1 for f in market.firms) or any(
             len(mu.firms_of(w)) > 1 for w in market.workers

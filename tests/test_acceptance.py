@@ -29,7 +29,6 @@ from lattmark import (
     derive_sets,
     endpoints,
     enumerate_stable,
-    extendable_from_base,
     extract_rotations,
     filter_lower_sets,
     independent_set_antimatroid,
@@ -196,7 +195,7 @@ def test_criterion_4_worked_augmentation(worked_augmentation):
     for copy_id, firms in copy_lists.items():
         assert tuple(next(iter(e)) for e in em.market.spec(copy_id).entries) == firms
 
-    stables = enumerate_stable(em.market, worker_order=em.worker_order())
+    stables = enumerate_stable(em.market)
     assert len(stables) == 7
 
     expected = seven_pair_stable_matchings()
@@ -248,7 +247,7 @@ def test_criterion_5_synthesis_property_suite(synthesized):
     for name, lat, result in instances:
         em = result.extendable
         market = em.market
-        stables = enumerate_stable(market, worker_order=em.worker_order())
+        stables = enumerate_stable(market)
         assert len(stables) == len(lat.elements), name
 
         by_key = {m.key(): f"s{i}" for i, m in enumerate(stables)}
@@ -338,10 +337,7 @@ def test_criterion_8_reduction_end_to_end():
         costs = {x: -w for x, w in weights.items()}
         pp = compute_path_poset(fam)
         bundle = reduce_to_matching(pp, costs)
-        mu, value = min_cost_stable(
-            bundle.market(), bundle.pair_costs,
-            worker_order=bundle.extendable.worker_order(),
-        )
+        mu, value = min_cost_stable(bundle.market(), bundle.pair_costs)
         best_set, best_value = min_cost_feasible(fam, costs)
         assert value == best_value, name  # exact rational equality
         recovered = bundle.recover(mu)

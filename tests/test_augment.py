@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lattmark import (
+    ExtendableMarket,
     FirmOrder,
     JoinConstraint,
     Matching,
@@ -17,7 +18,6 @@ from lattmark import (
     deferred_acceptance,
     derive_sets,
     enumerate_stable,
-    extendable_from_base,
     is_stable,
     join_irreducibles,
     omega_extend,
@@ -27,12 +27,12 @@ from lattmark import (
     synthesize_from_lattice,
     verify_extension,
 )
-from lattmark.errors import ArgumentsNotAntichain, UnknownElementId
+from lattmark.errors import AlphaArgumentsComparable, UnknownElementId
 from lattmark.fixtures import diamond_lattice, hexagon_lattice, pentagon_lattice
 from lattmark.generators import all_lattices_upto, random_lattice
 
 from oracles import reference_stable_matchings
-from lattmark.markets import IfElse, Regular, Triggered
+from lattmark.markets import IfElse, MatchingMarket, Regular, Triggered
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def worked(seven_base, rot_ids):
     """The seven-pair base augmented with 'rot1 and rot2 force rot3 and rot4'."""
     jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
     rjc = derive_sets(jc, seven_base.rotation_poset)
-    em0 = extendable_from_base(seven_base)
+    em0 = ExtendableMarket(seven_base)
     return em0, augment(em0, rjc), rjc
 
 
@@ -61,7 +61,7 @@ class TestDeriveSets:
 
     def test_comparable_alpha_arguments_rejected(self, seven_base, rot_ids):
         jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot3"]}], set())
-        with pytest.raises(ArgumentsNotAntichain):
+        with pytest.raises(AlphaArgumentsComparable):
             derive_sets(jc, seven_base.rotation_poset)
 
     def test_unknown_rotation_rejected(self, seven_base):
@@ -73,8 +73,7 @@ class TestAugment:
     def test_agent_growth(self, worked):
         em0, em1, rjc = worked
         assert em1.agent_count() - em0.agent_count() == 2 + len(rjc.w_beta)
-        assert em1.aux_workers == frozenset({"w0#1"})
-        assert em1.aux_firms == frozenset({"f0#1"})
+        assert [(s.w0, s.f0) for s in em1.steps] == [("w0#1", "f0#1")]
 
     def test_copy_lists(self, worked):
         _, em1, _ = worked
@@ -123,7 +122,7 @@ class TestAugment:
 
     def test_seven_surviving_matchings(self, worked, seven_stables):
         _, em1, _ = worked
-        stables = enumerate_stable(em1.market, worker_order=em1.worker_order())
+        stables = enumerate_stable(em1.market)
         assert len(stables) == 7
         projected = {project_to_base(em1, mu).pairs for mu in stables}
         want = {seven_stables[k].pairs for k in ("mu1", "mu2", "mu3", "mu5", "mu6", "mu9", "mu10")}
@@ -139,7 +138,7 @@ class TestAugment:
 class TestProjections:
     def test_project_once_folds_copies_and_drops_aux(self, worked, seven_stables):
         em0, em1, _ = worked
-        stables = enumerate_stable(em1.market, worker_order=em1.worker_order())
+        stables = enumerate_stable(em1.market)
         top = deferred_acceptance(em1.market, "firms")
         z = project_once(em0, em1, top)
         assert z == seven_stables["mu10"]
@@ -160,7 +159,7 @@ class TestProjections:
 
     def test_containment_chain(self, worked):
         em0, em1, _ = worked
-        for mu2 in enumerate_stable(em1.market, worker_order=em1.worker_order()):
+        for mu2 in enumerate_stable(em1.market):
             mu1 = project_once(em0, em1, mu2)
             mu0 = project_to_base(em1, mu2)
             assert mu0.pairs <= mu1.pairs <= mu2.pairs
@@ -169,7 +168,7 @@ class TestProjections:
 
     def test_projections_preserve_order(self, worked):
         em0, em1, _ = worked
-        stables = enumerate_stable(em1.market, worker_order=em1.worker_order())
+        stables = enumerate_stable(em1.market)
         for m1 in stables:
             for m2 in stables:
                 up = firm_order_compare(em1.market, m1, m2)
@@ -182,14 +181,14 @@ class TestProjections:
 class TestOmegaExtend:
     def test_empty_constraint_list_is_identity(self, seven_base):
         em = omega_extend(seven_base, [])
-        assert em.augment_count == 0
-        stables = enumerate_stable(em.market, worker_order=em.worker_order())
+        assert len(em.steps) == 0
+        stables = enumerate_stable(em.market)
         assert len(stables) == 10
 
     def test_order_constraint_on_two_gadgets(self):
         base = antichain_base(["p", "q"])
         em = omega_extend(base, [JoinConstraint.make([{"q"}], {"p"})])
-        stables = enumerate_stable(em.market, worker_order=em.worker_order())
+        stables = enumerate_stable(em.market)
         assert len(stables) == 3
         reps = {matching_to_rotations(base.rotation_poset, project_to_base(em, mu)) for mu in stables}
         assert reps == {frozenset(), frozenset({"p"}), frozenset({"p", "q"})}
@@ -207,7 +206,7 @@ class TestOmegaExtend:
     def test_alpha_only_constraint_forces_beta_globally(self):
         base = antichain_base(["p", "q"])
         em = omega_extend(base, [JoinConstraint.make([], {"p"})])
-        stables = enumerate_stable(em.market, worker_order=em.worker_order())
+        stables = enumerate_stable(em.market)
         reps = {matching_to_rotations(base.rotation_poset, project_to_base(em, mu)) for mu in stables}
         assert reps == {frozenset({"p"}), frozenset({"p", "q"})}
 
@@ -216,7 +215,7 @@ class TestOmegaExtend:
         em = omega_extend(base, [JoinConstraint.make([{"q"}], set())])
         assert em.steps[-1].copies == ()
         assert em.agent_count() == 8 + 2
-        stables = enumerate_stable(em.market, worker_order=em.worker_order())
+        stables = enumerate_stable(em.market)
         assert len(stables) == 4
 
     def test_worked_extension_report(self, seven_base, rot_ids):
@@ -231,9 +230,7 @@ class TestSynthesis:
     def test_fixture_lattices(self, lattice_fn):
         lat = lattice_fn()
         result = synthesize_from_lattice(lat)
-        stables = enumerate_stable(
-            result.extendable.market, worker_order=result.extendable.worker_order()
-        )
+        stables = enumerate_stable(result.extendable.market)
         assert len(stables) == len(lat.elements)
         report = verify_extension(
             result.extendable.base,
@@ -294,7 +291,7 @@ class TestEnumerationAgainstReference:
         ]
         for jc in constraints:
             em = omega_extend(base, [jc])
-            fast = enumerate_stable(em.market, worker_order=em.worker_order())
+            fast = enumerate_stable(em.market)
             slow = reference_stable_matchings(em.market)
             assert [m.pairs for m in fast] == [m.pairs for m in slow], jc
 
@@ -304,7 +301,7 @@ class TestEnumerationAgainstReference:
             JoinConstraint.make([{"q"}], {"p"}),
             JoinConstraint.make([{"p"}], {"q"}),
         ])
-        fast = enumerate_stable(em.market, worker_order=em.worker_order())
+        fast = enumerate_stable(em.market)
         slow = reference_stable_matchings(em.market)
         assert [m.pairs for m in fast] == [m.pairs for m in slow]
 
@@ -312,7 +309,7 @@ class TestEnumerationAgainstReference:
         # premise "p and q occurred" forces r; only the {p, q} pattern dies
         base = antichain_base(["p", "q", "r"])
         em = omega_extend(base, [JoinConstraint.make([{"p"}, {"q"}], {"r"})])
-        fast = enumerate_stable(em.market, worker_order=em.worker_order())
+        fast = enumerate_stable(em.market)
         slow = reference_stable_matchings(em.market)
         assert [m.pairs for m in fast] == [m.pairs for m in slow]
         assert len(fast) == 7
@@ -324,7 +321,7 @@ class TestOptimaAgainstEnumeration:
         for _ in range(10):
             lat = random_lattice(rng.randint(2, 6), rng)
             em = synthesize_from_lattice(lat).extendable
-            stables = enumerate_stable(em.market, worker_order=em.worker_order())
+            stables = enumerate_stable(em.market)
             top = deferred_acceptance(em.market, "firms")
             bottom = deferred_acceptance(em.market, "workers")
             for mu in stables:
@@ -337,5 +334,7 @@ class TestDefaultOrderOnAugmentedMarkets:
         # lexicographic order places the auxiliary worker first, driving the
         # subset-enumeration path for triggered workers
         _, em1, _ = worked
-        hinted = enumerate_stable(em1.market, worker_order=em1.worker_order())
-        assert enumerate_stable(em1.market) == hinted
+        m = em1.market
+        assert m.workers != tuple(sorted(m.workers))
+        sorted_market = MatchingMarket(m.firms, tuple(sorted(m.workers)), m.choice)
+        assert enumerate_stable(sorted_market) == enumerate_stable(m)

@@ -13,7 +13,6 @@ from lattmark import (
     lattice_from_order,
     lattice_from_tables,
     lower_sets,
-    maximal_elements,
     poset_from_pairs,
     validate_poset,
 )
@@ -260,14 +259,14 @@ class TestEmbeddingChecks:
 class TestMaximalElements:
     def test_hexagon_subset(self, hexagon):
         _, poset = join_irreducibles(hexagon)
-        assert maximal_elements(poset, {"b", "c", "d"}) == frozenset({"b", "d"})
+        assert poset.maximal_of({"b", "c", "d"}) == frozenset({"b", "d"})
 
     def test_empty(self, hexagon):
-        assert maximal_elements(hexagon.poset, set()) == frozenset()
+        assert hexagon.poset.maximal_of(set()) == frozenset()
 
     def test_trivial_order_keeps_everything(self):
         p = trivial_poset(["x", "y"])
-        assert maximal_elements(p, {"x", "y"}) == frozenset({"x", "y"})
+        assert p.maximal_of({"x", "y"}) == frozenset({"x", "y"})
 
 
 class TestDistributivity:

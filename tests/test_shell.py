@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from lattmark import antichain_base, omega_extend, JoinConstraint
+from lattmark import lattice_from_order, poset_from_pairs, synthesize_from_lattice
 from lattmark import cli, jsonio
 from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
@@ -56,9 +59,11 @@ class TestJsonRoundTrips:
     def test_extendable_bundle(self, seven_base, rot_ids):
         jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
         em = omega_extend(seven_base, [jc])
-        again = jsonio.extendable_from_json(jsonio.extendable_to_json(em))
+        data = jsonio.extendable_to_json(em)
+        assert set(data) == {"v", "base", "constraints"}
+        again = jsonio.extendable_from_json(data)
         assert again == em
-        assert again.worker_order() == em.worker_order()
+        assert again.market == em.market
 
     def test_reduction_bundle(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
@@ -94,6 +99,16 @@ class TestJsonRoundTrips:
             jsonio.antimatroid_from_json({"ground": ["a"]})
         with pytest.raises(InputError):
             jsonio.costs_from_json({})
+
+    def test_malformed_leaves_raise_input_errors(self, seven_rotation_poset):
+        data = jsonio.rotation_poset_to_json(seven_rotation_poset)
+        del data["rotations"][0]["id"]
+        with pytest.raises(InputError):
+            jsonio.rotation_poset_from_json(data)
+        with pytest.raises(InputError):
+            jsonio.costs_from_json({"ground": {"a": "x"}})
+        with pytest.raises(InputError):
+            jsonio.costs_from_json({"pairs": [["f", "w", 1, 0]]})
 
 
 class TestDot:
@@ -239,3 +254,122 @@ class TestCliVariants:
         code, _ = run_cli(capsys, "reduce", str(anti_file), str(costs_file),
                           "-o", str(tmp_path / "out.json"), "--bound-elements", "2")
         assert code == 3
+
+
+def _reduction_file(tmp_path):
+    fam = four_element_antimatroid()
+    bundle = reduce_to_matching(compute_path_poset(fam), {x: -1 for x in fam.ground})
+    path = tmp_path / "reduction.json"
+    jsonio.write_json(path, jsonio.reduction_to_json(bundle))
+    return path
+
+
+def _pentagon_files(tmp_path, capsys):
+    lattice_file = tmp_path / "pentagon.json"
+    jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
+    bundle_file = tmp_path / "bundle.json"
+    code, _ = run_cli(capsys, "synthesize", str(lattice_file), "-o", str(bundle_file))
+    assert code == 0
+    return lattice_file, bundle_file
+
+
+def _mutations(data):
+    """Copies of data with one object key deleted, or one leaf retyped, or
+    one string leaf renamed (which breaks references between fields)."""
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield path + (key,), None
+                yield from walk(value, path + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from walk(value, path + (i,))
+        elif isinstance(node, str):
+            yield path, 7
+            yield path, node + "'"
+        else:
+            yield path, "7"
+
+    for path, leaf in walk(data, ()):
+        out = copy.deepcopy(data)
+        parent = out
+        for step in path[:-1]:
+            parent = parent[step]
+        if leaf is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = leaf
+        yield path, out
+
+
+class TestBundleContract:
+    def test_solve_bound_nodes(self, tmp_path, capsys):
+        bundle_file = _reduction_file(tmp_path)
+        code, report = run_cli(capsys, "solve", str(bundle_file), "--bound-nodes", "1")
+        assert code == 3 and report["kind"] == "SearchBoundExceeded"
+        code, report = run_cli(capsys, "solve", str(bundle_file))
+        assert code == 0 and report["value"] == [-4, 1]
+
+    def test_old_layout_bundle_exits_2(self, tmp_path, capsys):
+        bundle_file = _reduction_file(tmp_path)
+        data = json.loads(bundle_file.read_text())
+        del data["extension"]["constraints"]
+        jsonio.write_json(bundle_file, data)
+        code, report = run_cli(capsys, "solve", str(bundle_file))
+        assert code == 2 and "constraints" in report["error"]
+
+    def test_stored_derived_fields_are_ignored(self, tmp_path, capsys):
+        junk = {
+            "market": jsonio.market_to_json(seven_pair_market()),
+            "copy_map": {}, "aux_workers": [], "aux_firms": [], "a_f": {}, "augment_count": 9, "steps": [],
+        }
+        bundle_file = _reduction_file(tmp_path)
+        _, want = run_cli(capsys, "solve", str(bundle_file))
+        data = json.loads(bundle_file.read_text())
+        assert not set(junk) & set(data["extension"])
+        data["extension"].update(junk)
+        jsonio.write_json(bundle_file, data)
+        _, got = run_cli(capsys, "solve", str(bundle_file))
+        assert (got["value"], got["matching"], got["recovered_set"]) == (
+            want["value"], want["matching"], want["recovered_set"])
+
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        data = json.loads(bundle_file.read_text())
+        data.update(junk)
+        jsonio.write_json(bundle_file, data)
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 0 and report["outcome"] == "ok"
+
+    def test_plain_market_file_keeps_the_search_order(self, tmp_path, capsys):
+        # The sorted order needs over 200,000 nodes on this market; the
+        # declared order needs under 20,000.
+        labels = [f"e{i}" for i in range(8)]
+        chain = lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
+        market = synthesize_from_lattice(chain, verify=False).market()
+        market_file = tmp_path / "chain8.market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(market))
+        code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "20000")
+        assert code == 0 and report["count"] == 8
+
+    def test_malformed_files_keep_the_exit_code_contract(self, tmp_path, capsys):
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        reduction_file = _reduction_file(tmp_path)
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 2 for x in "abcd"}})
+        mutated = tmp_path / "mutated.json"
+        cases = [
+            (lattice_file, ["verify", str(bundle_file), str(mutated)]),
+            (reduction_file, ["solve", str(mutated)]),
+            (reduction_file, ["solve", str(mutated), str(costs_file)]),
+        ]
+        t0 = time.monotonic()
+        for source, argv in cases:
+            for path, data in _mutations(json.loads(source.read_text())):
+                jsonio.write_json(mutated, data)
+                try:
+                    code = cli.main([*argv, "--bound-nodes", "2000"])
+                except Exception as exc:  # the contract is an exit code, never a traceback
+                    pytest.fail(f"{source.name} mutated at {path}: {exc!r}")
+                capsys.readouterr()
+                assert code in (0, 2, 3, 4), (source.name, path, code)
+        assert time.monotonic() - t0 < 10
