@@ -12,7 +12,9 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from itertools import permutations
+from math import lcm
 from pathlib import Path
 
 from . import jsonio
@@ -22,6 +24,7 @@ from .antimatroids import (
     compute_path_poset,
     min_cost_stable,
     reduce_to_matching,
+    transfer_costs,
     validate_antimatroid,
 )
 from .augment import synthesize_from_lattice, verify_extension, project_to_base
@@ -29,7 +32,7 @@ from .dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from .errors import InputError, LattmarkError
 from .markets import enumerate_stable, stable_lattice
 from .orders import check_order_isomorphism
-from .rotations import antichain_base, extract_rotations, matching_to_rotations
+from .rotations import extract_rotations, matching_to_rotations
 
 
 def _digest(path: str) -> str:
@@ -184,16 +187,13 @@ def cmd_reduce(args) -> int:
     kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
     if kind != "ground":
         raise InputError("reduce expects ground costs")
+    bundle = reduce_to_matching(pp, costs)
     scale = 1
     if args.integer_costs:
-        # pre-scale so every transferred pair cost is integral
-        from math import lcm
-
-        base = antichain_base(list(pp.ground))
-        sizes = [len(rot.minus) for rot in base.rotation_poset.rotations.values()]
-        scale = lcm(*sizes) if sizes else 1
-        costs = {x: c * scale for x, c in costs.items()}
-    bundle = reduce_to_matching(pp, costs)
+        # scale so every transferred pair cost is integral
+        base = bundle.extendable.base
+        scale = lcm(*(len(rot.minus) for rot in base.rotation_poset.rotations.values()))
+        bundle = replace(bundle, pair_costs=transfer_costs(base, {x: c * scale for x, c in costs.items()}))
     jsonio.write_json(args.out, jsonio.reduction_to_json(bundle, cost_scale=scale))
     report.wrote(args.out)
     return report.emit({
@@ -212,8 +212,6 @@ def cmd_solve(args) -> int:
         if kind == "ground":
             if reduction is None:
                 raise InputError("ground costs require a reduction bundle")
-            from .antimatroids import transfer_costs
-
             pair_costs = transfer_costs(reduction.extendable.base, costs)
         else:
             pair_costs = costs

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from operator import and_, or_
 from typing import Iterable
 
 from .antimatroids import AntimatroidFamily
@@ -26,7 +27,8 @@ def _family_lattice(family: Iterable[frozenset]) -> Lattice:
     return lattice_from_order(Poset(tuple(names[s] for s in sets), rel))
 
 
-def _close_intersection(family: set[frozenset]) -> set[frozenset]:
+def _close(family: set[frozenset], ops) -> set[frozenset]:
+    """The least superset of family closed under each binary set operation."""
     out = set(family)
     grew = True
     while grew:
@@ -34,15 +36,17 @@ def _close_intersection(family: set[frozenset]) -> set[frozenset]:
         items = sorted(out, key=set_key)
         for i, a in enumerate(items):
             for b in items[i + 1:]:
-                if a & b not in out:
-                    out.add(a & b)
-                    grew = True
+                for op in ops:
+                    c = op(a, b)
+                    if c not in out:
+                        out.add(c)
+                        grew = True
     return out
 
 
-def random_lattice(n: int, rng: random.Random, max_tries: int = 20000) -> Lattice:
-    """A random lattice with exactly n elements, by rejection sampling over
-    intersection-closed set families."""
+def _sample_lattice(n: int, rng: random.Random, max_tries: int, ops) -> Lattice:
+    """Rejection-sample set families over a small universe, closed under ops,
+    until one has exactly n members."""
     if n < 1:
         raise InputError("a lattice needs at least one element")
     if n == 1:
@@ -53,35 +57,21 @@ def random_lattice(n: int, rng: random.Random, max_tries: int = 20000) -> Lattic
         family = {frozenset(), universe}
         for _ in range(rng.randint(1, n)):
             family.add(frozenset(i for i in range(u) if rng.random() < 0.5))
-        family = _close_intersection(family)
+        family = _close(family, ops)
         if len(family) == n:
             return _family_lattice(family)
     raise InputError(f"could not sample a lattice with {n} elements")
 
 
+def random_lattice(n: int, rng: random.Random, max_tries: int = 20000) -> Lattice:
+    """A random lattice with exactly n elements, by rejection sampling over
+    intersection-closed set families."""
+    return _sample_lattice(n, rng, max_tries, (and_,))
+
+
 def random_distributive_lattice(n: int, rng: random.Random, max_tries: int = 20000) -> Lattice:
     """Like random_lattice, but the family is closed under union too."""
-    if n == 1:
-        return _family_lattice({frozenset()})
-    for _ in range(max_tries):
-        u = rng.randint(2, max(2, min(n, 7)))
-        universe = frozenset(range(u))
-        family = {frozenset(), universe}
-        for _ in range(rng.randint(1, n)):
-            family.add(frozenset(i for i in range(u) if rng.random() < 0.5))
-        grew = True
-        while grew:
-            grew = False
-            items = sorted(family, key=set_key)
-            for i, a in enumerate(items):
-                for b in items[i + 1:]:
-                    for c in (a & b, a | b):
-                        if c not in family:
-                            family.add(c)
-                            grew = True
-        if len(family) == n:
-            return _family_lattice(family)
-    raise InputError(f"could not sample a distributive lattice with {n} elements")
+    return _sample_lattice(n, rng, max_tries, (and_, or_))
 
 
 def all_lattices_upto(n: int) -> list[Lattice]:

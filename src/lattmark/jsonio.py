@@ -123,14 +123,6 @@ def lattice_from_json(data: Mapping) -> Lattice:
     return lattice_from_order(poset_from_pairs(els, _need(data, "leq", "lattice", _pairs), close=True))
 
 
-def poset_to_json(poset: Poset) -> dict:
-    return {
-        "v": VERSION,
-        "elements": list(poset.elements),
-        "leq": sorted([x, y] for (x, y) in poset.relation if x != y),
-    }
-
-
 # ----------------------------------------------------------------- markets
 
 

@@ -31,6 +31,25 @@ from .orders import Lattice, Poset, lattice_from_order, set_key
 DEFAULT_NODE_BOUND = 10 ** 9
 
 
+def _subsets(items: Sequence[str]):
+    n = len(items)
+    for mask in range(1 << n):
+        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
+
+
+def _every_subset(universe: frozenset[str], limit: int):
+    """Every subset of a universe of at most limit partners; a larger one
+    raises SearchBoundExceeded with the number of subsets it has."""
+    if len(universe) > limit:
+        raise SearchBoundExceeded(1 << len(universe), 1 << limit)
+    return _subsets(sorted(universe))
+
+
+# Each family evaluates its choice over a frozenset offer (choose), names the
+# partners that can appear in or influence a choice (universe), and lists the
+# partner sets its agent can be assigned in enumerate_stable (candidates).
+
+
 @dataclass(frozen=True)
 class PreferenceList:
     """Strictly ordered acceptable partner sets, best first; chooses the first
@@ -48,6 +67,19 @@ class PreferenceList:
     def of(*entries) -> "PreferenceList":
         return PreferenceList(tuple(frozenset([e]) if isinstance(e, str) else frozenset(e) for e in entries))
 
+    def choose(self, offered: frozenset[str]) -> frozenset[str]:
+        for entry in self.entries:
+            if entry <= offered:
+                return entry
+        return frozenset()
+
+    @cached_property
+    def universe(self) -> frozenset[str]:
+        return frozenset().union(*self.entries)
+
+    def candidates(self) -> tuple[frozenset[str], ...]:
+        return (*self.entries, frozenset())
+
 
 @dataclass(frozen=True)
 class TriggerRule:
@@ -63,17 +95,6 @@ class TriggerRule:
         if not arg_ids <= block_ids:
             raise SpecError(f"trigger rule alpha arguments {sorted(arg_ids - block_ids)} lack firm blocks")
 
-    @cached_property
-    def block_map(self) -> dict[str, frozenset[str]]:
-        return dict(self.blocks)
-
-    @cached_property
-    def watch_all(self) -> frozenset[str]:
-        out: set[str] = set()
-        for _, fs in self.blocks:
-            out |= fs
-        return frozenset(out)
-
     def fires(self, offered: frozenset[str]) -> bool:
         hidden = {r for r, fs in self.blocks if not (fs & offered)}
         return all(bool(g & hidden) for g in self.alpha_groups)
@@ -81,15 +102,44 @@ class TriggerRule:
 
 @dataclass(frozen=True)
 class Triggered:
+    """Every watched firm offered, plus the trigger firm when the rule fires."""
+
     watch: frozenset[str]
     trigger: str
     rule: TriggerRule
 
+    def choose(self, offered: frozenset[str]) -> frozenset[str]:
+        selected = offered & self.watch
+        if self.trigger in offered and self.rule.fires(offered):
+            selected |= {self.trigger}
+        return selected
+
+    @cached_property
+    def universe(self) -> frozenset[str]:
+        return self.watch | {self.trigger}
+
+    def candidates(self) -> Iterable[frozenset[str]]:
+        return _every_subset(self.universe, 25)
+
 
 @dataclass(frozen=True)
 class IfElse:
+    """The priority worker alone when offered, else every offered fallback."""
+
     priority: str
     else_set: frozenset[str]
+
+    def choose(self, offered: frozenset[str]) -> frozenset[str]:
+        if self.priority in offered:
+            return frozenset([self.priority])
+        return offered & self.else_set
+
+    @cached_property
+    def universe(self) -> frozenset[str]:
+        return self.else_set | {self.priority}
+
+    def candidates(self) -> Iterable[frozenset[str]]:
+        return _every_subset(self.universe, 16)
 
 
 @dataclass(frozen=True)
@@ -117,6 +167,27 @@ class Regular:
     def tier_index(self) -> dict[str, int]:
         return {m: i for i, t in enumerate(self.tiers) for m in t}
 
+    def choose(self, offered: frozenset[str]) -> frozenset[str]:
+        selected: frozenset[str] = frozenset()
+        hit_index = None
+        for i, tier in enumerate(self.tiers):
+            hit = offered & tier
+            if hit:
+                selected = hit
+                hit_index = i
+                break
+        for anchor, aux in self.aux_pairs:
+            if aux in offered and (hit_index is None or hit_index >= self.tier_index[anchor]):
+                selected |= {aux}
+        return selected
+
+    @cached_property
+    def universe(self) -> frozenset[str]:
+        return frozenset().union(*self.tiers, (s for _, s in self.aux_pairs))
+
+    def candidates(self) -> Iterable[frozenset[str]]:
+        return _every_subset(self.universe, 16)
+
 
 ChoiceSpec = PreferenceList | Triggered | IfElse | Regular
 
@@ -125,55 +196,12 @@ EMPTY_LIST = PreferenceList(())
 
 def choose(spec: ChoiceSpec, offered: Iterable[str]) -> frozenset[str]:
     """Evaluate a choice function; always returns a subset of the offer."""
-    t = frozenset(offered)
-    if isinstance(spec, PreferenceList):
-        for entry in spec.entries:
-            if entry <= t:
-                return entry
-        return frozenset()
-    if isinstance(spec, Triggered):
-        selected = t & spec.watch
-        if spec.trigger in t and spec.rule.fires(t):
-            selected |= {spec.trigger}
-        return selected
-    if isinstance(spec, IfElse):
-        if spec.priority in t:
-            return frozenset([spec.priority])
-        return t & spec.else_set
-    if isinstance(spec, Regular):
-        selected: frozenset[str] = frozenset()
-        hit_index = None
-        for i, tier in enumerate(spec.tiers):
-            hit = t & tier
-            if hit:
-                selected = hit
-                hit_index = i
-                break
-        for anchor, aux in spec.aux_pairs:
-            if aux in t and (hit_index is None or hit_index >= spec.tier_index[anchor]):
-                selected |= {aux}
-        return selected
-    raise SpecError(f"unknown choice spec {type(spec).__name__}")
+    return spec.choose(frozenset(offered))
 
 
 def spec_universe(spec: ChoiceSpec) -> frozenset[str]:
     """Partners that can ever appear in the spec's output or influence it."""
-    if isinstance(spec, PreferenceList):
-        out: set[str] = set()
-        for e in spec.entries:
-            out |= e
-        return frozenset(out)
-    if isinstance(spec, Triggered):
-        return spec.watch | {spec.trigger}
-    if isinstance(spec, IfElse):
-        return spec.else_set | {spec.priority}
-    if isinstance(spec, Regular):
-        out = set()
-        for t in spec.tiers:
-            out |= t
-        out |= {s for _, s in spec.aux_pairs}
-        return frozenset(out)
-    raise SpecError(f"unknown choice spec {type(spec).__name__}")
+    return spec.universe
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,19 +243,6 @@ class MatchingMarket:
 
     def spec(self, agent: str) -> ChoiceSpec:
         return self.choice.get(agent, EMPTY_LIST)
-
-    def choose(self, agent: str, offered: Iterable[str]) -> frozenset[str]:
-        t = frozenset(offered)
-        opposite = self.worker_set if agent in self.firm_set else self.firm_set
-        if agent not in self.firm_set and agent not in self.worker_set:
-            raise UnknownPartnerId(agent, agent)
-        bad = t - opposite
-        if bad:
-            raise UnknownPartnerId(agent, sorted(bad)[0])
-        return choose(self.spec(agent), t)
-
-    def acceptable(self, agent: str) -> frozenset[str]:
-        return spec_universe(self.spec(agent))
 
 
 @dataclass(frozen=True)
@@ -380,12 +395,6 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
     return FirmOrder.GEQ if geq else FirmOrder.LEQ
 
 
-def _subsets(items: Sequence[str]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
-
-
 class _Dead(Exception):
     pass
 
@@ -393,9 +402,9 @@ class _Dead(Exception):
 def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> list[Matching]:
     """Exhaustive, exact enumeration of all stable matchings.
 
-    Backtracking over workers: each worker's candidate partner sets are its
-    individually rational sets further restricted to lie, in its own
-    preference, between its deferred-acceptance worst and best outcomes
+    Backtracking over workers: each worker's candidate partner sets are the
+    individually rational sets among its spec's candidates that lie, in its
+    own preference, between its deferred-acceptance worst and best outcomes
     (opposition of interests makes this sound).  Firm-side individual
     rationality is pruned incrementally (substitutability makes a violation
     permanent), pairs are checked for blocking as soon as a firm's offer pool
@@ -421,13 +430,14 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
 
     order = market.workers
     specs = {a: market.spec(a) for a in (*market.firms, *market.workers)}
-    acceptable = {w: frozenset(spec_universe(specs[w])) for w in market.workers}
+    acceptable = {w: spec_universe(specs[w]) for w in market.workers}
     interested: dict[str, list[str]] = {f: [] for f in market.firms}
     for w in market.workers:
         for f in acceptable[w]:
             interested[f].append(w)
+    triggered = frozenset(w for w in order if isinstance(specs[w], Triggered))
     rem_any = {f: len(interested[f]) for f in market.firms}
-    rem_reg = {f: sum(1 for w in interested[f] if not isinstance(specs[w], Triggered)) for f in market.firms}
+    rem_reg = {f: sum(1 for w in interested[f] if w not in triggered) for f in market.firms}
 
     def keep(w: str, cand: frozenset[str]) -> bool:
         sp = specs[w]
@@ -436,13 +446,6 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
         best = worker_optimal.firms_of(w)
         worst = mu_f.firms_of(w)
         return choose(sp, cand | best) == best and choose(sp, worst | cand) == cand
-
-    static_cands: dict[str, list[frozenset[str]]] = {}
-    for w in order:
-        sp = specs[w]
-        if isinstance(sp, PreferenceList):
-            opts = set(sp.entries) | {frozenset()}
-            static_cands[w] = sorted((s for s in opts if keep(w, s)), key=set_key)
 
     # Structural fact about if-else firms whose fallback workers all list the
     # firm first: a stable matching matches either all of them or none of
@@ -488,19 +491,6 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
         c = frozenset(cand)
         return [c] if keep(w, c) else []
 
-    def triggered_full(w: str, sp: Triggered) -> list[frozenset[str]]:
-        out = []
-        watch = sorted(sp.watch)
-        if len(watch) > 24:
-            raise SearchBoundExceeded(1 << len(watch), node_bound)
-        for s in _subsets(watch):
-            if keep(w, s):
-                out.append(s)
-            st = s | {sp.trigger}
-            if keep(w, st):
-                out.append(st)
-        return sorted(set(out), key=set_key)
-
     def settled(f: str) -> bool:
         # A firm's demand for an auxiliary worker is fixed for the rest of a
         # live branch once its offer pool is complete, or once it holds some
@@ -511,27 +501,25 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
             return False
         if rem_reg[f] == 0:
             return True
-        return any(not isinstance(specs[w2], Triggered) for w2 in hold[f])
+        return any(w2 not in triggered for w2 in hold[f])
+
+    # keep(w, .) depends only on w and the two anchors, so a worker's kept
+    # candidates are computed on its first visit and reused.
+    kept: dict[str, list[frozenset[str]]] = {}
 
     def candidates(w: str) -> list[frozenset[str]]:
-        sp = specs[w]
-        if isinstance(sp, PreferenceList):
-            return static_cands[w]
-        if isinstance(sp, Triggered):
-            if all(settled(f) for f in acceptable[w]):
-                return triggered_forced(w, sp)
-            return triggered_full(w, sp)
-        universe = sorted(acceptable[w])
-        if len(universe) > 16:
-            raise SearchBoundExceeded(1 << len(universe), node_bound)
-        return sorted((s for s in _subsets(universe) if keep(w, s)), key=set_key)
+        if w in triggered and all(settled(f) for f in acceptable[w]):
+            return triggered_forced(w, specs[w])
+        if w not in kept:
+            kept[w] = sorted((s for s in specs[w].candidates() if keep(w, s)), key=set_key)
+        return kept[w]
 
     def place(w: str, cand: frozenset[str]) -> None:
         assigned[w] = cand
         for f in cand:
             hold[f].add(w)
         newly_final = []
-        is_reg = not isinstance(specs[w], Triggered)
+        is_reg = w not in triggered
         for f in acceptable[w]:
             rem_any[f] -= 1
             if is_reg:
@@ -565,7 +553,7 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
         del assigned[w]
         for f in cand:
             hold[f].discard(w)
-        is_reg = not isinstance(specs[w], Triggered)
+        is_reg = w not in triggered
         for f in acceptable[w]:
             rem_any[f] += 1
             if is_reg:

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Mapping
 from .errors import (
     DuplicateId,
     EnumerationBoundExceeded,
+    InputError,
     NotALattice,
     NotAntisymmetric,
     NotReflexive,
@@ -73,15 +74,6 @@ class Poset:
     def down_set(self, x: str) -> frozenset[str]:
         return frozenset(z for z in self.elements if self.leq(z, x))
 
-    def up_set(self, x: str) -> frozenset[str]:
-        return frozenset(z for z in self.elements if self.leq(x, z))
-
-    def down_closure(self, members: Iterable[str]) -> frozenset[str]:
-        out = set()
-        for m in members:
-            out.update(self.down_set(m))
-        return frozenset(out)
-
     def restrict(self, subset: Iterable[str]) -> "Poset":
         keep = set(subset)
         for s in keep:
@@ -90,10 +82,6 @@ class Poset:
         elements = tuple(e for e in self.elements if e in keep)
         relation = frozenset(p for p in self.relation if p[0] in keep and p[1] in keep)
         return Poset(elements, relation)
-
-    def is_antichain(self, members: Iterable[str]) -> bool:
-        ms = sorted(members)
-        return not any(self.lt(a, b) or self.lt(b, a) for i, a in enumerate(ms) for b in ms[i + 1:])
 
     def maximal_of(self, members: Iterable[str]) -> frozenset[str]:
         ms = set(members)
@@ -169,11 +157,6 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], 
     return validate_poset(els, rows)
 
 
-def is_lower_set(poset: Poset, members: Iterable[str]) -> bool:
-    ms = frozenset(members)
-    return all(poset.down_set(m) <= ms for m in ms)
-
-
 def lower_sets(poset: Poset, bound: int = LOWER_SET_BOUND) -> list[frozenset[str]]:
     """All downward closed subsets, in canonical (size, lexicographic) order."""
     if len(poset.elements) > bound:
@@ -234,12 +217,6 @@ class Lattice:
             out = self.join(out, m)
         return out
 
-    def meet_all(self, members: Iterable[str]) -> str:
-        out = self.top
-        for m in members:
-            out = self.meet(out, m)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)
@@ -252,6 +229,8 @@ class Lattice:
 def lattice_from_order(poset: Poset) -> Lattice:
     """Compute join/meet tables by enumerating bounds; fail on the first bad pair."""
     els = poset.elements
+    if not els:
+        raise InputError("a lattice needs at least one element (its bottom)")
     join: dict[tuple[str, str], str] = {}
     meet: dict[tuple[str, str], str] = {}
     for x in els:

@@ -87,6 +87,26 @@ class TestChoose:
         with pytest.raises(SpecError):
             Regular(tiers=(frozenset({"w"}),), aux_pairs=(("zz", "w0"),))
 
+    def test_partners_outside_the_universe_never_change_the_choice(self):
+        rule = TriggerRule(
+            alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
+            blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
+        )
+        specs = [
+            PreferenceList.of({"p0", "p1"}, "p2", "p0"),
+            Triggered(frozenset({"f1", "f2", "f3"}), "f0", rule),
+            IfElse("p0", frozenset({"p1", "p2", "p3"})),
+            Regular((frozenset({"p0", "p1"}), frozenset({"p2"})), (("p0", "p4"), ("p2", "p5"))),
+        ]
+        for spec in specs:
+            universe = spec_universe(spec)
+            offerable = sorted(universe | {"outsider"})
+            for mask in range(1 << len(offerable)):
+                s = frozenset(x for i, x in enumerate(offerable) if mask >> i & 1)
+                chosen = choose(spec, s)
+                assert chosen <= s & universe, (spec, s)
+                assert chosen == choose(spec, s & universe), (spec, s)
+
     def test_choose_is_subset_and_idempotent(self):
         rng = random.Random(1)
         universe = [f"p{i}" for i in range(6)]

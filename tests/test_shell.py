@@ -19,7 +19,7 @@ from lattmark.fixtures import (
     pentagon_lattice,
     seven_pair_market,
 )
-from lattmark.markets import Matching
+from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
 
 
 class TestJsonRoundTrips:
@@ -254,6 +254,46 @@ class TestCliVariants:
         code, _ = run_cli(capsys, "reduce", str(anti_file), str(costs_file),
                           "-o", str(tmp_path / "out.json"), "--bound-elements", "2")
         assert code == 3
+
+    def test_reduce_integer_costs(self, tmp_path, capsys):
+        anti_file = tmp_path / "anti.json"
+        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 3, "b": -2, "c": 5, "d": -7}})
+        plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
+        code, _ = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(plain))
+        assert code == 0
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(scaled),
+                               "--integer-costs")
+        assert code == 0 and report["cost_scale"] == 2
+        assert any(den != 1 for *_, den in json.loads(plain.read_text())["pair_costs"])
+        data = json.loads(scaled.read_text())
+        assert data["cost_scale"] == 2
+        assert data["pair_costs"] and all(den == 1 for *_, den in data["pair_costs"])
+        _, want = run_cli(capsys, "solve", str(plain))
+        _, got = run_cli(capsys, "solve", str(scaled))
+        assert Fraction(*got["value"]) == 2 * Fraction(*want["value"])
+
+    def test_empty_lattice_file_exits_2(self, tmp_path, capsys):
+        lattice_file = tmp_path / "empty.json"
+        jsonio.write_json(lattice_file, {"v": 1, "elements": [], "leq": []})
+        code, report = run_cli(capsys, "synthesize", str(lattice_file), "-o", str(tmp_path / "out.json"))
+        assert code == 2 and report["kind"] == "InputError"
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
+        code, report = run_cli(capsys, "verify", str(market_file), str(lattice_file))
+        assert code == 2 and report["kind"] == "InputError"
+
+    def test_if_else_worker_over_16_partners_exits_3(self, tmp_path, capsys):
+        market_file = tmp_path / "market.json"
+        for partners, want in ((16, 0), (17, 3)):
+            firms = tuple(f"f{i}" for i in range(partners))
+            choice = {f: PreferenceList.of("w") for f in firms}
+            choice["w"] = IfElse(firms[0], frozenset(firms[1:]))
+            jsonio.write_json(market_file, jsonio.market_to_json(MatchingMarket(firms, ("w",), choice)))
+            code, report = run_cli(capsys, "enumerate", str(market_file))
+            assert code == want, report
+        assert report["kind"] == "SearchBoundExceeded"
 
 
 def _reduction_file(tmp_path):
