@@ -21,6 +21,7 @@ from .augment import (
     RotationJoinConstraint,
     SynthesisResult,
     augment,
+    certify_lattice,
     derive_sets,
     omega_extend,
     project_to_base,

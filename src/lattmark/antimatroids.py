@@ -209,10 +209,10 @@ def min_cost_feasible(
 
 def transfer_costs(base: RealizedBase, costs: Mapping[str, int | Fraction]) -> dict[Pair, Fraction]:
     """Spread each ground element's cost evenly over the minus pairs of its
-    rotation; all other pairs cost zero (left implicit)."""
+    rotation, the rotation of the same id; all other pairs cost zero (left
+    implicit)."""
     out: dict[Pair, Fraction] = {}
-    for x in sorted(base.rotation_of):
-        rot = base.rotation_poset.rotations[base.rotation_of[x]]
+    for x, rot in sorted(base.rotation_poset.rotations.items()):
         share = Fraction(costs.get(x, 0), len(rot.minus))
         for pair in rot.minus:
             out[pair] = share
@@ -235,9 +235,9 @@ class ReductionBundle:
     def recover(self, mu: Matching) -> frozenset[str]:
         """Map a stable matching of the reduced market back to a ground subset:
         the elements whose rotation did not occur."""
-        base = self.extendable.base
-        occurred = matching_to_rotations(base.rotation_poset, project_to_base(self.extendable, mu))
-        return frozenset(x for x in self.ground if base.rotation_of[x] not in occurred)
+        rp = self.extendable.base.rotation_poset
+        occurred = matching_to_rotations(rp, project_to_base(self.extendable, mu))
+        return frozenset(self.ground) - occurred
 
 
 def reduce_to_matching(pp: PathPoset, costs: Mapping[str, int | Fraction]) -> ReductionBundle:

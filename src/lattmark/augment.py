@@ -12,19 +12,22 @@ the full lattice synthesis pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
-from .constraints import JoinConstraint, constraints_from_lattice, eval_join_constraint
+from .constraints import JoinConstraint, constraints_from_lattice, filter_lower_sets
 from .errors import (
     AlphaArgumentsComparable,
     InputError,
     IsomorphismFailure,
+    NotRepresentable,
     OverlappingRotationAgents,
     ProjectionNotStable,
     SpecError,
     UnknownElementId,
 )
 from .markets import (
+    DEFAULT_NODE_BOUND,
     FirmOrder,
     TriggerRule,
     IfElse,
@@ -38,8 +41,15 @@ from .markets import (
     enumerate_stable,
     is_stable,
 )
-from .orders import Lattice, canonical_partial_rep, join_irreducibles
-from .rotations import RealizedBase, RotationPoset, _gadget_bank, antichain_base, matching_to_rotations
+from .orders import Lattice, canonical_partial_rep, join_irreducibles, set_key
+from .rotations import (
+    RealizedBase,
+    RotationPoset,
+    _gadget_bank,
+    antichain_base,
+    lower_rotation_sets,
+    matching_to_rotations,
+)
 
 
 @dataclass(frozen=True)
@@ -262,76 +272,95 @@ class ExtensionReport:
         return [c for c in self.checks if not c.ok]
 
 
-def verify_extension(
-    base: RealizedBase,
-    em: ExtendableMarket,
-    constraints: Iterable[JoinConstraint],
-) -> ExtensionReport:
-    """Check, by enumeration, that the extension's stable matchings project
-    exactly onto the base stable matchings satisfying every constraint, that
-    the projection preserves order, and that both base extremes survive."""
-    cs = tuple(constraints)
-    rp = base.rotation_poset
-    checks: list[Check] = []
+def _extension_checks(
+    em: ExtendableMarket, node_bound: int = DEFAULT_NODE_BOUND
+) -> tuple[list[Check], list[Matching], dict]:
+    """Enumerate the extended market once and run the four extension checks;
+    also returns the stable matchings, and each keyed by the base rotation
+    set of its projection.
 
-    extended = enumerate_stable(em.market)
-    projected = []
-    proj_ok = True
-    witness = None
-    for mu in extended:
+    The expected image is read off the rotation poset, before the search:
+    the lower rotation sets satisfying every enforced constraint.  The base
+    market itself is never enumerated.
+    """
+    base, rp = em.base, em.base.rotation_poset
+    expected = filter_lower_sets(lower_rotation_sets(rp), [rjc.constraint for rjc in em.constraints])
+    extended = enumerate_stable(em.market, node_bound=node_bound)
+    projected = [project_to_base(em, mu, check=False) for mu in extended]
+    unstable = [p.key() for p in projected if not is_stable(base.market, p)]
+    checks = [Check("projections-stable-in-base", not unstable, unstable[0] if unstable else None)]
+
+    by_rep: dict[frozenset[str], Matching] = {}
+    unrepresentable = []
+    for mu, p in zip(extended, projected):
         try:
-            projected.append(project_to_base(em, mu, check=True))
-        except ProjectionNotStable as exc:
-            proj_ok = False
-            witness = str(exc)
-            projected.append(project_to_base(em, mu, check=False))
-    checks.append(Check("projections-stable-in-base", proj_ok, witness))
+            by_rep.setdefault(matching_to_rotations(rp, p), mu)
+        except NotRepresentable as exc:
+            unrepresentable.append(str(exc))
+    image_ok = not unrepresentable and set(by_rep) == set(expected)
+    checks.append(Check("image-equals-constrained-base", image_ok, None if image_ok else {
+        "image": [sorted(r) for r in sorted(by_rep, key=set_key)],
+        "expected": [sorted(r) for r in expected],
+        "unrepresentable": unrepresentable,
+    }))
 
-    base_stables = enumerate_stable(base.market)
-    expected = [
-        mu for mu in base_stables
-        if all(eval_join_constraint(jc, matching_to_rotations(rp, mu))[2] for jc in cs)
-    ]
-    image = sorted({m.key() for m in projected})
-    want = sorted({m.key() for m in expected})
-    checks.append(Check(
-        "image-equals-constrained-base",
-        image == want,
-        None if image == want else {"image": image, "expected": want},
-    ))
-
-    embed_ok = True
     embed_witness = None
-    for i in range(len(extended)):
-        for j in range(len(extended)):
-            if i == j:
-                continue
-            up = firm_order_compare(em.market, extended[i], extended[j])
-            down = firm_order_compare(base.market, projected[i], projected[j])
-            if up != down:
-                embed_ok = False
-                embed_witness = (extended[i].key(), extended[j].key(), up.value, down.value)
-                break
-        if not embed_ok:
+    for i, j in combinations(range(len(extended)), 2):
+        up = firm_order_compare(em.market, extended[i], extended[j])
+        down = firm_order_compare(base.market, projected[i], projected[j])
+        if up != down:
+            embed_witness = (extended[i].key(), extended[j].key(), up.value, down.value)
             break
-    checks.append(Check("projection-order-embedding", embed_ok, embed_witness))
+    checks.append(Check("projection-order-embedding", embed_witness is None, embed_witness))
 
-    top = deferred_acceptance(base.market, "firms")
-    bottom = deferred_acceptance(base.market, "workers")
-    extremes_ok = top.key() in image and bottom.key() in image
-    checks.append(Check("base-extremes-in-image", extremes_ok, None if extremes_ok else (top.key(), bottom.key())))
-    return ExtensionReport(tuple(checks))
+    keys = {p.key() for p in projected}
+    extremes = (deferred_acceptance(base.market, "firms").key(), deferred_acceptance(base.market, "workers").key())
+    extremes_ok = all(k in keys for k in extremes)
+    checks.append(Check("base-extremes-in-image", extremes_ok, None if extremes_ok else extremes))
+    return checks, extended, by_rep
+
+
+def verify_extension(em: ExtendableMarket) -> ExtensionReport:
+    """Check, by one enumeration of the extended market, that its stable
+    matchings project exactly onto the base stable matchings satisfying every
+    enforced constraint, that the projection preserves order, and that both
+    base extremes survive."""
+    return ExtensionReport(tuple(_extension_checks(em)[0]))
+
+
+def certify_lattice(
+    em: ExtendableMarket, lattice: Lattice, node_bound: int = DEFAULT_NODE_BOUND
+) -> tuple[ExtensionReport, dict[str, Matching]]:
+    """The certificate that em's market realizes the lattice, from one
+    enumeration of the extended market: the four extension checks, then
+    counts-match and order-isomorphism.  Each element x maps to the stable
+    matching whose projection is represented by the join-irreducibles below
+    x, which the base realizes as rotations of the same ids; the map must be
+    a bijection that agrees with the firm-side order."""
+    checks, extended, by_rep = _extension_checks(em, node_bound)
+    n = len(lattice.elements)
+    checks.append(Check("counts-match", len(extended) == n, {"stable": len(extended), "lattice": n}))
+    rep = canonical_partial_rep(lattice)
+    iso = {x: by_rep[rep[x]] for x in lattice.elements if rep[x] in by_rep}
+    witness = None if len(iso) == n == len(extended) else "no representation-based mapping"
+    if witness is None:
+        for x, y in combinations(lattice.elements, 2):
+            cmp = firm_order_compare(em.market, iso[x], iso[y])
+            if (lattice.leq(x, y), lattice.leq(y, x)) != (cmp is FirmOrder.LEQ, cmp is FirmOrder.GEQ):
+                witness = (x, y, cmp.value)
+                break
+    checks.append(Check("order-isomorphism", witness is None, witness))
+    return ExtensionReport(tuple(checks)), iso
 
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The constructed market and, when certified, its certificate and the
+    element-to-matching isomorphism."""
+
     extendable: ExtendableMarket
     iso: Mapping[str, Matching]
-    order_constraints: tuple[JoinConstraint, ...]
-    lattice_constraints: tuple[JoinConstraint, ...]
-
-    def market(self) -> MatchingMarket:
-        return self.extendable.market
+    report: ExtensionReport | None
 
 
 def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisResult:
@@ -339,59 +368,19 @@ def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisR
     given lattice.
 
     Pipeline: take the join-irreducible poset, realize its elements as an
-    antichain of gadget rotations, enforce each covering relation p below q
-    as the constraint "q occurring forces p", then enforce the lattice's own
-    join constraints, transported onto rotation ids.  The isomorphism is
-    recovered by matching each element's representation set against the
-    enumerated stable matchings.
+    antichain of gadget rotations of the same ids, enforce each covering
+    relation p below q as the constraint "q occurring forces p", then enforce
+    the lattice's own join constraints.  With verify, certify_lattice checks
+    the result and a failed check raises IsomorphismFailure; without it the
+    market is constructed only, never enumerated.
     """
     xj, xj_poset = join_irreducibles(lattice)
-    rep_of = canonical_partial_rep(lattice)
     base = antichain_base(xj) if xj else _gadget_bank([])
-
-    def transport(jc: JoinConstraint) -> JoinConstraint:
-        return JoinConstraint.make(
-            [{base.rotation_of[z] for z in g} for g in jc.alpha_groups],
-            {base.rotation_of[z] for z in jc.beta_ids},
-        )
-
-    order_cs = tuple(sorted(
-        (JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers),
-        key=JoinConstraint.key,
-    ))
-    lattice_cs = constraints_from_lattice(lattice)
-    em = omega_extend(base, [transport(c) for c in (*order_cs, *lattice_cs)])
-
-    stables = enumerate_stable(em.market)
-    if len(stables) != len(lattice.elements):
-        raise IsomorphismFailure(
-            f"{len(stables)} stable matchings for {len(lattice.elements)} lattice elements"
-        )
-    rp = base.rotation_poset
-    by_rep: dict[frozenset[str], Matching] = {}
-    for mu in stables:
-        rep = matching_to_rotations(rp, project_to_base(em, mu))
-        if rep in by_rep:
-            raise IsomorphismFailure(f"two stable matchings share the representation {sorted(rep)}")
-        by_rep[rep] = mu
-
-    iso: dict[str, Matching] = {}
-    for x in lattice.elements:
-        target = frozenset(base.rotation_of[j] for j in rep_of[x])
-        if target not in by_rep:
-            raise IsomorphismFailure(f"element {x!r} has no stable matching for {sorted(target)}")
-        iso[x] = by_rep[target]
-
-    if verify:
-        for x in lattice.elements:
-            for y in lattice.elements:
-                if x == y:
-                    continue
-                cmp = firm_order_compare(em.market, iso[x], iso[y])
-                want_leq = lattice.leq(x, y)
-                want_geq = lattice.leq(y, x)
-                got_leq = cmp is FirmOrder.LEQ
-                got_geq = cmp is FirmOrder.GEQ
-                if (want_leq, want_geq) != (got_leq, got_geq):
-                    raise IsomorphismFailure(f"order mismatch on ({x!r}, {y!r})")
-    return SynthesisResult(em, iso, order_cs, lattice_cs)
+    order_cs = sorted((JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers), key=JoinConstraint.key)
+    em = omega_extend(base, [*order_cs, *constraints_from_lattice(lattice)])
+    if not verify:
+        return SynthesisResult(em, {}, None)
+    report, iso = certify_lattice(em, lattice)
+    if not report.ok:
+        raise IsomorphismFailure("; ".join(f"{c.name}: {c.witness}" for c in report.failures()))
+    return SynthesisResult(em, iso, report)

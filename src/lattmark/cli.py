@@ -27,12 +27,12 @@ from .antimatroids import (
     transfer_costs,
     validate_antimatroid,
 )
-from .augment import synthesize_from_lattice, verify_extension, project_to_base
+from .augment import certify_lattice, synthesize_from_lattice
 from .dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from .errors import InputError, LattmarkError
 from .markets import enumerate_stable, stable_lattice
 from .orders import check_order_isomorphism
-from .rotations import extract_rotations, matching_to_rotations
+from .rotations import extract_rotations
 
 
 def _digest(path: str) -> str:
@@ -85,8 +85,7 @@ def cmd_synthesize(args) -> int:
     lattice = jsonio.lattice_from_json(jsonio.read_json(args.lattice))
     result = synthesize_from_lattice(lattice)
     em = result.extendable
-    ext_report = verify_extension(em.base, em, result.order_constraints + result.lattice_constraints)
-    for c in ext_report.checks:
+    for c in result.report.checks:
         report.check(c.name, c.ok, c.witness)
     jsonio.write_json(args.out, jsonio.extendable_to_json(em))
     report.wrote(args.out)
@@ -102,41 +101,25 @@ def cmd_verify(args) -> int:
     report = Report("verify", [args.market, args.lattice])
     market, em, _ = _load_market_or_bundle(args.market)
     lattice = jsonio.lattice_from_json(jsonio.read_json(args.lattice))
+    if em is not None:
+        certificate, _ = certify_lattice(em, lattice, **_bound_kwargs(args))
+        for c in certificate.checks:
+            report.check(c.name, c.ok, c.witness)
+        return report.emit()
     lat, ms = stable_lattice(market, **_bound_kwargs(args))
     report.check("counts-match", len(ms) == len(lattice.elements),
                  {"stable": len(ms), "lattice": len(lattice.elements)})
-    if em is not None:
-        rp = em.base.rotation_poset
-        from .orders import canonical_partial_rep
-
-        rep = canonical_partial_rep(lattice)
-        by_rep = {matching_to_rotations(rp, project_to_base(em, mu)): i for i, mu in enumerate(ms)}
-        mapping = {}
-        ok = len(ms) == len(lattice.elements)
-        for x in lattice.elements:
-            reachable = all(j in em.base.rotation_of for j in rep[x])
-            target = frozenset(em.base.rotation_of[j] for j in rep[x]) if reachable else None
-            if target not in by_rep:
-                ok = False
+    if len(lattice.elements) > 8:
+        raise InputError("plain-market verification searches over permutations; 8 elements max")
+    found = False
+    if len(ms) == len(lattice.elements):
+        for perm in permutations(range(len(ms))):
+            mapping = {x: lat.elements[perm[i]] for i, x in enumerate(lattice.elements)}
+            ok, _ = check_order_isomorphism(mapping, lattice.poset, lat.elements, lat.poset)
+            if ok:
+                found = True
                 break
-            mapping[x] = lat.elements[by_rep[target]]
-        if ok:
-            ok, witness = check_order_isomorphism(mapping, lattice.poset, lat.elements, lat.poset)
-            report.check("order-isomorphism", ok, witness)
-        else:
-            report.check("order-isomorphism", False, "no representation-based mapping")
-    else:
-        if len(lattice.elements) > 8:
-            raise InputError("plain-market verification searches over permutations; 8 elements max")
-        found = False
-        if len(ms) == len(lattice.elements):
-            for perm in permutations(range(len(ms))):
-                mapping = {x: lat.elements[perm[i]] for i, x in enumerate(lattice.elements)}
-                ok, _ = check_order_isomorphism(mapping, lattice.poset, lat.elements, lat.poset)
-                if ok:
-                    found = True
-                    break
-        report.check("order-isomorphism", found)
+    report.check("order-isomorphism", found)
     return report.emit()
 
 

@@ -138,4 +138,4 @@ class NonLatticeStructure(InvariantError):
 
 class IsomorphismFailure(InvariantError):
     def __init__(self, detail):
-        super().__init__(f"synthesized market failed the order-isomorphism check: {detail}")
+        super().__init__(f"synthesized market failed its lattice certificate: {detail}")

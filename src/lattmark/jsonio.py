@@ -232,18 +232,15 @@ def realized_base_to_json(base: RealizedBase) -> dict:
     return {
         "v": VERSION,
         "market": market_to_json(base.market),
-        "phi": dict(sorted(base.rotation_of.items())),
         "rotation_poset": rotation_poset_to_json(base.rotation_poset),
     }
 
 
 def realized_base_from_json(data: Mapping) -> RealizedBase:
-    phi = _need(data, "phi", "realized base", partial(_map, _str))
-    rp = rotation_poset_from_json(_need(data, "rotation_poset", "realized base"))
-    unknown = sorted(set(phi.values()) - set(rp.rotations))
-    if unknown:
-        raise UnknownElementId(unknown[0])
-    return RealizedBase(market_from_json(_need(data, "market", "realized base")), phi, rp)
+    return RealizedBase(
+        market_from_json(_need(data, "market", "realized base")),
+        rotation_poset_from_json(_need(data, "rotation_poset", "realized base")),
+    )
 
 
 # ------------------------------------------------------------- constraints
@@ -310,7 +307,7 @@ def reduction_to_json(bundle: ReductionBundle, cost_scale: int = 1) -> dict:
 def reduction_from_json(data: Mapping) -> ReductionBundle:
     em = extendable_from_json(_need(data, "extension", "reduction bundle"))
     ground = tuple(_need(data, "ground", "reduction bundle", _strs))
-    unknown = sorted(set(ground) - set(em.base.rotation_of))
+    unknown = sorted(set(ground) - set(em.base.rotation_poset.rotations))
     if unknown:
         raise UnknownElementId(unknown[0])
     return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json), ground)

@@ -108,6 +108,11 @@ class Triggered:
     trigger: str
     rule: TriggerRule
 
+    def __post_init__(self):
+        outside = frozenset().union(*(fs for _, fs in self.rule.blocks)) - self.universe
+        if outside:
+            raise SpecError(f"trigger rule blocks name firms {sorted(outside)} outside the watch set and trigger")
+
     def choose(self, offered: frozenset[str]) -> frozenset[str]:
         selected = offered & self.watch
         if self.trigger in offered and self.rule.fires(offered):

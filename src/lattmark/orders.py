@@ -158,23 +158,19 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], 
 
 
 def lower_sets(poset: Poset, bound: int = LOWER_SET_BOUND) -> list[frozenset[str]]:
-    """All downward closed subsets, in canonical (size, lexicographic) order."""
+    """All downward closed subsets, in canonical (size, lexicographic) order.
+
+    Elements are added in a linear extension (by down-set size), so each
+    lower set is built once: from the lower sets of the elements so far, by
+    adding the next element to those that hold everything below it.
+    """
     if len(poset.elements) > bound:
         raise EnumerationBoundExceeded(len(poset.elements), bound)
-    found = {frozenset()}
-    frontier = [frozenset()]
-    downs = {e: poset.down_set(e) for e in poset.elements}
-    while frontier:
-        current = frontier.pop()
-        for e in poset.elements:
-            if e in current:
-                continue
-            if downs[e] - {e} <= current:
-                grown = current | {e}
-                if grown not in found:
-                    found.add(grown)
-                    frontier.append(grown)
-    return sorted(found, key=set_key)
+    below = {e: poset.down_set(e) - {e} for e in poset.elements}
+    family = [frozenset()]
+    for e in sorted(poset.elements, key=lambda x: len(below[x])):
+        family += [s | {e} for s in family if below[e] <= s]
+    return sorted(family, key=set_key)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,7 @@ from .markets import (
     firm_order_compare,
     enumerate_stable,
 )
-from .orders import Poset, lattice_from_order, lower_sets, set_key
+from .orders import Poset, lattice_from_order, lower_sets
 
 Pair = tuple[str, str]
 
@@ -70,22 +70,13 @@ class RotationPoset:
         return self.poset.elements
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RealizedBase:
-    """A one-to-one market realizing a poset: rotation_of maps poset elements onto
-    rotation ids, order-isomorphically."""
+    """A one-to-one market with its rotation poset; the poset it realizes is
+    the rotation poset itself, each element its own rotation id."""
 
     market: MatchingMarket
-    rotation_of: Mapping[str, str]
     rotation_poset: RotationPoset
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealizedBase)
-            and self.market == other.market
-            and dict(self.rotation_of) == dict(other.rotation_of)
-            and self.rotation_poset == other.rotation_poset
-        )
 
 
 def gadget_agents(element: str) -> tuple[str, str, str, str]:
@@ -127,7 +118,7 @@ def _gadget_bank(ids: Sequence[str]) -> RealizedBase:
     market = MatchingMarket(tuple(sorted(firms)), tuple(sorted(workers)), choice)
     poset = Poset(tuple(sorted(ids)), frozenset((i, i) for i in ids))
     rp = RotationPoset(poset, rotations, Matching(frozenset(mu_w_pairs)))
-    return RealizedBase(market, {i: i for i in ids}, rp)
+    return RealizedBase(market, rp)
 
 
 def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> RotationPoset:
@@ -294,4 +285,4 @@ def rotations_to_matching(rp: RotationPoset, rotation_ids: Iterable[str]) -> Mat
 
 
 def lower_rotation_sets(rp: RotationPoset) -> list[frozenset[str]]:
-    return sorted(lower_sets(rp.poset), key=set_key)
+    return lower_sets(rp.poset)

@@ -63,11 +63,7 @@ def rot_ids(seven_rotation_poset):
 
 @pytest.fixture(scope="session")
 def seven_base(seven_market, seven_rotation_poset):
-    return RealizedBase(
-        seven_market,
-        {rid: rid for rid in seven_rotation_poset.poset.elements},
-        seven_rotation_poset,
-    )
+    return RealizedBase(seven_market, seven_rotation_poset)
 
 
 @pytest.fixture(scope="session")

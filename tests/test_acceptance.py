@@ -103,7 +103,7 @@ def worked_augmentation():
                 names[key] = rid
     from lattmark import RealizedBase
 
-    base = RealizedBase(market, {rid: rid for rid in rp.poset.elements}, rp)
+    base = RealizedBase(market, rp)
     jc = JoinConstraint.make(
         [{names["rot1"]}, {names["rot2"]}], {names["rot3"], names["rot4"]}
     )
@@ -317,8 +317,8 @@ def test_criterion_7_antimatroid_suite():
     report(7, time.monotonic() - t0, 120.0, "fixture plus 100 random instances")
 
 
-def test_criterion_8_reduction_end_to_end():
-    t0 = time.monotonic()
+def reduction_graphs():
+    """The graph gadgets of criterion 8: named paths and cycles plus 25 seeded random graphs."""
     graphs = [
         ("K3", ["u", "v", "x"], [("u", "v"), ("v", "x"), ("u", "x")]),
         ("P3", ["u", "v", "x"], [("u", "v"), ("v", "x")]),
@@ -331,7 +331,12 @@ def test_criterion_8_reduction_end_to_end():
     for i in range(25):
         vertices, edges = random_graph(rng.randint(1, 5), rng)
         graphs.append((f"random-{i}", vertices, edges))
+    return graphs
 
+
+def test_criterion_8_reduction_end_to_end():
+    t0 = time.monotonic()
+    graphs = reduction_graphs()
     for name, vertices, edges in graphs:
         fam, weights = independent_set_antimatroid(vertices, edges)
         costs = {x: -w for x, w in weights.items()}
@@ -349,7 +354,7 @@ def test_criterion_8_reduction_end_to_end():
     report(8, time.monotonic() - t0, 600.0, f"{len(graphs)} graphs, zero-tolerance equality")
 
 
-def test_criterion_9_representation_round_trip():
+def test_criterion_9_representation_round_trip(synthesized, seven_base):
     t0 = time.monotonic()
     fixtures = [
         seven_pair_market(),
@@ -373,4 +378,16 @@ def test_criterion_9_representation_round_trip():
                 cmp = firm_order_compare(market, m1, m2)
                 contains = rep[m1.key()] >= rep[m2.key()]
                 assert contains == (cmp in (FirmOrder.GEQ, FirmOrder.EQ))
-    report(9, time.monotonic() - t0, 60.0, "bijection and order preserved on all fixtures")
+
+    # The lattice certificate reads a base's stable matchings off its rotation
+    # poset; check that against the exhaustive enumerator on every base the
+    # synthesis corpus (criterion 5) and the reductions (criterion 8) build.
+    bases = [seven_base, *(result.extendable.base for _, _, result in synthesized[1])]
+    for _, vertices, edges in reduction_graphs():
+        fam, _ = independent_set_antimatroid(vertices, edges)
+        bases.append(reduce_to_matching(compute_path_poset(fam), {}).extendable.base)
+    for base in bases:
+        rp = base.rotation_poset
+        rebuilt = {rotations_to_matching(rp, r) for r in lower_rotation_sets(rp)}
+        assert rebuilt == set(enumerate_stable(base.market)), sorted(rp.ids())
+    report(9, time.monotonic() - t0, 60.0, f"bijection and order preserved on all fixtures, {len(bases)} bases")

@@ -200,7 +200,7 @@ class TestOmegaExtend:
             JoinConstraint.make([{"r"}], {"q"}),
         ]
         em = omega_extend(base, omega)
-        report = verify_extension(base, em, omega)
+        report = verify_extension(em)
         assert report.ok, report.failures()
 
     def test_alpha_only_constraint_forces_beta_globally(self):
@@ -221,7 +221,7 @@ class TestOmegaExtend:
     def test_worked_extension_report(self, seven_base, rot_ids):
         omega = [JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})]
         em = omega_extend(seven_base, omega)
-        report = verify_extension(seven_base, em, omega)
+        report = verify_extension(em)
         assert report.ok, report.failures()
 
 
@@ -232,11 +232,7 @@ class TestSynthesis:
         result = synthesize_from_lattice(lat)
         stables = enumerate_stable(result.extendable.market)
         assert len(stables) == len(lat.elements)
-        report = verify_extension(
-            result.extendable.base,
-            result.extendable,
-            result.order_constraints + result.lattice_constraints,
-        )
+        report = verify_extension(result.extendable)
         assert report.ok, report.failures()
 
     def test_single_element_lattice(self):

@@ -311,6 +311,15 @@ class TestInputValidation:
         with pytest.raises(SpecError):
             TriggerRule(alpha_groups=(frozenset({"r9"}),), blocks=())
 
+    def test_trigger_blocks_must_lie_in_the_universe(self):
+        # a block firm outside watch | {trigger} would make the choice depend
+        # on a partner outside the spec's universe
+        rule = TriggerRule((frozenset({"r1"}),), (("r1", frozenset({"f9"})),))
+        with pytest.raises(SpecError):
+            Triggered(frozenset({"f1"}), "f0", rule)
+        assert Triggered(frozenset({"f1", "f9"}), "f0", rule).universe == {"f0", "f1", "f9"}
+        assert Triggered(frozenset({"f1"}), "f9", rule).universe == {"f1", "f9"}
+
     def test_node_bound_is_enforced(self, seven_market):
         from lattmark.errors import SearchBoundExceeded
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from lattmark import antichain_base, omega_extend, JoinConstraint
 from lattmark import lattice_from_order, poset_from_pairs, synthesize_from_lattice
-from lattmark import cli, jsonio
+from lattmark import cli, jsonio, markets
 from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from lattmark.errors import InputError
@@ -20,6 +21,7 @@ from lattmark.fixtures import (
     seven_pair_market,
 )
 from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
+from lattmark.rotations import extract_rotations
 
 
 class TestJsonRoundTrips:
@@ -237,8 +239,6 @@ class TestCliVariants:
         assert code == 2
 
     def test_export_dot_of_rotations_file(self, tmp_path, capsys):
-        from lattmark.rotations import extract_rotations
-
         rot_file = tmp_path / "rot.json"
         rp = extract_rotations(antichain_base(["p", "q"]).market)
         jsonio.write_json(rot_file, jsonio.rotation_poset_to_json(rp))
@@ -295,6 +295,34 @@ class TestCliVariants:
             assert code == want, report
         assert report["kind"] == "SearchBoundExceeded"
 
+    def test_trigger_block_outside_the_universe_exits_2(self, tmp_path, capsys):
+        firms = ["f0", "f1", "f9"]
+        choice = {f: {"kind": "preference_list", "list": [["w"]]} for f in firms}
+        choice["w"] = {"kind": "triggered", "watch": ["f1"], "trigger": "f0",
+                       "alpha": [["r1"]], "f_rho": {"r1": ["f9"]}}
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, {"v": 1, "firms": firms, "workers": ["w"], "choice": choice})
+        code, report = run_cli(capsys, "enumerate", str(market_file))
+        assert code == 2 and report["kind"] == "SpecError"
+
+    def test_synthesize_and_verify_enumerate_only_the_extended_market_once(self, tmp_path, capsys, monkeypatch):
+        real, seen = markets.enumerate_stable, []
+
+        def counting(market, *args, **kwargs):
+            seen.append(market)
+            return real(market, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "lattmark" and getattr(module, "enumerate_stable", None) is real:
+                monkeypatch.setattr(module, "enumerate_stable", counting)
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        extended = jsonio.extendable_from_json(jsonio.read_json(bundle_file)).market
+        assert seen == [extended]
+        seen.clear()
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 0 and report["outcome"] == "ok"
+        assert seen == [extended]
+
 
 def _reduction_file(tmp_path):
     fam = four_element_antimatroid()
@@ -304,13 +332,17 @@ def _reduction_file(tmp_path):
     return path
 
 
-def _pentagon_files(tmp_path, capsys):
-    lattice_file = tmp_path / "pentagon.json"
-    jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
-    bundle_file = tmp_path / "bundle.json"
+def _synthesized_files(tmp_path, capsys, name, lattice):
+    lattice_file = tmp_path / f"{name}.json"
+    jsonio.write_json(lattice_file, jsonio.lattice_to_json(lattice))
+    bundle_file = tmp_path / f"{name}.bundle.json"
     code, _ = run_cli(capsys, "synthesize", str(lattice_file), "-o", str(bundle_file))
     assert code == 0
     return lattice_file, bundle_file
+
+
+def _pentagon_files(tmp_path, capsys):
+    return _synthesized_files(tmp_path, capsys, "pentagon", pentagon_lattice())
 
 
 def _mutations(data):
@@ -340,6 +372,23 @@ def _mutations(data):
         else:
             parent[path[-1]] = leaf
         yield path, out
+
+
+def _sweep_mutations(capsys, mutated, cases):
+    """Run each command on every mutation of its source file, written to
+    mutated: it must exit with a contract code, never raise, and the whole
+    sweep must stay under 10 s."""
+    t0 = time.monotonic()
+    for source, argv in cases:
+        for path, data in _mutations(json.loads(source.read_text())):
+            jsonio.write_json(mutated, data)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # the contract is an exit code, never a traceback
+                pytest.fail(f"{source.name} mutated at {path}: {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), (source.name, path, code)
+    assert time.monotonic() - t0 < 10
 
 
 class TestBundleContract:
@@ -385,7 +434,7 @@ class TestBundleContract:
         # declared order needs under 20,000.
         labels = [f"e{i}" for i in range(8)]
         chain = lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
-        market = synthesize_from_lattice(chain, verify=False).market()
+        market = synthesize_from_lattice(chain, verify=False).extendable.market
         market_file = tmp_path / "chain8.market.json"
         jsonio.write_json(market_file, jsonio.market_to_json(market))
         code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "20000")
@@ -397,19 +446,29 @@ class TestBundleContract:
         costs_file = tmp_path / "costs.json"
         jsonio.write_json(costs_file, {"v": 1, "ground": {x: 2 for x in "abcd"}})
         mutated = tmp_path / "mutated.json"
-        cases = [
-            (lattice_file, ["verify", str(bundle_file), str(mutated)]),
-            (reduction_file, ["solve", str(mutated)]),
-            (reduction_file, ["solve", str(mutated), str(costs_file)]),
-        ]
-        t0 = time.monotonic()
-        for source, argv in cases:
-            for path, data in _mutations(json.loads(source.read_text())):
-                jsonio.write_json(mutated, data)
-                try:
-                    code = cli.main([*argv, "--bound-nodes", "2000"])
-                except Exception as exc:  # the contract is an exit code, never a traceback
-                    pytest.fail(f"{source.name} mutated at {path}: {exc!r}")
-                capsys.readouterr()
-                assert code in (0, 2, 3, 4), (source.name, path, code)
-        assert time.monotonic() - t0 < 10
+        _sweep_mutations(capsys, mutated, [
+            (lattice_file, ["verify", str(bundle_file), str(mutated), "--bound-nodes", "2000"]),
+            (reduction_file, ["solve", str(mutated), "--bound-nodes", "2000"]),
+            (reduction_file, ["solve", str(mutated), str(costs_file), "--bound-nodes", "2000"]),
+        ])
+
+    def test_malformed_inputs_of_every_command_keep_the_exit_code_contract(self, tmp_path, capsys):
+        labels = ["c0", "c1", "c2"]
+        chain = lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
+        chain_file, chain_bundle = _synthesized_files(tmp_path, capsys, "chain3", chain)
+        anti_file = tmp_path / "antimatroid.json"
+        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 2 for x in "abcd"}})
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(seven_pair_market()))
+        rot_file = tmp_path / "rotations.json"
+        jsonio.write_json(rot_file, jsonio.rotation_poset_to_json(extract_rotations(seven_pair_market())))
+        mutated, out = tmp_path / "mutated.json", str(tmp_path / "out.json")
+        _sweep_mutations(capsys, mutated, [
+            (chain_bundle, ["verify", str(mutated), str(chain_file), "--bound-nodes", "2000"]),
+            (anti_file, ["reduce", str(mutated), str(costs_file), "-o", out]),
+            (costs_file, ["reduce", str(anti_file), str(mutated), "-o", out]),
+            (market_file, ["enumerate", str(mutated), "--bound-nodes", "2000"]),
+            (rot_file, ["export-dot", str(mutated)]),
+        ])
