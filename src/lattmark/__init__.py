@@ -49,6 +49,7 @@ from .markets import (
     PreferenceList,
     Regular,
     Triggered,
+    firm_leq,
     firm_order_compare,
     blocking_pairs,
     check_path_independence,

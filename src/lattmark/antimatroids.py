@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .augment import ExtendableMarket, omega_extend, project_to_base
-from .constraints import ComplementJoinConstraint, JoinConstraint, uncomplement
+from .constraints import ComplementJoinConstraint, uncomplement
 from .errors import InputError, InvariantError
 from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, enumerate_stable
 from .orders import set_key
@@ -228,9 +228,6 @@ class ReductionBundle:
     extendable: ExtendableMarket
     pair_costs: dict[Pair, Fraction]
     ground: tuple[str, ...]
-
-    def market(self) -> MatchingMarket:
-        return self.extendable.market
 
     def recover(self, mu: Matching) -> frozenset[str]:
         """Map a stable matching of the reduced market back to a ground subset:

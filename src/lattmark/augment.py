@@ -12,23 +12,19 @@ the full lattice synthesis pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping
 
-from .constraints import JoinConstraint, constraints_from_lattice, filter_lower_sets
+from .constraints import JoinConstraint, constraints_from_lattice, filter_lower_sets, validate_join_constraint
 from .errors import (
-    AlphaArgumentsComparable,
     InputError,
     IsomorphismFailure,
     NotRepresentable,
     OverlappingRotationAgents,
     ProjectionNotStable,
     SpecError,
-    UnknownElementId,
 )
 from .markets import (
     DEFAULT_NODE_BOUND,
-    FirmOrder,
     TriggerRule,
     IfElse,
     Matching,
@@ -36,20 +32,13 @@ from .markets import (
     PreferenceList,
     Regular,
     Triggered,
-    firm_order_compare,
     deferred_acceptance,
     enumerate_stable,
+    firm_leq,
     is_stable,
 )
-from .orders import Lattice, canonical_partial_rep, join_irreducibles, set_key
-from .rotations import (
-    RealizedBase,
-    RotationPoset,
-    _gadget_bank,
-    antichain_base,
-    lower_rotation_sets,
-    matching_to_rotations,
-)
+from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_irreducibles, lower_sets, set_key
+from .rotations import RealizedBase, RotationPoset, _gadget_bank, antichain_base, matching_to_rotations
 
 
 @dataclass(frozen=True)
@@ -57,8 +46,6 @@ class RotationJoinConstraint:
     """A join constraint over rotation ids, with the agent sets it touches."""
 
     constraint: JoinConstraint
-    pi_alpha: frozenset[str]
-    pi_beta: frozenset[str]
     f_rho: Mapping[str, frozenset[str]]
     w_rho: Mapping[str, frozenset[str]]
 
@@ -79,16 +66,8 @@ class RotationJoinConstraint:
 
 def derive_sets(jc: JoinConstraint, rp: RotationPoset) -> RotationJoinConstraint:
     """Resolve a constraint's rotation ids into firm/worker sets and validate."""
-    known = set(rp.ids())
-    for rid in sorted(jc.alpha_ids | jc.beta_ids):
-        if rid not in known:
-            raise UnknownElementId(rid)
-    alpha_ids = sorted(jc.alpha_ids)
-    for i, a in enumerate(alpha_ids):
-        for b in alpha_ids[i + 1:]:
-            if rp.poset.lt(a, b) or rp.poset.lt(b, a):
-                raise AlphaArgumentsComparable(a, b)
-    f_rho = {rid: rp.rotations[rid].firms_minus() for rid in alpha_ids}
+    validate_join_constraint(jc, rp.poset)
+    f_rho = {rid: rp.rotations[rid].firms_minus() for rid in sorted(jc.alpha_ids)}
     w_rho = {rid: rp.rotations[rid].workers_plus() for rid in sorted(jc.beta_ids)}
     for groups in (f_rho, w_rho):
         taken: dict[str, str] = {}
@@ -97,7 +76,7 @@ def derive_sets(jc: JoinConstraint, rp: RotationPoset) -> RotationJoinConstraint
                 if agent in taken:
                     raise OverlappingRotationAgents(taken[agent], rid, {agent})
                 taken[agent] = rid
-    return RotationJoinConstraint(jc, frozenset(alpha_ids), frozenset(jc.beta_ids), f_rho, w_rho)
+    return RotationJoinConstraint(jc, f_rho, w_rho)
 
 
 @dataclass(frozen=True)
@@ -153,7 +132,7 @@ def _copy_list(base: RealizedBase, rjc: RotationJoinConstraint, wj: str, f0: str
     tail of wj's base list from its worst plus-side firm on."""
     entries = _singleton_entries(base.market.spec(wj), wj)
     candidates = {
-        f for rid in rjc.pi_beta for f, w in base.rotation_poset.rotations[rid].plus if w == wj
+        f for rid in rjc.constraint.beta_ids for f, w in base.rotation_poset.rotations[rid].plus if w == wj
     }
     missing = candidates - set(entries)
     if missing:
@@ -186,14 +165,14 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
         for wc, wj in copies.items():
             choice[wc] = _copy_list(base, rjc, wj, f0)
         copy_map.update(copies)
-        for rid in sorted(rjc.pi_alpha):
+        for rid in sorted(rjc.constraint.alpha_ids):
             for f, w in sorted(rp.rotations[rid].minus):
                 if f not in a_f:
                     raise SpecError(f"rotation {rid!r} moves {f!r}, which is not a base firm")
                 a_f[f] += ((w, w0),)
         rule = TriggerRule(
             alpha_groups=rjc.constraint.alpha_groups,
-            blocks=tuple(sorted((rid, rjc.f_rho[rid]) for rid in rjc.pi_alpha)),
+            blocks=tuple(sorted(rjc.f_rho.items())),
         )
         choice[w0] = Triggered(watch=rjc.f_alpha, trigger=f0, rule=rule)
         choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
@@ -274,27 +253,27 @@ class ExtensionReport:
 
 def _extension_checks(
     em: ExtendableMarket, node_bound: int = DEFAULT_NODE_BOUND
-) -> tuple[list[Check], list[Matching], dict]:
+) -> tuple[list[Check], list[Matching], dict, frozenset]:
     """Enumerate the extended market once and run the four extension checks;
-    also returns the stable matchings, and each keyed by the base rotation
-    set of its projection.
+    also returns the stable matchings, the index of each keyed by the base
+    rotation set of its projection, and their firm-side order (firm_leq).
 
     The expected image is read off the rotation poset, before the search:
     the lower rotation sets satisfying every enforced constraint.  The base
     market itself is never enumerated.
     """
     base, rp = em.base, em.base.rotation_poset
-    expected = filter_lower_sets(lower_rotation_sets(rp), [rjc.constraint for rjc in em.constraints])
+    expected = filter_lower_sets(lower_sets(rp.poset), [rjc.constraint for rjc in em.constraints])
     extended = enumerate_stable(em.market, node_bound=node_bound)
     projected = [project_to_base(em, mu, check=False) for mu in extended]
     unstable = [p.key() for p in projected if not is_stable(base.market, p)]
     checks = [Check("projections-stable-in-base", not unstable, unstable[0] if unstable else None)]
 
-    by_rep: dict[frozenset[str], Matching] = {}
+    by_rep: dict[frozenset[str], int] = {}
     unrepresentable = []
-    for mu, p in zip(extended, projected):
+    for k, p in enumerate(projected):
         try:
-            by_rep.setdefault(matching_to_rotations(rp, p), mu)
+            by_rep.setdefault(matching_to_rotations(rp, p), k)
         except NotRepresentable as exc:
             unrepresentable.append(str(exc))
     image_ok = not unrepresentable and set(by_rep) == set(expected)
@@ -304,20 +283,18 @@ def _extension_checks(
         "unrepresentable": unrepresentable,
     }))
 
-    embed_witness = None
-    for i, j in combinations(range(len(extended)), 2):
-        up = firm_order_compare(em.market, extended[i], extended[j])
-        down = firm_order_compare(base.market, projected[i], projected[j])
-        if up != down:
-            embed_witness = (extended[i].key(), extended[j].key(), up.value, down.value)
-            break
-    checks.append(Check("projection-order-embedding", embed_witness is None, embed_witness))
+    # witness: the first index pair (i, j) on which the two orders disagree,
+    # with whether extended[i] <= extended[j] above and below the projection
+    up, down = firm_leq(em.market, extended), firm_leq(base.market, projected)
+    diff = min(up ^ down, default=None)
+    checks.append(Check("projection-order-embedding", diff is None, None if diff is None else (
+        extended[diff[0]].key(), extended[diff[1]].key(), diff in up, diff in down)))
 
     keys = {p.key() for p in projected}
     extremes = (deferred_acceptance(base.market, "firms").key(), deferred_acceptance(base.market, "workers").key())
     extremes_ok = all(k in keys for k in extremes)
     checks.append(Check("base-extremes-in-image", extremes_ok, None if extremes_ok else extremes))
-    return checks, extended, by_rep
+    return checks, extended, by_rep, up
 
 
 def verify_extension(em: ExtendableMarket) -> ExtensionReport:
@@ -337,20 +314,17 @@ def certify_lattice(
     matching whose projection is represented by the join-irreducibles below
     x, which the base realizes as rotations of the same ids; the map must be
     a bijection that agrees with the firm-side order."""
-    checks, extended, by_rep = _extension_checks(em, node_bound)
+    checks, extended, by_rep, up = _extension_checks(em, node_bound)
     n = len(lattice.elements)
     checks.append(Check("counts-match", len(extended) == n, {"stable": len(extended), "lattice": n}))
     rep = canonical_partial_rep(lattice)
-    iso = {x: by_rep[rep[x]] for x in lattice.elements if rep[x] in by_rep}
-    witness = None if len(iso) == n == len(extended) else "no representation-based mapping"
-    if witness is None:
-        for x, y in combinations(lattice.elements, 2):
-            cmp = firm_order_compare(em.market, iso[x], iso[y])
-            if (lattice.leq(x, y), lattice.leq(y, x)) != (cmp is FirmOrder.LEQ, cmp is FirmOrder.GEQ):
-                witness = (x, y, cmp.value)
-                break
-    checks.append(Check("order-isomorphism", witness is None, witness))
-    return ExtensionReport(tuple(checks)), iso
+    at = {x: by_rep[rep[x]] for x in lattice.elements if rep[x] in by_rep}
+    if len(at) == n == len(extended):
+        ok, witness = check_order_embedding(at, lattice.poset, lambda i, j: (i, j) in up)
+    else:
+        ok, witness = False, "no representation-based mapping"
+    checks.append(Check("order-isomorphism", ok, witness))
+    return ExtensionReport(tuple(checks)), {x: extended[k] for x, k in at.items()}
 
 
 @dataclass(frozen=True)

@@ -106,16 +106,16 @@ def cmd_verify(args) -> int:
         for c in certificate.checks:
             report.check(c.name, c.ok, c.witness)
         return report.emit()
+    if len(lattice.elements) > 8:
+        raise InputError("plain-market verification searches over permutations; 8 elements max")
     lat, ms = stable_lattice(market, **_bound_kwargs(args))
     report.check("counts-match", len(ms) == len(lattice.elements),
                  {"stable": len(ms), "lattice": len(lattice.elements)})
-    if len(lattice.elements) > 8:
-        raise InputError("plain-market verification searches over permutations; 8 elements max")
     found = False
     if len(ms) == len(lattice.elements):
         for perm in permutations(range(len(ms))):
             mapping = {x: lat.elements[perm[i]] for i, x in enumerate(lattice.elements)}
-            ok, _ = check_order_isomorphism(mapping, lattice.poset, lat.elements, lat.poset)
+            ok, _ = check_order_isomorphism(mapping, lattice.poset, lat.elements, lat.leq)
             if ok:
                 found = True
                 break

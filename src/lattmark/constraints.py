@@ -88,7 +88,7 @@ def validate_join_constraint(jc: JoinConstraint, rep_poset: Poset) -> None:
     for a in args:
         if not rep_poset.has(a):
             raise UnknownElementId(a)
-    for b in jc.beta_ids:
+    for b in sorted(jc.beta_ids):
         if not rep_poset.has(b):
             raise UnknownElementId(b)
     for i, x in enumerate(args):

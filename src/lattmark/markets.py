@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -400,6 +401,19 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
     return FirmOrder.GEQ if geq else FirmOrder.LEQ
 
 
+def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[int, int]]:
+    """The firm-side order over a list of matchings: the index pairs (i, j)
+    with ms[i] <= ms[j], from one comparison per unordered pair."""
+    rel = {(i, i) for i in range(len(ms))}
+    for i, j in combinations(range(len(ms)), 2):
+        cmp = firm_order_compare(market, ms[i], ms[j])
+        if cmp in (FirmOrder.LEQ, FirmOrder.EQ):
+            rel.add((i, j))
+        if cmp in (FirmOrder.GEQ, FirmOrder.EQ):
+            rel.add((j, i))
+    return frozenset(rel)
+
+
 class _Dead(Exception):
     pass
 
@@ -607,16 +621,7 @@ def stable_lattice(
     ms = enumerate_stable(market, node_bound=node_bound)
     width = max(3, len(str(max(len(ms) - 1, 0))))
     ids = tuple(f"m{i:0{width}d}" for i in range(len(ms)))
-    pairs = set()
-    for i in range(len(ms)):
-        pairs.add((ids[i], ids[i]))
-        for j in range(i + 1, len(ms)):
-            cmp = firm_order_compare(market, ms[i], ms[j])
-            if cmp is FirmOrder.LEQ:
-                pairs.add((ids[i], ids[j]))
-            elif cmp is FirmOrder.GEQ:
-                pairs.add((ids[j], ids[i]))
-    poset = Poset(ids, frozenset(pairs))
+    poset = Poset(ids, frozenset((ids[i], ids[j]) for i, j in firm_leq(market, ms)))
     try:
         lat = lattice_from_order(poset)
     except NotALattice as exc:

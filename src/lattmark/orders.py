@@ -293,15 +293,8 @@ def canonical_partial_rep(lattice: Lattice) -> dict[str, frozenset[str]]:
     return {x: frozenset(j for j in xj if lattice.leq(j, x)) for x in lattice.elements}
 
 
-def _dst_leq(dst) -> Callable:
-    if isinstance(dst, Poset):
-        return dst.leq
-    return dst
-
-
-def check_order_embedding(f: Mapping, src: Poset, dst) -> tuple[bool, tuple | None]:
-    """Check x <= x' iff f(x) <= f(x') for all pairs; dst is a Poset or a leq callable."""
-    leq = _dst_leq(dst)
+def check_order_embedding(f: Mapping, src: Poset, leq: Callable) -> tuple[bool, tuple | None]:
+    """Check x <= x' iff leq(f(x), f(x')) for all pairs."""
     for x in src.elements:
         for y in src.elements:
             if src.leq(x, y) != bool(leq(f[x], f[y])):
@@ -309,8 +302,8 @@ def check_order_embedding(f: Mapping, src: Poset, dst) -> tuple[bool, tuple | No
     return True, None
 
 
-def check_order_isomorphism(f: Mapping, src: Poset, dst_elements: Iterable, dst) -> tuple[bool, object | None]:
-    ok, witness = check_order_embedding(f, src, dst)
+def check_order_isomorphism(f: Mapping, src: Poset, dst_elements: Iterable, leq: Callable) -> tuple[bool, object | None]:
+    ok, witness = check_order_embedding(f, src, leq)
     if not ok:
         return False, witness
     image = {f[x] for x in src.elements}

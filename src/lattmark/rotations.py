@@ -21,14 +21,12 @@ from .errors import (
 )
 from .markets import (
     DEFAULT_NODE_BOUND,
-    FirmOrder,
     Matching,
     MatchingMarket,
     PreferenceList,
-    firm_order_compare,
-    enumerate_stable,
+    stable_lattice,
 )
-from .orders import Poset, lattice_from_order, lower_sets
+from .orders import Poset
 
 Pair = tuple[str, str]
 
@@ -124,77 +122,41 @@ def _gadget_bank(ids: Sequence[str]) -> RealizedBase:
 def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> RotationPoset:
     """Recover the rotation poset of a one-to-one market by enumeration.
 
-    Rotations are read off the covering pairs of the comparison order over
-    stable matchings; the order over rotations is derived from occurrence
-    sets (one rotation sits below another when it occurs wherever the
-    other does).
+    Rotations are read off the covering pairs of the stable matching
+    lattice; the order over rotations is derived from occurrence sets (one
+    rotation sits below another when it occurs wherever the other does).
     """
-    ms = enumerate_stable(market, node_bound=node_bound)
+    lat, ms = stable_lattice(market, node_bound=node_bound)
     for mu in ms:
         if any(len(mu.workers_of(f)) > 1 for f in market.firms) or any(
             len(mu.firms_of(w)) > 1 for w in market.workers
         ):
             raise InputError("extract_rotations requires a one-to-one market")
 
-    n = len(ms)
-    geq = [[False] * n for _ in range(n)]  # geq[i][j]: ms[i] >= ms[j]
-    for i in range(n):
-        geq[i][i] = True
-        for j in range(i + 1, n):
-            cmp = firm_order_compare(market, ms[i], ms[j])
-            if cmp is FirmOrder.GEQ:
-                geq[i][j] = True
-            elif cmp is FirmOrder.LEQ:
-                geq[j][i] = True
-
+    at = dict(zip(lat.elements, ms))
     found: dict[tuple, tuple[frozenset[Pair], frozenset[Pair]]] = {}
-    cover_edges: list[tuple[int, int, tuple]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not geq[j][i]:
-                continue
-            # j covers i when nothing sits strictly between them
-            if any(k not in (i, j) and geq[j][k] and geq[k][i] for k in range(n)):
-                continue
-            plus = ms[j].pairs - ms[i].pairs
-            minus = ms[i].pairs - ms[j].pairs
-            key = (tuple(sorted(plus)), tuple(sorted(minus)))
-            found[key] = (plus, minus)
-            cover_edges.append((i, j, key))
+    lower_covers: dict[str, list[tuple[str, tuple]]] = {x: [] for x in lat.elements}
+    for x, y in lat.poset.covers:
+        plus = at[y].pairs - at[x].pairs
+        minus = at[x].pairs - at[y].pairs
+        key = (tuple(sorted(plus)), tuple(sorted(minus)))
+        found[key] = (plus, minus)
+        lower_covers[y].append((x, key))
 
     ordered = sorted(found, key=lambda key: (key[1], key[0]))
     names = {key: f"r{k + 1}" for k, key in enumerate(ordered)}
-    rotations = {names[key]: Rotation(names[key], plus, minus) for key, (plus, minus) in found.items()}
+    rotations = {names[key]: Rotation(names[key], *found[key]) for key in ordered}
 
-    bottoms = [i for i in range(n) if all(geq[j][i] for j in range(n))]
-    if len(bottoms) != 1:
-        raise NonLatticeStructure("no unique minimum stable matching")
+    # occurrence sets, in a linear extension from the bottom; in a
+    # distributive lattice every lower cover gives the same set
+    occ_of: dict[str, frozenset[str]] = {}
+    for y in sorted(lat.elements, key=lambda e: len(lat.poset.down_set(e))):
+        via = {occ_of[x] | {names[key]} for x, key in lower_covers[y]}
+        if len(via) > 1:
+            raise NonLatticeStructure("occurrence sets depend on the chain taken")
+        occ_of[y] = via.pop() if via else frozenset()
 
-    # occurrence sets: propagate along covers from the bottom; in a
-    # distributive lattice the result is path-independent
-    occ_of: dict[int, frozenset[str]] = {bottoms[0]: frozenset()}
-    pending = list(cover_edges)
-    while pending:
-        progressed = False
-        remaining = []
-        for i, j, key in pending:
-            if i not in occ_of:
-                remaining.append((i, j, key))
-                continue
-            progressed = True
-            candidate = occ_of[i] | {names[key]}
-            if j in occ_of:
-                if occ_of[j] != candidate:
-                    raise NonLatticeStructure("occurrence sets depend on the chain taken")
-            else:
-                occ_of[j] = candidate
-        if not progressed and remaining:
-            raise NonLatticeStructure("stable matchings are not connected by covers from the minimum")
-        pending = remaining
-    if len(occ_of) != n:
-        raise NonLatticeStructure("stable matchings are not connected by covers from the minimum")
-
-    occ = {rid: frozenset(i for i in range(n) if rid in occ_of[i]) for rid in rotations}
+    occ = {rid: frozenset(x for x in lat.elements if rid in occ_of[x]) for rid in rotations}
     rel = set()
     ids = sorted(rotations)
     for a in ids:
@@ -205,15 +167,7 @@ def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOU
         for b in ids:
             if a != b and (a, b) in rel and (b, a) in rel:
                 raise NonLatticeStructure(f"rotations {a} and {b} have identical occurrence sets")
-    poset = Poset(tuple(ids), frozenset(rel))
-    rp = RotationPoset(poset, rotations, ms[bottoms[0]])
-
-    # the lattice structure must actually exist; covering-pair extraction
-    # already assumed it
-    lattice_from_order(Poset(
-        tuple(f"s{i}" for i in range(n)),
-        frozenset((f"s{i}", f"s{j}") for i in range(n) for j in range(n) if geq[j][i]),
-    ))
+    rp = RotationPoset(Poset(tuple(ids), frozenset(rel)), rotations, at[lat.bottom])
     for mu in ms:
         matching_to_rotations(rp, mu)  # raises NotRepresentable on mismatch
     return rp
@@ -283,6 +237,3 @@ def rotations_to_matching(rp: RotationPoset, rotation_ids: Iterable[str]) -> Mat
         minus |= rp.rotations[rid].minus
     return Matching(frozenset((rp.worker_optimal.pairs | plus) - minus))
 
-
-def lower_rotation_sets(rp: RotationPoset) -> list[frozenset[str]]:
-    return lower_sets(rp.poset)

@@ -89,7 +89,7 @@ def run(quick: bool = False, seed: int = 7) -> int:
         gadget, weights = independent_set_antimatroid(vertices, edges)
         costs = {x: -w for x, w in weights.items()}
         bundle = reduce_to_matching(compute_path_poset(gadget), costs)
-        _, best = min_cost_stable(bundle.market(), bundle.pair_costs)
+        _, best = min_cost_stable(bundle.extendable.market, bundle.pair_costs)
         _, want = min_cost_feasible(gadget, costs)
         check("independent-set reduction optimum agrees", best == want)
 

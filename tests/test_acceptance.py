@@ -16,7 +16,6 @@ import pytest
 from lattmark import (
     FirmOrder,
     JoinConstraint,
-    Matching,
     antichain_base,
     antimatroid_constraints,
     firm_order_compare,
@@ -44,7 +43,6 @@ from lattmark import (
     reduce_to_matching,
     synthesize_from_lattice,
     validate_antimatroid,
-    verify_extension,
 )
 from lattmark.antimatroids import filter_by_complements
 from lattmark.fixtures import (
@@ -57,7 +55,6 @@ from lattmark.fixtures import (
     seven_pair_stable_matchings,
 )
 from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph, random_lattice
-from lattmark.rotations import lower_rotation_sets
 
 from oracles import independence_number
 
@@ -342,7 +339,7 @@ def test_criterion_8_reduction_end_to_end():
         costs = {x: -w for x, w in weights.items()}
         pp = compute_path_poset(fam)
         bundle = reduce_to_matching(pp, costs)
-        mu, value = min_cost_stable(bundle.market(), bundle.pair_costs)
+        mu, value = min_cost_stable(bundle.extendable.market, bundle.pair_costs)
         best_set, best_value = min_cost_feasible(fam, costs)
         assert value == best_value, name  # exact rational equality
         recovered = bundle.recover(mu)
@@ -365,7 +362,7 @@ def test_criterion_9_representation_round_trip(synthesized, seven_base):
     for market in fixtures:
         rp = extract_rotations(market)
         stables = enumerate_stable(market)
-        family = lower_rotation_sets(rp)
+        family = lower_sets(rp.poset)
         assert len(family) == len(stables)
         for r in family:
             mu = rotations_to_matching(rp, r)
@@ -388,6 +385,6 @@ def test_criterion_9_representation_round_trip(synthesized, seven_base):
         bases.append(reduce_to_matching(compute_path_poset(fam), {}).extendable.base)
     for base in bases:
         rp = base.rotation_poset
-        rebuilt = {rotations_to_matching(rp, r) for r in lower_rotation_sets(rp)}
+        rebuilt = {rotations_to_matching(rp, r) for r in lower_sets(rp.poset)}
         assert rebuilt == set(enumerate_stable(base.market)), sorted(rp.ids())
     report(9, time.monotonic() - t0, 60.0, f"bijection and order preserved on all fixtures, {len(bases)} bases")

@@ -183,7 +183,7 @@ class TestReduction:
     def test_fixture_reduction_bijects(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
         bundle = reduce_to_matching(pp, {x: -1 for x in quad_antimatroid.ground})
-        ms = enumerate_stable(bundle.market())
+        ms = enumerate_stable(bundle.extendable.market)
         assert len(ms) == len(quad_antimatroid.feasible)
         recovered = {bundle.recover(mu) for mu in ms}
         assert recovered == set(quad_antimatroid.feasible)
@@ -191,7 +191,7 @@ class TestReduction:
     def test_single_element_reduction(self):
         fam = AntimatroidFamily.of(["x"], [[], ["x"]])
         bundle = reduce_to_matching(compute_path_poset(fam), {"x": 5})
-        ms = enumerate_stable(bundle.market())
+        ms = enumerate_stable(bundle.extendable.market)
         assert {bundle.recover(mu) for mu in ms} == {frozenset(), frozenset({"x"})}
 
     def test_cost_identity_on_every_stable_matching(self, quad_antimatroid):
@@ -199,7 +199,7 @@ class TestReduction:
         pp = compute_path_poset(quad_antimatroid)
         costs = {x: rng.randint(-5, 5) for x in quad_antimatroid.ground}
         bundle = reduce_to_matching(pp, costs)
-        for mu in enumerate_stable(bundle.market()):
+        for mu in enumerate_stable(bundle.extendable.market):
             recovered = bundle.recover(mu)
             assert pair_cost(bundle.pair_costs, mu) == sum(costs[x] for x in recovered)
 
@@ -208,14 +208,14 @@ class TestReduction:
 
         pp = compute_path_poset(quad_antimatroid)
         bundle = reduce_to_matching(pp, {x: 7 for x in quad_antimatroid.ground})
-        top = deferred_acceptance(bundle.market(), "firms")
+        top = deferred_acceptance(bundle.extendable.market, "firms")
         assert pair_cost(bundle.pair_costs, top) == 0
 
     def test_three_path_reduction_value(self):
         fam, weights = independent_set_antimatroid(["u", "v", "x"], [("u", "v"), ("v", "x")])
         costs = {x: -w for x, w in weights.items()}
         bundle = reduce_to_matching(compute_path_poset(fam), costs)
-        _, value = min_cost_stable(bundle.market(), bundle.pair_costs)
+        _, value = min_cost_stable(bundle.extendable.market, bundle.pair_costs)
         assert value == -2
 
     def test_min_and_max_senses_agree_with_feasible_side(self, quad_antimatroid):
@@ -224,7 +224,7 @@ class TestReduction:
         costs = {x: rng.randint(-4, 4) for x in quad_antimatroid.ground}
         bundle = reduce_to_matching(pp, costs)
         for sense in ("min", "max"):
-            _, got = min_cost_stable(bundle.market(), bundle.pair_costs, sense=sense)
+            _, got = min_cost_stable(bundle.extendable.market, bundle.pair_costs, sense=sense)
             _, want = min_cost_feasible(quad_antimatroid, costs, sense=sense)
             assert got == want
 
@@ -238,9 +238,9 @@ class TestReduction:
             fam = random_antimatroid(rng.randint(1, 4), rng)
             costs = {x: rng.randint(-4, 4) for x in fam.ground}
             bundle = reduce_to_matching(compute_path_poset(fam), costs)
-            ms = enumerate_stable(bundle.market())
+            ms = enumerate_stable(bundle.extendable.market)
             assert {bundle.recover(mu) for mu in ms} == set(fam.feasible)
-            _, got = min_cost_stable(bundle.market(), bundle.pair_costs)
+            _, got = min_cost_stable(bundle.extendable.market, bundle.pair_costs)
             _, want = min_cost_feasible(fam, costs)
             assert got == want
 

@@ -12,14 +12,11 @@ from lattmark import (
     antichain_base,
     augment,
     firm_order_compare,
-    canonical_partial_rep,
     check_path_independence,
     choose,
     deferred_acceptance,
     derive_sets,
     enumerate_stable,
-    is_stable,
-    join_irreducibles,
     omega_extend,
     project_to_base,
     project_once,

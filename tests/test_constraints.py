@@ -77,6 +77,12 @@ class TestValidation:
         p = trivial_poset(["x", "y", "z"])
         validate_join_constraint(JoinConstraint.make([{"x", "y"}, {"z"}], {"x"}), p)
 
+    def test_first_unknown_beta_id_is_reported(self):
+        p = trivial_poset(["x"])
+        with pytest.raises(UnknownElementId) as exc:
+            validate_join_constraint(JoinConstraint.make([{"x"}], {"zz3", "zz1", "zz2"}), p)
+        assert exc.value.element == "zz1"
+
     def test_generated_constraints_always_validate(self, hexagon):
         _, poset = join_irreducibles(hexagon)
         for jc in constraints_from_lattice(hexagon):

@@ -15,6 +15,7 @@ from lattmark import (
     PreferenceList,
     Regular,
     Triggered,
+    firm_leq,
     firm_order_compare,
     blocking_pairs,
     check_path_independence,
@@ -241,6 +242,17 @@ class TestFirmOrder:
                 for w in seven_market.workers:
                     union = m1.firms_of(w) | m2.firms_of(w)
                     assert choose(seven_market.spec(w), union) == m2.firms_of(w)
+
+    def test_firm_leq_is_the_pairwise_order(self, seven_market, seven_stables):
+        ms = [*seven_stables.values(), seven_stables["mu4"]]  # one matching twice
+        want = {
+            (i, j)
+            for i, m1 in enumerate(ms)
+            for j, m2 in enumerate(ms)
+            if firm_order_compare(seven_market, m1, m2) in (FirmOrder.LEQ, FirmOrder.EQ)
+        }
+        assert firm_leq(seven_market, ms) == want
+        assert firm_leq(seven_market, []) == frozenset()
 
 
 class TestStableLattice:

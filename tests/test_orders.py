@@ -247,12 +247,12 @@ class TestEmbeddingChecks:
 
     def test_identity_map(self, pentagon):
         f = {x: x for x in pentagon.elements}
-        assert check_order_embedding(f, pentagon.poset, pentagon.poset)[0]
+        assert check_order_embedding(f, pentagon.poset, pentagon.poset.leq)[0]
 
     def test_constant_map_fails_with_witness(self):
         p = poset_from_pairs(["lo", "hi"], [("lo", "hi")], close=True)
         f = {"lo": "lo", "hi": "lo"}
-        ok, witness = check_order_embedding(f, p, p)
+        ok, witness = check_order_embedding(f, p, p.leq)
         assert not ok and witness == ("hi", "lo")
 
 

@@ -19,7 +19,8 @@ from lattmark import (
 from lattmark.errors import DuplicateId, InputError, NotLowerClosed, NotRepresentable
 from lattmark.fixtures import seven_pair_rotations
 from lattmark.markets import MatchingMarket, PreferenceList
-from lattmark.rotations import gadget_agents, lower_rotation_sets
+from lattmark.orders import lower_sets
+from lattmark.rotations import gadget_agents
 
 from oracles import one_to_one_stable_matchings
 
@@ -163,7 +164,7 @@ class TestRepresentation:
     def test_round_trip_bijection(self, seven_market, seven_rotation_poset):
         rp = seven_rotation_poset
         seen = set()
-        for r in lower_rotation_sets(rp):
+        for r in lower_sets(rp.poset):
             mu = rotations_to_matching(rp, r)
             assert is_stable(seven_market, mu)
             assert matching_to_rotations(rp, mu) == r

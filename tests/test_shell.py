@@ -15,6 +15,7 @@ from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from lattmark.errors import InputError
 from lattmark.fixtures import (
+    diamond_lattice,
     four_element_antimatroid,
     hexagon_lattice,
     pentagon_lattice,
@@ -322,6 +323,43 @@ class TestCliVariants:
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 0 and report["outcome"] == "ok"
         assert seen == [extended]
+
+    def test_verify_compares_each_pair_of_matchings_once_per_market(self, tmp_path, capsys, monkeypatch):
+        real, calls = markets.firm_order_compare, []
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "lattmark" and getattr(module, "firm_order_compare", None) is real:
+                monkeypatch.setattr(module, "firm_order_compare", counting)
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 0 and report["outcome"] == "ok"
+        # C(5, 2) pairs of stable matchings, once above and once below the projection
+        assert len(calls) == 20
+
+    def test_verify_fails_the_isomorphism_on_a_wrong_lattice_or_order(self, tmp_path, capsys, monkeypatch):
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        diamond_file = tmp_path / "diamond.json"
+        jsonio.write_json(diamond_file, jsonio.lattice_to_json(diamond_lattice()))
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(diamond_file))
+        assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
+
+        real, swap = markets.firm_order_compare, {markets.FirmOrder.LEQ: markets.FirmOrder.GEQ,
+                                                   markets.FirmOrder.GEQ: markets.FirmOrder.LEQ}
+        monkeypatch.setattr(markets, "firm_order_compare", lambda *args: swap.get(real(*args), real(*args)))
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
+
+    def test_plain_market_verify_rejects_a_large_lattice_before_enumerating(self, tmp_path, capsys):
+        market_file, lattice_file = tmp_path / "market.json", tmp_path / "chain9.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(seven_pair_market()))
+        chain = [f"c{i}" for i in range(9)]
+        jsonio.write_json(lattice_file, {"v": 1, "elements": chain, "leq": [list(p) for p in zip(chain, chain[1:])]})
+        code, report = run_cli(capsys, "verify", str(market_file), str(lattice_file), "--bound-nodes", "1")
+        assert code == 2 and report["kind"] == "InputError"
 
 
 def _reduction_file(tmp_path):
