@@ -140,6 +140,25 @@ def _copy_list(base: RealizedBase, rjc: RotationJoinConstraint, wj: str, f0: str
     return PreferenceList.of(f0, *entries[max(entries.index(f) for f in candidates):])
 
 
+def _search_rank(rp: RotationPoset, constraints: tuple[RotationJoinConstraint, ...]) -> dict[str, int]:
+    """Each base rotation id's place in the search order: a linear extension
+    of the order the single-premise constraints induce (one alpha group of
+    one id, whose beta ids come first), ties broken by id.  An id left on a
+    cycle of such constraints goes at the smallest id left."""
+    before: dict[str, set[str]] = {rid: set() for rid in rp.ids()}
+    for rjc in constraints:
+        groups = rjc.constraint.alpha_groups
+        if len(groups) == 1 and len(groups[0]) == 1:
+            (alpha,) = groups[0]
+            before[alpha] |= rjc.constraint.beta_ids - {alpha}
+    rank: dict[str, int] = {}
+    while len(rank) < len(before):
+        left = [rid for rid in sorted(before) if rid not in rank]
+        ready = [rid for rid in left if all(b in rank for b in before[rid])]
+        rank[(ready or left)[0]] = len(rank)
+    return rank
+
+
 def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -> tuple:
     """Apply every augmentation to the base at once.
 
@@ -147,9 +166,12 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
     of each minus pair (f, w) of its alpha rotations.  Each regular firm's
     list becomes a regular choice function whose tiers are the copy classes
     of its base entries.  The market lists its workers in the enumeration's
-    search order: the sorted base workers, then each step's sorted copies
-    directly followed by its auxiliary worker, so that inconsistent branches
-    die inside each step's segment.
+    search order, one segment per rotation in _search_rank's order (workers
+    in no rotation first): the base workers of the lowest-ranked rotation
+    they appear in, then, for each step whose constraint names that rotation
+    last, the step's sorted copies directly followed by its auxiliary worker.
+    A base prefix that breaks a constraint then dies inside the step that
+    rules it out, not after every base worker has been placed.
     """
     m, rp = base.market, base.rotation_poset
     choice: dict = {}
@@ -158,7 +180,12 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
         choice[w] = m.spec(w)
     copy_map = {w: w for w in m.workers}
     a_f: dict[str, tuple[tuple[str, str], ...]] = {f: () for f in m.firms}
-    firms, workers, steps = list(m.firms), sorted(m.workers), []
+    rank = _search_rank(rp, constraints)
+    segments: list[list[str]] = [[] for _ in range(len(rank) + 1)]
+    moved = {rid: {w for _, w in rot.plus | rot.minus} for rid, rot in rp.rotations.items()}
+    for w in sorted(m.workers):
+        segments[1 + min((rank[rid] for rid in rank if w in moved[rid]), default=-1)].append(w)
+    firms, steps = list(m.firms), []
     for k, rjc in enumerate(constraints, 1):
         w0, f0 = f"w0#{k}", f"f0#{k}"
         copies = {f"{wj}#{k}": wj for wj in sorted(rjc.w_beta)}
@@ -178,7 +205,8 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
         choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
         steps.append(AugmentStep(rjc, w0, f0, tuple(sorted(copies))))
         firms.append(f0)
-        workers += [*steps[-1].copies, w0]
+        named = rjc.constraint.alpha_ids | rjc.constraint.beta_ids
+        segments[1 + max((rank[rid] for rid in named), default=-1)] += [*steps[-1].copies, w0]
 
     classes: dict[str, set[str]] = {w: set() for w in m.workers}
     for member, base_worker in copy_map.items():
@@ -186,7 +214,7 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
     for f in m.firms:
         tiers = tuple(frozenset(classes[w]) for w in _singleton_entries(m.spec(f), f))
         choice[f] = Regular(tiers, a_f[f])
-    market = MatchingMarket(tuple(sorted(firms)), tuple(workers), choice)
+    market = MatchingMarket(tuple(sorted(firms)), tuple(w for seg in segments for w in seg), choice)
     return market, copy_map, a_f, tuple(steps)
 
 
@@ -344,14 +372,23 @@ def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisR
     Pipeline: take the join-irreducible poset, realize its elements as an
     antichain of gadget rotations of the same ids, enforce each covering
     relation p below q as the constraint "q occurring forces p", then enforce
-    the lattice's own join constraints.  With verify, certify_lattice checks
+    the lattice's own join constraints, except those the covering relations
+    already imply: singleton alpha groups whose ids' down-sets cover beta.
+    Such a constraint holds on every lower set of the join-irreducibles, so
+    a distributive lattice keeps none.  With verify, certify_lattice checks
     the result and a failed check raises IsomorphismFailure; without it the
     market is constructed only, never enumerated.
     """
     xj, xj_poset = join_irreducibles(lattice)
     base = antichain_base(xj) if xj else _gadget_bank([])
     order_cs = sorted((JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers), key=JoinConstraint.key)
-    em = omega_extend(base, [*order_cs, *constraints_from_lattice(lattice)])
+
+    def implied(jc: JoinConstraint) -> bool:
+        below = frozenset().union(*(xj_poset.down_set(a) for a in jc.alpha_ids))
+        return all(len(g) == 1 for g in jc.alpha_groups) and jc.beta_ids <= below
+
+    join_cs = [jc for jc in constraints_from_lattice(lattice) if not implied(jc)]
+    em = omega_extend(base, [*order_cs, *join_cs])
     if not verify:
         return SynthesisResult(em, {}, None)
     report, iso = certify_lattice(em, lattice)

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 from .antimatroids import AntimatroidFamily, PathPoset, ReductionBundle
 from .augment import ExtendableMarket, omega_extend
 from .constraints import JoinConstraint
-from .errors import InputError, UnknownElementId
+from .errors import InputError, InvariantError, UnknownElementId
 from .markets import (
     ChoiceSpec,
     TriggerRule,
@@ -34,7 +34,7 @@ from .markets import (
     Triggered,
 )
 from .orders import Lattice, Poset, lattice_from_order, lattice_from_tables, poset_from_pairs, set_key
-from .rotations import RealizedBase, Rotation, RotationPoset
+from .rotations import RealizedBase, Rotation, RotationPoset, _gadget_bank, extract_rotations
 
 VERSION = 1
 
@@ -237,10 +237,24 @@ def realized_base_to_json(base: RealizedBase) -> dict:
 
 
 def realized_base_from_json(data: Mapping) -> RealizedBase:
-    return RealizedBase(
+    """The stored market and rotation poset must agree: an antichain base is
+    the gadget bank of its ids, any other base's rotation poset is the one
+    its market's stable matchings derive."""
+    base = RealizedBase(
         market_from_json(_need(data, "market", "realized base")),
         rotation_poset_from_json(_need(data, "rotation_poset", "realized base")),
     )
+    rp = base.rotation_poset
+    if all(a == b for a, b in rp.poset.relation):
+        agree = base == _gadget_bank(rp.ids())
+    else:
+        try:
+            agree = extract_rotations(base.market) == rp
+        except InvariantError as exc:
+            raise InputError(f"realized base: market realizes no rotation poset ({exc})") from exc
+    if not agree:
+        raise InputError("realized base: market and rotation poset disagree")
+    return base
 
 
 # ------------------------------------------------------------- constraints

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
-its runtime and asserting the stated budget.
+its runtime and asserting the stated budget, plus a cross-check of the
+constructed markets' search order on the whole corpus.
 
 Budgets (wall clock): 1) 1s  2) 1s  3) 5s  4) 30s  5) 600s  6) 120s
 7) 120s  8) 600s  9) 60s.  The agent-count bound for synthesis is pinned at
@@ -14,6 +15,7 @@ import time
 import pytest
 
 from lattmark import (
+    ExtendableMarket,
     FirmOrder,
     JoinConstraint,
     antichain_base,
@@ -55,6 +57,7 @@ from lattmark.fixtures import (
     seven_pair_stable_matchings,
 )
 from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph, random_lattice
+from lattmark.markets import MatchingMarket
 
 from oracles import independence_number
 
@@ -388,3 +391,31 @@ def test_criterion_9_representation_round_trip(synthesized, seven_base):
         rebuilt = {rotations_to_matching(rp, r) for r in lower_sets(rp.poset)}
         assert rebuilt == set(enumerate_stable(base.market)), sorted(rp.ids())
     report(9, time.monotonic() - t0, 60.0, f"bijection and order preserved on all fixtures, {len(bases)} bases")
+
+
+def _in_step_order(em):
+    """em's market with the workers declared in step order: the sorted base
+    workers, then each step's sorted copies and its auxiliary worker."""
+    workers = sorted(em.base.market.workers)
+    for step in em.steps:
+        workers += [*step.copies, step.w0]
+    return MatchingMarket(em.market.firms, tuple(workers), em.market.choice)
+
+
+def test_search_order_leaves_every_corpus_enumeration_unchanged(synthesized, worked_augmentation):
+    """A constructed market declares its workers in constraint order; the
+    enumeration must equal the one in step order on the criterion-5
+    lattices, the criterion-8 reductions and the seven-pair base."""
+    t0 = time.monotonic()
+    base, em4, _, _ = worked_augmentation
+    ems = [ExtendableMarket(base), em4, *(result.extendable for _, _, result in synthesized[1])]
+    for _, vertices, edges in reduction_graphs():
+        fam, _ = independent_set_antimatroid(vertices, edges)
+        ems.append(reduce_to_matching(compute_path_poset(fam), {}).extendable)
+    reordered = 0
+    for em in ems:
+        step_order = _in_step_order(em)
+        reordered += em.market.workers != step_order.workers
+        assert enumerate_stable(em.market) == enumerate_stable(step_order)
+    assert reordered
+    print(f"search order: {len(ems)} markets, {reordered} reordered, {time.monotonic() - t0:.2f}s")

@@ -25,11 +25,13 @@ from lattmark import (
     verify_extension,
 )
 from lattmark.errors import AlphaArgumentsComparable, UnknownElementId
-from lattmark.fixtures import diamond_lattice, hexagon_lattice, pentagon_lattice
-from lattmark.generators import all_lattices_upto, random_lattice
+from lattmark.fixtures import boolean_lattice, diamond_lattice, hexagon_lattice, pentagon_lattice
+from lattmark.generators import all_lattices_upto, random_distributive_lattice, random_lattice
+from lattmark.orders import join_irreducibles, lattice_from_order, poset_from_pairs
 
 from oracles import reference_stable_matchings
-from lattmark.markets import IfElse, MatchingMarket, Regular, Triggered
+from lattmark.markets import IfElse, MatchingMarket, PreferenceList, Regular, Triggered
+from lattmark.rotations import RealizedBase, extract_rotations
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +333,55 @@ class TestDefaultOrderOnAugmentedMarkets:
         assert m.workers != tuple(sorted(m.workers))
         sorted_market = MatchingMarket(m.firms, tuple(sorted(m.workers)), m.choice)
         assert enumerate_stable(sorted_market) == enumerate_stable(m)
+
+
+def _chain(n: int):
+    labels = [f"c{i:02d}" for i in range(n)]
+    return lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
+
+
+class TestConstructionSearchOrder:
+    def test_workers_are_declared_gadget_by_gadget_in_constraint_order(self):
+        # "a occurring forces b" ranks b before a; the step names a last
+        em = omega_extend(antichain_base(["a", "b"]), [JoinConstraint.make([{"a"}], {"b"})])
+        assert em.market.workers == ("b.w1", "b.w2", "a.w1", "a.w2", "b.w1#1", "b.w2#1", "w0#1")
+
+    def test_steps_follow_the_last_gadget_they_name(self):
+        base = antichain_base(["p", "q", "r"])
+        em = omega_extend(base, [JoinConstraint.make([{"r"}], {"q"}), JoinConstraint.make([{"q"}], {"p"})])
+        assert em.market.workers == (
+            "p.w1", "p.w2", "q.w1", "q.w2", "p.w1#2", "p.w2#2", "w0#2",
+            "r.w1", "r.w2", "q.w1#1", "q.w2#1", "w0#1",
+        )
+
+    def test_workers_in_no_rotation_go_first(self):
+        # a gadget plus a pair that is matched in every stable matching
+        gadget = antichain_base(["p"]).market
+        choice = {**gadget.choice, "fz": PreferenceList.of("wz"), "wz": PreferenceList.of("fz")}
+        market = MatchingMarket((*gadget.firms, "fz"), (*gadget.workers, "wz"), choice)
+        em = ExtendableMarket(RealizedBase(market, extract_rotations(market)))
+        assert em.market.workers == ("wz", "p.w1", "p.w2")
+
+    @pytest.mark.parametrize("lattice_fn, agents", [
+        (lambda: _chain(16), 116),
+        (lambda: boolean_lattice(4), 16),
+        (hexagon_lattice, 64),
+        (pentagon_lattice, 24),
+    ])
+    def test_pinned_agent_counts(self, lattice_fn, agents):
+        assert synthesize_from_lattice(lattice_fn(), verify=False).extendable.agent_count() == agents
+
+    def test_distributive_lattices_keep_no_lattice_constraint(self):
+        rng = random.Random(12)
+        lattices = [_chain(9), boolean_lattice(3), *(random_distributive_lattice(rng.randint(2, 10), rng)
+                                                      for _ in range(8))]
+        for lat in lattices:
+            em = synthesize_from_lattice(lat).extendable
+            _, xj_poset = join_irreducibles(lat)
+            order_cs = {JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers}
+            assert {rjc.constraint for rjc in em.constraints} == order_cs
+            assert len(em.constraints) == len(xj_poset.covers)
+
+    def test_a_16_chain_enumerates_in_few_nodes(self):
+        em = synthesize_from_lattice(_chain(16), verify=False).extendable
+        assert len(enumerate_stable(em.market, node_bound=4000)) == 16

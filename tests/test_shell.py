@@ -143,7 +143,7 @@ class TestCli:
         bundle_file = tmp_path / "bundle.json"
         code, report = run_cli(capsys, "synthesize", str(lattice_file), "-o", str(bundle_file))
         assert code == 0 and report["outcome"] == "ok"
-        assert report["agents"] == 46
+        assert report["agents"] == 24
 
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 0 and report["outcome"] == "ok"
@@ -468,15 +468,77 @@ class TestBundleContract:
         assert code == 0 and report["outcome"] == "ok"
 
     def test_plain_market_file_keeps_the_search_order(self, tmp_path, capsys):
-        # The sorted order needs over 200,000 nodes on this market; the
-        # declared order needs under 20,000.
+        # The sorted order needs over 14,000 nodes on this market; the
+        # declared order needs under 500.
         labels = [f"e{i}" for i in range(8)]
         chain = lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
         market = synthesize_from_lattice(chain, verify=False).extendable.market
         market_file = tmp_path / "chain8.market.json"
         jsonio.write_json(market_file, jsonio.market_to_json(market))
-        code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "20000")
+        code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "2000")
         assert code == 0 and report["count"] == 8
+
+    def test_tampered_base_exits_2(self, tmp_path, capsys, seven_base, rot_ids):
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        data = json.loads(bundle_file.read_text())
+        firm = data["base"]["market"]["firms"][0]
+        del data["base"]["market"]["choice"][firm]["list"][0]
+        jsonio.write_json(bundle_file, data)
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 2 and report["kind"] == "InputError"
+
+        # a base that is no antichain is checked against its market's rotations
+        jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
+        good = jsonio.extendable_to_json(omega_extend(seven_base, [jc]))
+        swapped = copy.deepcopy(good)
+        rotations = swapped["base"]["rotation_poset"]["rotations"]
+        rotations[0]["plus"], rotations[1]["plus"] = rotations[1]["plus"], rotations[0]["plus"]
+        shortened = copy.deepcopy(good)
+        shortened["base"]["market"]["choice"]["w1"]["list"].pop()
+        for data, want in ((good, 0), (swapped, 2), (shortened, 2)):
+            jsonio.write_json(bundle_file, data)
+            code, report = run_cli(capsys, "enumerate", str(bundle_file))
+            assert code == want, report
+
+    def test_reduce_validates_the_antimatroid_once(self, tmp_path, capsys, monkeypatch):
+        from lattmark import antimatroids
+
+        real, calls = antimatroids.validate_antimatroid, []
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "lattmark" and getattr(module, "validate_antimatroid", None) is real:
+                monkeypatch.setattr(module, "validate_antimatroid", lambda fam: calls.append(fam) or real(fam))
+        anti_file, costs_file = tmp_path / "anti.json", tmp_path / "costs.json"
+        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in "abcd"}})
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
+        assert code == 0 and len(calls) == 1
+        assert {"name": "antimatroid-axioms", "ok": True} in report["checks"]
+
+        jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "feasible": [[], ["a"], ["b"], ["a", "b"], ["c"]]})
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
+        assert code == 2 and "outside-ground" in report["error"]
+
+    def test_directory_paths_exit_2(self, tmp_path, capsys):
+        lattice_file = tmp_path / "pentagon.json"
+        jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
+        for argv in (["synthesize", str(lattice_file), "-o", str(tmp_path)],
+                     ["synthesize", str(tmp_path), "-o", str(tmp_path / "out.json")],
+                     ["verify", str(tmp_path), str(lattice_file)],
+                     ["enumerate", str(tmp_path)]):
+            code, report = run_cli(capsys, *argv)
+            assert code == 2 and report["kind"] == "IsADirectoryError", argv
+
+    def test_negative_bounds_exit_2(self, tmp_path, capsys):
+        bundle_file = _reduction_file(tmp_path)
+        for argv in (["solve", str(bundle_file), "--bound-nodes", "-5"],
+                     ["enumerate", str(bundle_file), "--bound-nodes", "-1"],
+                     ["reduce", "anti.json", "costs.json", "-o", "out.json", "--bound-elements", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert "non-negative" in capsys.readouterr().err
+        code, report = run_cli(capsys, "solve", str(bundle_file), "--bound-nodes", "0")
+        assert code == 3 and report["kind"] == "SearchBoundExceeded"
 
     def test_malformed_files_keep_the_exit_code_contract(self, tmp_path, capsys):
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
