@@ -18,11 +18,8 @@ from .antimatroids import (
 )
 from .augment import (
     ExtendableMarket,
-    RotationJoinConstraint,
     SynthesisResult,
-    augment,
     certify_lattice,
-    derive_sets,
     omega_extend,
     project_to_base,
     project_once,
@@ -30,14 +27,9 @@ from .augment import (
     verify_extension,
 )
 from .constraints import (
-    ComplementJoinConstraint,
     JoinConstraint,
-    complement,
     constraints_from_lattice,
-    eval_join_constraint,
     filter_lower_sets,
-    satisfies_complement,
-    uncomplement,
     validate_join_constraint,
 )
 from .markets import (

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .augment import ExtendableMarket, omega_extend, project_to_base
-from .constraints import ComplementJoinConstraint, uncomplement
+from .constraints import JoinConstraint
 from .errors import InputError, InvariantError
 from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, enumerate_stable
 from .orders import set_key
@@ -114,43 +114,25 @@ def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
 
 
 def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
-    """All unions of path subsets, plus the empty set."""
-    paths = pp.path_sets()
-    out = {frozenset()}
-    for mask in range(1, 1 << len(paths)):
-        u: frozenset[str] = frozenset()
-        for i in range(len(paths)):
-            if mask >> i & 1:
-                u |= paths[i]
-        out.add(u)
-    return AntimatroidFamily.of(pp.ground, out)
+    """All unions of paths, the empty set included: the union closure, grown
+    one path at a time, so it costs O(|paths| * |family|)."""
+    family = {frozenset()}
+    for p in pp.path_sets():
+        family |= {s | p for s in family}
+    return AntimatroidFamily.of(pp.ground, family)
 
 
-def antimatroid_constraints(pp: PathPoset) -> list[ComplementJoinConstraint]:
-    """One complement constraint per ground element: the element may only be
-    present together with the full endpoint pattern of one of its paths."""
-    out = []
-    for x in pp.ground:
-        endpoint_of = pp.endpoint_of()
-        groups = []
-        for g in pp.with_endpoint(x):
-            groups.append(frozenset(endpoint_of[s] for s in pp.subpaths(g)))
-        out.append(ComplementJoinConstraint.make({x}, groups))
-    return out
-
-
-def filter_by_complements(ground: Sequence[str], constraints: Iterable[ComplementJoinConstraint]) -> list[frozenset[str]]:
-    """Brute-force the subsets of the ground set satisfying every constraint."""
-    from .constraints import satisfies_complement
-
-    cs = tuple(constraints)
-    members = sorted(ground)
-    out = []
-    for mask in range(1 << len(members)):
-        t = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-        if all(satisfies_complement(t, c) for c in cs):
-            out.append(t)
-    return sorted(out, key=set_key)
+def antimatroid_constraints(pp: PathPoset) -> list[JoinConstraint]:
+    """One join constraint per ground element x, read on the set T of
+    rotations that occurred, the ground elements outside a feasible set: if
+    every path ending at x has a subpath whose endpoint is in T, then x is
+    in T.  So x may only be feasible together with the full endpoint pattern
+    of one of its paths."""
+    endpoint_of = pp.endpoint_of()
+    return [
+        JoinConstraint.make([{endpoint_of[s] for s in pp.subpaths(g)} for g in pp.with_endpoint(x)], {x})
+        for x in pp.ground
+    ]
 
 
 def edge_id(u: str, v: str) -> str:
@@ -242,8 +224,7 @@ def reduce_to_matching(pp: PathPoset, costs: Mapping[str, int | Fraction]) -> Re
     augmentation per ground element's constraint, costs transferred onto
     base minus pairs."""
     base = antichain_base(list(pp.ground))
-    constraints = [uncomplement(c) for c in antimatroid_constraints(pp)]
-    em = omega_extend(base, constraints)
+    em = omega_extend(base, antimatroid_constraints(pp))
     pair_costs = transfer_costs(base, costs)
     return ReductionBundle(em, pair_costs, tuple(pp.ground))
 

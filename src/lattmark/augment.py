@@ -42,49 +42,11 @@ from .rotations import RealizedBase, RotationPoset, _gadget_bank, antichain_base
 
 
 @dataclass(frozen=True)
-class RotationJoinConstraint:
-    """A join constraint over rotation ids, with the agent sets it touches."""
-
-    constraint: JoinConstraint
-    f_rho: Mapping[str, frozenset[str]]
-    w_rho: Mapping[str, frozenset[str]]
-
-    @property
-    def f_alpha(self) -> frozenset[str]:
-        out: set[str] = set()
-        for fs in self.f_rho.values():
-            out |= fs
-        return frozenset(out)
-
-    @property
-    def w_beta(self) -> frozenset[str]:
-        out: set[str] = set()
-        for ws in self.w_rho.values():
-            out |= ws
-        return frozenset(out)
-
-
-def derive_sets(jc: JoinConstraint, rp: RotationPoset) -> RotationJoinConstraint:
-    """Resolve a constraint's rotation ids into firm/worker sets and validate."""
-    validate_join_constraint(jc, rp.poset)
-    f_rho = {rid: rp.rotations[rid].firms_minus() for rid in sorted(jc.alpha_ids)}
-    w_rho = {rid: rp.rotations[rid].workers_plus() for rid in sorted(jc.beta_ids)}
-    for groups in (f_rho, w_rho):
-        taken: dict[str, str] = {}
-        for rid in sorted(groups):
-            for agent in sorted(groups[rid]):
-                if agent in taken:
-                    raise OverlappingRotationAgents(taken[agent], rid, {agent})
-                taken[agent] = rid
-    return RotationJoinConstraint(jc, f_rho, w_rho)
-
-
-@dataclass(frozen=True)
 class AugmentStep:
     """The agents one augmentation adds: auxiliary worker w0#k, auxiliary
     firm f0#k and a copy w#k of each beta-side worker w."""
 
-    constraint: RotationJoinConstraint
+    constraint: JoinConstraint
     w0: str
     f0: str
     copies: tuple[str, ...]
@@ -92,14 +54,15 @@ class AugmentStep:
 
 @dataclass(frozen=True, eq=False)
 class ExtendableMarket:
-    """A one-to-one base market plus the join constraints enforced on it, in
-    order.  The other fields are derived from these two in one pass and are
-    never passed in: the grown market, the copy map (every copy and base
-    worker onto its base worker), each base firm's auxiliary pair table a_f,
-    and the steps."""
+    """A one-to-one base market plus the join constraints over its rotation
+    ids enforced on it, in order; construction rejects a constraint the base
+    does not support.  The other fields are derived from these two in one
+    pass and are never passed in: the grown market, the copy map (every copy
+    and base worker onto its base worker), each base firm's auxiliary pair
+    table a_f, and the steps."""
 
     base: RealizedBase
-    constraints: tuple[RotationJoinConstraint, ...] = ()
+    constraints: tuple[JoinConstraint, ...] = ()
     market: MatchingMarket = field(init=False, repr=False)
     copy_map: Mapping[str, str] = field(init=False, repr=False)
     a_f: Mapping[str, tuple[tuple[str, str], ...]] = field(init=False, repr=False)
@@ -127,12 +90,31 @@ def _singleton_entries(spec, agent: str) -> list[str]:
     return [next(iter(e)) for e in spec.entries]
 
 
-def _copy_list(base: RealizedBase, rjc: RotationJoinConstraint, wj: str, f0: str) -> PreferenceList:
+def _touched(jc: JoinConstraint, rp: RotationPoset) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
+    """Check a constraint against the base's rotation poset and derive the
+    agents it touches: the minus-side firms of each alpha rotation, and the
+    plus-side workers of its beta rotations.  Every id must be known, the
+    alpha ids pairwise incomparable, and no agent may belong to two alpha
+    rotations or to two beta rotations."""
+    validate_join_constraint(jc, rp.poset)
+    f_rho = {rid: rp.rotations[rid].firms_minus() for rid in sorted(jc.alpha_ids)}
+    w_rho = {rid: rp.rotations[rid].workers_plus() for rid in sorted(jc.beta_ids)}
+    for groups in (f_rho, w_rho):
+        taken: dict[str, str] = {}
+        for rid, agents in groups.items():
+            for agent in sorted(agents):
+                if agent in taken:
+                    raise OverlappingRotationAgents(taken[agent], rid, {agent})
+                taken[agent] = rid
+    return f_rho, frozenset().union(*w_rho.values())
+
+
+def _copy_list(base: RealizedBase, jc: JoinConstraint, wj: str, f0: str) -> PreferenceList:
     """A copy of beta-side worker wj prefers the auxiliary firm, then the
     tail of wj's base list from its worst plus-side firm on."""
     entries = _singleton_entries(base.market.spec(wj), wj)
     candidates = {
-        f for rid in rjc.constraint.beta_ids for f, w in base.rotation_poset.rotations[rid].plus if w == wj
+        f for rid in jc.beta_ids for f, w in base.rotation_poset.rotations[rid].plus if w == wj
     }
     missing = candidates - set(entries)
     if missing:
@@ -140,17 +122,17 @@ def _copy_list(base: RealizedBase, rjc: RotationJoinConstraint, wj: str, f0: str
     return PreferenceList.of(f0, *entries[max(entries.index(f) for f in candidates):])
 
 
-def _search_rank(rp: RotationPoset, constraints: tuple[RotationJoinConstraint, ...]) -> dict[str, int]:
+def _search_rank(rp: RotationPoset, constraints: tuple[JoinConstraint, ...]) -> dict[str, int]:
     """Each base rotation id's place in the search order: a linear extension
     of the order the single-premise constraints induce (one alpha group of
     one id, whose beta ids come first), ties broken by id.  An id left on a
     cycle of such constraints goes at the smallest id left."""
     before: dict[str, set[str]] = {rid: set() for rid in rp.ids()}
-    for rjc in constraints:
-        groups = rjc.constraint.alpha_groups
+    for jc in constraints:
+        groups = jc.alpha_groups
         if len(groups) == 1 and len(groups[0]) == 1:
             (alpha,) = groups[0]
-            before[alpha] |= rjc.constraint.beta_ids - {alpha}
+            before[alpha] |= jc.beta_ids - {alpha}
     rank: dict[str, int] = {}
     while len(rank) < len(before):
         left = [rid for rid in sorted(before) if rid not in rank]
@@ -159,8 +141,9 @@ def _search_rank(rp: RotationPoset, constraints: tuple[RotationJoinConstraint, .
     return rank
 
 
-def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -> tuple:
-    """Apply every augmentation to the base at once.
+def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
+    """Check every constraint against the base (_touched), then apply every
+    augmentation to the base at once.
 
     Step k adds w0#k, f0#k and the copies w#k, and appends (w, w0#k) to a_f
     of each minus pair (f, w) of its alpha rotations.  Each regular firm's
@@ -174,6 +157,7 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
     rules it out, not after every base worker has been placed.
     """
     m, rp = base.market, base.rotation_poset
+    touched = [_touched(jc, rp) for jc in constraints]
     choice: dict = {}
     for w in m.workers:
         _singleton_entries(m.spec(w), w)
@@ -186,26 +170,23 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
     for w in sorted(m.workers):
         segments[1 + min((rank[rid] for rid in rank if w in moved[rid]), default=-1)].append(w)
     firms, steps = list(m.firms), []
-    for k, rjc in enumerate(constraints, 1):
+    for k, (jc, (f_rho, beta_workers)) in enumerate(zip(constraints, touched), 1):
         w0, f0 = f"w0#{k}", f"f0#{k}"
-        copies = {f"{wj}#{k}": wj for wj in sorted(rjc.w_beta)}
+        copies = {f"{wj}#{k}": wj for wj in sorted(beta_workers)}
         for wc, wj in copies.items():
-            choice[wc] = _copy_list(base, rjc, wj, f0)
+            choice[wc] = _copy_list(base, jc, wj, f0)
         copy_map.update(copies)
-        for rid in sorted(rjc.constraint.alpha_ids):
+        for rid in f_rho:
             for f, w in sorted(rp.rotations[rid].minus):
                 if f not in a_f:
                     raise SpecError(f"rotation {rid!r} moves {f!r}, which is not a base firm")
                 a_f[f] += ((w, w0),)
-        rule = TriggerRule(
-            alpha_groups=rjc.constraint.alpha_groups,
-            blocks=tuple(sorted(rjc.f_rho.items())),
-        )
-        choice[w0] = Triggered(watch=rjc.f_alpha, trigger=f0, rule=rule)
+        rule = TriggerRule(alpha_groups=jc.alpha_groups, blocks=tuple(f_rho.items()))
+        choice[w0] = Triggered(watch=frozenset().union(*f_rho.values()), trigger=f0, rule=rule)
         choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
-        steps.append(AugmentStep(rjc, w0, f0, tuple(sorted(copies))))
+        steps.append(AugmentStep(jc, w0, f0, tuple(sorted(copies))))
         firms.append(f0)
-        named = rjc.constraint.alpha_ids | rjc.constraint.beta_ids
+        named = jc.alpha_ids | jc.beta_ids
         segments[1 + max((rank[rid] for rid in named), default=-1)] += [*steps[-1].copies, w0]
 
     classes: dict[str, set[str]] = {w: set() for w in m.workers}
@@ -216,11 +197,6 @@ def _grow(base: RealizedBase, constraints: tuple[RotationJoinConstraint, ...]) -
         choice[f] = Regular(tiers, a_f[f])
     market = MatchingMarket(tuple(sorted(firms)), tuple(w for seg in segments for w in seg), choice)
     return market, copy_map, a_f, tuple(steps)
-
-
-def augment(em: ExtendableMarket, rjc: RotationJoinConstraint) -> ExtendableMarket:
-    """Apply one join-constraint augmentation, returning the grown market."""
-    return ExtendableMarket(em.base, em.constraints + (rjc,))
 
 
 def project_once(em_before: ExtendableMarket, em_after: ExtendableMarket, mu: Matching) -> Matching:
@@ -257,7 +233,7 @@ def project_to_base(em: ExtendableMarket, mu: Matching, check: bool = True) -> M
 
 def omega_extend(base: RealizedBase, constraints: Iterable[JoinConstraint]) -> ExtendableMarket:
     """Augment the base by every constraint, in the given order."""
-    return ExtendableMarket(base, tuple(derive_sets(jc, base.rotation_poset) for jc in constraints))
+    return ExtendableMarket(base, tuple(constraints))
 
 
 @dataclass(frozen=True)
@@ -291,7 +267,7 @@ def _extension_checks(
     market itself is never enumerated.
     """
     base, rp = em.base, em.base.rotation_poset
-    expected = filter_lower_sets(lower_sets(rp.poset), [rjc.constraint for rjc in em.constraints])
+    expected = filter_lower_sets(lower_sets(rp.poset), em.constraints)
     extended = enumerate_stable(em.market, node_bound=node_bound)
     projected = [project_to_base(em, mu, check=False) for mu in extended]
     unstable = [p.key() for p in projected if not is_stable(base.market, p)]

@@ -17,18 +17,18 @@ from itertools import permutations
 from math import lcm
 from pathlib import Path
 
-from . import jsonio
+from . import jsonio, selftest
 from .antimatroids import (
-    AntimatroidFamily,
     PathPoset,
     compute_path_poset,
+    family_from_path_poset,
     min_cost_stable,
     reduce_to_matching,
     transfer_costs,
 )
 from .augment import certify_lattice, synthesize_from_lattice
 from .dot import antimatroid_dot, poset_dot, rotation_poset_dot
-from .errors import InputError, LattmarkError
+from .errors import EnumerationBoundExceeded, InputError, LattmarkError
 from .markets import enumerate_stable, stable_lattice
 from .orders import check_order_isomorphism
 from .rotations import extract_rotations
@@ -154,16 +154,16 @@ def cmd_rotations(args) -> int:
 def cmd_reduce(args) -> int:
     report = Report("reduce", [args.antimatroid, args.costs])
     payload = jsonio.antimatroid_from_json(jsonio.read_json(args.antimatroid))
-    if isinstance(payload, AntimatroidFamily):
-        # validates the axioms once; a violation raises InputError with its witness
-        pp = compute_path_poset(payload)
-        report.check("antimatroid-axioms", True)
-    else:
-        pp = payload
-    if len(pp.ground) > args.bound_elements:
-        from .errors import EnumerationBoundExceeded
-
-        raise EnumerationBoundExceeded(len(pp.ground), args.bound_elements)
+    if len(payload.ground) > args.bound_elements:
+        raise EnumerationBoundExceeded(len(payload.ground), args.bound_elements)
+    # A path file is checked through the family its paths generate, which
+    # must be an antimatroid whose paths are exactly the given ones.
+    fam = family_from_path_poset(payload) if isinstance(payload, PathPoset) else payload
+    # validates the axioms once; a violation raises InputError with its witness
+    pp = compute_path_poset(fam)
+    if isinstance(payload, PathPoset) and pp != payload:
+        raise InputError("antimatroid: the given paths are not the paths of the family they generate")
+    report.check("antimatroid-axioms", True)
     kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
     if kind != "ground":
         raise InputError("reduce expects ground costs")
@@ -217,8 +217,6 @@ def cmd_export_dot(args) -> int:
     elif "feasible" in data or "paths" in data:
         payload = jsonio.antimatroid_from_json(data)
         if isinstance(payload, PathPoset):
-            from .antimatroids import family_from_path_poset
-
             payload = family_from_path_poset(payload)
         text = antimatroid_dot(payload)
     elif "elements" in data:
@@ -235,8 +233,6 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import selftest
-
     return selftest.run(quick=args.quick, seed=args.seed)
 
 

@@ -277,7 +277,7 @@ def extendable_to_json(em: ExtendableMarket) -> dict:
     return {
         "v": VERSION,
         "base": realized_base_to_json(em.base),
-        "constraints": [constraint_to_json(rjc.constraint) for rjc in em.constraints],
+        "constraints": [constraint_to_json(jc) for jc in em.constraints],
     }
 
 

@@ -27,7 +27,6 @@ from lattmark import (
     compute_path_poset,
     constraints_from_lattice,
     deferred_acceptance,
-    derive_sets,
     endpoints,
     enumerate_stable,
     extract_rotations,
@@ -46,7 +45,6 @@ from lattmark import (
     synthesize_from_lattice,
     validate_antimatroid,
 )
-from lattmark.antimatroids import filter_by_complements
 from lattmark.fixtures import (
     diamond_lattice,
     four_element_antimatroid,
@@ -58,6 +56,7 @@ from lattmark.fixtures import (
 )
 from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph, random_lattice
 from lattmark.markets import MatchingMarket
+from lattmark.orders import trivial_poset
 
 from oracles import independence_number
 
@@ -172,10 +171,10 @@ def test_criterion_3_golden_instance():
 
 def test_criterion_4_worked_augmentation(worked_augmentation):
     t0 = time.monotonic()
-    base, em, jc, names = worked_augmentation
-    rjc = derive_sets(jc, base.rotation_poset)
-    assert rjc.f_alpha == frozenset({"f1", "f2", "f3", "f4", "f5"})
-    assert rjc.w_beta == frozenset({"w3", "w4", "w6", "w7"})
+    _, em, _, _ = worked_augmentation
+    (step,) = em.steps
+    assert em.market.spec(step.w0).watch == frozenset({"f1", "f2", "f3", "f4", "f5"})
+    assert {em.copy_map[c] for c in step.copies} == {"w3", "w4", "w6", "w7"}
 
     assert em.a_f == {
         "f1": (("w1", "w0#1"),),
@@ -294,6 +293,14 @@ def test_criterion_6_path_independence_suite(synthesized, worked_augmentation):
     report(6, time.monotonic() - t0, 120.0, f"{checked} distinct choice functions")
 
 
+def feasible_by_constraints(fam, pp):
+    """The ground subsets whose complement, the rotations that occurred,
+    satisfies every constraint of the reduction."""
+    ground = fam.ground_set
+    occurred = filter_lower_sets(lower_sets(trivial_poset(ground)), antimatroid_constraints(pp))
+    return {ground - t for t in occurred}
+
+
 def test_criterion_7_antimatroid_suite():
     t0 = time.monotonic()
     fam = four_element_antimatroid()
@@ -304,16 +311,14 @@ def test_criterion_7_antimatroid_suite():
     assert endpoint_of[frozenset({"a"})] == "a"
     assert endpoint_of[frozenset({"a", "c"})] == "c"
     assert endpoint_of[frozenset({"a", "c", "d"})] == "d"
-    got = filter_by_complements(fam.ground, antimatroid_constraints(pp))
-    assert set(got) == set(fam.feasible)
+    assert feasible_by_constraints(fam, pp) == set(fam.feasible)
 
     rng = random.Random(SEED)
     for _ in range(100):
         fam = random_antimatroid(rng.randint(1, 6), rng)
         assert validate_antimatroid(fam) == (True, None)
         pp = compute_path_poset(fam)
-        got = filter_by_complements(fam.ground, antimatroid_constraints(pp))
-        assert set(got) == set(fam.feasible)
+        assert feasible_by_constraints(fam, pp) == set(fam.feasible)
     report(7, time.monotonic() - t0, 120.0, "fixture plus 100 random instances")
 
 

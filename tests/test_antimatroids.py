@@ -13,19 +13,28 @@ from lattmark import (
     endpoints,
     enumerate_stable,
     family_from_path_poset,
+    filter_lower_sets,
     independent_set_antimatroid,
+    lower_sets,
     min_cost_feasible,
     min_cost_stable,
     reduce_to_matching,
-    satisfies_complement,
     transfer_costs,
     validate_antimatroid,
 )
-from lattmark.antimatroids import filter_by_complements, pair_cost
+from lattmark.antimatroids import pair_cost
 from lattmark.errors import InputError
 from lattmark.generators import random_antimatroid, random_graph
+from lattmark.orders import trivial_poset
 
 from oracles import brute_force_satisfying_subsets, independence_number
+
+
+def feasible_by_constraints(ground, cs):
+    """The subsets of the ground set whose complement, the rotations that
+    occurred, satisfies every constraint."""
+    ground = frozenset(ground)
+    return {ground - t for t in filter_lower_sets(lower_sets(trivial_poset(ground)), cs)}
 
 
 class TestValidation:
@@ -81,6 +90,12 @@ class TestPaths:
         pp = compute_path_poset(quad_antimatroid)
         assert family_from_path_poset(pp) == quad_antimatroid
 
+    def test_family_round_trip_on_random_instances(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            fam = random_antimatroid(rng.randint(1, 6), rng)
+            assert family_from_path_poset(compute_path_poset(fam)) == fam
+
     def test_feasible_sets_are_unions_of_their_path_subsets(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
         for g in quad_antimatroid.feasible:
@@ -95,8 +110,8 @@ class TestConstraints:
         pp = compute_path_poset(quad_antimatroid)
         cs = antimatroid_constraints(pp)
         assert len(cs) == len(quad_antimatroid.ground)
-        got = filter_by_complements(quad_antimatroid.ground, cs)
-        assert set(got) == set(quad_antimatroid.feasible)
+        got = feasible_by_constraints(quad_antimatroid.ground, cs)
+        assert got == set(quad_antimatroid.feasible)
         # independent brute force over all 16 subsets
         feasible = set(quad_antimatroid.feasible)
         want = brute_force_satisfying_subsets(
@@ -105,17 +120,18 @@ class TestConstraints:
         assert sorted(got, key=sorted) == sorted(want, key=sorted)
 
     def test_complement_semantics_on_fixture(self, quad_antimatroid):
+        # each constraint is read on the complement of a candidate set
         pp = compute_path_poset(quad_antimatroid)
-        (c_d,) = [c for c in antimatroid_constraints(pp) if c.beta_c_ids == frozenset({"d"})]
-        assert satisfies_complement({"a", "c", "d"}, c_d)
-        assert not satisfies_complement({"d"}, c_d)
+        (c_d,) = [c for c in antimatroid_constraints(pp) if c.beta_ids == frozenset({"d"})]
+        assert c_d.holds(frozenset("abcd") - {"a", "c", "d"})
+        assert not c_d.holds(frozenset("abcd") - {"d"})
 
     def test_element_in_no_path_is_everywhere_excluded(self):
         from lattmark.antimatroids import PathPoset
 
         pp = PathPoset.of(["x", "y"], [(frozenset({"x"}), "x")])
         cs = antimatroid_constraints(pp)
-        got = filter_by_complements(pp.ground, cs)
+        got = feasible_by_constraints(pp.ground, cs)
         assert all("y" not in t for t in got)
 
     def test_random_instances_filter_back_to_family(self):
@@ -123,8 +139,8 @@ class TestConstraints:
         for _ in range(60):
             fam = random_antimatroid(rng.randint(1, 6), rng)
             cs = antimatroid_constraints(compute_path_poset(fam))
-            got = filter_by_complements(fam.ground, cs)
-            assert set(got) == set(fam.feasible)
+            got = feasible_by_constraints(fam.ground, cs)
+            assert got == set(fam.feasible)
 
 
 class TestIndependentSetGadget:

@@ -10,12 +10,10 @@ from lattmark import (
     JoinConstraint,
     Matching,
     antichain_base,
-    augment,
     firm_order_compare,
     check_path_independence,
     choose,
     deferred_acceptance,
-    derive_sets,
     enumerate_stable,
     omega_extend,
     project_to_base,
@@ -24,7 +22,7 @@ from lattmark import (
     synthesize_from_lattice,
     verify_extension,
 )
-from lattmark.errors import AlphaArgumentsComparable, UnknownElementId
+from lattmark.errors import AlphaArgumentsComparable, OverlappingRotationAgents, UnknownElementId
 from lattmark.fixtures import boolean_lattice, diamond_lattice, hexagon_lattice, pentagon_lattice
 from lattmark.generators import all_lattices_upto, random_distributive_lattice, random_lattice
 from lattmark.orders import join_irreducibles, lattice_from_order, poset_from_pairs
@@ -38,44 +36,59 @@ from lattmark.rotations import RealizedBase, extract_rotations
 def worked(seven_base, rot_ids):
     """The seven-pair base augmented with 'rot1 and rot2 force rot3 and rot4'."""
     jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
-    rjc = derive_sets(jc, seven_base.rotation_poset)
-    em0 = ExtendableMarket(seven_base)
-    return em0, augment(em0, rjc), rjc
+    return ExtendableMarket(seven_base), omega_extend(seven_base, [jc])
+
+
+def conclusion_workers(em: ExtendableMarket) -> frozenset[str]:
+    """The base workers a one-step market copies: the plus-side workers of
+    its constraint's beta rotations."""
+    (step,) = em.steps
+    return frozenset(em.copy_map[c] for c in step.copies)
 
 
 class TestDeriveSets:
+    """Each step derives the agents its constraint touches from the base."""
+
     def test_worked_constraint_sets(self, worked):
-        _, _, rjc = worked
-        assert rjc.f_alpha == frozenset({"f1", "f2", "f3", "f4", "f5"})
-        assert rjc.w_beta == frozenset({"w3", "w4", "w6", "w7"})
+        _, em1 = worked
+        assert em1.market.spec("w0#1").watch == frozenset({"f1", "f2", "f3", "f4", "f5"})
+        assert conclusion_workers(em1) == frozenset({"w3", "w4", "w6", "w7"})
 
     def test_singleton_beta_worker_set(self, seven_base, rot_ids):
-        rjc = derive_sets(JoinConstraint.make([], {rot_ids["rot4"]}), seven_base.rotation_poset)
-        assert rjc.w_beta == frozenset({"w4", "w7"})
+        em = omega_extend(seven_base, [JoinConstraint.make([], {rot_ids["rot4"]})])
+        assert conclusion_workers(em) == frozenset({"w4", "w7"})
 
     def test_gadget_alpha_firms(self):
-        base = antichain_base(["p", "q"])
-        rjc = derive_sets(JoinConstraint.make([{"p"}], set()), base.rotation_poset)
-        assert rjc.f_alpha == frozenset({"p.f1", "p.f2"})
+        em = omega_extend(antichain_base(["p", "q"]), [JoinConstraint.make([{"p"}], set())])
+        assert em.market.spec("w0#1").watch == frozenset({"p.f1", "p.f2"})
 
     def test_comparable_alpha_arguments_rejected(self, seven_base, rot_ids):
         jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot3"]}], set())
         with pytest.raises(AlphaArgumentsComparable):
-            derive_sets(jc, seven_base.rotation_poset)
+            ExtendableMarket(seven_base, (jc,))
 
     def test_unknown_rotation_rejected(self, seven_base):
         with pytest.raises(UnknownElementId):
-            derive_sets(JoinConstraint.make([{"nope"}], set()), seven_base.rotation_poset)
+            ExtendableMarket(seven_base, (JoinConstraint.make([{"nope"}], set()),))
+
+    def test_overlapping_conclusion_agents_rejected(self, seven_base, rot_ids):
+        # rot1 and rot4 both move the plus-side worker w4
+        jc = JoinConstraint.make([], {rot_ids["rot1"], rot_ids["rot4"]})
+        with pytest.raises(OverlappingRotationAgents) as exc:
+            omega_extend(seven_base, [jc])
+        assert exc.value.witness[2] == ("w4",)
+        with pytest.raises(OverlappingRotationAgents):
+            ExtendableMarket(seven_base, (jc,))
 
 
 class TestAugment:
     def test_agent_growth(self, worked):
-        em0, em1, rjc = worked
-        assert em1.agent_count() - em0.agent_count() == 2 + len(rjc.w_beta)
+        em0, em1 = worked
+        assert em1.agent_count() - em0.agent_count() == 2 + len(conclusion_workers(em1))
         assert [(s.w0, s.f0) for s in em1.steps] == [("w0#1", "f0#1")]
 
     def test_copy_lists(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         want = {
             "w3#1": ("f0#1", "f6"),
             "w4#1": ("f0#1", "f7"),
@@ -87,7 +100,7 @@ class TestAugment:
             assert tuple(next(iter(e)) for e in entries) == firms
 
     def test_aux_pair_table(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         assert em1.a_f["f1"] == (("w1", "w0#1"),)
         assert em1.a_f["f2"] == (("w2", "w0#1"),)
         assert em1.a_f["f3"] == (("w3", "w0#1"),)
@@ -97,7 +110,7 @@ class TestAugment:
         assert em1.a_f["f7"] == ()
 
     def test_aux_worker_choice_behaviour(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         spec = em1.market.spec("w0#1")
         assert isinstance(spec, Triggered)
         # trigger joins only when no watched firm is offered
@@ -106,21 +119,21 @@ class TestAugment:
         assert choose(spec, {"f1", "f2", "f3", "f4", "f5"}) == frozenset({"f1", "f2", "f3", "f4", "f5"})
 
     def test_aux_firm_choice_behaviour(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         spec = em1.market.spec("f0#1")
         assert isinstance(spec, IfElse)
         assert choose(spec, {"w0#1", "w3#1"}) == frozenset({"w0#1"})
         assert choose(spec, {"w3#1", "w7#1"}) == frozenset({"w3#1", "w7#1"})
 
     def test_regular_firm_keeps_class_and_gains_aux(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         spec = em1.market.spec("f1")
         assert isinstance(spec, Regular)
         assert choose(spec, {"w1", "w0#1"}) == frozenset({"w1", "w0#1"})
         assert choose(spec, {"w5", "w0#1"}) == frozenset({"w5"})
 
     def test_seven_surviving_matchings(self, worked, seven_stables):
-        _, em1, _ = worked
+        _, em1 = worked
         stables = enumerate_stable(em1.market)
         assert len(stables) == 7
         projected = {project_to_base(em1, mu).pairs for mu in stables}
@@ -128,7 +141,7 @@ class TestAugment:
         assert projected == want
 
     def test_all_choice_functions_stay_path_independent(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         for agent in (*em1.market.firms, *em1.market.workers):
             ok, witness = check_path_independence(em1.market.spec(agent))
             assert ok, (agent, witness)
@@ -136,7 +149,7 @@ class TestAugment:
 
 class TestProjections:
     def test_project_once_folds_copies_and_drops_aux(self, worked, seven_stables):
-        em0, em1, _ = worked
+        em0, em1 = worked
         stables = enumerate_stable(em1.market)
         top = deferred_acceptance(em1.market, "firms")
         z = project_once(em0, em1, top)
@@ -145,11 +158,11 @@ class TestProjections:
         assert project_once(em0, em1, bottom) == seven_stables["mu1"]
 
     def test_project_once_is_identity_without_new_agents(self, worked, seven_stables):
-        em0, em1, _ = worked
+        em0, em1 = worked
         assert project_once(em0, em1, seven_stables["mu2"]) == seven_stables["mu2"]
 
     def test_project_to_base_checks_stability(self, worked):
-        _, em1, _ = worked
+        _, em1 = worked
         from lattmark.errors import ProjectionNotStable
 
         bogus = Matching.of([("f1", "w2")])
@@ -157,7 +170,7 @@ class TestProjections:
             project_to_base(em1, bogus)
 
     def test_containment_chain(self, worked):
-        em0, em1, _ = worked
+        em0, em1 = worked
         for mu2 in enumerate_stable(em1.market):
             mu1 = project_once(em0, em1, mu2)
             mu0 = project_to_base(em1, mu2)
@@ -166,7 +179,7 @@ class TestProjections:
                 assert mu0.firms_of(w) == mu1.firms_of(w)
 
     def test_projections_preserve_order(self, worked):
-        em0, em1, _ = worked
+        em0, em1 = worked
         stables = enumerate_stable(em1.market)
         for m1 in stables:
             for m2 in stables:
@@ -328,7 +341,7 @@ class TestDefaultOrderOnAugmentedMarkets:
     def test_worked_market_without_an_order_hint(self, worked):
         # lexicographic order places the auxiliary worker first, driving the
         # subset-enumeration path for triggered workers
-        _, em1, _ = worked
+        _, em1 = worked
         m = em1.market
         assert m.workers != tuple(sorted(m.workers))
         sorted_market = MatchingMarket(m.firms, tuple(sorted(m.workers)), m.choice)
@@ -379,7 +392,7 @@ class TestConstructionSearchOrder:
             em = synthesize_from_lattice(lat).extendable
             _, xj_poset = join_irreducibles(lat)
             order_cs = {JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers}
-            assert {rjc.constraint for rjc in em.constraints} == order_cs
+            assert set(em.constraints) == order_cs
             assert len(em.constraints) == len(xj_poset.covers)
 
     def test_a_16_chain_enumerates_in_few_nodes(self):

@@ -3,21 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lattmark import (
     JoinConstraint,
     canonical_partial_rep,
     check_order_isomorphism,
-    complement,
     constraints_from_lattice,
-    eval_join_constraint,
     filter_lower_sets,
     join_irreducibles,
     lower_sets,
-    satisfies_complement,
-    uncomplement,
     validate_join_constraint,
 )
 from lattmark.errors import AlphaArgumentsComparable, UnknownElementId
@@ -32,19 +26,15 @@ def hexagon_example_constraint():
 
 class TestEvaluation:
     def test_unsatisfied_on_partial_set(self):
-        a, b, sat = eval_join_constraint(hexagon_example_constraint(), {"b", "c", "d"})
-        assert (a, b, sat) == (True, False, False)
+        jc, t = hexagon_example_constraint(), frozenset({"b", "c", "d"})
+        assert (jc.alpha(t), jc.beta(t), jc.holds(t)) == (True, False, False)
 
     def test_satisfied_on_full_set(self):
-        assert eval_join_constraint(hexagon_example_constraint(), {"b", "c", "d", "e"})[2]
+        assert hexagon_example_constraint().holds(frozenset({"b", "c", "d", "e"}))
 
     def test_beta_true_makes_satisfied(self):
         jc = JoinConstraint.make([{"b"}], {"d"})
-        assert eval_join_constraint(jc, {"d"})[2]
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(UnknownElementId):
-            eval_join_constraint(hexagon_example_constraint(), {"zz"}, universe={"b", "c", "d", "e"})
+        assert jc.holds(frozenset({"d"}))
 
     def test_empty_alpha_is_true_empty_group_is_false(self):
         assert JoinConstraint.make([], set()).alpha(frozenset())
@@ -100,7 +90,7 @@ class TestGeneration:
         rep = canonical_partial_rep(hexagon)
         _, poset = join_irreducibles(hexagon)
         jc = JoinConstraint.make([{"d"}], rep["d"])
-        assert all(eval_join_constraint(jc, t)[2] for t in lower_sets(poset))
+        assert all(jc.holds(t) for t in lower_sets(poset))
 
     def test_count_bounded_by_square(self):
         rng = random.Random(9)
@@ -141,33 +131,3 @@ class TestFiltering:
             assert set(got) == set(rep.values())
             ok, witness = check_order_isomorphism(rep, lat.poset, got, lambda a, b: a <= b)
             assert ok, witness
-
-
-class TestComplement:
-    def test_example_complement(self):
-        cjc = complement(hexagon_example_constraint())
-        assert cjc.beta_c_ids == frozenset({"d", "e"})
-        assert set(cjc.alpha_c_groups) == {frozenset({"b"}), frozenset({"c"})}
-
-    def test_involution(self):
-        jc = JoinConstraint.make([{"p", "q"}, {"r"}], {"s", "t"})
-        assert uncomplement(complement(jc)) == jc
-
-    def test_empty_set_satisfies_when_beta_c_nonempty(self):
-        cjc = complement(hexagon_example_constraint())
-        assert satisfies_complement(frozenset(), cjc)
-
-    @settings(max_examples=200, derandomize=True)
-    @given(st.data())
-    def test_duality_with_the_complement_set(self, data):
-        universe = ["u1", "u2", "u3", "u4", "u5"]
-        subset = st.sets(st.sampled_from(universe))
-        groups = data.draw(st.lists(subset.filter(bool), max_size=3))
-        beta = data.draw(subset)
-        t = data.draw(subset)
-        jc = JoinConstraint.make(groups, beta)
-        cjc = complement(jc)
-        full = frozenset(universe)
-        left = eval_join_constraint(jc, t)[2]
-        right = satisfies_complement(full - frozenset(t), cjc)
-        assert left == right

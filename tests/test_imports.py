@@ -1,5 +1,6 @@
 """Every name a module imports is used in it (the package's __init__.py,
-whose imports are its public re-exports, excepted)."""
+whose imports are its public re-exports, excepted), and every package module
+imports at module level, never inside a function body."""
 
 from __future__ import annotations
 
@@ -28,3 +29,18 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").glob("*.py"))
     found = [entry for path in files for entry in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def function_local_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    return sorted({
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for fn in functions for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_imports_inside_functions():
+    files = sorted((ROOT / "src" / "lattmark").glob("*.py"))
+    found = [entry for path in files for entry in function_local_imports(path)]
+    assert not found, "imports inside a function body (move them to module level):\n" + "\n".join(found)

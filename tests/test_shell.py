@@ -518,6 +518,63 @@ class TestBundleContract:
         code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
         assert code == 2 and "outside-ground" in report["error"]
 
+    def test_reduce_checks_a_path_file(self, tmp_path, capsys):
+        anti_file, costs_file, out = tmp_path / "anti.json", tmp_path / "costs.json", str(tmp_path / "out.json")
+        jsonio.write_json(costs_file, {"v": 1, "ground": {"a": -1, "b": -5}})
+        # the one path generates {}, {a, b}: no antimatroid, and {a} is no union of paths
+        jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "paths": [{"set": ["a", "b"], "endpoint": "a"}]})
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", out)
+        assert code == 2 and "not-accessible" in report["error"]
+
+        # an antimatroid's paths with one endpoint misstated
+        data = jsonio.path_poset_to_json(compute_path_poset(four_element_antimatroid()))
+        (acd,) = [p for p in data["paths"] if p["set"] == ["a", "c", "d"]]
+        acd["endpoint"] = "c"
+        jsonio.write_json(anti_file, data)
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", out)
+        assert code == 2 and report["kind"] == "InputError" and "paths" in report["error"]
+
+    def test_path_and_feasible_files_reduce_to_the_same_bundle(self, tmp_path, capsys):
+        fam = four_element_antimatroid()
+        forms = {"feasible": jsonio.antimatroid_to_json(fam),
+                 "paths": jsonio.path_poset_to_json(compute_path_poset(fam))}
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 3, "b": -2, "c": 5, "d": -7}})
+        for flags in ([], ["--integer-costs"]):
+            bundles = []
+            for name, data in forms.items():
+                anti_file, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bundle.json"
+                jsonio.write_json(anti_file, data)
+                code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(out), *flags)
+                assert code == 0 and {"name": "antimatroid-axioms", "ok": True} in report["checks"], name
+                bundles.append(out.read_bytes())
+            assert bundles[0] == bundles[1], flags
+
+    def test_reduce_checks_the_bound_before_the_antimatroid(self, tmp_path, capsys):
+        ground = [f"x{i:02}" for i in range(21)]
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in ground}})
+        # an invalid family, and free paths that generate 2^21 sets
+        for data in ({"v": 1, "ground": ground, "feasible": [[]]},
+                     {"v": 1, "ground": ground, "paths": [{"set": [x], "endpoint": x} for x in ground]}):
+            anti_file = tmp_path / "anti.json"
+            jsonio.write_json(anti_file, data)
+            code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
+            assert code == 3 and report["kind"] == "EnumerationBoundExceeded"
+
+    def test_bundle_with_overlapping_conclusion_agents_exits_2(self, tmp_path, capsys, seven_base, rot_ids):
+        lattice_file = tmp_path / "pentagon.json"
+        jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
+        jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
+        data = jsonio.extendable_to_json(omega_extend(seven_base, [jc]))
+        # rot1 and rot4 both move the plus-side worker w4
+        data["constraints"][0]["beta"] = sorted([rot_ids["rot1"], rot_ids["rot4"]])
+        bundle_file = tmp_path / "worked.bundle.json"
+        jsonio.write_json(bundle_file, data)
+        for argv in (["enumerate", str(bundle_file)], ["verify", str(bundle_file), str(lattice_file)]):
+            code, report = run_cli(capsys, *argv)
+            assert code == 2 and report["kind"] == "OverlappingRotationAgents", argv
+
     def test_directory_paths_exit_2(self, tmp_path, capsys):
         lattice_file = tmp_path / "pentagon.json"
         jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
