@@ -209,7 +209,11 @@ def pair_cost(pair_costs: Mapping[Pair, Fraction], mu: Matching) -> Fraction:
 class ReductionBundle:
     extendable: ExtendableMarket
     pair_costs: dict[Pair, Fraction]
-    ground: tuple[str, ...]
+
+    @property
+    def ground(self) -> tuple[str, ...]:
+        """The ground set: the base's rotation ids, one per element."""
+        return self.extendable.base.rotation_poset.ids()
 
     def recover(self, mu: Matching) -> frozenset[str]:
         """Map a stable matching of the reduced market back to a ground subset:
@@ -226,7 +230,7 @@ def reduce_to_matching(pp: PathPoset, costs: Mapping[str, int | Fraction]) -> Re
     base = antichain_base(list(pp.ground))
     em = omega_extend(base, antimatroid_constraints(pp))
     pair_costs = transfer_costs(base, costs)
-    return ReductionBundle(em, pair_costs, tuple(pp.ground))
+    return ReductionBundle(em, pair_costs)
 
 
 def min_cost_stable(

@@ -38,7 +38,7 @@ from .markets import (
     is_stable,
 )
 from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_irreducibles, lower_sets, set_key
-from .rotations import RealizedBase, RotationPoset, _gadget_bank, antichain_base, matching_to_rotations
+from .rotations import RealizedBase, RotationPoset, antichain_base, matching_to_rotations
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,18 @@ class ExtendableMarket:
     ids enforced on it, in order; construction rejects a constraint the base
     does not support.  The other fields are derived from these two in one
     pass and are never passed in: the grown market, the copy map (every copy
-    and base worker onto its base worker), each base firm's auxiliary pair
-    table a_f, and the steps."""
+    and base worker onto its base worker) and the steps.  Each base firm's
+    auxiliary pair table is its Regular spec's aux_pairs."""
 
     base: RealizedBase
     constraints: tuple[JoinConstraint, ...] = ()
     market: MatchingMarket = field(init=False, repr=False)
     copy_map: Mapping[str, str] = field(init=False, repr=False)
-    a_f: Mapping[str, tuple[tuple[str, str], ...]] = field(init=False, repr=False)
     steps: tuple[AugmentStep, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         derived = _grow(self.base, self.constraints)
-        for name, value in zip(("market", "copy_map", "a_f", "steps"), derived):
+        for name, value in zip(("market", "copy_map", "steps"), derived):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -145,8 +144,9 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
     """Check every constraint against the base (_touched), then apply every
     augmentation to the base at once.
 
-    Step k adds w0#k, f0#k and the copies w#k, and appends (w, w0#k) to a_f
-    of each minus pair (f, w) of its alpha rotations.  Each regular firm's
+    Step k adds w0#k, f0#k and the copies w#k, and appends (w, w0#k) to the
+    auxiliary pair table of f for each minus pair (f, w) of its alpha
+    rotations.  Each regular firm's
     list becomes a regular choice function whose tiers are the copy classes
     of its base entries.  The market lists its workers in the enumeration's
     search order, one segment per rotation in _search_rank's order (workers
@@ -163,7 +163,7 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         _singleton_entries(m.spec(w), w)
         choice[w] = m.spec(w)
     copy_map = {w: w for w in m.workers}
-    a_f: dict[str, tuple[tuple[str, str], ...]] = {f: () for f in m.firms}
+    aux_pairs: dict[str, tuple[tuple[str, str], ...]] = {f: () for f in m.firms}
     rank = _search_rank(rp, constraints)
     segments: list[list[str]] = [[] for _ in range(len(rank) + 1)]
     moved = {rid: {w for _, w in rot.plus | rot.minus} for rid, rot in rp.rotations.items()}
@@ -178,9 +178,9 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         copy_map.update(copies)
         for rid in f_rho:
             for f, w in sorted(rp.rotations[rid].minus):
-                if f not in a_f:
+                if f not in aux_pairs:
                     raise SpecError(f"rotation {rid!r} moves {f!r}, which is not a base firm")
-                a_f[f] += ((w, w0),)
+                aux_pairs[f] += ((w, w0),)
         rule = TriggerRule(alpha_groups=jc.alpha_groups, blocks=tuple(f_rho.items()))
         choice[w0] = Triggered(watch=frozenset().union(*f_rho.values()), trigger=f0, rule=rule)
         choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
@@ -194,9 +194,9 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         classes[base_worker].add(member)
     for f in m.firms:
         tiers = tuple(frozenset(classes[w]) for w in _singleton_entries(m.spec(f), f))
-        choice[f] = Regular(tiers, a_f[f])
+        choice[f] = Regular(tiers, aux_pairs[f])
     market = MatchingMarket(tuple(sorted(firms)), tuple(w for seg in segments for w in seg), choice)
-    return market, copy_map, a_f, tuple(steps)
+    return market, copy_map, tuple(steps)
 
 
 def project_once(em_before: ExtendableMarket, em_after: ExtendableMarket, mu: Matching) -> Matching:
@@ -356,7 +356,7 @@ def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisR
     market is constructed only, never enumerated.
     """
     xj, xj_poset = join_irreducibles(lattice)
-    base = antichain_base(xj) if xj else _gadget_bank([])
+    base = antichain_base(xj)
     order_cs = sorted((JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers), key=JoinConstraint.key)
 
     def implied(jc: JoinConstraint) -> bool:

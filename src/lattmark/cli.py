@@ -68,13 +68,14 @@ class Report:
         return 0 if self.payload["outcome"] == "ok" else 4
 
 
-def _load_market_or_bundle(path: str):
+def _load_market_or_bundle(path: str, args):
+    """A bundle's base is checked under the command's --bound-nodes."""
     data = jsonio.read_json(path)
     if "extension" in data:
-        bundle = jsonio.reduction_from_json(data)
+        bundle = jsonio.reduction_from_json(data, **_bound_kwargs(args))
         return bundle.extendable.market, bundle.extendable, bundle
     if "base" in data:
-        em = jsonio.extendable_from_json(data)
+        em = jsonio.extendable_from_json(data, **_bound_kwargs(args))
         return em.market, em, None
     return jsonio.market_from_json(data), None, None
 
@@ -98,7 +99,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     report = Report("verify", [args.market, args.lattice])
-    market, em, _ = _load_market_or_bundle(args.market)
+    market, em, _ = _load_market_or_bundle(args.market, args)
     lattice = jsonio.lattice_from_json(jsonio.read_json(args.lattice))
     if em is not None:
         certificate, _ = certify_lattice(em, lattice, **_bound_kwargs(args))
@@ -128,7 +129,7 @@ def _bound_kwargs(args) -> dict:
 
 def cmd_enumerate(args) -> int:
     report = Report("enumerate", [args.market])
-    market, _, _ = _load_market_or_bundle(args.market)
+    market, _, _ = _load_market_or_bundle(args.market, args)
     ms = enumerate_stable(market, **_bound_kwargs(args))
     payload = jsonio.matchings_to_json(ms)
     if args.out:
@@ -139,7 +140,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_rotations(args) -> int:
     report = Report("rotations", [args.market])
-    market, _, _ = _load_market_or_bundle(args.market)
+    market, _, _ = _load_market_or_bundle(args.market, args)
     rp = extract_rotations(market, **_bound_kwargs(args))
     payload = jsonio.rotation_poset_to_json(rp)
     if args.out:
@@ -186,7 +187,7 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     inputs = [args.bundle] + ([args.costs] if args.costs else [])
     report = Report("solve", inputs)
-    market, _, reduction = _load_market_or_bundle(args.bundle)
+    market, _, reduction = _load_market_or_bundle(args.bundle, args)
     if args.costs:
         kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
         if kind == "ground":

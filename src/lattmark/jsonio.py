@@ -7,8 +7,9 @@ read, so a field of the wrong type or shape raises InputError, not a raw
 Python error.
 
 A bundle stores only what the construction cannot derive: the realized
-base and the join constraints enforced on it.  Loading replays the
-construction; the market and its bookkeeping are never read from a file.
+base and the join constraints enforced on it.  A gadget-bank base is stored
+as its ids alone, any other base in full.  Loading replays the construction;
+the market and its bookkeeping are never read from a file.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Any, Callable, Mapping
 from .antimatroids import AntimatroidFamily, PathPoset, ReductionBundle
 from .augment import ExtendableMarket, omega_extend
 from .constraints import JoinConstraint
-from .errors import InputError, InvariantError, UnknownElementId
+from .errors import InputError, InvariantError
 from .markets import (
+    DEFAULT_NODE_BOUND,
     ChoiceSpec,
     TriggerRule,
     IfElse,
@@ -34,7 +36,7 @@ from .markets import (
     Triggered,
 )
 from .orders import Lattice, Poset, lattice_from_order, lattice_from_tables, poset_from_pairs, set_key
-from .rotations import RealizedBase, Rotation, RotationPoset, _gadget_bank, extract_rotations
+from .rotations import RealizedBase, Rotation, RotationPoset, antichain_base, extract_rotations
 
 VERSION = 1
 
@@ -229,6 +231,10 @@ def rotation_poset_from_json(data: Mapping) -> RotationPoset:
 
 
 def realized_base_to_json(base: RealizedBase) -> dict:
+    """The gadget bank of some ids as those ids; any other base in full."""
+    ids = base.rotation_poset.ids()
+    if base == antichain_base(ids):
+        return {"v": VERSION, "gadgets": list(ids)}
     return {
         "v": VERSION,
         "market": market_to_json(base.market),
@@ -236,22 +242,22 @@ def realized_base_to_json(base: RealizedBase) -> dict:
     }
 
 
-def realized_base_from_json(data: Mapping) -> RealizedBase:
-    """The stored market and rotation poset must agree: an antichain base is
-    the gadget bank of its ids, any other base's rotation poset is the one
-    its market's stable matchings derive."""
+def realized_base_from_json(data: Mapping, node_bound: int = DEFAULT_NODE_BOUND) -> RealizedBase:
+    """A gadget bank is rebuilt from its ids.  A base stored in full must not
+    be a gadget bank, and its rotation poset must be the one its market's
+    stable matchings derive, enumerated under node_bound."""
+    if "gadgets" in _of(dict, data, "realized base"):
+        return antichain_base(_need(data, "gadgets", "realized base", _strs))
     base = RealizedBase(
         market_from_json(_need(data, "market", "realized base")),
         rotation_poset_from_json(_need(data, "rotation_poset", "realized base")),
     )
-    rp = base.rotation_poset
-    if all(a == b for a, b in rp.poset.relation):
-        agree = base == _gadget_bank(rp.ids())
-    else:
-        try:
-            agree = extract_rotations(base.market) == rp
-        except InvariantError as exc:
-            raise InputError(f"realized base: market realizes no rotation poset ({exc})") from exc
+    if base == antichain_base(base.rotation_poset.ids()):
+        raise InputError("realized base: a gadget bank is stored as its ids; re-synthesize or re-reduce this bundle")
+    try:
+        agree = extract_rotations(base.market, node_bound) == base.rotation_poset
+    except InvariantError as exc:
+        raise InputError(f"realized base: market realizes no rotation poset ({exc})") from exc
     if not agree:
         raise InputError("realized base: market and rotation poset disagree")
     return base
@@ -281,8 +287,8 @@ def extendable_to_json(em: ExtendableMarket) -> dict:
     }
 
 
-def extendable_from_json(data: Mapping) -> ExtendableMarket:
-    base = realized_base_from_json(_need(data, "base", "bundle"))
+def extendable_from_json(data: Mapping, node_bound: int = DEFAULT_NODE_BOUND) -> ExtendableMarket:
+    base = realized_base_from_json(_need(data, "base", "bundle"), node_bound)
     constraints = _need(data, "constraints", "bundle", _list)
     return omega_extend(base, [constraint_from_json(c) for c in constraints])
 
@@ -311,20 +317,15 @@ def reduction_to_json(bundle: ReductionBundle, cost_scale: int = 1) -> dict:
         "v": VERSION,
         "extension": extendable_to_json(bundle.extendable),
         "pair_costs": pair_costs_to_json(bundle.pair_costs),
-        "ground": list(bundle.ground),
     }
     if cost_scale != 1:
         out["cost_scale"] = cost_scale
     return out
 
 
-def reduction_from_json(data: Mapping) -> ReductionBundle:
-    em = extendable_from_json(_need(data, "extension", "reduction bundle"))
-    ground = tuple(_need(data, "ground", "reduction bundle", _strs))
-    unknown = sorted(set(ground) - set(em.base.rotation_poset.rotations))
-    if unknown:
-        raise UnknownElementId(unknown[0])
-    return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json), ground)
+def reduction_from_json(data: Mapping, node_bound: int = DEFAULT_NODE_BOUND) -> ReductionBundle:
+    em = extendable_from_json(_need(data, "extension", "reduction bundle"), node_bound)
+    return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json))
 
 
 # ------------------------------------------------------------- antimatroids

@@ -329,14 +329,15 @@ def is_stable(market: MatchingMarket, mu: Matching) -> bool:
     return ok and not blocking_pairs(market, mu)
 
 
-def deferred_acceptance(market: MatchingMarket, proposing: str = "firms", round_cap: int | None = None) -> Matching:
+def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Matching:
     """Cumulative-offer deferred acceptance.
 
     Each round every proposer offers its choice from the partners that have
     not rejected it; each receiver holds its choice from the offers received
     and permanently rejects the rest.  Stops when a round produces no new
-    rejection.  With path-independent choice functions the result is the
-    proposer-optimal stable matching.
+    rejection, at the latest after 4·|firms|·|workers| + 4 rounds.  With
+    path-independent choice functions the result is the proposer-optimal
+    stable matching.
     """
     if proposing == "firms":
         proposers, receivers = market.firms, market.workers
@@ -344,8 +345,7 @@ def deferred_acceptance(market: MatchingMarket, proposing: str = "firms", round_
         proposers, receivers = market.workers, market.firms
     else:
         raise InputError(f"proposing side must be 'firms' or 'workers', not {proposing!r}")
-    if round_cap is None:
-        round_cap = 4 * len(market.firms) * len(market.workers) + 4
+    round_cap = 4 * len(market.firms) * len(market.workers) + 4
     opposite = frozenset(receivers)
     rejected: dict[str, set[str]] = {p: set() for p in proposers}
     offers: dict[str, frozenset[str]] = {}
@@ -629,20 +629,15 @@ def stable_lattice(
     return lat, ms
 
 
-def check_path_independence(
-    spec: ChoiceSpec,
-    universe: Iterable[str] | None = None,
-    exhaustive_limit: int = 16,
-    samples: int = 512,
-    seed: int = 0,
-) -> tuple[bool, tuple | None]:
-    """Verify substitutability and consistency over the relevant universe.
+def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tuple[bool, tuple | None]:
+    """Verify substitutability and consistency over the spec's universe.
 
     Exhaustive when the universe has at most exhaustive_limit members (the
     one-element-removal forms of both properties, which imply the general
-    ones by induction); deterministic random sampling otherwise.
+    ones by induction); otherwise 512 subsets drawn by a random generator
+    seeded with 0, so the verdict is deterministic.
     """
-    u = sorted(spec_universe(spec) if universe is None else universe)
+    u = sorted(spec_universe(spec))
     n = len(u)
 
     def check_one(s: frozenset[str], chosen: frozenset[str], lookup) -> tuple | None:
@@ -666,8 +661,8 @@ def check_path_independence(
                 return False, witness
         return True, None
 
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(0)
+    for _ in range(512):
         s = frozenset(x for x in u if rng.random() < 0.5)
         witness = check_one(s, choose(spec, s), lambda t: choose(spec, t))
         if witness:

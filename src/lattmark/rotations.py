@@ -83,17 +83,13 @@ def gadget_agents(element: str) -> tuple[str, str, str, str]:
 
 
 def antichain_base(ids: Sequence[str]) -> RealizedBase:
-    """One swap gadget per id: two stable matchings each, one rotation each,
-    rotations mutually incomparable, rotation ids equal to the input ids."""
+    """The gadget bank: one swap gadget per id, two stable matchings each,
+    one rotation each, rotations mutually incomparable, rotation ids equal
+    to the input ids.  No ids give the empty market, whose one stable
+    matching is empty."""
     ids = list(ids)
-    if not ids:
-        raise InputError("antichain_base requires a nonempty id list")
     if len(set(ids)) != len(ids):
         raise DuplicateId(sorted(i for i in ids if ids.count(i) > 1)[0])
-    return _gadget_bank(ids)
-
-
-def _gadget_bank(ids: Sequence[str]) -> RealizedBase:
     firms: list[str] = []
     workers: list[str] = []
     choice: dict[str, PreferenceList] = {}

@@ -176,7 +176,7 @@ def test_criterion_4_worked_augmentation(worked_augmentation):
     assert em.market.spec(step.w0).watch == frozenset({"f1", "f2", "f3", "f4", "f5"})
     assert {em.copy_map[c] for c in step.copies} == {"w3", "w4", "w6", "w7"}
 
-    assert em.a_f == {
+    assert {f: em.market.spec(f).aux_pairs for f in em.base.market.firms} == {
         "f1": (("w1", "w0#1"),),
         "f2": (("w2", "w0#1"),),
         "f3": (("w3", "w0#1"),),

@@ -101,13 +101,14 @@ class TestAugment:
 
     def test_aux_pair_table(self, worked):
         _, em1 = worked
-        assert em1.a_f["f1"] == (("w1", "w0#1"),)
-        assert em1.a_f["f2"] == (("w2", "w0#1"),)
-        assert em1.a_f["f3"] == (("w3", "w0#1"),)
-        assert em1.a_f["f4"] == (("w4", "w0#1"),)
-        assert em1.a_f["f5"] == (("w5", "w0#1"),)
-        assert em1.a_f["f6"] == ()
-        assert em1.a_f["f7"] == ()
+        aux_pairs = {f: em1.market.spec(f).aux_pairs for f in em1.base.market.firms}
+        assert aux_pairs["f1"] == (("w1", "w0#1"),)
+        assert aux_pairs["f2"] == (("w2", "w0#1"),)
+        assert aux_pairs["f3"] == (("w3", "w0#1"),)
+        assert aux_pairs["f4"] == (("w4", "w0#1"),)
+        assert aux_pairs["f5"] == (("w5", "w0#1"),)
+        assert aux_pairs["f6"] == ()
+        assert aux_pairs["f7"] == ()
 
     def test_aux_worker_choice_behaviour(self, worked):
         _, em1 = worked

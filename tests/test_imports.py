@@ -1,11 +1,17 @@
 """Every name a module imports is used in it (the package's __init__.py,
 whose imports are its public re-exports, excepted), and every package module
-imports at module level, never inside a function body."""
+imports at module level, never inside a function body; and every function
+the benchmark's per-layer metrics name exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
+
+from lattmark import markets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +50,17 @@ def test_no_imports_inside_functions():
     files = sorted((ROOT / "src" / "lattmark").glob("*.py"))
     found = [entry for path in files for entry in function_local_imports(path)]
     assert not found, "imports inside a function body (move them to module level):\n" + "\n".join(found)
+
+
+def test_benchmark_per_layer_names_resolve():
+    """The traced benchmark wraps each function its per-layer metrics name,
+    and reads check_path_independence's exhaustive_limit default."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    functions = [n.split(".")[:2] for n in names if n.count(".") == 2 and n.endswith((".calls", ".self_s"))]
+    missing = [
+        f"{layer}.{name}" for layer, name in functions
+        if getattr(getattr(importlib.import_module(f"lattmark.{layer}"), name, None), "__module__", None)
+        != f"lattmark.{layer}"
+    ]
+    assert functions and not missing, missing
+    assert "exhaustive_limit" in inspect.signature(markets.check_path_independence).parameters

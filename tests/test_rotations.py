@@ -64,9 +64,11 @@ class TestAntichainBase:
         with pytest.raises(DuplicateId):
             antichain_base(["p", "p"])
 
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            antichain_base([])
+    def test_empty_bank_has_no_agents_and_one_stable_matching(self):
+        base = antichain_base([])
+        assert base.market.firms == base.market.workers == ()
+        assert base.rotation_poset.ids() == ()
+        assert enumerate_stable(base.market) == [Matching(frozenset())]
 
     def test_declared_rotations_match_extraction(self):
         base = antichain_base(["p", "q", "r"])

@@ -13,7 +13,7 @@ from lattmark import lattice_from_order, poset_from_pairs, synthesize_from_latti
 from lattmark import cli, jsonio, markets
 from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
-from lattmark.errors import InputError
+from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.fixtures import (
     diamond_lattice,
     four_element_antimatroid,
@@ -22,7 +22,28 @@ from lattmark.fixtures import (
     seven_pair_market,
 )
 from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
-from lattmark.rotations import extract_rotations
+from lattmark.orders import Poset
+from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
+
+
+def _swap_gadgets(*gadgets):
+    """A one-to-one market of 2x2 swap gadgets, one per (f1, f2, w1, w2),
+    and its rotation poset, built without enumeration: the antichain of the
+    gadgets' swaps r1, r2, ..."""
+    choice, rotations = {}, {}
+    for k, (f1, f2, w1, w2) in enumerate(gadgets, 1):
+        choice.update({f1: PreferenceList.of(w2, w1), f2: PreferenceList.of(w1, w2),
+                       w1: PreferenceList.of(f1, f2), w2: PreferenceList.of(f2, f1)})
+        rotations[f"r{k}"] = Rotation(f"r{k}", frozenset({(f1, w2), (f2, w1)}), frozenset({(f1, w1), (f2, w2)}))
+    market = MatchingMarket(
+        tuple(sorted(a for g in gadgets for a in g[:2])), tuple(sorted(a for g in gadgets for a in g[2:])), choice
+    )
+    ids = tuple(sorted(rotations))
+    worker_optimal = Matching(frozenset().union(*(r.minus for r in rotations.values())))
+    return market, RotationPoset(Poset(ids, frozenset((i, i) for i in ids)), rotations, worker_optimal)
+
+
+AB_GADGETS = (("A1", "A2", "x1", "x2"), ("B1", "B2", "y1", "y2"))
 
 
 class TestJsonRoundTrips:
@@ -61,17 +82,25 @@ class TestJsonRoundTrips:
 
     def test_extendable_bundle(self, seven_base, rot_ids):
         jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
-        em = omega_extend(seven_base, [jc])
-        data = jsonio.extendable_to_json(em)
-        assert set(data) == {"v", "base", "constraints"}
-        again = jsonio.extendable_from_json(data)
-        assert again == em
-        assert again.market == em.market
+        ab, _ = _swap_gadgets(*AB_GADGETS)
+        full, ids = {"v", "market", "rotation_poset"}, {"v", "gadgets"}
+        # a gadget bank is stored as its ids, any other base in full
+        for em, base_keys in ((omega_extend(seven_base, [jc]), full),
+                              (omega_extend(RealizedBase(ab, extract_rotations(ab)), []), full),
+                              (omega_extend(antichain_base(["p", "q"]), [JoinConstraint.make([{"q"}], {"p"})]), ids)):
+            data = jsonio.extendable_to_json(em)
+            assert set(data) == {"v", "base", "constraints"}
+            assert set(data["base"]) == base_keys
+            again = jsonio.extendable_from_json(data)
+            assert again == em
+            assert again.market == em.market
 
     def test_reduction_bundle(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
         bundle = reduce_to_matching(pp, {x: -2 for x in quad_antimatroid.ground})
         data = jsonio.reduction_to_json(bundle)
+        assert set(data) == {"v", "extension", "pair_costs"}
+        assert data["extension"]["base"] == {"v": 1, "gadgets": ["a", "b", "c", "d"]}
         again = jsonio.reduction_from_json(data)
         assert again.extendable == bundle.extendable
         assert again.pair_costs == bundle.pair_costs
@@ -188,6 +217,15 @@ class TestCli:
 
         code, report = run_cli(capsys, "solve", str(bundle_file), "--sense", "max")
         assert code == 0 and report["value"] == [0, 1]
+
+        # the one-set antimatroid reduces to the empty market
+        jsonio.write_json(anti_file, {"v": 1, "ground": [], "feasible": [[]]})
+        jsonio.write_json(costs_file, {"v": 1, "ground": {}})
+        for flags in ([], ["--integer-costs"]):
+            code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(bundle_file), *flags)
+            assert (code, report["agents"], report["ground"]) == (0, 0, []), flags
+            code, report = run_cli(capsys, "solve", str(bundle_file))
+            assert (code, report["value"], report["recovered_set"]) == (0, [0, 1], []), flags
 
     def test_export_dot(self, tmp_path, capsys):
         lattice_file = tmp_path / "hexagon.json"
@@ -445,6 +483,16 @@ class TestBundleContract:
         code, report = run_cli(capsys, "solve", str(bundle_file))
         assert code == 2 and "constraints" in report["error"]
 
+        # an older bundle stores its gadget bank in full
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        data = json.loads(bundle_file.read_text())
+        base = antichain_base(data["base"]["gadgets"])
+        data["base"] = {"v": 1, "market": jsonio.market_to_json(base.market),
+                        "rotation_poset": jsonio.rotation_poset_to_json(base.rotation_poset)}
+        jsonio.write_json(bundle_file, data)
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 2 and "gadget bank" in report["error"]
+
     def test_stored_derived_fields_are_ignored(self, tmp_path, capsys):
         junk = {
             "market": jsonio.market_to_json(seven_pair_market()),
@@ -453,8 +501,9 @@ class TestBundleContract:
         bundle_file = _reduction_file(tmp_path)
         _, want = run_cli(capsys, "solve", str(bundle_file))
         data = json.loads(bundle_file.read_text())
-        assert not set(junk) & set(data["extension"])
+        assert not set(junk) & set(data["extension"]) and "ground" not in data
         data["extension"].update(junk)
+        data["ground"] = ["b", "c", "d"]  # no feasible set of the antimatroid
         jsonio.write_json(bundle_file, data)
         _, got = run_cli(capsys, "solve", str(bundle_file))
         assert (got["value"], got["matching"], got["recovered_set"]) == (
@@ -480,14 +529,16 @@ class TestBundleContract:
 
     def test_tampered_base_exits_2(self, tmp_path, capsys, seven_base, rot_ids):
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
-        data = json.loads(bundle_file.read_text())
-        firm = data["base"]["market"]["firms"][0]
-        del data["base"]["market"]["choice"][firm]["list"][0]
-        jsonio.write_json(bundle_file, data)
-        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
-        assert code == 2 and report["kind"] == "InputError"
+        good = json.loads(bundle_file.read_text())
+        assert good["base"]["gadgets"] == ["p", "q1", "q2"]
+        for gadgets, kind in ((["p", "q2"], "UnknownElementId"), (["p", "q1", "q1", "q2"], "DuplicateId")):
+            data = copy.deepcopy(good)
+            data["base"]["gadgets"] = gadgets
+            jsonio.write_json(bundle_file, data)
+            code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+            assert (code, report["kind"]) == (2, kind), gadgets
 
-        # a base that is no antichain is checked against its market's rotations
+        # a base stored in full is checked against its market's rotations
         jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
         good = jsonio.extendable_to_json(omega_extend(seven_base, [jc]))
         swapped = copy.deepcopy(good)
@@ -495,10 +546,21 @@ class TestBundleContract:
         rotations[0]["plus"], rotations[1]["plus"] = rotations[1]["plus"], rotations[0]["plus"]
         shortened = copy.deepcopy(good)
         shortened["base"]["market"]["choice"]["w1"]["list"].pop()
-        for data, want in ((good, 0), (swapped, 2), (shortened, 2)):
+        # an antichain base that is no gadget bank
+        ab, _ = _swap_gadgets(*AB_GADGETS)
+        ab_bundle = jsonio.extendable_to_json(omega_extend(RealizedBase(ab, extract_rotations(ab)), []))
+        for data, want in ((good, (0, 7)), (ab_bundle, (0, 4)), (swapped, (2, None)), (shortened, (2, None))):
             jsonio.write_json(bundle_file, data)
             code, report = run_cli(capsys, "enumerate", str(bundle_file))
-            assert code == want, report
+            assert (code, report.get("count")) == want, report
+
+    def test_a_base_stored_in_full_is_checked_under_the_node_bound(self):
+        # 2^10 stable matchings; unbounded, extract_rotations takes minutes
+        market, rp = _swap_gadgets(*((f"F{i}", f"G{i}", f"x{i}", f"y{i}") for i in range(10)))
+        data = jsonio.extendable_to_json(omega_extend(RealizedBase(market, rp), []))
+        assert set(data["base"]) == {"v", "market", "rotation_poset"}
+        with pytest.raises(SearchBoundExceeded):
+            jsonio.extendable_from_json(data, node_bound=100)
 
     def test_reduce_validates_the_antimatroid_once(self, tmp_path, capsys, monkeypatch):
         from lattmark import antimatroids
@@ -597,7 +659,7 @@ class TestBundleContract:
         code, report = run_cli(capsys, "solve", str(bundle_file), "--bound-nodes", "0")
         assert code == 3 and report["kind"] == "SearchBoundExceeded"
 
-    def test_malformed_files_keep_the_exit_code_contract(self, tmp_path, capsys):
+    def test_malformed_files_keep_the_exit_code_contract(self, tmp_path, capsys, seven_base, rot_ids):
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
         reduction_file = _reduction_file(tmp_path)
         costs_file = tmp_path / "costs.json"
@@ -608,6 +670,11 @@ class TestBundleContract:
             (reduction_file, ["solve", str(mutated), "--bound-nodes", "2000"]),
             (reduction_file, ["solve", str(mutated), str(costs_file), "--bound-nodes", "2000"]),
         ])
+        # a base stored in full: its market and rotation poset are checked on load
+        jc = JoinConstraint.make([{rot_ids["rot1"]}, {rot_ids["rot2"]}], {rot_ids["rot3"], rot_ids["rot4"]})
+        general_file = tmp_path / "worked.bundle.json"
+        jsonio.write_json(general_file, jsonio.extendable_to_json(omega_extend(seven_base, [jc])))
+        _sweep_mutations(capsys, mutated, [(general_file, ["enumerate", str(mutated), "--bound-nodes", "2000"])])
 
     def test_malformed_inputs_of_every_command_keep_the_exit_code_contract(self, tmp_path, capsys):
         labels = ["c0", "c1", "c2"]
