@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .augment import ExtendableMarket, omega_extend, project_to_base
@@ -192,7 +193,11 @@ def min_cost_feasible(
 def transfer_costs(base: RealizedBase, costs: Mapping[str, int | Fraction]) -> dict[Pair, Fraction]:
     """Spread each ground element's cost evenly over the minus pairs of its
     rotation, the rotation of the same id; all other pairs cost zero (left
-    implicit)."""
+    implicit).  A cost for an element outside the ground set is an
+    InputError."""
+    unknown = sorted(set(costs) - set(base.rotation_poset.rotations))
+    if unknown:
+        raise InputError(f"costs name elements outside the ground set: {unknown}")
     out: dict[Pair, Fraction] = {}
     for x, rot in sorted(base.rotation_poset.rotations.items()):
         share = Fraction(costs.get(x, 0), len(rot.minus))
@@ -205,10 +210,20 @@ def pair_cost(pair_costs: Mapping[Pair, Fraction], mu: Matching) -> Fraction:
     return sum((pair_costs.get(p, Fraction(0)) for p in mu.pairs), Fraction(0))
 
 
+def _check_pairs(market: MatchingMarket, pair_costs: Mapping[Pair, Fraction]) -> None:
+    """Every costed pair is a firm and a worker of the market."""
+    for f, w in sorted(pair_costs):
+        if f not in market.firm_set or w not in market.worker_set:
+            raise InputError(f"pair cost ({f!r}, {w!r}) names an agent outside the market")
+
+
 @dataclass(frozen=True)
 class ReductionBundle:
     extendable: ExtendableMarket
     pair_costs: dict[Pair, Fraction]
+
+    def __post_init__(self):
+        _check_pairs(self.extendable.market, self.pair_costs)
 
     @property
     def ground(self) -> tuple[str, ...]:
@@ -239,16 +254,22 @@ def min_cost_stable(
     sense: str = "min",
     node_bound: int = DEFAULT_NODE_BOUND,
 ) -> tuple[Matching, Fraction]:
-    """Exhaustive optimum of a pair-cost function over the stable matchings."""
+    """Exhaustive optimum of a pair-cost function over the stable matchings;
+    ties go to the canonically first matching.  The costs are scaled once by
+    the lcm of their denominators, so each matching is costed and compared
+    as an exact int; the optimum is returned as that int over the scale."""
     if sense not in ("min", "max"):
         raise InputError(f"sense must be 'min' or 'max', not {sense!r}")
+    _check_pairs(market, pair_costs)
+    scale = lcm(*(v.denominator for v in pair_costs.values()))
+    scaled = {p: v.numerator * (scale // v.denominator) for p, v in pair_costs.items() if v}
     sign = 1 if sense == "min" else -1
     best = None
     best_val = None
     for mu in enumerate_stable(market, node_bound=node_bound):
-        val = pair_cost(pair_costs, mu)
-        if best_val is None or sign * val < sign * best_val:
+        val = sign * sum(c for p, c in scaled.items() if p in mu.pairs)
+        if best_val is None or val < best_val:
             best, best_val = mu, val
     if best is None:
         raise InvariantError("no stable matchings found")
-    return best, best_val
+    return best, Fraction(sign * best_val, scale)

@@ -308,6 +308,8 @@ def pair_costs_from_json(rows, where: str = "pair costs") -> dict:
         f, w, num, den = _str(row[0], where), _str(row[1], where), _int(row[2], where), _int(row[3], where)
         if den == 0:
             raise InputError(f"{where}: zero denominator for ({f!r}, {w!r})")
+        if (f, w) in out:
+            raise InputError(f"{where}: two rows for the pair ({f!r}, {w!r})")
         out[(f, w)] = Fraction(num, den)
     return out
 

@@ -418,6 +418,78 @@ class _Dead(Exception):
     pass
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# A candidate scan stores its evaluations in the memo only when the worker's
+# universe has at most this many partners, so at most 2^16 entries an agent.
+# A larger scan (a triggered worker scans up to 2^25 subsets) reads the memo
+# but stores nothing, and the memo keeps to the offers the search makes.
+_SCAN_MEMO_LIMIT = 16
+
+
+class _Masks:
+    """One market's agents as bit positions, firms and workers each counted
+    from 0 in declared order, and a memo per agent from offer mask to choice
+    mask.  A miss decodes the offer and evaluates the spec's own choose
+    through choose(), so each family's semantics stay defined once, over
+    frozensets.  firm_choice[i] and worker_choice[j] are the memoised choice
+    functions, memo[agent] their tables; acceptable[j] lists (i, 1 << i) for
+    the firms in worker j's universe, in firm order."""
+
+    def __init__(self, market: MatchingMarket):
+        self.firm_bit = {f: 1 << i for i, f in enumerate(market.firms)}
+        self.worker_bit = {w: 1 << j for j, w in enumerate(market.workers)}
+        self.memo: dict[str, dict[int, int]] = {a: {} for a in (*market.firms, *market.workers)}
+        self.firm_choice = [self._memo(market.spec(f), market.workers, self.worker_bit, self.memo[f])
+                            for f in market.firms]
+        self.worker_choice = [self._memo(market.spec(w), market.firms, self.firm_bit, self.memo[w])
+                              for w in market.workers]
+        self.acceptable = [
+            [(i, 1 << i) for i, f in enumerate(market.firms) if f in spec_universe(market.spec(w))]
+            for w in market.workers
+        ]
+
+    @staticmethod
+    def _memo(spec: ChoiceSpec, names: Sequence[str], bit: Mapping[str, int], table: dict[int, int]):
+        def chosen(offer: int, store: bool = True) -> int:
+            out = table.get(offer)
+            if out is None:
+                out = 0
+                for x in choose(spec, [names[i] for i in _bits(offer)]):
+                    out |= bit[x]
+                if store:
+                    table[offer] = out
+            return out
+
+        return chosen
+
+    def stable(self, assigned: Sequence[int], hold: Sequence[int]) -> bool:
+        """Stability of the matching in which worker j holds the firm mask
+        assigned[j] and firm i the worker mask hold[i]: individual
+        rationality on both sides and no blocking pair, as is_stable."""
+        firm_choice, worker_choice = self.firm_choice, self.worker_choice
+        for i, held in enumerate(hold):
+            if held and firm_choice[i](held) != held:
+                return False
+        for j, own in enumerate(assigned):
+            w_choice = worker_choice[j]
+            if own and w_choice(own) != own:
+                return False
+            wb = 1 << j
+            for i, fb in self.acceptable[j]:
+                if not own & fb and w_choice(own | fb) & fb and firm_choice[i](hold[i] | wb) & wb:
+                    return False
+        return True
+
+
 def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> list[Matching]:
     """Exhaustive, exact enumeration of all stable matchings.
 
@@ -434,6 +506,12 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     change the node count by orders of magnitude: a constructed market lists
     its workers in the order its construction is searched fastest in.
 
+    The search runs on int masks (_Masks): partner sets are bit masks and
+    every choice goes through a per-agent memo, so the search evaluates each
+    distinct offer once (a candidate scan over more than _SCAN_MEMO_LIMIT
+    partners stores nothing).  Only leaves that pass the stability check
+    become Matching objects.
+
     Assumes path-independent choice functions, like deferred acceptance; the
     two deferred-acceptance anchors are stability-checked up front as a
     guard.  The output is canonically sorted.
@@ -447,24 +525,31 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
                 "choice functions are not path-independent"
             )
 
-    order = market.workers
-    specs = {a: market.spec(a) for a in (*market.firms, *market.workers)}
-    acceptable = {w: spec_universe(specs[w]) for w in market.workers}
-    interested: dict[str, list[str]] = {f: [] for f in market.firms}
-    for w in market.workers:
-        for f in acceptable[w]:
-            interested[f].append(w)
-    triggered = frozenset(w for w in order if isinstance(specs[w], Triggered))
-    rem_any = {f: len(interested[f]) for f in market.firms}
-    rem_reg = {f: sum(1 for w in interested[f] if w not in triggered) for f in market.firms}
+    firms, workers = market.firms, market.workers
+    masks = _Masks(market)
+    firm_bit, firm_choice, worker_choice, acceptable = (
+        masks.firm_bit, masks.firm_choice, masks.worker_choice, masks.acceptable)
+    specs = [market.spec(w) for w in workers]
 
-    def keep(w: str, cand: frozenset[str]) -> bool:
-        sp = specs[w]
-        if choose(sp, cand) != cand:
-            return False
-        best = worker_optimal.firms_of(w)
-        worst = mu_f.firms_of(w)
-        return choose(sp, cand | best) == best and choose(sp, worst | cand) == cand
+    def firm_mask(names: Iterable[str]) -> int:
+        return sum(firm_bit[f] for f in names)
+
+    best = [firm_mask(worker_optimal.firms_of(w)) for w in workers]
+    worst = [firm_mask(mu_f.firms_of(w)) for w in workers]
+    interested: list[list[int]] = [[] for _ in firms]
+    for j in range(len(workers)):
+        for i, _ in acceptable[j]:
+            interested[i].append(j)
+    triggered = [isinstance(sp, Triggered) for sp in specs]
+    regular_workers = sum(1 << j for j in range(len(workers)) if not triggered[j])
+    rem_any = [len(ws) for ws in interested]
+    rem_reg = [sum(1 for j in ws if not triggered[j]) for ws in interested]
+    settles = [isinstance(market.spec(f), (Regular, IfElse)) for f in firms]
+
+    def keep(j: int, cand: int, store: bool = True) -> bool:
+        ch = worker_choice[j]
+        return (ch(cand, store) == cand and ch(cand | best[j], store) == best[j]
+                and ch(worst[j] | cand, store) == cand)
 
     # Structural fact about if-else firms whose fallback workers all list the
     # firm first: a stable matching matches either all of them or none of
@@ -472,12 +557,13 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     # worker is held the firm keeps only it, breaking the first one's
     # individual rationality; otherwise the firm demands the away worker,
     # which demands the firm back as its first choice, a blocking pair.)
-    ifelse_groups: list[tuple[str, frozenset[str]]] = []
-    member_groups: dict[str, list[int]] = {}
-    for f in market.firms:
-        f_spec = specs[f]
+    group_firm: list[int] = []
+    member_groups: dict[int, list[int]] = {}
+    worker_index = {w: j for j, w in enumerate(workers)}
+    for i, f in enumerate(firms):
+        f_spec = market.spec(f)
         if isinstance(f_spec, IfElse) and f_spec.else_set:
-            members = f_spec.else_set
+            members = [worker_index[e] for e in f_spec.else_set]
             if all(
                 isinstance(specs[e], PreferenceList)
                 and specs[e].entries
@@ -485,69 +571,73 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
                 for e in members
             ):
                 for e in members:
-                    member_groups.setdefault(e, []).append(len(ifelse_groups))
-                ifelse_groups.append((f, members))
-    group_at = [0] * len(ifelse_groups)
-    group_away = [0] * len(ifelse_groups)
+                    member_groups.setdefault(e, []).append(len(group_firm))
+                group_firm.append(1 << i)
+    group_at = [0] * len(group_firm)
+    group_away = [0] * len(group_firm)
 
-    hold: dict[str, set[str]] = {f: set() for f in market.firms}
-    assigned: dict[str, frozenset[str]] = {}
+    hold = [0] * len(firms)
+    assigned = [0] * len(workers)
+    assigned_at: list[list[int]] = [[] for _ in workers]  # the bit positions of assigned[j]
     results: list[Matching] = []
     nodes = 0
 
-    def triggered_forced(w: str, sp: Triggered) -> list[frozenset[str]]:
+    def triggered_forced(j: int) -> list[tuple[int, list[int]]]:
         # Sound only once every firm in the universe has its full regular
         # offer pool: the mutual-demand set is then the only assignment that
         # can survive individual rationality plus blocking checks.
-        cand = set()
-        for f in sorted(sp.watch):
-            if w in choose(specs[f], frozenset(hold[f]) | {w}):
-                cand.add(f)
-        t = sp.trigger
-        with_trigger = frozenset(cand | {t})
-        if t in choose(sp, with_trigger) and w in choose(specs[t], frozenset(hold[t]) | {w}):
-            cand.add(t)
-        c = frozenset(cand)
-        return [c] if keep(w, c) else []
+        sp = specs[j]
+        wb = 1 << j
+        cand = 0
+        for f in sp.watch:
+            fb = firm_bit[f]
+            i = fb.bit_length() - 1
+            if firm_choice[i](hold[i] | wb) & wb:
+                cand |= fb
+        tb = firm_bit[sp.trigger]
+        t = tb.bit_length() - 1
+        if worker_choice[j](cand | tb) & tb and firm_choice[t](hold[t] | wb) & wb:
+            cand |= tb
+        return [(cand, _bits(cand))] if keep(j, cand) else []
 
-    def settled(f: str) -> bool:
+    def settled(i: int) -> bool:
         # A firm's demand for an auxiliary worker is fixed for the rest of a
         # live branch once its offer pool is complete, or once it holds some
         # regular worker: a later arrival could only alter the tier winner by
         # displacing that worker, killing the branch at that point.
-        f_spec = specs[f]
-        if not isinstance(f_spec, (Regular, IfElse)):
-            return False
-        if rem_reg[f] == 0:
-            return True
-        return any(w2 not in triggered for w2 in hold[f])
+        return settles[i] and (rem_reg[i] == 0 or bool(hold[i] & regular_workers))
 
-    # keep(w, .) depends only on w and the two anchors, so a worker's kept
-    # candidates are computed on its first visit and reused.
-    kept: dict[str, list[frozenset[str]]] = {}
+    # keep(j, .) depends only on j and the two anchors, so a worker's kept
+    # candidates are computed on its first visit and reused.  A candidate is
+    # its firm mask with the positions of its bits.
+    kept: dict[int, list[tuple[int, list[int]]]] = {}
 
-    def candidates(w: str) -> list[frozenset[str]]:
-        if w in triggered and all(settled(f) for f in acceptable[w]):
-            return triggered_forced(w, specs[w])
-        if w not in kept:
-            kept[w] = sorted((s for s in specs[w].candidates() if keep(w, s)), key=set_key)
-        return kept[w]
+    def candidates(j: int) -> list[tuple[int, list[int]]]:
+        if triggered[j] and all(settled(i) for i, _ in acceptable[j]):
+            return triggered_forced(j)
+        if j not in kept:
+            store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
+            found = (s for s in specs[j].candidates() if keep(j, firm_mask(s), store))
+            kept[j] = [(firm_mask(s), _bits(firm_mask(s))) for s in sorted(found, key=set_key)]
+        return kept[j]
 
-    def place(w: str, cand: frozenset[str]) -> None:
-        assigned[w] = cand
-        for f in cand:
-            hold[f].add(w)
+    def place(j: int, cand: int, held_by: list[int]) -> None:
+        assigned[j] = cand
+        assigned_at[j] = held_by
+        wb = 1 << j
+        for i in held_by:
+            hold[i] |= wb
         newly_final = []
-        is_reg = w not in triggered
-        for f in acceptable[w]:
-            rem_any[f] -= 1
+        is_reg = not triggered[j]
+        for i, _ in acceptable[j]:
+            rem_any[i] -= 1
             if is_reg:
-                rem_reg[f] -= 1
-            if rem_any[f] == 0:
-                newly_final.append(f)
+                rem_reg[i] -= 1
+            if rem_any[i] == 0:
+                newly_final.append(i)
         dead = False
-        for gi in member_groups.get(w, ()):
-            if ifelse_groups[gi][0] in cand:
+        for gi in member_groups.get(j, ()):
+            if cand & group_firm[gi]:
                 group_at[gi] += 1
             else:
                 group_away[gi] += 1
@@ -555,55 +645,53 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
                 dead = True
         if dead:
             raise _Dead
-        for f in cand:
-            cur = frozenset(hold[f])
-            if choose(specs[f], cur) != cur:
+        for i in held_by:
+            if firm_choice[i](hold[i]) != hold[i]:
                 raise _Dead
-        for f in newly_final:
-            pool = frozenset(hold[f])
-            f_spec = specs[f]
-            for w2 in interested[f]:
-                if f in assigned[w2]:
-                    continue
-                if f in choose(specs[w2], assigned[w2] | {f}) and w2 in choose(f_spec, pool | {w2}):
+        for i in newly_final:
+            pool, fb, f_choice = hold[i], 1 << i, firm_choice[i]
+            for j2 in interested[i]:
+                own, wb2 = assigned[j2], 1 << j2
+                if not own & fb and worker_choice[j2](own | fb) & fb and f_choice(pool | wb2) & wb2:
                     raise _Dead
 
-    def unplace(w: str, cand: frozenset[str]) -> None:
-        del assigned[w]
-        for f in cand:
-            hold[f].discard(w)
-        is_reg = w not in triggered
-        for f in acceptable[w]:
-            rem_any[f] += 1
+    def unplace(j: int, cand: int, held_by: list[int]) -> None:
+        assigned[j] = 0
+        wb = 1 << j
+        for i in held_by:
+            hold[i] &= ~wb
+        is_reg = not triggered[j]
+        for i, _ in acceptable[j]:
+            rem_any[i] += 1
             if is_reg:
-                rem_reg[f] += 1
-        for gi in member_groups.get(w, ()):
-            if ifelse_groups[gi][0] in cand:
+                rem_reg[i] += 1
+        for gi in member_groups.get(j, ()):
+            if cand & group_firm[gi]:
                 group_at[gi] -= 1
             else:
                 group_away[gi] -= 1
 
-    def recurse(i: int) -> None:
+    def recurse(j: int) -> None:
         nonlocal nodes
-        if i == len(order):
-            mu = Matching(frozenset((f, w) for w, fs in assigned.items() for f in fs))
-            if is_stable(market, mu):
-                results.append(mu)
+        if j == len(workers):
+            if masks.stable(assigned, hold):
+                results.append(Matching(frozenset(
+                    (firms[i], w) for w, held_by in zip(workers, assigned_at) for i in held_by
+                )))
             return
-        w = order[i]
-        for cand in candidates(w):
+        for cand, held_by in candidates(j):
             nodes += 1
             if nodes > node_bound:
                 raise SearchBoundExceeded(nodes, node_bound)
             try:
-                place(w, cand)
+                place(j, cand, held_by)
             except _Dead:
-                unplace(w, cand)
+                unplace(j, cand, held_by)
                 continue
             try:
-                recurse(i + 1)
+                recurse(j + 1)
             finally:
-                unplace(w, cand)
+                unplace(j, cand, held_by)
 
     recurse(0)
     return sorted(results, key=Matching.key)
@@ -640,31 +728,41 @@ def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tup
     u = sorted(spec_universe(spec))
     n = len(u)
 
-    def check_one(s: frozenset[str], chosen: frozenset[str], lookup) -> tuple | None:
+    def check_one(s: frozenset[str], chosen: frozenset[str]) -> tuple | None:
         for y in sorted(s - chosen):
-            if lookup(s - {y}) != chosen:
+            if choose(spec, s - {y}) != chosen:
                 return ("consistency", tuple(sorted(s)), y)
         for x in sorted(chosen):
             for y in sorted(s - {x}):
-                if x not in lookup(s - {y}):
+                if x not in choose(spec, s - {y}):
                     return ("substitutability", tuple(sorted(s)), (x, y))
         return None
 
     if n <= exhaustive_limit:
-        members = list(u)
-        table: dict[frozenset[str], frozenset[str]] = {}
-        for s in _subsets(members):
-            table[s] = choose(spec, s)
-        for s, chosen in table.items():
-            witness = check_one(s, chosen, table.__getitem__)
-            if witness:
-                return False, witness
+        # table[s] is the choice from the subset with mask s over u; bit i
+        # stands for u[i], so ascending bits visit partners in sorted order.
+        bit = {x: 1 << i for i, x in enumerate(u)}
+        table = [0] * (1 << n)
+        for s in range(1 << n):
+            for x in choose(spec, [u[i] for i in _bits(s)]):
+                table[s] |= bit[x]
+        for s, chosen in enumerate(table):
+            missing = 0  # chosen partners x lost from the choice of s - {y}, y != x
+            for y in _bits(s):
+                rest = table[s ^ 1 << y]
+                if not chosen >> y & 1 and rest != chosen:
+                    return False, ("consistency", tuple(u[i] for i in _bits(s)), u[y])
+                missing |= chosen & ~rest & ~(1 << y)
+            if missing:
+                x = _bits(missing)[0]
+                y = next(y for y in _bits(s) if y != x and not table[s ^ 1 << y] >> x & 1)
+                return False, ("substitutability", tuple(u[i] for i in _bits(s)), (u[x], u[y]))
         return True, None
 
     rng = random.Random(0)
     for _ in range(512):
         s = frozenset(x for x in u if rng.random() < 0.5)
-        witness = check_one(s, choose(spec, s), lambda t: choose(spec, t))
+        witness = check_one(s, choose(spec, s))
         if witness:
             return False, witness
     return True, None

@@ -174,3 +174,21 @@ def reference_stable_matchings(market, node_budget=3_000_000):
     assigned = {}
     recurse(0)
     return sorted(out, key=lambda m: tuple(sorted(m.pairs)))
+
+
+def path_independence_by_subsets(spec):
+    """The one-element-removal check over every subset of the spec's universe,
+    on frozensets: subsets in binary-counter order over the sorted universe,
+    consistency before substitutability, partners in sorted order."""
+    u = sorted(spec.universe)
+    subsets = [frozenset(x for i, x in enumerate(u) if mask >> i & 1) for mask in range(1 << len(u))]
+    for s in subsets:
+        chosen = spec.choose(s)
+        for y in sorted(s - chosen):
+            if spec.choose(s - {y}) != chosen:
+                return False, ("consistency", tuple(sorted(s)), y)
+        for x in sorted(chosen):
+            for y in sorted(s - {x}):
+                if x not in spec.choose(s - {y}):
+                    return False, ("substitutability", tuple(sorted(s)), (x, y))
+    return True, None

@@ -55,7 +55,7 @@ from lattmark.fixtures import (
     seven_pair_stable_matchings,
 )
 from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph, random_lattice
-from lattmark.markets import MatchingMarket
+from lattmark.markets import Matching, MatchingMarket, _Masks
 from lattmark.orders import trivial_poset
 
 from oracles import independence_number
@@ -424,3 +424,71 @@ def test_search_order_leaves_every_corpus_enumeration_unchanged(synthesized, wor
         assert enumerate_stable(em.market) == enumerate_stable(step_order)
     assert reordered
     print(f"search order: {len(ems)} markets, {reordered} reordered, {time.monotonic() - t0:.2f}s")
+
+
+@pytest.fixture(scope="module")
+def corpus_markets(synthesized):
+    """The criterion-5 markets and the criterion-8 reductions."""
+    out = [result.extendable.market for _, _, result in synthesized[1]]
+    for _, vertices, edges in reduction_graphs():
+        fam, weights = independent_set_antimatroid(vertices, edges)
+        out.append(reduce_to_matching(compute_path_poset(fam), weights).extendable.market)
+    return out
+
+
+def _bit_mask(bit, names):
+    return sum(bit[x] for x in names)
+
+
+def _subsets_of(items):
+    for mask in range(1 << len(items)):
+        yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+
+
+def test_mask_kernel_choice_matches_each_spec_on_the_corpus(corpus_markets):
+    """enumerate_stable's memoised mask choice equals the spec's own choose on
+    every subset of every universe of at most 16 partners, for every agent."""
+    t0 = time.monotonic()
+    subsets = 0
+    for market in corpus_markets:
+        masks = _Masks(market)
+        sides = [(market.firms, masks.firm_choice, masks.worker_bit),
+                 (market.workers, masks.worker_choice, masks.firm_bit)]
+        for agents, memo, bit in sides:
+            for agent, chosen in zip(agents, memo):
+                spec = market.spec(agent)
+                universe = sorted(spec.universe)
+                if len(universe) > 16:
+                    continue
+                for offered in _subsets_of(universe):
+                    want = _bit_mask(bit, spec.choose(offered))
+                    assert chosen(_bit_mask(bit, offered)) == want, (agent, sorted(offered))
+                    subsets += 1
+    print(f"mask choice: {subsets} offers, {time.monotonic() - t0:.2f}s")
+
+
+def test_mask_leaf_check_matches_is_stable_on_the_corpus(corpus_markets):
+    """The kernel's leaf check agrees with is_stable on every stable matching
+    of the corpus, on each with one pair removed, and on each with one
+    acceptable pair added; the corpus holds both verdicts."""
+    t0 = time.monotonic()
+    rng = random.Random(SEED)
+    verdicts = {True: 0, False: 0}
+    for market in corpus_markets:
+        masks = _Masks(market)
+        acceptable = sorted((f, w) for w in market.workers for f in market.spec(w).universe)
+        for mu in enumerate_stable(market):
+            variants = [mu]
+            if mu.pairs:
+                variants.append(Matching(mu.pairs - {rng.choice(sorted(mu.pairs))}))
+            outside = [p for p in acceptable if p not in mu.pairs]
+            if outside:
+                variants.append(Matching(mu.pairs | {rng.choice(outside)}))
+            for nu in variants:
+                assigned = [_bit_mask(masks.firm_bit, nu.firms_of(w)) for w in market.workers]
+                hold = [_bit_mask(masks.worker_bit, nu.workers_of(f)) for f in market.firms]
+                want = is_stable(market, nu)
+                assert masks.stable(assigned, hold) == want, sorted(nu.pairs)
+                verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    print(f"leaf check: {verdicts}, {time.monotonic() - t0:.2f}s")

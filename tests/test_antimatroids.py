@@ -244,6 +244,22 @@ class TestReduction:
             _, want = min_cost_feasible(quad_antimatroid, costs, sense=sense)
             assert got == want
 
+    def test_integer_costing_matches_the_fraction_reference(self, quad_antimatroid):
+        """min_cost_stable costs each matching as a scaled int; its optimum
+        and argmin are the Fraction reference's, the first canonical matching
+        of least (or greatest) pair_cost.  Both optima are tied."""
+        costs = {"a": Fraction(1, 3), "b": 0, "c": 0, "d": Fraction(-7, 5)}
+        bundle = reduce_to_matching(compute_path_poset(quad_antimatroid), costs)
+        assert {v.denominator for v in bundle.pair_costs.values()} - {1}
+        market = bundle.extendable.market
+        ms = enumerate_stable(market)
+        for sense, pick in (("min", min), ("max", max)):
+            want = pick(pair_cost(bundle.pair_costs, mu) for mu in ms)
+            assert sum(pair_cost(bundle.pair_costs, mu) == want for mu in ms) > 1, sense
+            mu, value = min_cost_stable(market, bundle.pair_costs, sense=sense)
+            assert isinstance(value, Fraction) and value == want, sense
+            assert mu == next(m for m in ms if pair_cost(bundle.pair_costs, m) == want), sense
+
     def test_bad_sense_rejected(self, quad_antimatroid):
         with pytest.raises(InputError):
             min_cost_feasible(quad_antimatroid, {}, sense="upward")

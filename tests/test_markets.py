@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,14 @@ from lattmark import (
     is_individually_rational,
     is_stable,
     stable_lattice,
+    synthesize_from_lattice,
 )
+from lattmark import markets
+from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.errors import SpecError
 from lattmark.markets import spec_universe
 
-from oracles import one_to_one_stable_matchings
+from oracles import one_to_one_stable_matchings, path_independence_by_subsets
 
 
 def two_list_market():
@@ -167,6 +171,34 @@ class TestDeferredAcceptance:
         assert deferred_acceptance(m, "firms") == Matching(frozenset())
 
 
+def _count_choose_outside_the_anchors(monkeypatch):
+    """Count markets.choose calls per (id(spec), offer), except those made by
+    deferred_acceptance and is_stable (enumerate_stable's anchors)."""
+    calls = Counter()
+    counting = [True]
+    reference = markets.choose
+
+    def counted(spec, offered):
+        offered = frozenset(offered)
+        if counting[0]:
+            calls[id(spec), offered] += 1
+        return reference(spec, offered)
+
+    def uncounted(fn):
+        def run(*args, **kwargs):
+            counting[0] = False
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counting[0] = True
+        return run
+
+    monkeypatch.setattr(markets, "choose", counted)
+    monkeypatch.setattr(markets, "deferred_acceptance", uncounted(markets.deferred_acceptance))
+    monkeypatch.setattr(markets, "is_stable", uncounted(markets.is_stable))
+    return calls
+
+
 class TestEnumerate:
     def test_seven_pair_exact_set(self, seven_market, seven_stables):
         got = enumerate_stable(seven_market)
@@ -210,6 +242,40 @@ class TestEnumerate:
     def test_empty_market(self):
         m = MatchingMarket((), (), {})
         assert enumerate_stable(m) == [Matching(frozenset())]
+
+    def test_each_offer_is_evaluated_once(self, quad_antimatroid, monkeypatch):
+        """Past its deferred-acceptance anchors, enumerate_stable evaluates
+        each agent's choice at most once per distinct offer."""
+        market = reduce_to_matching(compute_path_poset(quad_antimatroid), {}).extendable.market
+        want = enumerate_stable(market)
+        calls = _count_choose_outside_the_anchors(monkeypatch)
+        assert markets.enumerate_stable(market) == want
+        assert calls and max(calls.values()) == 1, calls.most_common(1)
+
+    def test_a_scan_above_the_memo_limit_stores_nothing(self, pentagon, monkeypatch):
+        """A triggered worker searched before its firms are settled scans
+        every subset of its universe.  Within the limit the memo keeps each
+        scanned subset; above it only the offers the search makes, and the
+        output is the same."""
+        built = synthesize_from_lattice(pentagon, verify=False).extendable.market
+        market = MatchingMarket(built.firms, built.workers[::-1], built.choice)
+        subsets = {w: 2 ** len(market.spec(w).universe)
+                   for w in market.workers if isinstance(market.spec(w), Triggered)}
+        want = enumerate_stable(built)
+        made = []
+
+        class Recorded(markets._Masks):
+            def __init__(self, market):
+                super().__init__(market)
+                made.append(self)
+
+        monkeypatch.setattr(markets, "_Masks", Recorded)
+        assert markets.enumerate_stable(market) == want
+        monkeypatch.setattr(markets, "_SCAN_MEMO_LIMIT", 0)
+        assert markets.enumerate_stable(market) == want
+        within, above = made
+        assert any(len(within.memo[w]) == n for w, n in subsets.items())
+        assert all(len(above.memo[w]) < n for w, n in subsets.items())
 
     def test_worker_permutation_does_not_change_results(self, seven_market):
         m = seven_market
@@ -298,6 +364,31 @@ class TestPathIndependence:
         spec = PreferenceList.of({"a", "b"}, {"b"})
         ok, witness = check_path_independence(spec)
         assert not ok and witness[0] == "substitutability"
+
+    def test_exhaustive_verdicts_and_witnesses_match_the_subset_reference(self):
+        """The mask table returns the frozenset reference's verdict and
+        witness on random choice tables, which break either property."""
+
+        class Table:
+            def __init__(self, universe, table):
+                self.universe, self.table = frozenset(universe), table
+
+            def choose(self, offered):
+                return self.table[frozenset(offered)]
+
+        rng = random.Random(11)
+        kinds = Counter()
+        for _ in range(300):
+            u = [f"p{i}" for i in range(rng.randint(1, 5))]
+            table = {}
+            for mask in range(1 << len(u)):
+                s = [x for i, x in enumerate(u) if mask >> i & 1]
+                table[frozenset(s)] = frozenset(x for x in s if rng.random() < 0.9)
+            spec = Table(u, table)
+            got = check_path_independence(spec)
+            assert got == path_independence_by_subsets(spec), sorted(u)
+            kinds[got[1][0] if got[1] else "ok"] += 1
+        assert set(kinds) == {"ok", "consistency", "substitutability"}, kinds
 
     def test_sampled_mode_on_large_universe(self):
         entries = [{f"w{i}"} for i in range(20)]

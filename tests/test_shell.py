@@ -313,6 +313,48 @@ class TestCliVariants:
         _, got = run_cli(capsys, "solve", str(scaled))
         assert Fraction(*got["value"]) == 2 * Fraction(*want["value"])
 
+    def _quad_files(self, tmp_path, ground_costs):
+        anti_file = tmp_path / "anti.json"
+        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": ground_costs})
+        return anti_file, costs_file
+
+    def test_reduce_rejects_ground_costs_outside_the_ground_set(self, tmp_path, capsys):
+        anti_file, costs_file = self._quad_files(tmp_path, {"a": 1, "b": -2, "zz": -100})
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
+        assert (code, report["kind"]) == (2, "InputError") and "'zz'" in report["error"]
+
+    def test_solve_rejects_ground_costs_outside_the_ground_set(self, tmp_path, capsys):
+        bundle_file = _reduction_file(tmp_path)
+        _, costs_file = self._quad_files(tmp_path, {"a": 1, "b": -2, "zz": -100})
+        code, report = run_cli(capsys, "solve", str(bundle_file), str(costs_file))
+        assert (code, report["kind"]) == (2, "InputError") and "'zz'" in report["error"]
+
+    def test_solve_rejects_pair_costs_outside_the_market(self, tmp_path, capsys):
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
+        costs_file = tmp_path / "pair_costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "pairs": [["nofirm", "noworker", -5, 1]]})
+        code, report = run_cli(capsys, "solve", str(market_file), str(costs_file))
+        assert (code, report["kind"]) == (2, "InputError") and "'nofirm'" in report["error"]
+
+    def test_solve_rejects_two_rows_for_one_pair(self, tmp_path, capsys):
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
+        costs_file = tmp_path / "pair_costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "pairs": [["p.f1", "p.w1", 5, 1], ["p.f1", "p.w1", -5, 1]]})
+        code, report = run_cli(capsys, "solve", str(market_file), str(costs_file))
+        assert (code, report["kind"]) == (2, "InputError") and "'p.f1', 'p.w1'" in report["error"]
+
+    def test_solve_rejects_a_reduction_costing_pairs_outside_its_market(self, tmp_path, capsys):
+        bundle_file = _reduction_file(tmp_path)
+        data = json.loads(bundle_file.read_text())
+        data["pair_costs"].append(["nofirm", "noworker", -5, 1])
+        jsonio.write_json(bundle_file, data)
+        code, report = run_cli(capsys, "solve", str(bundle_file))
+        assert (code, report["kind"]) == (2, "InputError") and "'nofirm'" in report["error"]
+
     def test_empty_lattice_file_exits_2(self, tmp_path, capsys):
         lattice_file = tmp_path / "empty.json"
         jsonio.write_json(lattice_file, {"v": 1, "elements": [], "leq": []})
