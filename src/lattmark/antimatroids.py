@@ -6,6 +6,12 @@ gadget-bank market, enforces one constraint per ground element describing
 which endpoint patterns admit each element, and transfers ground costs onto
 the minus pairs of the corresponding rotations, exactly (rational
 arithmetic).  Optimizers here are exhaustive by design.
+
+The axiom check, the path poset and the union closure of paths work on int
+masks over the sorted ground set.  Union closure is checked exactly against
+the paths alone, in O(|F| * (|ground| + |paths|)) mask lookups; the path
+poset still cross-checks its endpoint definition against union
+irreducibility, in O(|F|^2) mask tests.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .augment import ExtendableMarket, omega_extend, project_to_base
 from .constraints import JoinConstraint
@@ -65,22 +71,60 @@ class PathPoset:
         return [s for s, _ in self.paths if s <= member]
 
 
+def _mask(s: Iterable[str], bit: Mapping[str, int]) -> int:
+    return sum(map(bit.__getitem__, s))
+
+
+def _bits(elements: Sequence[str]) -> dict[str, int]:
+    return {x: 1 << i for i, x in enumerate(elements)}
+
+
+def _endpoint_masks(members: Collection[int]) -> dict[int, int]:
+    """Each member's endpoints as a mask: the bits b of m with m ^ b a member."""
+    ends = {}
+    for m in members:
+        e, rest = 0, m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if m ^ b in members:
+                e |= b
+        ends[m] = e
+    return ends
+
+
+def _is_path(ends: int) -> bool:
+    """Exactly one endpoint."""
+    return ends != 0 and ends & (ends - 1) == 0
+
+
 def validate_antimatroid(fam: AntimatroidFamily) -> tuple[bool, object | None]:
-    """Check ground feasibility, closure under union, and accessibility."""
-    sets = set(fam.feasible)
-    for g in sets:
-        if not g <= fam.ground_set:
-            return False, ("outside-ground", tuple(sorted(g - fam.ground_set)))
-    ordered = sorted(sets, key=set_key)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a | b not in sets:
-                return False, ("not-union-closed", (tuple(sorted(a)), tuple(sorted(b))))
-    if fam.ground_set not in sets:
-        return False, ("ground-not-feasible", tuple(fam.ground))
+    """Check, in this order, that every feasible set lies in the ground set,
+    accessibility, closure under union, and that the ground set is feasible.
+
+    Union closure is checked against the paths only, which is exact: in an
+    accessible family a member g with endpoints x != y is (g - x) | (g - y),
+    so every member is a union of paths, and the family is union-closed iff
+    a | p is feasible for every feasible a and path p."""
+    ground = fam.ground_set
+    ordered = sorted(set(fam.feasible), key=set_key)
     for g in ordered:
-        if g and not any(g - {x} in sets for x in g):
+        if not g <= ground:
+            return False, ("outside-ground", tuple(sorted(g - ground)))
+    bit = _bits(sorted(ground))
+    masks = [_mask(g, bit) for g in ordered]
+    members = set(masks)
+    ends = _endpoint_masks(members)
+    for g, m in zip(ordered, masks):
+        if m and not ends[m]:
             return False, ("not-accessible", tuple(sorted(g)))
+    paths = [(p, m) for p, m in zip(ordered, masks) if _is_path(ends[m])]
+    for a, am in zip(ordered, masks):
+        for p, pm in paths:
+            if am | pm not in members:
+                return False, ("not-union-closed", (tuple(sorted(a)), tuple(sorted(p))))
+    if (1 << len(ground)) - 1 not in members:
+        return False, ("ground-not-feasible", tuple(fam.ground))
     return True, None
 
 
@@ -90,37 +134,54 @@ def endpoints(fam: AntimatroidFamily, members: Iterable[str]) -> frozenset[str]:
     return frozenset(x for x in g if g - {x} in sets)
 
 
+def _union_irreducibles(members: Collection[int]) -> set[int]:
+    """The non-empty members that are no union of two proper sub-members.  A
+    pair is searched for only when all proper sub-members together cover g."""
+    out = set()
+    for g in members:
+        if not g:
+            continue
+        outside = ~g
+        below = [h for h in members if h & outside == 0 and h != g]
+        cover = 0
+        for h in below:
+            cover |= h
+        if cover == g:
+            below.sort(key=int.bit_count, reverse=True)
+            if any(a | b == g for i, a in enumerate(below) for b in below[i + 1:]):
+                continue
+        out.add(g)
+    return out
+
+
 def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
     """Feasible sets with exactly one endpoint, cross-checked against the
     union-irreducibility characterization."""
     ok, witness = validate_antimatroid(fam)
     if not ok:
         raise InputError(f"not an antimatroid: {witness}")
-    sets = sorted(set(fam.feasible), key=set_key)
-    paths = []
-    for g in sets:
-        eps = endpoints(fam, g)
-        if len(eps) == 1:
-            paths.append((g, next(iter(eps))))
-    union_irreducible = []
-    for g in sets:
-        if not g:
-            continue
-        others = [h for h in sets if h != g and h <= g]
-        if not any(a | b == g for i, a in enumerate(others) for b in others[i:]):
-            union_irreducible.append(g)
-    if sorted(s for s, _ in paths) != sorted(union_irreducible):
+    elements = sorted(fam.ground_set)
+    bit = _bits(elements)
+    set_of = {_mask(g, bit): g for g in fam.feasible}
+    ends = _endpoint_masks(set_of.keys())
+    paths = {m for m, e in ends.items() if _is_path(e)}
+    if paths != _union_irreducibles(set_of.keys()):
         raise InvariantError("path definitions disagree: endpoint count vs union irreducibility")
-    return PathPoset.of(fam.ground, paths)
+    return PathPoset.of(fam.ground, [(set_of[m], elements[ends[m].bit_length() - 1]) for m in paths])
 
 
 def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
     """All unions of paths, the empty set included: the union closure, grown
-    one path at a time, so it costs O(|paths| * |family|)."""
-    family = {frozenset()}
-    for p in pp.path_sets():
-        family |= {s | p for s in family}
-    return AntimatroidFamily.of(pp.ground, family)
+    one path at a time on int masks, so it costs O(|paths| * |family|) ORs."""
+    elements = sorted(set(pp.ground).union(*pp.path_sets()))
+    bit = _bits(elements)
+    family = {0}
+    for s in pp.path_sets():
+        p = _mask(s, bit)
+        family |= {m | p for m in family}
+    return AntimatroidFamily.of(
+        pp.ground, (frozenset(x for i, x in enumerate(elements) if m >> i & 1) for m in family)
+    )
 
 
 def antimatroid_constraints(pp: PathPoset) -> list[JoinConstraint]:
@@ -219,8 +280,12 @@ def _check_pairs(market: MatchingMarket, pair_costs: Mapping[Pair, Fraction]) ->
 
 @dataclass(frozen=True)
 class ReductionBundle:
+    """A reduced market with its pair costs; `cost_scale` is the factor the
+    ground costs were multiplied by before they were transferred."""
+
     extendable: ExtendableMarket
     pair_costs: dict[Pair, Fraction]
+    cost_scale: int = 1
 
     def __post_init__(self):
         _check_pairs(self.extendable.market, self.pair_costs)

@@ -169,18 +169,18 @@ def cmd_reduce(args) -> int:
     if kind != "ground":
         raise InputError("reduce expects ground costs")
     bundle = reduce_to_matching(pp, costs)
-    scale = 1
     if args.integer_costs:
         # scale so every transferred pair cost is integral
         base = bundle.extendable.base
         scale = lcm(*(len(rot.minus) for rot in base.rotation_poset.rotations.values()))
-        bundle = replace(bundle, pair_costs=transfer_costs(base, {x: c * scale for x, c in costs.items()}))
-    jsonio.write_json(args.out, jsonio.reduction_to_json(bundle, cost_scale=scale))
+        bundle = replace(bundle, pair_costs=transfer_costs(base, {x: c * scale for x, c in costs.items()}),
+                         cost_scale=scale)
+    jsonio.write_json(args.out, jsonio.reduction_to_json(bundle))
     report.wrote(args.out)
     return report.emit({
         "agents": bundle.extendable.agent_count(),
         "ground": list(bundle.ground),
-        "cost_scale": scale,
+        "cost_scale": bundle.cost_scale,
     })
 
 
@@ -188,6 +188,9 @@ def cmd_solve(args) -> int:
     inputs = [args.bundle] + ([args.costs] if args.costs else [])
     report = Report("solve", inputs)
     market, _, reduction = _load_market_or_bundle(args.bundle, args)
+    # a bundle's own pair costs carry its cost_scale, which the value is
+    # divided by (and reported), so the value is in ground units
+    scale = 1
     if args.costs:
         kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
         if kind == "ground":
@@ -197,16 +200,19 @@ def cmd_solve(args) -> int:
         else:
             pair_costs = costs
     elif reduction is not None:
-        pair_costs = reduction.pair_costs
+        pair_costs, scale = reduction.pair_costs, reduction.cost_scale
     else:
         raise InputError("no costs given and the input is not a reduction bundle")
     mu, value = min_cost_stable(market, pair_costs, sense=args.sense, **_bound_kwargs(args))
+    value /= scale
     extra = {
         "value": [value.numerator, value.denominator],
         "matching": jsonio.matching_to_json(mu),
     }
     if reduction is not None:
         extra["recovered_set"] = sorted(reduction.recover(mu))
+    if scale != 1:
+        extra["cost_scale"] = scale
     return report.emit(extra)
 
 

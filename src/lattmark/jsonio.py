@@ -314,20 +314,24 @@ def pair_costs_from_json(rows, where: str = "pair costs") -> dict:
     return out
 
 
-def reduction_to_json(bundle: ReductionBundle, cost_scale: int = 1) -> dict:
+def reduction_to_json(bundle: ReductionBundle) -> dict:
     out = {
         "v": VERSION,
         "extension": extendable_to_json(bundle.extendable),
         "pair_costs": pair_costs_to_json(bundle.pair_costs),
     }
-    if cost_scale != 1:
-        out["cost_scale"] = cost_scale
+    if bundle.cost_scale != 1:
+        out["cost_scale"] = bundle.cost_scale
     return out
 
 
 def reduction_from_json(data: Mapping, node_bound: int = DEFAULT_NODE_BOUND) -> ReductionBundle:
+    """`cost_scale` defaults to 1; anything but a positive int exits 2."""
+    cost_scale = _int(data.get("cost_scale", 1), "reduction bundle.cost_scale")
+    if cost_scale < 1:
+        raise InputError(f"reduction bundle.cost_scale: expected a positive int, got {cost_scale}")
     em = extendable_from_json(_need(data, "extension", "reduction bundle"), node_bound)
-    return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json))
+    return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json), cost_scale)
 
 
 # ------------------------------------------------------------- antimatroids

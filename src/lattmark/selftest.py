@@ -6,6 +6,7 @@ import random
 import time
 
 from .antimatroids import (
+    AntimatroidFamily,
     compute_path_poset,
     antimatroid_constraints,
     independent_set_antimatroid,
@@ -75,6 +76,8 @@ def run(quick: bool = False, seed: int = 7) -> int:
     fam = four_element_antimatroid()
     ok, _ = validate_antimatroid(fam)
     check("four-element antimatroid axioms", ok)
+    ok, witness = validate_antimatroid(AntimatroidFamily.of(["a", "b"], [[], ["a"], ["b"]]))
+    check("{}, {a}, {b} over {a, b} rejected as not union-closed", not ok and witness[0] == "not-union-closed")
     pp = compute_path_poset(fam)
     ground = fam.ground_set
     occurred = filter_lower_sets(lower_sets(trivial_poset(ground)), antimatroid_constraints(pp))

@@ -192,3 +192,73 @@ def path_independence_by_subsets(spec):
                 if x not in spec.choose(s - {y}):
                     return False, ("substitutability", tuple(sorted(s)), (x, y))
     return True, None
+
+
+def _set_key(s):
+    return (len(s), tuple(sorted(s)))
+
+
+def validate_antimatroid_pairwise(fam):
+    """The antimatroid axioms on frozensets, union closure over every pair of
+    feasible sets: outside-ground, then union closure, then the ground set,
+    then accessibility, each failure with its witness."""
+    ground = frozenset(fam.ground)
+    sets = set(fam.feasible)
+    ordered = sorted(sets, key=_set_key)
+    for g in ordered:
+        if not g <= ground:
+            return False, ("outside-ground", tuple(sorted(g - ground)))
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if a | b not in sets:
+                return False, ("not-union-closed", (tuple(sorted(a)), tuple(sorted(b))))
+    if ground not in sets:
+        return False, ("ground-not-feasible", tuple(fam.ground))
+    for g in ordered:
+        if g and not any(g - {x} in sets for x in g):
+            return False, ("not-accessible", tuple(sorted(g)))
+    return True, None
+
+
+def antimatroid_axiom_failures(fam):
+    """The witness kinds of every antimatroid axiom the family breaks, each
+    checked on its own by its definition."""
+    ground = frozenset(fam.ground)
+    sets = set(fam.feasible)
+    failures = set()
+    if any(not g <= ground for g in sets):
+        failures.add("outside-ground")
+    if any(a | b not in sets for a in sets for b in sets):
+        failures.add("not-union-closed")
+    if ground not in sets:
+        failures.add("ground-not-feasible")
+    if any(g and not any(g - {x} in sets for x in g) for g in sets):
+        failures.add("not-accessible")
+    return failures
+
+
+def union_irreducible_paths(fam):
+    """The paths by their other definition: the non-empty feasible sets that
+    are no union of two other feasible subsets, each with the elements x
+    whose removal leaves a feasible set (one, in an antimatroid)."""
+    members = set(fam.feasible)
+    sets = sorted(members, key=_set_key)
+    out = set()
+    for g in sets:
+        if not g:
+            continue
+        others = [h for h in sets if h != g and h <= g]
+        if not any(a | b == g for i, a in enumerate(others) for b in others[i:]):
+            out |= {(g, x) for x in g if g - {x} in members}
+    return out
+
+
+def union_closure(sets):
+    """All unions of the given sets, the empty union included."""
+    family = {frozenset()}
+    changed = True
+    while changed:
+        grown = family | {a | frozenset(s) for a in family for s in sets}
+        changed = grown != family
+        family = grown
+    return family

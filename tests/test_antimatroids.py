@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,13 @@ from lattmark.errors import InputError
 from lattmark.generators import random_antimatroid, random_graph
 from lattmark.orders import trivial_poset
 
-from oracles import brute_force_satisfying_subsets, independence_number
+from oracles import (
+    antimatroid_axiom_failures,
+    brute_force_satisfying_subsets,
+    independence_number,
+    union_irreducible_paths,
+    validate_antimatroid_pairwise,
+)
 
 
 def feasible_by_constraints(ground, cs):
@@ -55,6 +62,73 @@ class TestValidation:
         fam = AntimatroidFamily.of(["a", "b"], [[], ["a", "b"]])
         ok, witness = validate_antimatroid(fam)
         assert not ok and witness[0] == "not-accessible"
+
+
+def _one_set_mutants(fam, rng):
+    """The family with a non-empty non-ground set dropped, with a random
+    subset added, and with a copy of one set plus an element outside the
+    ground set added."""
+    sets = list(fam.feasible)
+    droppable = [g for g in sets if g and g != fam.ground_set]
+    out = [sets + [frozenset(x for x in fam.ground if rng.random() < 0.5)]]
+    if droppable:
+        dropped = rng.choice(droppable)
+        out.append([g for g in sets if g != dropped])
+    out.append(sets + [rng.choice(sets) | {"zz"}])
+    return [AntimatroidFamily.of(fam.ground, m) for m in out]
+
+
+def _is_violation(fam, witness) -> bool:
+    """The witness names a real breach of the axiom of its kind."""
+    sets, ground = set(fam.feasible), fam.ground_set
+    kind, what = witness
+    if kind == "outside-ground":
+        return bool(what) and any(g - ground == frozenset(what) for g in sets)
+    if kind == "not-union-closed":
+        a, b = map(frozenset, what)
+        return a in sets and b in sets and a | b not in sets
+    if kind == "ground-not-feasible":
+        return ground not in sets
+    if kind == "not-accessible":
+        g = frozenset(what)
+        return g in sets and bool(g) and not any(g - {x} in sets for x in g)
+    return False
+
+
+class TestAgainstThePairwiseOracle:
+    def test_validation_and_paths_agree_on_random_families_and_their_mutants(self):
+        rng = random.Random(43)
+        seen = Counter()
+        for _ in range(500):
+            fam = random_antimatroid(rng.randint(1, 6), rng)
+            for f in [fam, *_one_set_mutants(fam, rng)]:
+                ok, witness = validate_antimatroid(f)
+                failures = antimatroid_axiom_failures(f)
+                assert ok == validate_antimatroid_pairwise(f)[0] == (not failures), f
+                if ok:
+                    seen["ok"] += 1
+                    assert set(compute_path_poset(f).paths) == union_irreducible_paths(f), f
+                    continue
+                assert _is_violation(f, witness), (f, witness)
+                if len(failures) == 1:
+                    seen[witness[0]] += 1
+                    assert {witness[0]} == failures, (f, witness)
+        # every kind a one-set mutation can break alone is seen breaking alone
+        alone = ("outside-ground", "not-union-closed", "not-accessible")
+        assert seen["ok"] >= 500 and min(seen[k] for k in alone) >= 50, seen
+
+    def test_each_witness_kind_alone(self):
+        cases = {
+            "outside-ground": [[], ["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "z"]],
+            "not-union-closed": [[], ["a"], ["b"], ["a", "c"], ["b", "c"], ["a", "b", "c"]],
+            "ground-not-feasible": [[], ["a"], ["b"], ["a", "b"]],
+            "not-accessible": [[], ["a"], ["a", "b", "c"]],
+        }
+        for kind, sets in cases.items():
+            fam = AntimatroidFamily.of("abc", sets)
+            assert antimatroid_axiom_failures(fam) == {kind}
+            ok, witness = validate_antimatroid(fam)
+            assert not ok and witness[0] == kind and _is_violation(fam, witness), kind
 
 
 class TestPaths:

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
+import random
 import sys
+import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lattmark import antichain_base, omega_extend, JoinConstraint
 from lattmark import lattice_from_order, poset_from_pairs, synthesize_from_lattice
 from lattmark import cli, jsonio, markets
-from lattmark.antimatroids import compute_path_poset, reduce_to_matching
+from lattmark.antimatroids import AntimatroidFamily, compute_path_poset, reduce_to_matching
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.fixtures import (
@@ -21,9 +29,12 @@ from lattmark.fixtures import (
     pentagon_lattice,
     seven_pair_market,
 )
+from lattmark.generators import random_antimatroid
 from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
 from lattmark.orders import Poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
+
+from oracles import union_closure, union_irreducible_paths, validate_antimatroid_pairwise
 
 
 def _swap_gadgets(*gadgets):
@@ -311,7 +322,32 @@ class TestCliVariants:
         assert data["pair_costs"] and all(den == 1 for *_, den in data["pair_costs"])
         _, want = run_cli(capsys, "solve", str(plain))
         _, got = run_cli(capsys, "solve", str(scaled))
-        assert Fraction(*got["value"]) == 2 * Fraction(*want["value"])
+        assert Fraction(*got["value"]) == Fraction(*want["value"])
+
+    def test_solve_reports_ground_units_on_a_scaled_bundle(self, tmp_path, capsys):
+        anti_file, costs_file = self._quad_files(tmp_path, {"a": 3, "b": -2, "c": 5, "d": -7})
+        plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
+        run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(plain))
+        run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(scaled), "--integer-costs")
+        _, want = run_cli(capsys, "solve", str(plain))
+        assert "cost_scale" not in want
+        code, got = run_cli(capsys, "solve", str(scaled))
+        assert code == 0 and got["cost_scale"] == 2
+        assert (got["value"], got["recovered_set"]) == (want["value"], want["recovered_set"])
+        # a ground-costs file is transferred unscaled, so nothing is divided
+        other = tmp_path / "other.json"
+        jsonio.write_json(other, {"v": 1, "ground": {"a": -1, "b": 4, "c": -3, "d": -2}})
+        _, want = run_cli(capsys, "solve", str(plain), str(other))
+        code, got = run_cli(capsys, "solve", str(scaled), str(other))
+        assert code == 0 and "cost_scale" not in got and got["value"] == want["value"]
+
+    def test_solve_rejects_a_bad_cost_scale(self, tmp_path, capsys):
+        bundle_file = _reduction_file(tmp_path)
+        data = json.loads(bundle_file.read_text())
+        for bad in (0, -2, "2", True, 1.5, None):
+            jsonio.write_json(bundle_file, {**data, "cost_scale": bad})
+            code, report = run_cli(capsys, "solve", str(bundle_file))
+            assert (code, report["kind"]) == (2, "InputError") and "cost_scale" in report["error"], bad
 
     def _quad_files(self, tmp_path, ground_costs):
         anti_file = tmp_path / "anti.json"
@@ -738,3 +774,56 @@ class TestBundleContract:
             (market_file, ["enumerate", str(mutated), "--bound-nodes", "2000"]),
             (rot_file, ["export-dot", str(mutated)]),
         ])
+
+
+@st.composite
+def _antimatroid_files(draw):
+    """An antimatroid file over at most 5 elements, in either form, and
+    whether the oracles accept it.  Its sets come from random_antimatroid or
+    are drawn freely (an element outside the ground set included); a path
+    file takes the oracle's paths of an accepted family, else drawn
+    endpoints; then one entry may be replaced by a drawn one."""
+    n = draw(st.integers(0, 5))
+    ground = [chr(ord("a") + i) for i in range(n)]
+    subsets = st.frozensets(st.sampled_from(ground + ["z"]))
+    if n and draw(st.booleans()):
+        sets = list(random_antimatroid(n, random.Random(draw(st.integers(0, 2 ** 16)))).feasible)
+    else:
+        sets = draw(st.lists(subsets, max_size=10))
+
+    def entry(s):
+        return s, draw(st.sampled_from(sorted(s) or ["z"]))
+
+    if draw(st.booleans()):
+        if sets and draw(st.booleans()):
+            sets[draw(st.integers(0, len(sets) - 1))] = draw(subsets)
+        fam = AntimatroidFamily.of(ground, sets)
+        data = {"v": 1, "ground": ground, "feasible": [sorted(g) for g in sets]}
+        return data, validate_antimatroid_pairwise(fam)[0]
+    fam = AntimatroidFamily.of(ground, sets)
+    if validate_antimatroid_pairwise(fam)[0]:
+        paths = sorted(union_irreducible_paths(fam), key=lambda p: (sorted(p[0]), p[1]))
+    else:
+        paths = [entry(s) for s in sets]
+    if paths and draw(st.booleans()):
+        paths[draw(st.integers(0, len(paths) - 1))] = entry(draw(subsets))
+    data = {"v": 1, "ground": ground, "paths": [{"set": sorted(s), "endpoint": e} for s, e in paths]}
+    generated = AntimatroidFamily.of(ground, union_closure([s for s, _ in paths]))
+    accepted = (validate_antimatroid_pairwise(generated)[0]
+                and Counter(paths) == Counter(union_irreducible_paths(generated)))
+    return data, accepted
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_antimatroid_files())
+def test_reduce_accepts_exactly_the_antimatroids_the_oracles_accept(case):
+    data, accepted = case
+    with tempfile.TemporaryDirectory() as tmp:
+        anti_file, costs_file, out = Path(tmp, "anti.json"), Path(tmp, "costs.json"), str(Path(tmp, "out.json"))
+        jsonio.write_json(anti_file, data)
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in data["ground"]}})
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            code = cli.main(["reduce", str(anti_file), str(costs_file), "-o", out])
+    assert code in (0, 2, 3), report.getvalue()
+    assert (code == 0) == accepted, (data, report.getvalue())
