@@ -22,7 +22,6 @@ from .augment import (
     certify_lattice,
     omega_extend,
     project_to_base,
-    project_once,
     synthesize_from_lattice,
     verify_extension,
 )
@@ -34,7 +33,6 @@ from .constraints import (
 )
 from .markets import (
     FirmOrder,
-    TriggerRule,
     IfElse,
     Matching,
     MatchingMarket,

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 
 from .constraints import JoinConstraint, constraints_from_lattice, filter_lower_sets, validate_join_constraint
 from .errors import (
-    InputError,
     IsomorphismFailure,
     NotRepresentable,
     OverlappingRotationAgents,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .markets import (
     DEFAULT_NODE_BOUND,
-    TriggerRule,
     IfElse,
     Matching,
     MatchingMarket,
@@ -181,8 +179,8 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
                 if f not in aux_pairs:
                     raise SpecError(f"rotation {rid!r} moves {f!r}, which is not a base firm")
                 aux_pairs[f] += ((w, w0),)
-        rule = TriggerRule(alpha_groups=jc.alpha_groups, blocks=tuple(f_rho.items()))
-        choice[w0] = Triggered(watch=frozenset().union(*f_rho.values()), trigger=f0, rule=rule)
+        choice[w0] = Triggered(watch=frozenset().union(*f_rho.values()), trigger=f0,
+                               alpha_groups=jc.alpha_groups, blocks=tuple(f_rho.items()))
         choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
         steps.append(AugmentStep(jc, w0, f0, tuple(sorted(copies))))
         firms.append(f0)
@@ -197,23 +195,6 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         choice[f] = Regular(tiers, aux_pairs[f])
     market = MatchingMarket(tuple(sorted(firms)), tuple(w for seg in segments for w in seg), choice)
     return market, copy_map, tuple(steps)
-
-
-def project_once(em_before: ExtendableMarket, em_after: ExtendableMarket, mu: Matching) -> Matching:
-    """Project a matching of the augmented market one step back: drop the new
-    auxiliary pair endpoints, fold the new copies onto their base workers."""
-    if len(em_after.steps) != len(em_before.steps) + 1:
-        raise InputError("em_after must be em_before plus exactly one augmentation")
-    step = em_after.steps[-1]
-    new_copies = set(step.copies)
-    pairs = set()
-    for f, w in mu.pairs:
-        if f == step.f0 or w == step.w0:
-            continue
-        if w in new_copies:
-            w = em_after.copy_map[w]
-        pairs.add((f, w))
-    return Matching(frozenset(pairs))
 
 
 def project_to_base(em: ExtendableMarket, mu: Matching, check: bool = True) -> Matching:

@@ -71,11 +71,10 @@ class SearchBoundExceeded(BoundError):
 
 
 class NonConvergence(BoundError):
-    def __init__(self, rounds, detail=None):
+    def __init__(self, rounds):
         self.rounds = rounds
         super().__init__(
-            detail
-            or f"deferred acceptance did not settle within {rounds} rounds; "
+            f"deferred acceptance did not settle within {rounds} rounds; "
             "input choice functions are likely not path-independent"
         )
 

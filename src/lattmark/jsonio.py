@@ -27,7 +27,6 @@ from .errors import InputError, InvariantError
 from .markets import (
     DEFAULT_NODE_BOUND,
     ChoiceSpec,
-    TriggerRule,
     IfElse,
     Matching,
     MatchingMarket,
@@ -136,8 +135,8 @@ def _spec_to_json(spec: ChoiceSpec) -> dict:
             "kind": "triggered",
             "watch": sorted(spec.watch),
             "trigger": spec.trigger,
-            "alpha": _sorted_sets(spec.rule.alpha_groups),
-            "f_rho": {r: sorted(fs) for r, fs in spec.rule.blocks},
+            "alpha": _sorted_sets(spec.alpha_groups),
+            "f_rho": {r: sorted(fs) for r, fs in spec.blocks},
         }
     if isinstance(spec, IfElse):
         return {"kind": "if_else", "priority": spec.priority, "else_set": sorted(spec.else_set)}
@@ -155,13 +154,14 @@ def _spec_from_json(data, where: str) -> ChoiceSpec:
     if kind == "preference_list":
         return PreferenceList(tuple(frozenset(e) for e in _need(data, "list", where, _str_lists)))
     if kind == "triggered":
-        rule = TriggerRule(
+        return Triggered(
+            frozenset(_need(data, "watch", where, _strs)),
+            _need(data, "trigger", where, _str),
             alpha_groups=tuple(frozenset(g) for g in _need(data, "alpha", where, _str_lists)),
             blocks=tuple(sorted(
                 (r, frozenset(fs)) for r, fs in _need(data, "f_rho", where, partial(_map, _strs)).items()
             )),
         )
-        return Triggered(frozenset(_need(data, "watch", where, _strs)), _need(data, "trigger", where, _str), rule)
     if kind == "if_else":
         return IfElse(_need(data, "priority", where, _str), frozenset(_need(data, "else_set", where, _strs)))
     if kind == "regular":

@@ -83,41 +83,31 @@ class PreferenceList:
 
 
 @dataclass(frozen=True)
-class TriggerRule:
-    """Trigger condition: a CNF over rotation ids, fired against the rotations
-    whose firm block is disjoint from the offered set."""
+class Triggered:
+    """Every watched firm offered, plus the trigger firm when the trigger
+    condition fires: a CNF over rotation ids (alpha_groups), where a
+    rotation counts as hidden when its firm block is disjoint from the
+    offer."""
 
+    watch: frozenset[str]
+    trigger: str
     alpha_groups: tuple[frozenset[str], ...]
     blocks: tuple[tuple[str, frozenset[str]], ...]
 
     def __post_init__(self):
-        arg_ids = set().union(*self.alpha_groups) if self.alpha_groups else set()
-        block_ids = {r for r, _ in self.blocks}
-        if not arg_ids <= block_ids:
-            raise SpecError(f"trigger rule alpha arguments {sorted(arg_ids - block_ids)} lack firm blocks")
-
-    def fires(self, offered: frozenset[str]) -> bool:
-        hidden = {r for r, fs in self.blocks if not (fs & offered)}
-        return all(bool(g & hidden) for g in self.alpha_groups)
-
-
-@dataclass(frozen=True)
-class Triggered:
-    """Every watched firm offered, plus the trigger firm when the rule fires."""
-
-    watch: frozenset[str]
-    trigger: str
-    rule: TriggerRule
-
-    def __post_init__(self):
-        outside = frozenset().union(*(fs for _, fs in self.rule.blocks)) - self.universe
+        unblocked = frozenset().union(*self.alpha_groups) - {r for r, _ in self.blocks}
+        if unblocked:
+            raise SpecError(f"trigger alpha arguments {sorted(unblocked)} lack firm blocks")
+        outside = frozenset().union(*(fs for _, fs in self.blocks)) - self.universe
         if outside:
-            raise SpecError(f"trigger rule blocks name firms {sorted(outside)} outside the watch set and trigger")
+            raise SpecError(f"trigger blocks name firms {sorted(outside)} outside the watch set and trigger")
 
     def choose(self, offered: frozenset[str]) -> frozenset[str]:
         selected = offered & self.watch
-        if self.trigger in offered and self.rule.fires(offered):
-            selected |= {self.trigger}
+        if self.trigger in offered:
+            hidden = {r for r, fs in self.blocks if not fs & offered}
+            if all(g & hidden for g in self.alpha_groups):
+                selected |= {self.trigger}
         return selected
 
     @cached_property
@@ -428,6 +418,24 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _mask_choice(spec: ChoiceSpec, names: Sequence[str], bit: Mapping[str, int], table: dict[int, int]):
+    """The spec's choice function on masks: bit i of an offer stands for
+    names[i], and the choice is encoded through bit.  A miss decodes the
+    offer, evaluates choose() and, with store, keeps the result in table."""
+
+    def chosen(offer: int, store: bool = True) -> int:
+        out = table.get(offer)
+        if out is None:
+            out = 0
+            for x in choose(spec, [names[i] for i in _bits(offer)]):
+                out |= bit[x]
+            if store:
+                table[offer] = out
+        return out
+
+    return chosen
+
+
 # A candidate scan stores its evaluations in the memo only when the worker's
 # universe has at most this many partners, so at most 2^16 entries an agent.
 # A larger scan (a triggered worker scans up to 2^25 subsets) reads the memo
@@ -448,28 +456,14 @@ class _Masks:
         self.firm_bit = {f: 1 << i for i, f in enumerate(market.firms)}
         self.worker_bit = {w: 1 << j for j, w in enumerate(market.workers)}
         self.memo: dict[str, dict[int, int]] = {a: {} for a in (*market.firms, *market.workers)}
-        self.firm_choice = [self._memo(market.spec(f), market.workers, self.worker_bit, self.memo[f])
+        self.firm_choice = [_mask_choice(market.spec(f), market.workers, self.worker_bit, self.memo[f])
                             for f in market.firms]
-        self.worker_choice = [self._memo(market.spec(w), market.firms, self.firm_bit, self.memo[w])
+        self.worker_choice = [_mask_choice(market.spec(w), market.firms, self.firm_bit, self.memo[w])
                               for w in market.workers]
         self.acceptable = [
             [(i, 1 << i) for i, f in enumerate(market.firms) if f in spec_universe(market.spec(w))]
             for w in market.workers
         ]
-
-    @staticmethod
-    def _memo(spec: ChoiceSpec, names: Sequence[str], bit: Mapping[str, int], table: dict[int, int]):
-        def chosen(offer: int, store: bool = True) -> int:
-            out = table.get(offer)
-            if out is None:
-                out = 0
-                for x in choose(spec, [names[i] for i in _bits(offer)]):
-                    out |= bit[x]
-                if store:
-                    table[offer] = out
-            return out
-
-        return chosen
 
     def stable(self, assigned: Sequence[int], hold: Sequence[int]) -> bool:
         """Stability of the matching in which worker j holds the firm mask
@@ -514,16 +508,15 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
 
     Assumes path-independent choice functions, like deferred acceptance; the
     two deferred-acceptance anchors are stability-checked up front as a
-    guard.  The output is canonically sorted.
+    guard, and an unstable one raises SpecError.  The output is canonically
+    sorted.
     """
     mu_f = deferred_acceptance(market, "firms")
     worker_optimal = deferred_acceptance(market, "workers")
     for anchor in (mu_f, worker_optimal):
         if not is_stable(market, anchor):
-            raise NonConvergence(
-                0, "deferred acceptance produced an unstable matching; "
-                "choice functions are not path-independent"
-            )
+            raise SpecError("deferred acceptance produced an unstable matching; "
+                            "choice functions are not path-independent")
 
     firms, workers = market.firms, market.workers
     masks = _Masks(market)
@@ -720,49 +713,34 @@ def stable_lattice(
 def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tuple[bool, tuple | None]:
     """Verify substitutability and consistency over the spec's universe.
 
-    Exhaustive when the universe has at most exhaustive_limit members (the
-    one-element-removal forms of both properties, which imply the general
-    ones by induction); otherwise 512 subsets drawn by a random generator
-    seeded with 0, so the verdict is deterministic.
+    Checks the one-element-removal forms of both properties, which imply the
+    general ones by induction, on offer masks over the sorted universe (bit
+    i stands for its i-th partner, so ascending bits visit partners in
+    sorted order).  The offers are every subset when the universe has at
+    most exhaustive_limit members; otherwise 512 subsets drawn by a random
+    generator seeded with 0, so the verdict is deterministic.
     """
     u = sorted(spec_universe(spec))
     n = len(u)
-
-    def check_one(s: frozenset[str], chosen: frozenset[str]) -> tuple | None:
-        for y in sorted(s - chosen):
-            if choose(spec, s - {y}) != chosen:
-                return ("consistency", tuple(sorted(s)), y)
-        for x in sorted(chosen):
-            for y in sorted(s - {x}):
-                if x not in choose(spec, s - {y}):
-                    return ("substitutability", tuple(sorted(s)), (x, y))
-        return None
-
+    chosen = _mask_choice(spec, u, {x: 1 << i for i, x in enumerate(u)}, {})
     if n <= exhaustive_limit:
-        # table[s] is the choice from the subset with mask s over u; bit i
-        # stands for u[i], so ascending bits visit partners in sorted order.
-        bit = {x: 1 << i for i, x in enumerate(u)}
-        table = [0] * (1 << n)
-        for s in range(1 << n):
-            for x in choose(spec, [u[i] for i in _bits(s)]):
-                table[s] |= bit[x]
-        for s, chosen in enumerate(table):
-            missing = 0  # chosen partners x lost from the choice of s - {y}, y != x
-            for y in _bits(s):
-                rest = table[s ^ 1 << y]
-                if not chosen >> y & 1 and rest != chosen:
-                    return False, ("consistency", tuple(u[i] for i in _bits(s)), u[y])
-                missing |= chosen & ~rest & ~(1 << y)
-            if missing:
-                x = _bits(missing)[0]
-                y = next(y for y in _bits(s) if y != x and not table[s ^ 1 << y] >> x & 1)
-                return False, ("substitutability", tuple(u[i] for i in _bits(s)), (u[x], u[y]))
-        return True, None
-
-    rng = random.Random(0)
-    for _ in range(512):
-        s = frozenset(x for x in u if rng.random() < 0.5)
-        witness = check_one(s, choose(spec, s))
-        if witness:
-            return False, witness
+        offers: Iterable[int] = range(1 << n)
+    else:
+        rng = random.Random(0)
+        offers = (sum(1 << i for i in range(n) if rng.random() < 0.5) for _ in range(512))
+    for s in offers:
+        picked = chosen(s)
+        missing = 0  # picked partners x lost from the choice of s - {y}, y != x
+        left = s
+        while left:  # remove each partner y of s in turn, as its bit yb
+            yb = left & -left
+            left ^= yb
+            rest = chosen(s ^ yb)
+            if not picked & yb and rest != picked:
+                return False, ("consistency", tuple(u[i] for i in _bits(s)), u[yb.bit_length() - 1])
+            missing |= picked & ~rest & ~yb
+        if missing:
+            x = _bits(missing)[0]
+            y = next(y for y in _bits(s) if y != x and not chosen(s ^ 1 << y) >> x & 1)
+            return False, ("substitutability", tuple(u[i] for i in _bits(s)), (u[x], u[y]))
     return True, None

@@ -176,12 +176,14 @@ def reference_stable_matchings(market, node_budget=3_000_000):
     return sorted(out, key=lambda m: tuple(sorted(m.pairs)))
 
 
-def path_independence_by_subsets(spec):
-    """The one-element-removal check over every subset of the spec's universe,
-    on frozensets: subsets in binary-counter order over the sorted universe,
-    consistency before substitutability, partners in sorted order."""
-    u = sorted(spec.universe)
-    subsets = [frozenset(x for i, x in enumerate(u) if mask >> i & 1) for mask in range(1 << len(u))]
+def path_independence_by_subsets(spec, subsets=None):
+    """The one-element-removal check on frozensets, over the given subsets of
+    the spec's universe in order, by default every subset in binary-counter
+    order over the sorted universe; consistency before substitutability,
+    partners in sorted order."""
+    if subsets is None:
+        u = sorted(spec.universe)
+        subsets = [frozenset(x for i, x in enumerate(u) if mask >> i & 1) for mask in range(1 << len(u))]
     for s in subsets:
         chosen = spec.choose(s)
         for y in sorted(s - chosen):

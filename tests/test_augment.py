@@ -17,7 +17,6 @@ from lattmark import (
     enumerate_stable,
     omega_extend,
     project_to_base,
-    project_once,
     matching_to_rotations,
     synthesize_from_lattice,
     verify_extension,
@@ -149,18 +148,16 @@ class TestAugment:
 
 
 class TestProjections:
-    def test_project_once_folds_copies_and_drops_aux(self, worked, seven_stables):
-        em0, em1 = worked
-        stables = enumerate_stable(em1.market)
+    def test_project_to_base_folds_copies_and_drops_aux(self, worked, seven_stables):
+        _, em1 = worked
         top = deferred_acceptance(em1.market, "firms")
-        z = project_once(em0, em1, top)
-        assert z == seven_stables["mu10"]
+        assert project_to_base(em1, top) == seven_stables["mu10"]
         bottom = deferred_acceptance(em1.market, "workers")
-        assert project_once(em0, em1, bottom) == seven_stables["mu1"]
+        assert project_to_base(em1, bottom) == seven_stables["mu1"]
 
-    def test_project_once_is_identity_without_new_agents(self, worked, seven_stables):
-        em0, em1 = worked
-        assert project_once(em0, em1, seven_stables["mu2"]) == seven_stables["mu2"]
+    def test_project_to_base_is_identity_on_base_matchings(self, worked, seven_stables):
+        _, em1 = worked
+        assert project_to_base(em1, seven_stables["mu2"]) == seven_stables["mu2"]
 
     def test_project_to_base_checks_stability(self, worked):
         _, em1 = worked
@@ -172,12 +169,12 @@ class TestProjections:
 
     def test_containment_chain(self, worked):
         em0, em1 = worked
+        # folding the copies adds no pair: the projection of a stable
+        # matching is its pairs among base agents
+        base_firms, base_workers = em0.market.firm_set, em0.market.worker_set
         for mu2 in enumerate_stable(em1.market):
-            mu1 = project_once(em0, em1, mu2)
             mu0 = project_to_base(em1, mu2)
-            assert mu0.pairs <= mu1.pairs <= mu2.pairs
-            for w in em0.market.workers:
-                assert mu0.firms_of(w) == mu1.firms_of(w)
+            assert mu0.pairs == {(f, w) for f, w in mu2.pairs if f in base_firms and w in base_workers}
 
     def test_projections_preserve_order(self, worked):
         em0, em1 = worked

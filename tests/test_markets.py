@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lattmark import (
     FirmOrder,
-    TriggerRule,
     IfElse,
     Matching,
     MatchingMarket,
@@ -63,11 +62,11 @@ class TestChoose:
         assert choose(spec, {"w3", "w9"}) == frozenset({"w3"})
 
     def test_triggered_selects_watch_and_gates_the_trigger(self):
-        rule = TriggerRule(
+        spec = Triggered(
+            frozenset({"f1", "f2", "f3"}), "f0",
             alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
             blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
         )
-        spec = Triggered(frozenset({"f1", "f2", "f3"}), "f0", rule)
         # all watched firms offered: no rotation hidden, trigger stays out
         assert choose(spec, {"f0", "f1", "f2", "f3"}) == frozenset({"f1", "f2", "f3"})
         # nothing else offered: both rotations hidden, trigger fires
@@ -93,13 +92,13 @@ class TestChoose:
             Regular(tiers=(frozenset({"w"}),), aux_pairs=(("zz", "w0"),))
 
     def test_partners_outside_the_universe_never_change_the_choice(self):
-        rule = TriggerRule(
-            alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
-            blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
-        )
         specs = [
             PreferenceList.of({"p0", "p1"}, "p2", "p0"),
-            Triggered(frozenset({"f1", "f2", "f3"}), "f0", rule),
+            Triggered(
+                frozenset({"f1", "f2", "f3"}), "f0",
+                alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
+                blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
+            ),
             IfElse("p0", frozenset({"p1", "p2", "p3"})),
             Regular((frozenset({"p0", "p1"}), frozenset({"p2"})), (("p0", "p4"), ("p2", "p5"))),
         ]
@@ -345,13 +344,9 @@ class TestPathIndependence:
         assert not ok and witness[0] == "substitutability"
 
     def test_all_four_families_pass(self):
-        rule = TriggerRule(
-            alpha_groups=(frozenset({"r1"}),),
-            blocks=(("r1", frozenset({"f1", "f2"})),),
-        )
         specs = [
             PreferenceList.of("a", "b", "c"),
-            Triggered(frozenset({"f1", "f2"}), "f0", rule),
+            Triggered(frozenset({"f1", "f2"}), "f0", (frozenset({"r1"}),), (("r1", frozenset({"f1", "f2"})),)),
             IfElse("w0", frozenset({"w1", "w2"})),
             Regular((frozenset({"w1", "w1x"}), frozenset({"w2"})), (("w2", "w0"),)),
         ]
@@ -396,6 +391,44 @@ class TestPathIndependence:
         ok, _ = check_path_independence(spec)
         assert ok
 
+    def test_sampled_verdicts_and_witnesses_match_the_subset_reference(self):
+        """Above exhaustive_limit partners the check returns the frozenset
+        reference's verdict and witness on the same 512 seeded subsets."""
+
+        class Lazy:
+            """A choice rule over the offer sorted best first."""
+
+            def __init__(self, n, rule):
+                self.universe, self.rule = frozenset(f"p{i:02}" for i in range(n)), rule
+
+            def choose(self, offered):
+                return frozenset(self.rule(sorted(offered)))
+
+        specs = [
+            Lazy(17, lambda s: s[:3]),  # responsive: the best three
+            # the best one while the worst partner is offered, else the best
+            # two: substitutable, but dropping the worst changes the choice
+            Lazy(18, lambda s: s[:1 if "p17" in s else 2]),
+            # p00 and p01 only together: consistent, not substitutable
+            Lazy(19, lambda s: s if {"p00", "p01"} <= set(s) else set(s) - {"p00", "p01"}),
+            Regular(tuple(frozenset({f"w{i}", f"w{i}x"}) for i in range(9)), (("w0", "a0"), ("w8", "a1"))),
+            Triggered(
+                frozenset(f"f{i:02}" for i in range(19)), "t",
+                alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
+                blocks=(("r1", frozenset({"f00", "f01"})), ("r2", frozenset({"f02"}))),
+            ),
+        ]
+        kinds = Counter()
+        for spec in specs:
+            u = sorted(spec_universe(spec))
+            assert 17 <= len(u) <= 20
+            rng = random.Random(0)
+            subsets = [frozenset(x for x in u if rng.random() < 0.5) for _ in range(512)]
+            got = check_path_independence(spec)
+            assert got == path_independence_by_subsets(spec, subsets), u
+            kinds[got[1][0] if got[1] else "ok"] += 1
+        assert kinds == {"ok": 3, "consistency": 1, "substitutability": 1}, kinds
+
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(min_value=0, max_value=2 ** 12 - 1))
     def test_consistency_of_regular_specs(self, mask):
@@ -412,16 +445,16 @@ class TestPathIndependence:
 class TestInputValidation:
     def test_trigger_rule_arguments_need_blocks(self):
         with pytest.raises(SpecError):
-            TriggerRule(alpha_groups=(frozenset({"r9"}),), blocks=())
+            Triggered(frozenset({"f1"}), "f0", alpha_groups=(frozenset({"r9"}),), blocks=())
 
     def test_trigger_blocks_must_lie_in_the_universe(self):
         # a block firm outside watch | {trigger} would make the choice depend
         # on a partner outside the spec's universe
-        rule = TriggerRule((frozenset({"r1"}),), (("r1", frozenset({"f9"})),))
+        rule = (frozenset({"r1"}),), (("r1", frozenset({"f9"})),)
         with pytest.raises(SpecError):
-            Triggered(frozenset({"f1"}), "f0", rule)
-        assert Triggered(frozenset({"f1", "f9"}), "f0", rule).universe == {"f0", "f1", "f9"}
-        assert Triggered(frozenset({"f1"}), "f9", rule).universe == {"f1", "f9"}
+            Triggered(frozenset({"f1"}), "f0", *rule)
+        assert Triggered(frozenset({"f1", "f9"}), "f0", *rule).universe == {"f0", "f1", "f9"}
+        assert Triggered(frozenset({"f1"}), "f9", *rule).universe == {"f1", "f9"}
 
     def test_node_bound_is_enforced(self, seven_market):
         from lattmark.errors import SearchBoundExceeded

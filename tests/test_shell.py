@@ -422,6 +422,17 @@ class TestCliVariants:
         code, report = run_cli(capsys, "enumerate", str(market_file))
         assert code == 2 and report["kind"] == "SpecError"
 
+    def test_choice_functions_that_are_not_path_independent_exit_2(self, tmp_path, capsys):
+        # deferred acceptance settles on an unstable matching: no bound is
+        # exceeded, the input is invalid
+        lists = {"f1": [["w1"], ["w1", "w2"], ["w2"]], "f2": [["w1", "w2"], ["w2"]],
+                 "w1": [["f2"], ["f1"], ["f1", "f2"]], "w2": [["f1", "f2"]]}
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, {"v": 1, "firms": ["f1", "f2"], "workers": ["w1", "w2"], "choice": {
+            a: {"kind": "preference_list", "list": entries} for a, entries in lists.items()}})
+        code, report = run_cli(capsys, "enumerate", str(market_file))
+        assert code == 2 and report["kind"] == "SpecError" and "path-independent" in report["error"]
+
     def test_synthesize_and_verify_enumerate_only_the_extended_market_once(self, tmp_path, capsys, monkeypatch):
         real, seen = markets.enumerate_stable, []
 
@@ -762,17 +773,36 @@ class TestBundleContract:
         jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
         costs_file = tmp_path / "costs.json"
         jsonio.write_json(costs_file, {"v": 1, "ground": {x: 2 for x in "abcd"}})
-        market_file = tmp_path / "market.json"
-        jsonio.write_json(market_file, jsonio.market_to_json(seven_pair_market()))
         rot_file = tmp_path / "rotations.json"
         jsonio.write_json(rot_file, jsonio.rotation_poset_to_json(extract_rotations(seven_pair_market())))
         mutated, out = tmp_path / "mutated.json", str(tmp_path / "out.json")
         _sweep_mutations(capsys, mutated, [
             (chain_bundle, ["verify", str(mutated), str(chain_file), "--bound-nodes", "2000"]),
             (anti_file, ["reduce", str(mutated), str(costs_file), "-o", out]),
-            (costs_file, ["reduce", str(anti_file), str(mutated), "-o", out]),
-            (market_file, ["enumerate", str(mutated), "--bound-nodes", "2000"]),
             (rot_file, ["export-dot", str(mutated)]),
+        ])
+        # plain market files: the seven-pair market, and the pentagon's
+        # constructed market written as one
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        for name, market in (("seven", seven_pair_market()),
+                             ("pentagon", jsonio.extendable_from_json(jsonio.read_json(bundle_file)).market)):
+            market_file = tmp_path / f"{name}.market.json"
+            jsonio.write_json(market_file, jsonio.market_to_json(market))
+            _sweep_mutations(capsys, mutated, [
+                (market_file, ["enumerate", str(mutated), "--bound-nodes", "2000"]),
+                (market_file, ["rotations", str(mutated), "--bound-nodes", "2000"]),
+                (market_file, ["verify", str(mutated), str(lattice_file), "--bound-nodes", "2000"]),
+            ])
+        # ground-cost and pair-cost files
+        reduction_file = _reduction_file(tmp_path)
+        pairs_file = tmp_path / "pairs.json"
+        pair_costs = jsonio.reduction_from_json(jsonio.read_json(reduction_file)).pair_costs
+        jsonio.write_json(pairs_file, {"v": 1, "pairs": jsonio.pair_costs_to_json(pair_costs)})
+        _sweep_mutations(capsys, mutated, [
+            (costs, argv) for costs in (costs_file, pairs_file) for argv in (
+                ["solve", str(reduction_file), str(mutated), "--bound-nodes", "2000"],
+                ["reduce", str(anti_file), str(mutated), "-o", out],
+            )
         ])
 
 
