@@ -9,9 +9,8 @@ arithmetic).  Optimizers here are exhaustive by design.
 
 The axiom check, the path poset and the union closure of paths work on int
 masks over the sorted ground set.  Union closure is checked exactly against
-the paths alone, in O(|F| * (|ground| + |paths|)) mask lookups; the path
-poset still cross-checks its endpoint definition against union
-irreducibility, in O(|F|^2) mask tests.
+the paths alone, in O(|F| * (|ground| + |paths|)) mask lookups, and the
+paths are read off the endpoint masks in O(|F| * |ground|).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 from .augment import ExtendableMarket, omega_extend, project_to_base
 from .constraints import JoinConstraint
 from .errors import InputError, InvariantError
-from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, enumerate_stable
+from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _leaf_matching, _stable_leaves
 from .orders import set_key
 from .rotations import RealizedBase, antichain_base, matching_to_rotations
 
@@ -134,29 +133,10 @@ def endpoints(fam: AntimatroidFamily, members: Iterable[str]) -> frozenset[str]:
     return frozenset(x for x in g if g - {x} in sets)
 
 
-def _union_irreducibles(members: Collection[int]) -> set[int]:
-    """The non-empty members that are no union of two proper sub-members.  A
-    pair is searched for only when all proper sub-members together cover g."""
-    out = set()
-    for g in members:
-        if not g:
-            continue
-        outside = ~g
-        below = [h for h in members if h & outside == 0 and h != g]
-        cover = 0
-        for h in below:
-            cover |= h
-        if cover == g:
-            below.sort(key=int.bit_count, reverse=True)
-            if any(a | b == g for i, a in enumerate(below) for b in below[i + 1:]):
-                continue
-        out.add(g)
-    return out
-
-
 def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
-    """Feasible sets with exactly one endpoint, cross-checked against the
-    union-irreducibility characterization."""
+    """The feasible sets with exactly one endpoint, each with it.  In an
+    antimatroid these are exactly the union-irreducible feasible sets; the
+    tests check the two definitions against each other."""
     ok, witness = validate_antimatroid(fam)
     if not ok:
         raise InputError(f"not an antimatroid: {witness}")
@@ -164,10 +144,7 @@ def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
     bit = _bits(elements)
     set_of = {_mask(g, bit): g for g in fam.feasible}
     ends = _endpoint_masks(set_of.keys())
-    paths = {m for m, e in ends.items() if _is_path(e)}
-    if paths != _union_irreducibles(set_of.keys()):
-        raise InvariantError("path definitions disagree: endpoint count vs union irreducibility")
-    return PathPoset.of(fam.ground, [(set_of[m], elements[ends[m].bit_length() - 1]) for m in paths])
+    return PathPoset.of(fam.ground, [(set_of[m], elements[e.bit_length() - 1]) for m, e in ends.items() if _is_path(e)])
 
 
 def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
@@ -321,20 +298,33 @@ def min_cost_stable(
 ) -> tuple[Matching, Fraction]:
     """Exhaustive optimum of a pair-cost function over the stable matchings;
     ties go to the canonically first matching.  The costs are scaled once by
-    the lcm of their denominators, so each matching is costed and compared
-    as an exact int; the optimum is returned as that int over the scale."""
+    the lcm of their denominators into an int table by worker and firm
+    position, so each stable leaf of enumerate_stable's search is costed and
+    compared as an exact int; only a leaf that beats or ties the incumbent
+    becomes a Matching, and a tie keeps the smaller Matching.key().  The
+    optimum is returned as that int over the scale."""
     if sense not in ("min", "max"):
         raise InputError(f"sense must be 'min' or 'max', not {sense!r}")
     _check_pairs(market, pair_costs)
     scale = lcm(*(v.denominator for v in pair_costs.values()))
-    scaled = {p: v.numerator * (scale // v.denominator) for p, v in pair_costs.items() if v}
     sign = 1 if sense == "min" else -1
-    best = None
-    best_val = None
-    for mu in enumerate_stable(market, node_bound=node_bound):
-        val = sign * sum(c for p, c in scaled.items() if p in mu.pairs)
-        if best_val is None or val < best_val:
-            best, best_val = mu, val
+    firm_at = {f: i for i, f in enumerate(market.firms)}
+    worker_at = {w: j for j, w in enumerate(market.workers)}
+    rows: dict[int, dict[int, int]] = {}
+    for (f, w), v in pair_costs.items():
+        if v:
+            rows.setdefault(worker_at[w], {})[firm_at[f]] = sign * v.numerator * (scale // v.denominator)
+    best = best_key = best_val = None
+    for at in _stable_leaves(market, node_bound):
+        val = 0
+        for j, row in rows.items():
+            for i in at[j]:
+                val += row.get(i, 0)
+        if best_val is None or val <= best_val:
+            mu = _leaf_matching(market, at)
+            key = mu.key()
+            if best_val is None or val < best_val or key < best_key:
+                best, best_key, best_val = mu, key, val
     if best is None:
         raise InvariantError("no stable matchings found")
     return best, Fraction(sign * best_val, scale)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InputError,
@@ -503,13 +503,31 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     The search runs on int masks (_Masks): partner sets are bit masks and
     every choice goes through a per-agent memo, so the search evaluates each
     distinct offer once (a candidate scan over more than _SCAN_MEMO_LIMIT
-    partners stores nothing).  Only leaves that pass the stability check
-    become Matching objects.
+    partners stores nothing).  It is one loop over an explicit stack
+    (_stable_leaves), so the number of workers is bounded by memory, not by
+    the recursion limit.  Only leaves that pass the stability check become
+    Matching objects.
 
     Assumes path-independent choice functions, like deferred acceptance; the
     two deferred-acceptance anchors are stability-checked up front as a
     guard, and an unstable one raises SpecError.  The output is canonically
     sorted.
+    """
+    return sorted((_leaf_matching(market, at) for at in _stable_leaves(market, node_bound)), key=Matching.key)
+
+
+def _leaf_matching(market: MatchingMarket, at: Sequence[Sequence[int]]) -> Matching:
+    """The matching in which worker j holds the firms at positions at[j]."""
+    firms = market.firms
+    return Matching(frozenset((firms[i], w) for w, held_by in zip(market.workers, at) for i in held_by))
+
+
+def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[list[int]]]:
+    """enumerate_stable's search, yielding each stable leaf in search order as
+    the list whose entry j holds worker j's firm positions (ascending indexes
+    into market.firms).  The list is the search's own state, valid until the
+    generator resumes.  Raises SearchBoundExceeded on node number
+    node_bound + 1 and SpecError on an unstable anchor, as enumerate_stable.
     """
     mu_f = deferred_acceptance(market, "firms")
     worker_optimal = deferred_acceptance(market, "workers")
@@ -572,8 +590,6 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     hold = [0] * len(firms)
     assigned = [0] * len(workers)
     assigned_at: list[list[int]] = [[] for _ in workers]  # the bit positions of assigned[j]
-    results: list[Matching] = []
-    nodes = 0
 
     def triggered_forced(j: int) -> list[tuple[int, list[int]]]:
         # Sound only once every firm in the universe has its full regular
@@ -664,30 +680,43 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
             else:
                 group_away[gi] -= 1
 
-    def recurse(j: int) -> None:
-        nonlocal nodes
-        if j == len(workers):
-            if masks.stable(assigned, hold):
-                results.append(Matching(frozenset(
-                    (firms[i], w) for w, held_by in zip(workers, assigned_at) for i in held_by
-                )))
-            return
-        for cand, held_by in candidates(j):
-            nodes += 1
-            if nodes > node_bound:
-                raise SearchBoundExceeded(nodes, node_bound)
-            try:
-                place(j, cand, held_by)
-            except _Dead:
-                unplace(j, cand, held_by)
-                continue
-            try:
-                recurse(j + 1)
-            finally:
-                unplace(j, cand, held_by)
-
-    recurse(0)
-    return sorted(results, key=Matching.key)
+    if not workers:
+        if masks.stable(assigned, hold):
+            yield assigned_at
+        return
+    # Level j of the stack is an iterator over worker j's candidates; every
+    # level below the top holds the candidate placed from it in placed.
+    last = len(workers) - 1
+    pending = [iter(candidates(0))]
+    placed: list[tuple[int, list[int]]] = []
+    nodes = 0
+    j = 0
+    while True:
+        step = next(pending[j], None)
+        if step is None:
+            if not j:
+                return
+            pending.pop()
+            j -= 1
+            unplace(j, *placed.pop())
+            continue
+        cand, held_by = step
+        nodes += 1
+        if nodes > node_bound:
+            raise SearchBoundExceeded(nodes, node_bound)
+        try:
+            place(j, cand, held_by)
+        except _Dead:
+            unplace(j, cand, held_by)
+            continue
+        if j < last:
+            placed.append(step)
+            j += 1
+            pending.append(iter(candidates(j)))
+            continue
+        if masks.stable(assigned, hold):
+            yield assigned_at
+        unplace(j, cand, held_by)
 
 
 def stable_lattice(

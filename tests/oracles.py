@@ -8,6 +8,7 @@ instead of choice-function machinery.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -264,3 +265,17 @@ def union_closure(sets):
         changed = grown != family
         family = grown
     return family
+
+
+def min_cost_by_matchings(matchings, pair_costs, sense="min"):
+    """The optimum of pair costs over a canonically sorted list of stable
+    matchings, one Matching at a time: each costs the exact Fraction sum over
+    its costed pairs, and the first of least (for max, greatest) cost wins.
+    Returns (matching, value)."""
+    sign = 1 if sense == "min" else -1
+    best = best_val = None
+    for mu in matchings:
+        val = sum((Fraction(pair_costs[p]) for p in mu.pairs if p in pair_costs), Fraction(0))
+        if best_val is None or sign * val < sign * best_val:
+            best, best_val = mu, val
+    return best, best_val

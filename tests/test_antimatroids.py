@@ -32,9 +32,11 @@ from oracles import (
     antimatroid_axiom_failures,
     brute_force_satisfying_subsets,
     independence_number,
+    min_cost_by_matchings,
     union_irreducible_paths,
     validate_antimatroid_pairwise,
 )
+from test_acceptance import reduction_graphs
 
 
 def feasible_by_constraints(ground, cs):
@@ -154,11 +156,15 @@ class TestPaths:
         assert family_from_path_poset(pp) == fam
 
     def test_path_definitions_agree_on_random_instances(self):
+        """compute_path_poset's one-endpoint paths are the oracle's
+        union-irreducible sets, each with its endpoint, on seeded random
+        antimatroids and on the criterion-8 independent-set families."""
         rng = random.Random(13)
-        for _ in range(500):
-            fam = random_antimatroid(rng.randint(1, 6), rng)
+        families = [random_antimatroid(rng.randint(1, 6), rng) for _ in range(500)]
+        families += [independent_set_antimatroid(v, e)[0] for _, v, e in reduction_graphs()]
+        for fam in families:
             assert validate_antimatroid(fam) == (True, None)
-            compute_path_poset(fam)  # internally cross-checks both definitions
+            assert set(compute_path_poset(fam).paths) == union_irreducible_paths(fam), fam
 
     def test_family_round_trip(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
@@ -333,6 +339,33 @@ class TestReduction:
             mu, value = min_cost_stable(market, bundle.pair_costs, sense=sense)
             assert isinstance(value, Fraction) and value == want, sense
             assert mu == next(m for m in ms if pair_cost(bundle.pair_costs, m) == want), sense
+
+    def test_leaf_costing_matches_the_matching_by_matching_oracle(self):
+        """min_cost_stable costs the search's leaves on masks; its value and
+        matching equal the oracle's, which costs every canonically sorted
+        Matching, on the criterion-8 reductions under min and max with
+        zero costs on a third of the pairs (every matching ties, so the
+        canonical first wins), mixed-denominator Fraction ground costs, and
+        seeded random costs on a third of the pairs."""
+        rng = random.Random(21)
+        for name, vertices, edges in reduction_graphs():
+            fam, _ = independent_set_antimatroid(vertices, edges)
+            em = reduce_to_matching(compute_path_poset(fam), {}).extendable
+            market = em.market
+            ms = enumerate_stable(market)
+            acceptable = sorted((f, w) for w in market.workers for f in market.spec(w).universe)
+            ground = {x: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for x in fam.ground}
+            cases = {
+                "zero": dict.fromkeys(rng.sample(acceptable, len(acceptable) // 3), Fraction(0)),
+                "fractions": transfer_costs(em.base, ground),
+                "random": {p: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                           for p in rng.sample(acceptable, len(acceptable) // 3)},
+            }
+            for kind, pair_costs in cases.items():
+                for sense in ("min", "max"):
+                    want = min_cost_by_matchings(ms, pair_costs, sense)
+                    assert min_cost_stable(market, pair_costs, sense=sense) == want, (name, kind, sense)
+                    assert kind != "zero" or want == (ms[0], 0), (name, sense)
 
     def test_bad_sense_rejected(self, quad_antimatroid):
         with pytest.raises(InputError):

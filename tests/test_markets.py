@@ -22,15 +22,18 @@ from lattmark import (
     choose,
     deferred_acceptance,
     enumerate_stable,
+    independent_set_antimatroid,
     is_distributive,
     is_individually_rational,
     is_stable,
+    lattice_from_order,
+    poset_from_pairs,
     stable_lattice,
     synthesize_from_lattice,
 )
 from lattmark import markets
 from lattmark.antimatroids import compute_path_poset, reduce_to_matching
-from lattmark.errors import SpecError
+from lattmark.errors import SearchBoundExceeded, SpecError
 from lattmark.markets import spec_universe
 
 from oracles import one_to_one_stable_matchings, path_independence_by_subsets
@@ -281,6 +284,33 @@ class TestEnumerate:
         reversed_market = MatchingMarket(m.firms, m.workers[::-1], m.choice)
         assert enumerate_stable(reversed_market) == enumerate_stable(m)
 
+    def test_node_counts_are_pinned(self, seven_market, pentagon, hexagon):
+        """The smallest node_bound under which each search completes, recorded
+        from the recursive search before it became one loop: that bound
+        passes and one less raises SearchBoundExceeded, so the loop visits
+        the same nodes."""
+        chain = [f"c{i:02d}" for i in range(16)]
+        chain16 = lattice_from_order(poset_from_pairs(chain, zip(chain, chain[1:]), close=True))
+
+        def reduction(vertices, edges):
+            fam, _ = independent_set_antimatroid(vertices, edges)
+            return reduce_to_matching(compute_path_poset(fam), {}).extendable.market
+
+        cases = [
+            ("seven-pair", seven_market, 112),
+            ("pentagon", synthesize_from_lattice(pentagon, verify=False).extendable.market, 195),
+            ("hexagon", synthesize_from_lattice(hexagon, verify=False).extendable.market, 845),
+            ("16-chain", synthesize_from_lattice(chain16, verify=False).extendable.market, 1994),
+            ("K3", reduction(["u", "v", "x"], [("u", "v"), ("v", "x"), ("u", "x")]), 1512),
+            ("C4", reduction(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")]),
+             5572),
+        ]
+        for name, market, nodes in cases:
+            enumerate_stable(market, node_bound=nodes)
+            with pytest.raises(SearchBoundExceeded) as exc:
+                enumerate_stable(market, node_bound=nodes - 1)
+            assert exc.value.explored == nodes, name
+
 
 class TestFirmOrder:
     def test_top_dominates(self, seven_market, seven_stables):
@@ -457,8 +487,6 @@ class TestInputValidation:
         assert Triggered(frozenset({"f1"}), "f9", *rule).universe == {"f1", "f9"}
 
     def test_node_bound_is_enforced(self, seven_market):
-        from lattmark.errors import SearchBoundExceeded
-
         with pytest.raises(SearchBoundExceeded) as exc:
             enumerate_stable(seven_market, node_bound=3)
         assert exc.value.explored > 3

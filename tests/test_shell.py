@@ -4,7 +4,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -270,6 +272,14 @@ class TestCli:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "lattmark", "selftest", "--quick"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "FAIL" not in done.stdout
+
 
 class TestCliVariants:
     def test_solve_plain_market_with_pair_costs(self, tmp_path, capsys):
@@ -432,6 +442,31 @@ class TestCliVariants:
             a: {"kind": "preference_list", "list": entries} for a, entries in lists.items()}})
         code, report = run_cli(capsys, "enumerate", str(market_file))
         assert code == 2 and report["kind"] == "SpecError" and "path-independent" in report["error"]
+
+    def test_more_workers_than_the_recursion_limit_enumerate(self, tmp_path, capsys):
+        # 1,200 firm-worker pairs, each agent listing only its own partner:
+        # exactly one stable matching, found by a search 1,200 workers deep
+        firms = tuple(f"f{i:04d}" for i in range(1200))
+        workers = tuple(f"w{i:04d}" for i in range(1200))
+        choice = {f: PreferenceList.of(w) for f, w in zip(firms, workers)}
+        choice.update({w: PreferenceList.of(f) for f, w in zip(firms, workers)})
+        market_file = tmp_path / "pairs.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(MatchingMarket(firms, workers, choice)))
+        code, report = run_cli(capsys, "enumerate", str(market_file), "-o", str(tmp_path / "out.json"))
+        assert code == 0 and report["count"] == 1
+
+    def test_m12_enumerate_under_a_node_bound_exits_3(self, tmp_path, capsys):
+        # M_12, twelve pairwise incomparable atoms between a bottom and a top,
+        # constructs a market of 1,674 workers
+        atoms = [f"a{i:02d}" for i in range(12)]
+        covers = [("bot", a) for a in atoms] + [(a, "top") for a in atoms]
+        lattice = lattice_from_order(poset_from_pairs(["bot", *atoms, "top"], covers, close=True))
+        em = synthesize_from_lattice(lattice, verify=False).extendable
+        assert len(em.market.workers) == 1674
+        bundle_file = tmp_path / "m12.bundle.json"
+        jsonio.write_json(bundle_file, jsonio.extendable_to_json(em))
+        code, report = run_cli(capsys, "enumerate", str(bundle_file), "--bound-nodes", "5000")
+        assert code == 3 and report["kind"] == "SearchBoundExceeded"
 
     def test_synthesize_and_verify_enumerate_only_the_extended_market_once(self, tmp_path, capsys, monkeypatch):
         real, seen = markets.enumerate_stable, []
