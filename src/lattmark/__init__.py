@@ -7,7 +7,6 @@ from .antimatroids import (
     ReductionBundle,
     antimatroid_constraints,
     compute_path_poset,
-    endpoints,
     family_from_path_poset,
     independent_set_antimatroid,
     min_cost_feasible,

@@ -127,12 +127,6 @@ def validate_antimatroid(fam: AntimatroidFamily) -> tuple[bool, object | None]:
     return True, None
 
 
-def endpoints(fam: AntimatroidFamily, members: Iterable[str]) -> frozenset[str]:
-    g = frozenset(members)
-    sets = set(fam.feasible)
-    return frozenset(x for x in g if g - {x} in sets)
-
-
 def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
     """The feasible sets with exactly one endpoint, each with it.  In an
     antimatroid these are exactly the union-irreducible feasible sets; the
@@ -242,10 +236,6 @@ def transfer_costs(base: RealizedBase, costs: Mapping[str, int | Fraction]) -> d
         for pair in rot.minus:
             out[pair] = share
     return {p: v for p, v in out.items() if v != 0}
-
-
-def pair_cost(pair_costs: Mapping[Pair, Fraction], mu: Matching) -> Fraction:
-    return sum((pair_costs.get(p, Fraction(0)) for p in mu.pairs), Fraction(0))
 
 
 def _check_pairs(market: MatchingMarket, pair_costs: Mapping[Pair, Fraction]) -> None:

@@ -39,35 +39,24 @@ from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_
 from .rotations import RealizedBase, RotationPoset, antichain_base, matching_to_rotations
 
 
-@dataclass(frozen=True)
-class AugmentStep:
-    """The agents one augmentation adds: auxiliary worker w0#k, auxiliary
-    firm f0#k and a copy w#k of each beta-side worker w."""
-
-    constraint: JoinConstraint
-    w0: str
-    f0: str
-    copies: tuple[str, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ExtendableMarket:
     """A one-to-one base market plus the join constraints over its rotation
     ids enforced on it, in order; construction rejects a constraint the base
     does not support.  The other fields are derived from these two in one
-    pass and are never passed in: the grown market, the copy map (every copy
-    and base worker onto its base worker) and the steps.  Each base firm's
-    auxiliary pair table is its Regular spec's aux_pairs."""
+    pass and are never passed in: the grown market and the copy map (every
+    copy and base worker onto its base worker).  Augmentation k adds the
+    auxiliary worker w0#k, the auxiliary firm f0#k and the copies that make
+    up f0#k's IfElse else_set.  Each base firm's auxiliary pair table is its
+    Regular spec's aux_pairs."""
 
     base: RealizedBase
     constraints: tuple[JoinConstraint, ...] = ()
     market: MatchingMarket = field(init=False, repr=False)
     copy_map: Mapping[str, str] = field(init=False, repr=False)
-    steps: tuple[AugmentStep, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        derived = _grow(self.base, self.constraints)
-        for name, value in zip(("market", "copy_map", "steps"), derived):
+        for name, value in zip(("market", "copy_map"), _grow(self.base, self.constraints)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -167,7 +156,7 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
     moved = {rid: {w for _, w in rot.plus | rot.minus} for rid, rot in rp.rotations.items()}
     for w in sorted(m.workers):
         segments[1 + min((rank[rid] for rid in rank if w in moved[rid]), default=-1)].append(w)
-    firms, steps = list(m.firms), []
+    firms = list(m.firms)
     for k, (jc, (f_rho, beta_workers)) in enumerate(zip(constraints, touched), 1):
         w0, f0 = f"w0#{k}", f"f0#{k}"
         copies = {f"{wj}#{k}": wj for wj in sorted(beta_workers)}
@@ -182,10 +171,9 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         choice[w0] = Triggered(watch=frozenset().union(*f_rho.values()), trigger=f0,
                                alpha_groups=jc.alpha_groups, blocks=tuple(f_rho.items()))
         choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
-        steps.append(AugmentStep(jc, w0, f0, tuple(sorted(copies))))
         firms.append(f0)
         named = jc.alpha_ids | jc.beta_ids
-        segments[1 + max((rank[rid] for rid in named), default=-1)] += [*steps[-1].copies, w0]
+        segments[1 + max((rank[rid] for rid in named), default=-1)] += [*sorted(copies), w0]
 
     classes: dict[str, set[str]] = {w: set() for w in m.workers}
     for member, base_worker in copy_map.items():
@@ -194,7 +182,7 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         tiers = tuple(frozenset(classes[w]) for w in _singleton_entries(m.spec(f), f))
         choice[f] = Regular(tiers, aux_pairs[f])
     market = MatchingMarket(tuple(sorted(firms)), tuple(w for seg in segments for w in seg), choice)
-    return market, copy_map, tuple(steps)
+    return market, copy_map
 
 
 def project_to_base(em: ExtendableMarket, mu: Matching, check: bool = True) -> Matching:

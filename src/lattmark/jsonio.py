@@ -53,6 +53,8 @@ def read_json(path: str | Path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     return data
@@ -67,7 +69,16 @@ def _of(kind: type, value, where: str):
     return value
 
 
-_str = partial(_of, str)
+def _str(value, where: str) -> str:
+    """A string that encodes as UTF-8: JSON's escapes can spell a lone
+    surrogate, which no file or terminal can write back."""
+    try:
+        _of(str, value, where).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{where}: string is not valid UTF-8 ({exc.reason})") from exc
+    return value
+
+
 _int = partial(_of, int)
 _list = partial(_of, list)
 
@@ -88,7 +99,7 @@ def _pairs(value, where: str) -> list[tuple[str, str]]:
 
 
 def _map(read: Callable, value, where: str) -> dict:
-    return {k: read(v, f"{where}.{k}") for k, v in _of(dict, value, where).items()}
+    return {_str(k, where): read(v, f"{where}.{k}") for k, v in _of(dict, value, where).items()}
 
 
 def _need(data, key: str, where: str, read: Callable = lambda v, _: v):

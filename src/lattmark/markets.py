@@ -404,10 +404,6 @@ def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[
     return frozenset(rel)
 
 
-class _Dead(Exception):
-    pass
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of a mask's set bits, lowest first."""
     out = []
@@ -630,7 +626,9 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
             kept[j] = [(firm_mask(s), _bits(firm_mask(s))) for s in sorted(found, key=set_key)]
         return kept[j]
 
-    def place(j: int, cand: int, held_by: list[int]) -> None:
+    def place(j: int, cand: int, held_by: list[int]) -> bool:
+        """Assign worker j the firms cand, at positions held_by; returns
+        whether the branch lives.  Either way unplace(j) undoes it."""
         assigned[j] = cand
         assigned_at[j] = held_by
         wb = 1 << j
@@ -653,21 +651,23 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
             if group_at[gi] and group_away[gi]:
                 dead = True
         if dead:
-            raise _Dead
+            return False
         for i in held_by:
             if firm_choice[i](hold[i]) != hold[i]:
-                raise _Dead
+                return False
         for i in newly_final:
             pool, fb, f_choice = hold[i], 1 << i, firm_choice[i]
             for j2 in interested[i]:
                 own, wb2 = assigned[j2], 1 << j2
                 if not own & fb and worker_choice[j2](own | fb) & fb and f_choice(pool | wb2) & wb2:
-                    raise _Dead
+                    return False
+        return True
 
-    def unplace(j: int, cand: int, held_by: list[int]) -> None:
+    def unplace(j: int) -> None:
+        cand = assigned[j]
         assigned[j] = 0
         wb = 1 << j
-        for i in held_by:
+        for i in assigned_at[j]:
             hold[i] &= ~wb
         is_reg = not triggered[j]
         for i, _ in acceptable[j]:
@@ -685,10 +685,9 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
             yield assigned_at
         return
     # Level j of the stack is an iterator over worker j's candidates; every
-    # level below the top holds the candidate placed from it in placed.
+    # level below the top has placed its worker.
     last = len(workers) - 1
     pending = [iter(candidates(0))]
-    placed: list[tuple[int, list[int]]] = []
     nodes = 0
     j = 0
     while True:
@@ -698,25 +697,19 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
                 return
             pending.pop()
             j -= 1
-            unplace(j, *placed.pop())
+            unplace(j)
             continue
-        cand, held_by = step
         nodes += 1
         if nodes > node_bound:
             raise SearchBoundExceeded(nodes, node_bound)
-        try:
-            place(j, cand, held_by)
-        except _Dead:
-            unplace(j, cand, held_by)
-            continue
-        if j < last:
-            placed.append(step)
-            j += 1
-            pending.append(iter(candidates(j)))
-            continue
-        if masks.stable(assigned, hold):
-            yield assigned_at
-        unplace(j, cand, held_by)
+        if place(j, *step):
+            if j < last:
+                j += 1
+                pending.append(iter(candidates(j)))
+                continue
+            if masks.stable(assigned, hold):
+                yield assigned_at
+        unplace(j)
 
 
 def stable_lattice(

@@ -157,15 +157,15 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], 
     return validate_poset(els, rows)
 
 
-def lower_sets(poset: Poset, bound: int = LOWER_SET_BOUND) -> list[frozenset[str]]:
+def lower_sets(poset: Poset) -> list[frozenset[str]]:
     """All downward closed subsets, in canonical (size, lexicographic) order.
 
     Elements are added in a linear extension (by down-set size), so each
     lower set is built once: from the lower sets of the elements so far, by
     adding the next element to those that hold everything below it.
     """
-    if len(poset.elements) > bound:
-        raise EnumerationBoundExceeded(len(poset.elements), bound)
+    if len(poset.elements) > LOWER_SET_BOUND:
+        raise EnumerationBoundExceeded(len(poset.elements), LOWER_SET_BOUND)
     below = {e: poset.down_set(e) - {e} for e in poset.elements}
     family = [frozenset()]
     for e in sorted(poset.elements, key=lambda x: len(below[x])):
@@ -206,12 +206,6 @@ class Lattice:
     def top(self) -> str:
         (t,) = [e for e in self.elements if all(self.leq(z, e) for z in self.elements)]
         return t
-
-    def join_all(self, members: Iterable[str]) -> str:
-        out = self.bottom
-        for m in members:
-            out = self.join(out, m)
-        return out
 
     def __eq__(self, other):
         return (

@@ -36,6 +36,14 @@ def count_lower_sets(elements, leq):
     return count_lower_sets(without_m, leq) + count_lower_sets(without_down, leq)
 
 
+def join_all(lattice, members):
+    """The join of members, folded pairwise from the bottom."""
+    out = lattice.bottom
+    for m in members:
+        out = lattice.join(out, m)
+    return out
+
+
 def join_irreducibles_by_definition(lattice):
     """Elements not expressible as the join of any subset excluding them."""
     els = lattice.elements
@@ -45,7 +53,7 @@ def join_irreducibles_by_definition(lattice):
         reducible = False
         for k in range(len(rest) + 1):
             for combo in combinations(rest, k):
-                if lattice.join_all(combo) == a:
+                if join_all(lattice, combo) == a:
                     reducible = True
                     break
             if reducible:
@@ -267,6 +275,18 @@ def union_closure(sets):
     return family
 
 
+def pair_cost(pair_costs, mu):
+    """The exact Fraction sum of a matching's costed pairs."""
+    return sum((Fraction(pair_costs[p]) for p in mu.pairs if p in pair_costs), Fraction(0))
+
+
+def augmentation_copies(em, k):
+    """The copies augmentation k of an ExtendableMarket adds, from its
+    constraint alone: w#k for each plus-side worker w of a beta rotation."""
+    rotations = em.base.rotation_poset.rotations
+    return frozenset(f"{w}#{k}" for rid in em.constraints[k - 1].beta_ids for w in rotations[rid].workers_plus())
+
+
 def min_cost_by_matchings(matchings, pair_costs, sense="min"):
     """The optimum of pair costs over a canonically sorted list of stable
     matchings, one Matching at a time: each costs the exact Fraction sum over
@@ -275,7 +295,7 @@ def min_cost_by_matchings(matchings, pair_costs, sense="min"):
     sign = 1 if sense == "min" else -1
     best = best_val = None
     for mu in matchings:
-        val = sum((Fraction(pair_costs[p]) for p in mu.pairs if p in pair_costs), Fraction(0))
+        val = pair_cost(pair_costs, mu)
         if best_val is None or sign * val < sign * best_val:
             best, best_val = mu, val
     return best, best_val

@@ -27,7 +27,6 @@ from lattmark import (
     compute_path_poset,
     constraints_from_lattice,
     deferred_acceptance,
-    endpoints,
     enumerate_stable,
     extract_rotations,
     filter_lower_sets,
@@ -58,7 +57,7 @@ from lattmark.generators import all_lattices_upto, random_antimatroid, random_gr
 from lattmark.markets import Matching, MatchingMarket, _Masks
 from lattmark.orders import trivial_poset
 
-from oracles import independence_number
+from oracles import augmentation_copies, independence_number
 
 AGENT_BOUND_FACTOR = 1  # agents <= factor * |X|^4 on every synthesized market
 SEED = 2024
@@ -172,9 +171,10 @@ def test_criterion_3_golden_instance():
 def test_criterion_4_worked_augmentation(worked_augmentation):
     t0 = time.monotonic()
     _, em, _, _ = worked_augmentation
-    (step,) = em.steps
-    assert em.market.spec(step.w0).watch == frozenset({"f1", "f2", "f3", "f4", "f5"})
-    assert {em.copy_map[c] for c in step.copies} == {"w3", "w4", "w6", "w7"}
+    (_,) = em.constraints
+    assert em.market.spec("w0#1").watch == frozenset({"f1", "f2", "f3", "f4", "f5"})
+    assert em.market.spec("f0#1").else_set == augmentation_copies(em, 1)
+    assert {em.copy_map[c] for c in augmentation_copies(em, 1)} == {"w3", "w4", "w6", "w7"}
 
     assert {f: em.market.spec(f).aux_pairs for f in em.base.market.firms} == {
         "f1": (("w1", "w0#1"),),
@@ -305,7 +305,6 @@ def test_criterion_7_antimatroid_suite():
     t0 = time.monotonic()
     fam = four_element_antimatroid()
     assert validate_antimatroid(fam) == (True, None)
-    assert endpoints(fam, {"a", "c", "d"}) == frozenset({"d"})
     pp = compute_path_poset(fam)
     endpoint_of = pp.endpoint_of()
     assert endpoint_of[frozenset({"a"})] == "a"
@@ -400,10 +399,10 @@ def test_criterion_9_representation_round_trip(synthesized, seven_base):
 
 def _in_step_order(em):
     """em's market with the workers declared in step order: the sorted base
-    workers, then each step's sorted copies and its auxiliary worker."""
+    workers, then each augmentation's sorted copies and its auxiliary worker."""
     workers = sorted(em.base.market.workers)
-    for step in em.steps:
-        workers += [*step.copies, step.w0]
+    for k in range(1, len(em.constraints) + 1):
+        workers += [*sorted(augmentation_copies(em, k)), f"w0#{k}"]
     return MatchingMarket(em.market.firms, tuple(workers), em.market.choice)
 
 

@@ -11,7 +11,6 @@ from lattmark import (
     antichain_base,
     antimatroid_constraints,
     compute_path_poset,
-    endpoints,
     enumerate_stable,
     family_from_path_poset,
     filter_lower_sets,
@@ -23,7 +22,6 @@ from lattmark import (
     transfer_costs,
     validate_antimatroid,
 )
-from lattmark.antimatroids import pair_cost
 from lattmark.errors import InputError
 from lattmark.generators import random_antimatroid, random_graph
 from lattmark.orders import trivial_poset
@@ -33,6 +31,7 @@ from oracles import (
     brute_force_satisfying_subsets,
     independence_number,
     min_cost_by_matchings,
+    pair_cost,
     union_irreducible_paths,
     validate_antimatroid_pairwise,
 )
@@ -134,11 +133,6 @@ class TestAgainstThePairwiseOracle:
 
 
 class TestPaths:
-    def test_fixture_endpoints(self, quad_antimatroid):
-        assert endpoints(quad_antimatroid, {"a", "c", "d"}) == frozenset({"d"})
-        assert endpoints(quad_antimatroid, {"a", "c"}) == frozenset({"c"})
-        assert endpoints(quad_antimatroid, set()) == frozenset()
-
     def test_fixture_paths(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
         got = {(s, e) for s, e in pp.paths}

@@ -26,7 +26,7 @@ from lattmark.fixtures import boolean_lattice, diamond_lattice, hexagon_lattice,
 from lattmark.generators import all_lattices_upto, random_distributive_lattice, random_lattice
 from lattmark.orders import join_irreducibles, lattice_from_order, poset_from_pairs
 
-from oracles import reference_stable_matchings
+from oracles import augmentation_copies, reference_stable_matchings
 from lattmark.markets import IfElse, MatchingMarket, PreferenceList, Regular, Triggered
 from lattmark.rotations import RealizedBase, extract_rotations
 
@@ -39,10 +39,13 @@ def worked(seven_base, rot_ids):
 
 
 def conclusion_workers(em: ExtendableMarket) -> frozenset[str]:
-    """The base workers a one-step market copies: the plus-side workers of
-    its constraint's beta rotations."""
-    (step,) = em.steps
-    return frozenset(em.copy_map[c] for c in step.copies)
+    """The base workers a one-augmentation market copies, read off the
+    market: the base workers behind the else-set of its auxiliary firm, which
+    must be the copies its constraint's beta rotations name."""
+    (_,) = em.constraints
+    copies = em.market.spec("f0#1").else_set
+    assert copies == augmentation_copies(em, 1)
+    return frozenset(em.copy_map[c] for c in copies)
 
 
 class TestDeriveSets:
@@ -83,8 +86,8 @@ class TestDeriveSets:
 class TestAugment:
     def test_agent_growth(self, worked):
         em0, em1 = worked
-        assert em1.agent_count() - em0.agent_count() == 2 + len(conclusion_workers(em1))
-        assert [(s.w0, s.f0) for s in em1.steps] == [("w0#1", "f0#1")]
+        added = {*em1.market.firms, *em1.market.workers} - {*em0.market.firms, *em0.market.workers}
+        assert added == {"w0#1", "f0#1", *augmentation_copies(em1, 1)}
 
     def test_copy_lists(self, worked):
         _, em1 = worked
@@ -191,7 +194,7 @@ class TestProjections:
 class TestOmegaExtend:
     def test_empty_constraint_list_is_identity(self, seven_base):
         em = omega_extend(seven_base, [])
-        assert len(em.steps) == 0
+        assert em.agent_count() == len(seven_base.market.firms) + len(seven_base.market.workers)
         stables = enumerate_stable(em.market)
         assert len(stables) == 10
 
@@ -223,7 +226,7 @@ class TestOmegaExtend:
     def test_beta_empty_constraint_is_vacuous(self):
         base = antichain_base(["p", "q"])
         em = omega_extend(base, [JoinConstraint.make([{"q"}], set())])
-        assert em.steps[-1].copies == ()
+        assert em.market.spec("f0#1").else_set == augmentation_copies(em, 1) == frozenset()
         assert em.agent_count() == 8 + 2
         stables = enumerate_stable(em.market)
         assert len(stables) == 4
@@ -274,7 +277,7 @@ class TestSynthesis:
         result = synthesize_from_lattice(lat)
         em = result.extendable
         base_agents = len(em.base.market.firms) + len(em.base.market.workers)
-        expected = base_agents + sum(2 + len(step.copies) for step in em.steps)
+        expected = base_agents + sum(2 + len(augmentation_copies(em, k)) for k in range(1, len(em.constraints) + 1))
         assert em.agent_count() == expected
 
 

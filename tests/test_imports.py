@@ -54,7 +54,8 @@ def test_no_imports_inside_functions():
 
 def test_benchmark_per_layer_names_resolve():
     """The traced benchmark wraps each function its per-layer metrics name,
-    and reads check_path_independence's exhaustive_limit default."""
+    and reads check_path_independence's exhaustive_limit default and
+    markets.spec_universe when it hooks that check."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     functions = [n.split(".")[:2] for n in names if n.count(".") == 2 and n.endswith((".calls", ".self_s"))]
     missing = [
@@ -64,3 +65,4 @@ def test_benchmark_per_layer_names_resolve():
     ]
     assert functions and not missing, missing
     assert "exhaustive_limit" in inspect.signature(markets.check_path_independence).parameters
+    assert inspect.isfunction(markets.spec_universe) and markets.spec_universe.__module__ == "lattmark.markets"

@@ -30,6 +30,7 @@ from lattmark.orders import trivial_poset
 from oracles import (
     count_lower_sets,
     greatest_lower_bound,
+    join_all,
     join_irreducibles_by_definition,
     least_upper_bound,
 )
@@ -211,7 +212,7 @@ class TestCanonicalPartialRep:
     def test_join_of_rep_recovers_element(self, hexagon):
         rep = canonical_partial_rep(hexagon)
         for x in hexagon.elements:
-            assert hexagon.join_all(rep[x]) == x
+            assert join_all(hexagon, rep[x]) == x
 
     def test_is_always_an_order_embedding(self, hexagon, pentagon, diamond):
         rng = random.Random(11)

@@ -783,6 +783,26 @@ class TestBundleContract:
         code, report = run_cli(capsys, "solve", str(bundle_file), "--bound-nodes", "0")
         assert code == 3 and report["kind"] == "SearchBoundExceeded"
 
+    def test_json_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        depth = 100_000
+        deep.write_text('{"v": 1, "firms": ' + "[" * depth + "]" * depth + "}")
+        code, report = run_cli(capsys, "enumerate", str(deep))
+        assert (code, report["kind"]) == (2, "InputError")
+
+    def test_ids_that_are_not_utf8_exit_2(self, tmp_path, capsys):
+        # "\ud800" is a lone surrogate: JSON decodes it, UTF-8 cannot encode it
+        lattice_file, market_file = tmp_path / "lattice.json", tmp_path / "market.json"
+        lattice_file.write_text('{"v": 1, "elements": ["a\\ud800", "b"], "leq": [["a\\ud800", "b"]]}')
+        market_file.write_text('{"v": 1, "firms": ["f\\ud800"], "workers": ["w"], "choice": {'
+                               '"f\\ud800": {"kind": "preference_list", "list": [["w"]]}, '
+                               '"w": {"kind": "preference_list", "list": [["f\\ud800"]]}}}')
+        dot = str(tmp_path / "out.dot")
+        for argv in (["export-dot", str(lattice_file)], ["export-dot", str(lattice_file), "-o", dot],
+                     ["rotations", str(market_file), "--dot", dot]):
+            code, report = run_cli(capsys, *argv)
+            assert (code, report["kind"]) == (2, "InputError"), argv
+
     def test_malformed_files_keep_the_exit_code_contract(self, tmp_path, capsys, seven_base, rot_ids):
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
         reduction_file = _reduction_file(tmp_path)
