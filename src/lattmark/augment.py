@@ -317,23 +317,16 @@ def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisR
     Pipeline: take the join-irreducible poset, realize its elements as an
     antichain of gadget rotations of the same ids, enforce each covering
     relation p below q as the constraint "q occurring forces p", then enforce
-    the lattice's own join constraints, except those the covering relations
-    already imply: singleton alpha groups whose ids' down-sets cover beta.
-    Such a constraint holds on every lower set of the join-irreducibles, so
-    a distributive lattice keeps none.  With verify, certify_lattice checks
+    the lattice's own join constraints (constraints_from_lattice generates
+    none that every lower set of the join-irreducibles satisfies, so a
+    distributive lattice has none).  With verify, certify_lattice checks
     the result and a failed check raises IsomorphismFailure; without it the
     market is constructed only, never enumerated.
     """
     xj, xj_poset = join_irreducibles(lattice)
     base = antichain_base(xj)
     order_cs = sorted((JoinConstraint.make([{q}], {p}) for p, q in xj_poset.covers), key=JoinConstraint.key)
-
-    def implied(jc: JoinConstraint) -> bool:
-        below = frozenset().union(*(xj_poset.down_set(a) for a in jc.alpha_ids))
-        return all(len(g) == 1 for g in jc.alpha_groups) and jc.beta_ids <= below
-
-    join_cs = [jc for jc in constraints_from_lattice(lattice) if not implied(jc)]
-    em = omega_extend(base, [*order_cs, *join_cs])
+    em = omega_extend(base, [*order_cs, *constraints_from_lattice(lattice)])
     if not verify:
         return SynthesisResult(em, {}, None)
     report, iso = certify_lattice(em, lattice)

@@ -64,12 +64,15 @@ def validate_join_constraint(jc: JoinConstraint, rep_poset: Poset) -> None:
 
 
 def constraints_from_lattice(lattice: Lattice) -> tuple[JoinConstraint, ...]:
-    """One constraint per ordered element pair, pruning joins back to the lattice.
+    """One constraint per ordered element pair whose join adds a
+    join-irreducible, pruning joins back to the lattice.
 
     For the pair (x, y): alpha's arguments are the maximal elements of
     rep(x) | rep(y) in the join-irreducible poset (singleton groups), beta's
-    are rep(x v y).  Exact duplicates are dropped; the bottom/bottom pair,
-    whose alpha would be an empty conjunction, is skipped.
+    are rep(x v y).  A pair with rep(x v y) == rep(x) | rep(y) is skipped: its
+    beta lies in the down-set of its alpha, so the constraint holds on every
+    lower set (this covers the bottom/bottom pair, whose alpha would be an
+    empty conjunction).  Exact duplicates are dropped.
     """
     rep = canonical_partial_rep(lattice)
     _, xj_poset = join_irreducibles(lattice)
@@ -78,10 +81,10 @@ def constraints_from_lattice(lattice: Lattice) -> tuple[JoinConstraint, ...]:
     for x in lattice.elements:
         for y in lattice.elements:
             union = rep[x] | rep[y]
-            if not union:
+            x_beta = rep[lattice.join(x, y)]
+            if x_beta == union:
                 continue
             x_alpha = xj_poset.maximal_of(union)
-            x_beta = rep[lattice.join(x, y)]
             jc = JoinConstraint.make([{z} for z in sorted(x_alpha)], x_beta)
             if jc.key() not in seen:
                 seen.add(jc.key())

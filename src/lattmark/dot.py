@@ -5,12 +5,12 @@ from __future__ import annotations
 from typing import Mapping
 
 from .antimatroids import AntimatroidFamily
-from .orders import Poset, set_key
+from .orders import Poset, inclusion_poset
 from .rotations import RotationPoset
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def poset_dot(poset: Poset, labels: Mapping[str, str] | None = None, name: str = "hasse") -> str:
@@ -34,8 +34,8 @@ def rotation_poset_dot(rp: RotationPoset) -> str:
 
 
 def antimatroid_dot(fam: AntimatroidFamily) -> str:
-    sets = sorted(fam.feasible, key=set_key)
-    names = {s: "{" + ",".join(sorted(s)) + "}" for s in sets}
-    rel = frozenset((names[a], names[b]) for a in sets for b in sets if a <= b)
-    poset = Poset(tuple(names[s] for s in sets), rel)
-    return poset_dot(poset, name="feasible_sets")
+    """Nodes are named by their index in set_key order and labelled with their
+    sets, so ids that contain commas cannot make two sets share a node."""
+    poset, sets = inclusion_poset(fam.feasible)
+    labels = {x: "{" + ",".join(sorted(s)) + "}" for x, s in zip(poset.elements, sets)}
+    return poset_dot(poset, labels, name="feasible_sets")

@@ -15,16 +15,11 @@ from typing import Iterable
 
 from .antimatroids import AntimatroidFamily
 from .errors import InputError
-from .orders import Lattice, Poset, lattice_from_order, set_key
+from .orders import Lattice, Poset, inclusion_poset, lattice_from_order, set_key
 
 
 def _family_lattice(family: Iterable[frozenset]) -> Lattice:
-    sets = sorted(set(family), key=set_key)
-    names = {s: f"x{i}" for i, s in enumerate(sets)}
-    rel = frozenset(
-        (names[a], names[b]) for a in sets for b in sets if a <= b
-    )
-    return lattice_from_order(Poset(tuple(names[s] for s in sets), rel))
+    return lattice_from_order(inclusion_poset(family)[0])
 
 
 def _close(family: set[frozenset], ops) -> set[frozenset]:

@@ -489,7 +489,12 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     (opposition of interests makes this sound).  Firm-side individual
     rationality is pruned incrementally (substitutability makes a violation
     permanent), pairs are checked for blocking as soon as a firm's offer pool
-    is complete, and full stability is re-verified at every leaf.
+    is complete, and full stability is re-verified at every leaf.  Two more
+    rules follow from stability and path independence and are stated through
+    the choice functions: a triggered worker whose firms' demands for it are
+    fixed gets its choice from the firms that demand it, and the fallback
+    workers of an if-else firm that each take the firm from their whole
+    universe are matched to it all or none.
 
     Workers are searched in the market's declared order, market.workers.  The
     order only affects search performance, never the result, but it can
@@ -558,12 +563,14 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
         return (ch(cand, store) == cand and ch(cand | best[j], store) == best[j]
                 and ch(worst[j] | cand, store) == cand)
 
-    # Structural fact about if-else firms whose fallback workers all list the
-    # firm first: a stable matching matches either all of them or none of
-    # them to it.  (All there is fine.  One there, one away: if the priority
-    # worker is held the firm keeps only it, breaking the first one's
-    # individual rationality; otherwise the firm demands the away worker,
-    # which demands the firm back as its first choice, a blocking pair.)
+    # Structural fact about if-else firms f whose fallback workers e all take
+    # f from their whole universe U_e, f in ch_e(U_e): a stable matching
+    # matches either all of them or none of them to f.  (By substitutability
+    # each e then takes f from every offer that contains f.  All there is
+    # fine.  One there, one away: if the priority worker is held the firm
+    # keeps only it, breaking the first one's individual rationality;
+    # otherwise the firm demands the away worker, which demands the firm
+    # back, a blocking pair.)
     group_firm: list[int] = []
     member_groups: dict[int, list[int]] = {}
     worker_index = {w: j for j, w in enumerate(workers)}
@@ -571,12 +578,7 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
         f_spec = market.spec(f)
         if isinstance(f_spec, IfElse) and f_spec.else_set:
             members = [worker_index[e] for e in f_spec.else_set]
-            if all(
-                isinstance(specs[e], PreferenceList)
-                and specs[e].entries
-                and specs[e].entries[0] == frozenset([f])
-                for e in members
-            ):
+            if all(worker_choice[e](sum(fb for _, fb in acceptable[e])) >> i & 1 for e in members):
                 for e in members:
                     member_groups.setdefault(e, []).append(len(group_firm))
                 group_firm.append(1 << i)
@@ -587,22 +589,15 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
     assigned = [0] * len(workers)
     assigned_at: list[list[int]] = [[] for _ in workers]  # the bit positions of assigned[j]
 
-    def triggered_forced(j: int) -> list[tuple[int, list[int]]]:
-        # Sound only once every firm in the universe has its full regular
-        # offer pool: the mutual-demand set is then the only assignment that
-        # can survive individual rationality plus blocking checks.
-        sp = specs[j]
+    def mutual_demand(j: int) -> list[tuple[int, list[int]]]:
+        # Sound only once every firm in j's universe has a fixed demand for j
+        # (settled below).  Let D be the firms that demand j.  j's firms A lie
+        # in D (firm individual rationality), ch_j(A) = A, and no firm f of
+        # D - A is in ch_j(A | {f}) (no blocking pair); path independence then
+        # gives ch_j(D) = A, so ch_j(D) is j's only possible assignment.
         wb = 1 << j
-        cand = 0
-        for f in sp.watch:
-            fb = firm_bit[f]
-            i = fb.bit_length() - 1
-            if firm_choice[i](hold[i] | wb) & wb:
-                cand |= fb
-        tb = firm_bit[sp.trigger]
-        t = tb.bit_length() - 1
-        if worker_choice[j](cand | tb) & tb and firm_choice[t](hold[t] | wb) & wb:
-            cand |= tb
+        demand = sum(fb for i, fb in acceptable[j] if firm_choice[i](hold[i] | wb) & wb)
+        cand = worker_choice[j](demand)
         return [(cand, _bits(cand))] if keep(j, cand) else []
 
     def settled(i: int) -> bool:
@@ -619,7 +614,7 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
 
     def candidates(j: int) -> list[tuple[int, list[int]]]:
         if triggered[j] and all(settled(i) for i, _ in acceptable[j]):
-            return triggered_forced(j)
+            return mutual_demand(j)
         if j not in kept:
             store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
             found = (s for s in specs[j].candidates() if keep(j, firm_mask(s), store))

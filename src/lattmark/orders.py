@@ -100,6 +100,14 @@ def trivial_poset(elements: Iterable[str]) -> Poset:
     return Poset(els, frozenset((e, e) for e in els))
 
 
+def inclusion_poset(family: Iterable[frozenset]) -> tuple[Poset, list[frozenset]]:
+    """The family's distinct sets ordered by inclusion, and the sets in
+    set_key order: element x<i> of the poset names the i-th set."""
+    sets = sorted(set(family), key=set_key)
+    names = {s: f"x{i}" for i, s in enumerate(sets)}
+    return Poset(tuple(names.values()), frozenset((names[a], names[b]) for a in sets for b in sets if a <= b)), sets
+
+
 def validate_poset(elements: Iterable[str], matrix: Iterable[Iterable[bool]]) -> Poset:
     """Check the three order axioms on a boolean matrix and build the Poset.
 

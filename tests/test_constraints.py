@@ -15,6 +15,7 @@ from lattmark import (
     validate_join_constraint,
 )
 from lattmark.errors import AlphaArgumentsComparable, UnknownElementId
+from lattmark.fixtures import boolean_lattice
 from lattmark.generators import random_lattice
 from lattmark.orders import trivial_poset
 
@@ -91,6 +92,16 @@ class TestGeneration:
         _, poset = join_irreducibles(hexagon)
         jc = JoinConstraint.make([{"d"}], rep["d"])
         assert all(jc.holds(t) for t in lower_sets(poset))
+
+    def test_no_constraint_holds_on_every_lower_set(self, hexagon, pentagon, diamond):
+        rng = random.Random(5)
+        lats = [hexagon, pentagon, diamond] + [random_lattice(rng.randint(2, 8), rng) for _ in range(15)]
+        for lat in lats:
+            _, poset = join_irreducibles(lat)
+            family = lower_sets(poset)
+            for jc in constraints_from_lattice(lat):
+                assert not all(jc.holds(t) for t in family), jc
+        assert constraints_from_lattice(boolean_lattice(3)) == ()
 
     def test_count_bounded_by_square(self):
         rng = random.Random(9)

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it (the package's __init__.py,
 whose imports are its public re-exports, excepted), and every package module
-imports at module level, never inside a function body; and every function
-the benchmark's per-layer metrics name exists."""
+imports at module level, never inside a function body; every function the
+benchmark's per-layer metrics name exists; and the stable-matching search
+reads the choice-spec families only through their choice functions."""
 
 from __future__ import annotations
 
@@ -66,3 +67,30 @@ def test_benchmark_per_layer_names_resolve():
     assert functions and not missing, missing
     assert "exhaustive_limit" in inspect.signature(markets.check_path_independence).parameters
     assert inspect.isfunction(markets.spec_universe) and markets.spec_universe.__module__ == "lattmark.markets"
+
+
+SPEC_FAMILIES = {"PreferenceList", "Triggered", "IfElse", "Regular"}
+
+
+def test_search_reads_no_spec_family_fields():
+    """markets._stable_leaves states its prune rules through the memoised
+    choice functions, not through the fields of one spec family."""
+    tree = ast.parse((ROOT / "src" / "lattmark" / "markets.py").read_text(encoding="utf-8"))
+    search = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_stable_leaves")
+    fields = {"watch", "trigger", "entries", "tiers", "aux_pairs", "alpha_groups", "blocks"}
+    read = sorted({n.attr for n in ast.walk(search) if isinstance(n, ast.Attribute) and n.attr in fields})
+    assert not read, read
+
+
+def test_few_isinstance_branches_on_spec_families():
+    """At most 8 isinstance tests against the four spec families remain in
+    src/: the spec codec in jsonio (4), the search's triggered, settles and
+    if-else checks (3), and augment's input validation (1)."""
+    found = []
+    for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id in SPEC_FAMILIES for n in ast.walk(node.args[1]))):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert len(found) <= 8, found

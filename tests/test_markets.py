@@ -36,7 +36,7 @@ from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.errors import SearchBoundExceeded, SpecError
 from lattmark.markets import spec_universe
 
-from oracles import one_to_one_stable_matchings, path_independence_by_subsets
+from oracles import one_to_one_stable_matchings, path_independence_by_subsets, reference_stable_matchings
 
 
 def two_list_market():
@@ -244,6 +244,40 @@ class TestEnumerate:
     def test_empty_market(self):
         m = MatchingMarket((), (), {})
         assert enumerate_stable(m) == [Matching(frozenset())]
+
+    @pytest.mark.parametrize("e1, e2", [
+        (Regular((frozenset({"f"}), frozenset({"g"})), ()), PreferenceList.of("f", "h")),
+        (PreferenceList.of("f", "g"), PreferenceList.of({"f", "h"}, "f", "h")),
+    ], ids=["regular-first-tier", "list-with-set-first-entry"])
+    def test_if_else_group_of_workers_that_always_take_the_firm(self, e1, e2):
+        """Firm f's fallback workers e1 and e2 take f out of every offer, and
+        one of them is not a list whose first entry is {f}: the if-else group
+        rule applies, and f holds either its priority worker p or both."""
+        market = MatchingMarket(("f", "g", "h"), ("p", "e1", "e2"), {
+            "f": IfElse("p", frozenset({"e1", "e2"})),
+            "g": PreferenceList.of("e1", "p"),
+            "h": PreferenceList.of("e2"),
+            "p": PreferenceList.of("g", "f"),
+            "e1": e1,
+            "e2": e2,
+        })
+        got = enumerate_stable(market)
+        assert got == reference_stable_matchings(market)
+        assert len(got) == 2
+        assert {mu.workers_of("f") for mu in got} == {frozenset({"p"}), frozenset({"e1", "e2"})}
+
+    def test_if_else_fallback_workers_split_when_one_prefers_another_firm(self):
+        """e1 takes g before f, so the group rule must not apply: the one
+        stable matching gives f only e2."""
+        market = MatchingMarket(("f", "g"), ("p", "e1", "e2"), {
+            "f": IfElse("p", frozenset({"e1", "e2"})),
+            "g": PreferenceList.of("e1", "p"),
+            "p": PreferenceList.of("g"),
+            "e1": Regular((frozenset({"g"}), frozenset({"f"})), ()),
+            "e2": PreferenceList.of("f"),
+        })
+        got = enumerate_stable(market)
+        assert got == reference_stable_matchings(market) == [Matching.of([("f", "e2"), ("g", "e1")])]
 
     def test_each_offer_is_evaluated_once(self, quad_antimatroid, monkeypatch):
         """Past its deferred-acceptance anchors, enumerate_stable evaluates

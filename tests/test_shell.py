@@ -246,6 +246,25 @@ class TestCli:
         code, out = run_cli(capsys, "export-dot", str(lattice_file))
         assert code == 0 and out.startswith("digraph")
 
+    def test_export_dot_escapes_backslashes(self, tmp_path, capsys):
+        lattice_file = tmp_path / "lattice.json"
+        jsonio.write_json(lattice_file, {"v": 1, "elements": ["a\\", "b"], "leq": [["a\\", "b"]]})
+        code, out = run_cli(capsys, "export-dot", str(lattice_file))
+        assert code == 0
+        assert '  "a\\\\" [label="a\\\\"];' in out.splitlines()
+        assert '  "a\\\\" -> "b";' in out.splitlines()
+
+    def test_export_dot_of_antimatroid_with_commas_in_ids(self, tmp_path, capsys):
+        ground = ["a", "a,b", "b"]
+        feasible = [[x for i, x in enumerate(ground) if mask >> i & 1] for mask in range(1 << len(ground))]
+        anti_file = tmp_path / "free.json"
+        jsonio.write_json(anti_file, {"v": 1, "ground": ground, "feasible": feasible})
+        code, out = run_cli(capsys, "export-dot", str(anti_file))
+        assert code == 0
+        nodes = [line.split(" [label=", 1)[0] for line in out.splitlines() if "[label=" in line]
+        assert len(nodes) == len(set(nodes)) == len(feasible)
+        assert '"{a,a,b,b}"' in out
+
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"v": 1, "elements": ["a", "b"], "leq": [["a","b"],["b","a"]]}')
