@@ -286,13 +286,17 @@ def min_cost_stable(
     sense: str = "min",
     node_bound: int = DEFAULT_NODE_BOUND,
 ) -> tuple[Matching, Fraction]:
-    """Exhaustive optimum of a pair-cost function over the stable matchings;
-    ties go to the canonically first matching.  The costs are scaled once by
-    the lcm of their denominators into an int table by worker and firm
-    position, so each stable leaf of enumerate_stable's search is costed and
-    compared as an exact int; only a leaf that beats or ties the incumbent
-    becomes a Matching, and a tie keeps the smaller Matching.key().  The
-    optimum is returned as that int over the scale."""
+    """Exact optimum of a pair-cost function over the stable matchings; ties
+    go to the canonically first matching.  The costs are scaled once by the
+    lcm of their denominators into an int table by worker and firm position
+    (negated for max), and enumerate_stable's search runs on it as branch
+    and bound: a branch whose exact lower bound is strictly above the
+    cheapest stable leaf found so far is cut, so every leaf of least cost is
+    still reached.  Each leaf the search yields costs no more than the ones
+    before it, so it becomes a Matching that replaces the incumbent when it
+    is cheaper or ties with a smaller Matching.key().  node_bound counts the
+    pruned search's nodes.  The optimum is returned as that int over the
+    scale."""
     if sense not in ("min", "max"):
         raise InputError(f"sense must be 'min' or 'max', not {sense!r}")
     _check_pairs(market, pair_costs)
@@ -305,16 +309,11 @@ def min_cost_stable(
         if v:
             rows.setdefault(worker_at[w], {})[firm_at[f]] = sign * v.numerator * (scale // v.denominator)
     best = best_key = best_val = None
-    for at in _stable_leaves(market, node_bound):
-        val = 0
-        for j, row in rows.items():
-            for i in at[j]:
-                val += row.get(i, 0)
-        if best_val is None or val <= best_val:
-            mu = _leaf_matching(market, at)
-            key = mu.key()
-            if best_val is None or val < best_val or key < best_key:
-                best, best_key, best_val = mu, key, val
+    for at, val in _stable_leaves(market, node_bound, rows):
+        mu = _leaf_matching(market, at)
+        key = mu.key()
+        if best_val is None or val < best_val or key < best_key:
+            best, best_key, best_val = mu, key, val
     if best is None:
         raise InvariantError("no stable matchings found")
     return best, Fraction(sign * best_val, scale)

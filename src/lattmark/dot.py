@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from typing import Mapping
 
 from .antimatroids import AntimatroidFamily
@@ -33,9 +34,16 @@ def rotation_poset_dot(rp: RotationPoset) -> str:
     return poset_dot(rp.poset, labels, name="rotations")
 
 
+def _set_member(x: str) -> str:
+    """An id as written in a set label: JSON-quoted when it contains a
+    character of the label's own syntax, so distinct sets get distinct
+    labels; any other id as it is."""
+    return json.dumps(x, ensure_ascii=False) if any(c in x for c in ',{}"') else x
+
+
 def antimatroid_dot(fam: AntimatroidFamily) -> str:
     """Nodes are named by their index in set_key order and labelled with their
     sets, so ids that contain commas cannot make two sets share a node."""
     poset, sets = inclusion_poset(fam.feasible)
-    labels = {x: "{" + ",".join(sorted(s)) + "}" for x, s in zip(poset.elements, sets)}
+    labels = {x: "{" + ",".join(map(_set_member, sorted(s))) + "}" for x, s in zip(poset.elements, sets)}
     return poset_dot(poset, labels, name="feasible_sets")

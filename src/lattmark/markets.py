@@ -456,10 +456,8 @@ class _Masks:
                             for f in market.firms]
         self.worker_choice = [_mask_choice(market.spec(w), market.firms, self.firm_bit, self.memo[w])
                               for w in market.workers]
-        self.acceptable = [
-            [(i, 1 << i) for i, f in enumerate(market.firms) if f in spec_universe(market.spec(w))]
-            for w in market.workers
-        ]
+        universes = [spec_universe(market.spec(w)) for w in market.workers]
+        self.acceptable = [[(i, 1 << i) for i, f in enumerate(market.firms) if f in u] for u in universes]
 
     def stable(self, assigned: Sequence[int], hold: Sequence[int]) -> bool:
         """Stability of the matching in which worker j holds the firm mask
@@ -514,7 +512,8 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     guard, and an unstable one raises SpecError.  The output is canonically
     sorted.
     """
-    return sorted((_leaf_matching(market, at) for at in _stable_leaves(market, node_bound)), key=Matching.key)
+    leaves = _stable_leaves(market, node_bound, {})
+    return sorted((_leaf_matching(market, at) for at, _ in leaves), key=Matching.key)
 
 
 def _leaf_matching(market: MatchingMarket, at: Sequence[Sequence[int]]) -> Matching:
@@ -523,12 +522,26 @@ def _leaf_matching(market: MatchingMarket, at: Sequence[Sequence[int]]) -> Match
     return Matching(frozenset((firms[i], w) for w, held_by in zip(market.workers, at) for i in held_by))
 
 
-def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[list[int]]]:
-    """enumerate_stable's search, yielding each stable leaf in search order as
-    the list whose entry j holds worker j's firm positions (ascending indexes
-    into market.firms).  The list is the search's own state, valid until the
-    generator resumes.  Raises SearchBoundExceeded on node number
-    node_bound + 1 and SpecError on an unstable anchor, as enumerate_stable.
+def _stable_leaves(
+    market: MatchingMarket, node_bound: int, costs: Mapping[int, Mapping[int, int]]
+) -> Iterator[tuple[list[list[int]], int]]:
+    """enumerate_stable's search, as branch and bound on an int cost table:
+    costs[j][i] is what worker j pays for holding firm i (worker and firm
+    positions; a missing entry is 0).  It yields (leaf, cost) in search order,
+    the leaf as the list whose entry j holds worker j's firm positions
+    (ascending indexes into market.firms).  The list is the search's own
+    state, valid until the generator resumes.
+
+    A candidate is skipped, uncounted as a node, when the cost spent on the
+    workers before it, plus its own cost, plus the floor of the workers after
+    it (the sum of their rows' negative entries, which no firm set can
+    undercut) is strictly above the cheapest stable leaf yielded so far.  So
+    every leaf of least cost is yielded, and each yielded leaf costs no more
+    than those yielded before it.  With no costs nothing is skipped, and the
+    leaves are all the stable matchings.
+
+    Raises SearchBoundExceeded on node number node_bound + 1 and SpecError on
+    an unstable anchor, as enumerate_stable.
     """
     mu_f = deferred_acceptance(market, "firms")
     worker_optimal = deferred_acceptance(market, "workers")
@@ -542,6 +555,12 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
     firm_bit, firm_choice, worker_choice, acceptable = (
         masks.firm_bit, masks.firm_choice, masks.worker_choice, masks.acceptable)
     specs = [market.spec(w) for w in workers]
+    rows = [costs.get(j, {}) for j in range(len(workers))]
+    floor = [0] * (len(workers) + 1)  # floor[j]: the least workers j, j + 1, ... can cost
+    for j in reversed(range(len(workers))):
+        floor[j] = floor[j + 1] + sum(v for v in rows[j].values() if v < 0)
+    # no leaf costs more than the positive entries, so this incumbent prunes nothing
+    incumbent = sum(v for row in rows for v in row.values() if v > 0)
 
     def firm_mask(names: Iterable[str]) -> int:
         return sum(firm_bit[f] for f in names)
@@ -589,7 +608,12 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
     assigned = [0] * len(workers)
     assigned_at: list[list[int]] = [[] for _ in workers]  # the bit positions of assigned[j]
 
-    def mutual_demand(j: int) -> list[tuple[int, list[int]]]:
+    def priced(j: int, cand: int) -> tuple[int, list[int], int]:
+        """A candidate: its firm mask, the positions of its bits, its cost."""
+        held_by = _bits(cand)
+        return cand, held_by, sum(rows[j].get(i, 0) for i in held_by)
+
+    def mutual_demand(j: int) -> list[tuple[int, list[int], int]]:
         # Sound only once every firm in j's universe has a fixed demand for j
         # (settled below).  Let D be the firms that demand j.  j's firms A lie
         # in D (firm individual rationality), ch_j(A) = A, and no firm f of
@@ -598,7 +622,7 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
         wb = 1 << j
         demand = sum(fb for i, fb in acceptable[j] if firm_choice[i](hold[i] | wb) & wb)
         cand = worker_choice[j](demand)
-        return [(cand, _bits(cand))] if keep(j, cand) else []
+        return [priced(j, cand)] if keep(j, cand) else []
 
     def settled(i: int) -> bool:
         # A firm's demand for an auxiliary worker is fixed for the rest of a
@@ -608,17 +632,16 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
         return settles[i] and (rem_reg[i] == 0 or bool(hold[i] & regular_workers))
 
     # keep(j, .) depends only on j and the two anchors, so a worker's kept
-    # candidates are computed on its first visit and reused.  A candidate is
-    # its firm mask with the positions of its bits.
-    kept: dict[int, list[tuple[int, list[int]]]] = {}
+    # candidates are computed on its first visit and reused.
+    kept: dict[int, list[tuple[int, list[int], int]]] = {}
 
-    def candidates(j: int) -> list[tuple[int, list[int]]]:
+    def candidates(j: int) -> list[tuple[int, list[int], int]]:
         if triggered[j] and all(settled(i) for i, _ in acceptable[j]):
             return mutual_demand(j)
         if j not in kept:
             store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
             found = (s for s in specs[j].candidates() if keep(j, firm_mask(s), store))
-            kept[j] = [(firm_mask(s), _bits(firm_mask(s))) for s in sorted(found, key=set_key)]
+            kept[j] = [priced(j, firm_mask(s)) for s in sorted(found, key=set_key)]
         return kept[j]
 
     def place(j: int, cand: int, held_by: list[int]) -> bool:
@@ -677,12 +700,13 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
 
     if not workers:
         if masks.stable(assigned, hold):
-            yield assigned_at
+            yield assigned_at, 0
         return
-    # Level j of the stack is an iterator over worker j's candidates; every
-    # level below the top has placed its worker.
+    # Level j of the stack is an iterator over worker j's candidates and the
+    # cost of workers 0..j-1; every level below the top has placed its worker.
     last = len(workers) - 1
     pending = [iter(candidates(0))]
+    spent = [0]
     nodes = 0
     j = 0
     while True:
@@ -691,19 +715,25 @@ def _stable_leaves(market: MatchingMarket, node_bound: int) -> Iterator[list[lis
             if not j:
                 return
             pending.pop()
+            spent.pop()
             j -= 1
             unplace(j)
+            continue
+        cand, held_by, cost = step
+        if spent[j] + cost + floor[j + 1] > incumbent:
             continue
         nodes += 1
         if nodes > node_bound:
             raise SearchBoundExceeded(nodes, node_bound)
-        if place(j, *step):
+        if place(j, cand, held_by):
             if j < last:
+                spent.append(spent[j] + cost)
                 j += 1
                 pending.append(iter(candidates(j)))
                 continue
             if masks.stable(assigned, hold):
-                yield assigned_at
+                incumbent = spent[j] + cost  # at most the old incumbent, by the skip test
+                yield assigned_at, incumbent
         unplace(j)
 
 

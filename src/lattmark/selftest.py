@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 
 from .antimatroids import (
     AntimatroidFamily,
@@ -84,6 +85,15 @@ def run(quick: bool = False, seed: int = 7) -> int:
     check("four-element antimatroid constraint filtering", {ground - t for t in occurred} == set(fam.feasible))
 
     check("pentagon synthesis verifies", synthesize_from_lattice(pentagon_lattice()).report.ok)
+
+    gadget, weights = independent_set_antimatroid(["u", "v", "x"], [("u", "v"), ("v", "x")])
+    bundle = reduce_to_matching(compute_path_poset(gadget), {x: -w for x, w in weights.items()})
+    market, pair_costs = bundle.extendable.market, bundle.pair_costs
+    costed = [(sum((pair_costs.get(p, 0) for p in mu.pairs), Fraction(0)), mu) for mu in enumerate_stable(market)]
+    for sense, pick in (("min", min), ("max", max)):
+        want = pick(c for c, _ in costed)
+        check(f"three-path reduction: cost-bounded {sense} equals the {sense} over every stable matching",
+              min_cost_stable(market, pair_costs, sense) == (next(mu for c, mu in costed if c == want), want))
 
     if not quick:
         check("hexagon synthesis verifies", synthesize_from_lattice(lat).report.ok)

@@ -22,7 +22,7 @@ from lattmark import (
     transfer_costs,
     validate_antimatroid,
 )
-from lattmark.errors import InputError
+from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.generators import random_antimatroid, random_graph
 from lattmark.orders import trivial_poset
 
@@ -360,6 +360,55 @@ class TestReduction:
                     want = min_cost_by_matchings(ms, pair_costs, sense)
                     assert min_cost_stable(market, pair_costs, sense=sense) == want, (name, kind, sense)
                     assert kind != "zero" or want == (ms[0], 0), (name, sense)
+
+    def test_cost_bound_matches_the_matching_by_matching_oracle(self):
+        """min_cost_stable prunes on a cost floor; under min and max its value
+        and matching equal the oracle's on seeded random antimatroid
+        reductions and the independent-set reductions of K3, C5, K4 and
+        random graphs.  The costs are skewed so the floor bites: large
+        negative costs on the workers the search places last, positive ones
+        on the first.  A second table puts -1 on one pair held by several,
+        but not all, stable matchings, so the optimum ties."""
+        rng = random.Random(61)
+        k4 = ["a", "b", "c", "d"]
+        families = [random_antimatroid(rng.randint(1, 4), rng) for _ in range(4)]
+        graphs = [(["u", "v", "x"], [("u", "v"), ("v", "x"), ("u", "x")]),
+                  ([f"v{i}" for i in range(5)], [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]),
+                  (k4, [(p, q) for i, p in enumerate(k4) for q in k4[i + 1:]])]
+        graphs += [random_graph(rng.randint(2, 4), rng) for _ in range(3)]
+        families += [independent_set_antimatroid(vertices, edges)[0] for vertices, edges in graphs]
+        ties = 0
+        for fam in families:
+            market = reduce_to_matching(compute_path_poset(fam), {}).extendable.market
+            ms = enumerate_stable(market)
+            position = {w: j for j, w in enumerate(market.workers)}
+            late = len(market.workers) // 2
+            skewed = {(f, w): Fraction(-rng.randint(5, 20) if position[w] >= late else rng.randint(0, 5),
+                                       rng.choice((1, 2, 3)))
+                      for w in market.workers for f in market.spec(w).universe}
+            held = Counter(pair for mu in ms for pair in mu.pairs)
+            shared = [pair for pair, n in held.items() if 1 < n < len(ms)]
+            tables = [skewed]
+            if shared:
+                tables.append({max(shared, key=lambda p: position[p[1]]): Fraction(-1)})
+                ties += 1
+            for pair_costs in tables:
+                for sense in ("min", "max"):
+                    want = min_cost_by_matchings(ms, pair_costs, sense)
+                    assert min_cost_stable(market, pair_costs, sense=sense) == want, (fam, sense)
+        assert ties >= 6, ties
+
+    def test_cost_bound_prunes_the_search(self):
+        """On K4's independent-set reduction the cost bound cuts the search
+        below a node bound that the search without costs exceeds."""
+        k4 = ["a", "b", "c", "d"]
+        fam, weights = independent_set_antimatroid(k4, [(p, q) for i, p in enumerate(k4) for q in k4[i + 1:]])
+        bundle = reduce_to_matching(compute_path_poset(fam), {x: -w for x, w in weights.items()})
+        market = bundle.extendable.market
+        _, value = min_cost_stable(market, bundle.pair_costs, node_bound=5000)
+        assert value == -1
+        with pytest.raises(SearchBoundExceeded):
+            enumerate_stable(market, node_bound=5000)
 
     def test_bad_sense_rejected(self, quad_antimatroid):
         with pytest.raises(InputError):

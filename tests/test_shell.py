@@ -261,9 +261,10 @@ class TestCli:
         jsonio.write_json(anti_file, {"v": 1, "ground": ground, "feasible": feasible})
         code, out = run_cli(capsys, "export-dot", str(anti_file))
         assert code == 0
-        nodes = [line.split(" [label=", 1)[0] for line in out.splitlines() if "[label=" in line]
+        nodes, labels = zip(*(line.split(" [label=", 1) for line in out.splitlines() if "[label=" in line))
         assert len(nodes) == len(set(nodes)) == len(feasible)
-        assert '"{a,a,b,b}"' in out
+        assert len(set(labels)) == len(feasible)
+        assert '[label="{a,\\"a,b\\",b}"];' in out and '[label="{a,b}"];' in out
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
