@@ -2,10 +2,11 @@
 
 An antimatroid is encoded either by its feasible family or by its path poset
 (paths ordered by containment).  The reduction realizes the ground set as a
-gadget-bank market, enforces one constraint per ground element describing
-which endpoint patterns admit each element, and transfers ground costs onto
-the minus pairs of the corresponding rotations, exactly (rational
-arithmetic).  Optimizers here are exhaustive by design.
+gadget-bank market, enforces at most one constraint per ground element
+describing which endpoint patterns admit it (none for an element that is a
+path on its own), and transfers ground costs onto the minus pairs of the
+corresponding rotations, exactly (rational arithmetic).  Optimizers here
+are exhaustive by design.
 
 The axiom check, the path poset and the union closure of paths work on int
 masks over the sorted ground set.  Union closure is checked exactly against
@@ -156,16 +157,33 @@ def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
 
 
 def antimatroid_constraints(pp: PathPoset) -> list[JoinConstraint]:
-    """One join constraint per ground element x, read on the set T of
-    rotations that occurred, the ground elements outside a feasible set: if
-    every path ending at x has a subpath whose endpoint is in T, then x is
-    in T.  So x may only be feasible together with the full endpoint pattern
-    of one of its paths."""
-    endpoint_of = pp.endpoint_of()
-    return [
-        JoinConstraint.make([{endpoint_of[s] for s in pp.subpaths(g)} for g in pp.with_endpoint(x)], {x})
-        for x in pp.ground
-    ]
+    """At most one join constraint per ground element x, read on the set T
+    of rotations that occurred, the ground elements outside a feasible set:
+    if every path ending at x has a subpath whose endpoint is in T, then x
+    is in T.  So x may only be feasible together with the full endpoint
+    pattern of one of its paths.
+
+    Each path g ending at x gives one alpha group, the endpoints of g's
+    subpaths.  That is all of g: a minimal feasible subset of g that holds
+    an element z has an endpoint (accessibility), and minimality leaves z
+    as the only one.  Two rewrites, each exact on every T, narrow the
+    groups:
+    - x is dropped from every group: if x is in T the constraint holds
+      either way, and if it is not, T meets a group exactly when it meets
+      the group minus x;
+    - a group left empty (the path {x}) makes alpha false whenever x is not
+      in T, so the constraint holds on every set and is not generated.
+    No group then strictly contains another, so CNF absorption drops
+    nothing: of two paths ending at x, the smaller grows to the larger one
+    feasible element at a time, and the last element added is a second
+    endpoint of the larger.  An element that ends no path keeps alpha
+    empty, so it is always in T."""
+    out = []
+    for x in pp.ground:
+        paths = pp.with_endpoint(x)
+        if frozenset({x}) not in paths:
+            out.append(JoinConstraint.make([g - {x} for g in paths], {x}))
+    return out
 
 
 def edge_id(u: str, v: str) -> str:
@@ -272,8 +290,8 @@ class ReductionBundle:
 
 def reduce_to_matching(pp: PathPoset, costs: Mapping[str, int | Fraction]) -> ReductionBundle:
     """Theorem-2 pipeline: gadget-bank base over the ground set, one
-    augmentation per ground element's constraint, costs transferred onto
-    base minus pairs."""
+    augmentation per constraint of antimatroid_constraints (at most one per
+    ground element), costs transferred onto base minus pairs."""
     base = antichain_base(list(pp.ground))
     em = omega_extend(base, antimatroid_constraints(pp))
     pair_costs = transfer_costs(base, costs)

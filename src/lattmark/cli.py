@@ -91,7 +91,7 @@ def cmd_synthesize(args) -> int:
     jsonio.write_json(args.out, jsonio.extendable_to_json(em))
     report.wrote(args.out)
     iso_table = {x: jsonio.matching_to_json(mu) for x, mu in sorted(result.iso.items())}
-    extra = {"agents": em.agent_count(), "iso": iso_table}
+    extra = {"agents": em.agent_count(), "augmentations": len(em.constraints), "iso": iso_table}
     if args.iso:
         jsonio.write_json(args.iso, {"v": 1, "iso": iso_table})
         report.wrote(args.iso)
@@ -176,6 +176,7 @@ def cmd_reduce(args) -> int:
     report.wrote(args.out)
     return report.emit({
         "agents": bundle.extendable.agent_count(),
+        "augmentations": len(bundle.extendable.constraints),
         "ground": list(bundle.ground),
         "cost_scale": bundle.cost_scale,
     })

@@ -299,3 +299,15 @@ def min_cost_by_matchings(matchings, pair_costs, sense="min"):
         if best_val is None or sign * val < sign * best_val:
             best, best_val = mu, val
     return best, best_val
+
+
+def full_antimatroid_constraints(pp):
+    """The reduction's join constraints before any rewrite: for each ground
+    element x, beta {x} and one alpha group per path g ending at x, the
+    endpoints of g's subpaths (x among them, since g is its own subpath)."""
+    from lattmark.constraints import JoinConstraint
+
+    return [
+        JoinConstraint.make([{e for s, e in pp.paths if s <= g} for g, end in pp.paths if end == x], {x})
+        for x in pp.ground
+    ]

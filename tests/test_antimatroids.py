@@ -24,11 +24,13 @@ from lattmark import (
 )
 from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.generators import random_antimatroid, random_graph
+from lattmark.markets import check_path_independence, spec_universe
 from lattmark.orders import trivial_poset
 
 from oracles import (
     antimatroid_axiom_failures,
     brute_force_satisfying_subsets,
+    full_antimatroid_constraints,
     independence_number,
     min_cost_by_matchings,
     pair_cost,
@@ -183,7 +185,8 @@ class TestConstraints:
     def test_fixture_filtering(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
         cs = antimatroid_constraints(pp)
-        assert len(cs) == len(quad_antimatroid.ground)
+        # a and b are singleton paths, so only c and d are constrained
+        assert [c.beta_ids for c in cs] == [{"c"}, {"d"}]
         got = feasible_by_constraints(quad_antimatroid.ground, cs)
         assert got == set(quad_antimatroid.feasible)
         # independent brute force over all 16 subsets
@@ -215,6 +218,34 @@ class TestConstraints:
             cs = antimatroid_constraints(compute_path_poset(fam))
             got = feasible_by_constraints(fam.ground, cs)
             assert got == set(fam.feasible)
+
+    @staticmethod
+    def _oracle_cases(quad_antimatroid):
+        """The quad fixture, 100 seeded random antimatroids of 1-8 elements
+        and every criterion-8 graph gadget of at most 12 elements."""
+        rng = random.Random(71)
+        fams = [quad_antimatroid] + [random_antimatroid(rng.randint(1, 8), rng) for _ in range(100)]
+        gadgets = (independent_set_antimatroid(v, e)[0] for _, v, e in reduction_graphs())
+        return fams + [fam for fam in gadgets if len(fam.ground) <= 12]
+
+    def test_rewritten_constraints_admit_the_full_constraints_family(self, quad_antimatroid):
+        """The rewritten constraints admit exactly the sets the unrewritten
+        ones admit, over all 2^|ground| subsets."""
+        for fam in self._oracle_cases(quad_antimatroid):
+            pp = compute_path_poset(fam)
+            want = feasible_by_constraints(fam.ground, full_antimatroid_constraints(pp))
+            assert feasible_by_constraints(fam.ground, antimatroid_constraints(pp)) == want, fam
+
+    def test_rewritten_constraints_are_narrow(self, quad_antimatroid):
+        """No alpha meets its beta, no group strictly contains another, and
+        an element that is a singleton path gets no constraint."""
+        for fam in self._oracle_cases(quad_antimatroid):
+            pp = compute_path_poset(fam)
+            singletons = {x for s, x in pp.paths if s == {x}}
+            for c in antimatroid_constraints(pp):
+                assert not c.alpha_ids & c.beta_ids, (fam, c)
+                assert not any(g < h for g in c.alpha_groups for h in c.alpha_groups), (fam, c)
+                assert not c.beta_ids & singletons, (fam, c)
 
 
 class TestIndependentSetGadget:
@@ -409,6 +440,20 @@ class TestReduction:
         assert value == -1
         with pytest.raises(SearchBoundExceeded):
             enumerate_stable(market, node_bound=5000)
+
+    def test_reduction_specs_are_exhaustively_path_independent(self):
+        """Every distinct choice function of the criterion-8 reductions and
+        of random_antimatroid(8) at seeds 1-4 has at most 16 partners, so
+        check_path_independence tries every offer, and passes."""
+        fams = [independent_set_antimatroid(v, e)[0] for _, v, e in reduction_graphs()]
+        fams += [random_antimatroid(8, random.Random(seed)) for seed in range(1, 5)]
+        specs = set()
+        for fam in fams:
+            market = reduce_to_matching(compute_path_poset(fam), {}).extendable.market
+            specs.update(market.spec(a) for a in (*market.firms, *market.workers))
+        for spec in sorted(specs, key=repr):
+            assert len(spec_universe(spec)) <= 16, spec
+            assert check_path_independence(spec) == (True, None), spec
 
     def test_bad_sense_rejected(self, quad_antimatroid):
         with pytest.raises(InputError):

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 from lattmark import antichain_base, omega_extend, JoinConstraint
 from lattmark import lattice_from_order, poset_from_pairs, synthesize_from_lattice
 from lattmark import cli, jsonio, markets
-from lattmark.antimatroids import AntimatroidFamily, compute_path_poset, reduce_to_matching
+from lattmark.antimatroids import (
+    AntimatroidFamily,
+    ReductionBundle,
+    antimatroid_constraints,
+    compute_path_poset,
+    independent_set_antimatroid,
+    reduce_to_matching,
+    transfer_costs,
+)
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.fixtures import (
@@ -36,7 +44,7 @@ from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
 from lattmark.orders import Poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
 
-from oracles import union_closure, union_irreducible_paths, validate_antimatroid_pairwise
+from oracles import full_antimatroid_constraints, union_closure, union_irreducible_paths, validate_antimatroid_pairwise
 
 
 def _swap_gadgets(*gadgets):
@@ -755,6 +763,37 @@ class TestBundleContract:
                 assert code == 0 and {"name": "antimatroid-axioms", "ok": True} in report["checks"], name
                 bundles.append(out.read_bytes())
             assert bundles[0] == bundles[1], flags
+
+    def test_a_bundle_of_the_full_constraints_solves_to_the_same_value(self, tmp_path, capsys):
+        """A bundle written from the unrewritten constraints, one per ground
+        element, loads and solves to the value of a fresh reduce, whose
+        report counts its (fewer) augmentations."""
+        triangle, weights = independent_set_antimatroid(["u", "v", "x"], [("u", "v"), ("v", "x"), ("u", "x")])
+        cases = [(four_element_antimatroid(), {"a": 3, "b": -2, "c": 5, "d": -7}),
+                 (triangle, {x: -w for x, w in weights.items()})]
+        costs_file = tmp_path / "costs.json"
+        for k, (fam, costs) in enumerate(cases):
+            pp = compute_path_poset(fam)
+            anti_file, fresh, full = (tmp_path / f"{k}.{name}.json" for name in ("anti", "fresh", "full"))
+            jsonio.write_json(anti_file, jsonio.antimatroid_to_json(fam))
+            jsonio.write_json(costs_file, {"v": 1, "ground": costs})
+            code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(fresh))
+            assert code == 0 and report["augmentations"] == len(antimatroid_constraints(pp)) < len(fam.ground), k
+            base = antichain_base(list(pp.ground))
+            em = omega_extend(base, full_antimatroid_constraints(pp))
+            jsonio.write_json(full, jsonio.reduction_to_json(ReductionBundle(em, transfer_costs(base, costs))))
+            for sense in ("min", "max"):
+                _, want = run_cli(capsys, "solve", str(fresh), "--sense", sense)
+                code, got = run_cli(capsys, "solve", str(full), "--sense", sense)
+                assert code == 0 and got["value"] == want["value"], (k, sense)
+
+    def test_synthesize_reports_its_augmentations(self, tmp_path, capsys):
+        lattice_file = tmp_path / "pentagon.json"
+        jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
+        bundle_file = tmp_path / "bundle.json"
+        code, report = run_cli(capsys, "synthesize", str(lattice_file), "-o", str(bundle_file))
+        constraints = json.loads(bundle_file.read_text())["constraints"]
+        assert code == 0 and report["augmentations"] == len(constraints) > 0
 
     def test_reduce_checks_the_bound_before_the_antimatroid(self, tmp_path, capsys):
         ground = [f"x{i:02}" for i in range(21)]
