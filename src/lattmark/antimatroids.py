@@ -16,7 +16,7 @@ paths are read off the endpoint masks in O(|F| * |ground|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Iterable, Mapping, Sequence
@@ -61,14 +61,8 @@ class PathPoset:
     def path_sets(self) -> list[frozenset[str]]:
         return [s for s, _ in self.paths]
 
-    def endpoint_of(self) -> dict[frozenset[str], str]:
-        return {s: e for s, e in self.paths}
-
     def with_endpoint(self, x: str) -> list[frozenset[str]]:
         return [s for s, e in self.paths if e == x]
-
-    def subpaths(self, member: frozenset[str]) -> list[frozenset[str]]:
-        return [s for s, _ in self.paths if s <= member]
 
 
 def _mask(s: Iterable[str], bit: Mapping[str, int]) -> int:
@@ -144,11 +138,15 @@ def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
 
 def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
     """All unions of paths, the empty set included: the union closure, grown
-    one path at a time on int masks, so it costs O(|paths| * |family|) ORs."""
-    elements = sorted(set(pp.ground).union(*pp.path_sets()))
+    one path at a time on int masks, so it costs O(|paths| * |family|) ORs.
+    A path that leaves the ground set is an InputError with the
+    outside-ground witness, so the family never outgrows 2^|ground| sets."""
+    elements = sorted(set(pp.ground))
     bit = _bits(elements)
     family = {0}
     for s in pp.path_sets():
+        if not s <= bit.keys():
+            raise InputError(f"not an antimatroid: {('outside-ground', tuple(sorted(s - bit.keys())))}")
         p = _mask(s, bit)
         family |= {m | p for m in family}
     return AntimatroidFamily.of(
@@ -256,24 +254,18 @@ def transfer_costs(base: RealizedBase, costs: Mapping[str, int | Fraction]) -> d
     return {p: v for p, v in out.items() if v != 0}
 
 
-def _check_pairs(market: MatchingMarket, pair_costs: Mapping[Pair, Fraction]) -> None:
-    """Every costed pair is a firm and a worker of the market."""
-    for f, w in sorted(pair_costs):
-        if f not in market.firm_set or w not in market.worker_set:
-            raise InputError(f"pair cost ({f!r}, {w!r}) names an agent outside the market")
-
-
 @dataclass(frozen=True)
 class ReductionBundle:
-    """A reduced market with its pair costs; `cost_scale` is the factor the
-    ground costs were multiplied by before they were transferred."""
+    """A reduced market with its ground costs.  The pair costs are derived
+    from them once, at construction, by transfer_costs, which rejects a
+    cost for an element outside the ground set."""
 
     extendable: ExtendableMarket
-    pair_costs: dict[Pair, Fraction]
-    cost_scale: int = 1
+    costs: Mapping[str, int | Fraction]
+    pair_costs: dict[Pair, Fraction] = field(init=False)
 
     def __post_init__(self):
-        _check_pairs(self.extendable.market, self.pair_costs)
+        object.__setattr__(self, "pair_costs", transfer_costs(self.extendable.base, self.costs))
 
     @property
     def ground(self) -> tuple[str, ...]:
@@ -292,10 +284,8 @@ def reduce_to_matching(pp: PathPoset, costs: Mapping[str, int | Fraction]) -> Re
     """Theorem-2 pipeline: gadget-bank base over the ground set, one
     augmentation per constraint of antimatroid_constraints (at most one per
     ground element), costs transferred onto base minus pairs."""
-    base = antichain_base(list(pp.ground))
-    em = omega_extend(base, antimatroid_constraints(pp))
-    pair_costs = transfer_costs(base, costs)
-    return ReductionBundle(em, pair_costs)
+    em = omega_extend(antichain_base(list(pp.ground)), antimatroid_constraints(pp))
+    return ReductionBundle(em, dict(costs))
 
 
 def min_cost_stable(
@@ -317,7 +307,9 @@ def min_cost_stable(
     scale."""
     if sense not in ("min", "max"):
         raise InputError(f"sense must be 'min' or 'max', not {sense!r}")
-    _check_pairs(market, pair_costs)
+    for f, w in sorted(pair_costs):
+        if f not in market.firm_set or w not in market.worker_set:
+            raise InputError(f"pair cost ({f!r}, {w!r}) names an agent outside the market")
     scale = lcm(*(v.denominator for v in pair_costs.values()))
     sign = 1 if sense == "min" else -1
     firm_at = {f: i for i, f in enumerate(market.firms)}

@@ -13,9 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from itertools import permutations
-from math import lcm
 from pathlib import Path
 
 from . import jsonio, selftest
@@ -166,19 +164,12 @@ def cmd_reduce(args) -> int:
     if kind != "ground":
         raise InputError("reduce expects ground costs")
     bundle = reduce_to_matching(pp, costs)
-    if args.integer_costs:
-        # scale so every transferred pair cost is integral
-        base = bundle.extendable.base
-        scale = lcm(*(len(rot.minus) for rot in base.rotation_poset.rotations.values()))
-        bundle = replace(bundle, pair_costs=transfer_costs(base, {x: c * scale for x, c in costs.items()}),
-                         cost_scale=scale)
     jsonio.write_json(args.out, jsonio.reduction_to_json(bundle))
     report.wrote(args.out)
     return report.emit({
         "agents": bundle.extendable.agent_count(),
         "augmentations": len(bundle.extendable.constraints),
         "ground": list(bundle.ground),
-        "cost_scale": bundle.cost_scale,
     })
 
 
@@ -186,31 +177,27 @@ def cmd_solve(args) -> int:
     inputs = [args.bundle] + ([args.costs] if args.costs else [])
     report = Report("solve", inputs)
     market, _, reduction = _load_market_or_bundle(args.bundle, args)
-    # a bundle's own pair costs carry its cost_scale, which the value is
-    # divided by (and reported), so the value is in ground units
-    scale = 1
+    # ground costs, the bundle's own or a file's, are transferred onto the
+    # base's minus pairs; a pair-cost file is taken as given
     if args.costs:
         kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
-        if kind == "ground":
-            if reduction is None:
-                raise InputError("ground costs require a reduction bundle")
-            pair_costs = transfer_costs(reduction.extendable.base, costs)
-        else:
+        if kind == "pairs":
             pair_costs = costs
+        elif reduction is None:
+            raise InputError("ground costs require a reduction bundle")
+        else:
+            pair_costs = transfer_costs(reduction.extendable.base, costs)
     elif reduction is not None:
-        pair_costs, scale = reduction.pair_costs, reduction.cost_scale
+        pair_costs = reduction.pair_costs
     else:
         raise InputError("no costs given and the input is not a reduction bundle")
     mu, value = min_cost_stable(market, pair_costs, sense=args.sense, node_bound=args.bound_nodes)
-    value /= scale
     extra = {
         "value": [value.numerator, value.denominator],
         "matching": jsonio.matching_to_json(mu),
     }
     if reduction is not None:
         extra["recovered_set"] = sorted(reduction.recover(mu))
-    if scale != 1:
-        extra["cost_scale"] = scale
     return report.emit(extra)
 
 
@@ -288,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("costs")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--bound-elements", type=_non_negative_int, default=20)
-    p.add_argument("--integer-costs", action="store_true",
-                   help="pre-scale ground costs so pair costs are integers")
 
     p = sub.add_parser("solve", help="optimize pair costs over stable matchings")
     p.add_argument("bundle")

@@ -14,7 +14,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from .antimatroids import AntimatroidFamily
-from .errors import InputError
+from .errors import InputError, NotALattice
 from .orders import Lattice, Poset, inclusion_poset, lattice_from_order, set_key
 
 
@@ -98,7 +98,7 @@ def all_lattices_upto(n: int) -> list[Lattice]:
             try:
                 out.append(lattice_from_order(poset))
                 seen_forms.add(form)
-            except Exception:
+            except NotALattice:
                 continue
     return out
 

@@ -7,9 +7,10 @@ read, so a field of the wrong type or shape raises InputError, not a raw
 Python error.
 
 A bundle stores only what the construction cannot derive: the realized
-base and the join constraints enforced on it.  A gadget-bank base is stored
-as its ids alone, any other base in full.  Loading replays the construction;
-the market and its bookkeeping are never read from a file.
+base and the join constraints enforced on it, and a reduction bundle its
+ground costs as well.  A gadget-bank base is stored as its ids alone, any
+other base in full.  Loading replays the construction; the market, its
+bookkeeping and a reduction's pair costs are never read from a bundle.
 """
 
 from __future__ import annotations
@@ -311,38 +312,42 @@ def pair_costs_to_json(pair_costs: Mapping) -> list:
     ]
 
 
+def _fraction(value, where: str) -> Fraction:
+    """A rational stored as [numerator, denominator]."""
+    row = _list(value, where)
+    if len(row) != 2:
+        raise InputError(f"{where}: expected [numerator, denominator]")
+    num, den = _int(row[0], where), _int(row[1], where)
+    if den == 0:
+        raise InputError(f"{where}: zero denominator")
+    return Fraction(num, den)
+
+
 def pair_costs_from_json(rows, where: str = "pair costs") -> dict:
     out = {}
     for row in _list(rows, where):
         if not isinstance(row, list) or len(row) != 4:
             raise InputError(f"{where}: expected [firm, worker, numerator, denominator] rows")
-        f, w, num, den = _str(row[0], where), _str(row[1], where), _int(row[2], where), _int(row[3], where)
-        if den == 0:
-            raise InputError(f"{where}: zero denominator for ({f!r}, {w!r})")
+        f, w = _str(row[0], where), _str(row[1], where)
         if (f, w) in out:
             raise InputError(f"{where}: two rows for the pair ({f!r}, {w!r})")
-        out[(f, w)] = Fraction(num, den)
+        out[(f, w)] = _fraction(row[2:], f"{where} ({f!r}, {w!r})")
     return out
 
 
 def reduction_to_json(bundle: ReductionBundle) -> dict:
-    out = {
+    return {
         "v": VERSION,
         "extension": extendable_to_json(bundle.extendable),
-        "pair_costs": pair_costs_to_json(bundle.pair_costs),
+        "costs": {x: [v.numerator, v.denominator] for x, v in bundle.costs.items()},
     }
-    if bundle.cost_scale != 1:
-        out["cost_scale"] = bundle.cost_scale
-    return out
 
 
 def reduction_from_json(data: Mapping, node_bound: int = DEFAULT_NODE_BOUND) -> ReductionBundle:
-    """`cost_scale` defaults to 1; anything but a positive int exits 2."""
-    cost_scale = _int(data.get("cost_scale", 1), "reduction bundle.cost_scale")
-    if cost_scale < 1:
-        raise InputError(f"reduction bundle.cost_scale: expected a positive int, got {cost_scale}")
+    """The pair costs are derived from the stored ground costs; a bundle that
+    stores `pair_costs` instead (an older layout) exits 2 naming `costs`."""
     em = extendable_from_json(_need(data, "extension", "reduction bundle"), node_bound)
-    return ReductionBundle(em, _need(data, "pair_costs", "reduction bundle", pair_costs_from_json), cost_scale)
+    return ReductionBundle(em, _need(data, "costs", "reduction bundle", partial(_map, _fraction)))
 
 
 # ------------------------------------------------------------- antimatroids

@@ -306,7 +306,7 @@ def test_criterion_7_antimatroid_suite():
     fam = four_element_antimatroid()
     assert validate_antimatroid(fam) == (True, None)
     pp = compute_path_poset(fam)
-    endpoint_of = pp.endpoint_of()
+    endpoint_of = dict(pp.paths)
     assert endpoint_of[frozenset({"a"})] == "a"
     assert endpoint_of[frozenset({"a", "c"})] == "c"
     assert endpoint_of[frozenset({"a", "c", "d"})] == "d"

@@ -175,10 +175,7 @@ class TestPaths:
     def test_feasible_sets_are_unions_of_their_path_subsets(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
         for g in quad_antimatroid.feasible:
-            union = frozenset()
-            for s in pp.subpaths(g):
-                union |= s
-            assert union == g
+            assert frozenset().union(*(s for s, _ in pp.paths if s <= g)) == g
 
 
 class TestConstraints:

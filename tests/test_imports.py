@@ -1,8 +1,9 @@
 """Every name a module imports is used in it (the package's __init__.py,
 whose imports are its public re-exports, excepted), and every package module
-imports at module level, never inside a function body; every function the
-benchmark's per-layer metrics name exists; and the stable-matching search
-reads the choice-spec families only through their choice functions."""
+imports at module level, never inside a function body; every method and
+private function is used; every function the benchmark's per-layer metrics
+name exists; and the stable-matching search reads the choice-spec families
+only through their choice functions."""
 
 from __future__ import annotations
 
@@ -51,6 +52,43 @@ def test_no_imports_inside_functions():
     files = sorted((ROOT / "src" / "lattmark").glob("*.py"))
     found = [entry for path in files for entry in function_local_imports(path)]
     assert not found, "imports inside a function body (move them to module level):\n" + "\n".join(found)
+
+
+# Public methods kept though src/ calls none of them.
+UNREFERENCED_BY_DESIGN = {"Lattice.top"}  # the dual of Lattice.bottom
+
+
+def unreferenced_definitions() -> list[str]:
+    """Each method of a class in src/ (dunders excepted) and each private
+    module-level function whose name no Name or Attribute node in src/
+    reads outside the definition itself."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "lattmark").glob("*.py"))}
+    definitions = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                definitions += [(path, f"{node.name}.{fn.name}", fn) for fn in node.body
+                                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")]
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                definitions.append((path, node.name, node))
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                reads.setdefault(name, []).append(node)
+    found = []
+    for path, qualname, fn in definitions:
+        inside = {id(n) for n in ast.walk(fn)}
+        if all(id(n) in inside for n in reads.get(fn.name, [])):
+            found.append(f"{path.relative_to(ROOT)}:{fn.lineno}: {qualname}")
+    return found
+
+
+def test_every_method_and_private_function_is_used():
+    found = [entry for entry in unreferenced_definitions() if entry.rpartition(" ")[2] not in UNREFERENCED_BY_DESIGN]
+    assert not found, "defined but never used in src/ (delete it, or pin it here):\n" + "\n".join(found)
 
 
 def test_benchmark_per_layer_names_resolve():

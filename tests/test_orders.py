@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,8 @@ from lattmark.errors import (
     NotTransitive,
 )
 from lattmark.fixtures import boolean_lattice, pentagon_lattice
-from lattmark.generators import random_distributive_lattice, random_lattice
+from lattmark import generators
+from lattmark.generators import all_lattices_upto, random_distributive_lattice, random_lattice
 from lattmark.orders import trivial_poset
 
 from oracles import (
@@ -119,6 +121,19 @@ class TestLatticeFromOrder:
                 [["a", "b"], ["b", "b"]],
                 [["a", "b"], ["b", "b"]],  # meet(a, b) must be a
             )
+
+    def test_all_lattices_upto_counts_each_size(self):
+        # unlabeled lattices on n = 1..5 elements: OEIS A006966
+        counts = Counter(len(lat.elements) for lat in all_lattices_upto(5))
+        assert [counts[n] for n in range(1, 6)] == [1, 1, 1, 2, 5]
+
+    def test_all_lattices_upto_skips_only_non_lattices(self, monkeypatch):
+        def broken(poset):
+            raise ValueError("a fault, not a non-lattice")
+
+        monkeypatch.setattr(generators, "lattice_from_order", broken)
+        with pytest.raises(ValueError):
+            all_lattices_upto(2)
 
 
 class TestJoinIrreducibles:

@@ -27,8 +27,8 @@ from lattmark.antimatroids import (
     antimatroid_constraints,
     compute_path_poset,
     independent_set_antimatroid,
+    min_cost_feasible,
     reduce_to_matching,
-    transfer_costs,
 )
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
 from lattmark.errors import InputError, SearchBoundExceeded
@@ -118,13 +118,14 @@ class TestJsonRoundTrips:
 
     def test_reduction_bundle(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
-        bundle = reduce_to_matching(pp, {x: -2 for x in quad_antimatroid.ground})
+        bundle = reduce_to_matching(pp, {"a": -2, "b": Fraction(3, 4), "c": 0, "d": 5})
         data = jsonio.reduction_to_json(bundle)
-        assert set(data) == {"v", "extension", "pair_costs"}
+        assert set(data) == {"v", "extension", "costs"}
         assert data["extension"]["base"] == {"v": 1, "gadgets": ["a", "b", "c", "d"]}
+        assert data["costs"] == {"a": [-2, 1], "b": [3, 4], "c": [0, 1], "d": [5, 1]}
         again = jsonio.reduction_from_json(data)
         assert again.extendable == bundle.extendable
-        assert again.pair_costs == bundle.pair_costs
+        assert again.costs == bundle.costs and again.pair_costs == bundle.pair_costs
         assert again.ground == bundle.ground
 
     def test_antimatroid_both_forms(self, quad_antimatroid):
@@ -230,6 +231,7 @@ class TestCli:
         bundle_file = tmp_path / "reduction.json"
         code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(bundle_file))
         assert code == 0
+        assert set(json.loads(bundle_file.read_text())) == {"v", "extension", "costs"}
 
         code, report = run_cli(capsys, "solve", str(bundle_file))
         assert code == 0
@@ -242,11 +244,10 @@ class TestCli:
         # the one-set antimatroid reduces to the empty market
         jsonio.write_json(anti_file, {"v": 1, "ground": [], "feasible": [[]]})
         jsonio.write_json(costs_file, {"v": 1, "ground": {}})
-        for flags in ([], ["--integer-costs"]):
-            code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(bundle_file), *flags)
-            assert (code, report["agents"], report["ground"]) == (0, 0, []), flags
-            code, report = run_cli(capsys, "solve", str(bundle_file))
-            assert (code, report["value"], report["recovered_set"]) == (0, [0, 1], []), flags
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(bundle_file))
+        assert (code, report["agents"], report["ground"]) == (0, 0, [])
+        code, report = run_cli(capsys, "solve", str(bundle_file))
+        assert (code, report["value"], report["recovered_set"]) == (0, [0, 1], [])
 
     def test_export_dot(self, tmp_path, capsys):
         lattice_file = tmp_path / "hexagon.json"
@@ -343,49 +344,52 @@ class TestCliVariants:
                           "-o", str(tmp_path / "out.json"), "--bound-elements", "2")
         assert code == 3
 
-    def test_reduce_integer_costs(self, tmp_path, capsys):
-        anti_file = tmp_path / "anti.json"
-        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
-        costs_file = tmp_path / "costs.json"
-        jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 3, "b": -2, "c": 5, "d": -7}})
-        plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
-        code, _ = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(plain))
-        assert code == 0
-        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(scaled),
-                               "--integer-costs")
-        assert code == 0 and report["cost_scale"] == 2
-        assert any(den != 1 for *_, den in json.loads(plain.read_text())["pair_costs"])
-        data = json.loads(scaled.read_text())
-        assert data["cost_scale"] == 2
-        assert data["pair_costs"] and all(den == 1 for *_, den in data["pair_costs"])
-        _, want = run_cli(capsys, "solve", str(plain))
-        _, got = run_cli(capsys, "solve", str(scaled))
-        assert Fraction(*got["value"]) == Fraction(*want["value"])
-
-    def test_solve_reports_ground_units_on_a_scaled_bundle(self, tmp_path, capsys):
+    def test_reduce_has_no_integer_costs_option(self, tmp_path, capsys):
         anti_file, costs_file = self._quad_files(tmp_path, {"a": 3, "b": -2, "c": 5, "d": -7})
-        plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
-        run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(plain))
-        run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(scaled), "--integer-costs")
-        _, want = run_cli(capsys, "solve", str(plain))
-        assert "cost_scale" not in want
-        code, got = run_cli(capsys, "solve", str(scaled))
-        assert code == 0 and got["cost_scale"] == 2
-        assert (got["value"], got["recovered_set"]) == (want["value"], want["recovered_set"])
-        # a ground-costs file is transferred unscaled, so nothing is divided
-        other = tmp_path / "other.json"
-        jsonio.write_json(other, {"v": 1, "ground": {"a": -1, "b": 4, "c": -3, "d": -2}})
-        _, want = run_cli(capsys, "solve", str(plain), str(other))
-        code, got = run_cli(capsys, "solve", str(scaled), str(other))
-        assert code == 0 and "cost_scale" not in got and got["value"] == want["value"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"), "--integer-costs"])
+        assert exc.value.code == 2 and "--integer-costs" in capsys.readouterr().err
 
-    def test_solve_rejects_a_bad_cost_scale(self, tmp_path, capsys):
+    def test_solve_transfers_ground_costs_from_the_bundle_or_a_file_alike(self, tmp_path, capsys):
+        """A ground-cost file given to solve is transferred unscaled: it solves
+        to the value and set of a bundle reduced with those costs."""
+        fam = four_element_antimatroid()
+        anti_file, costs_file = self._quad_files(tmp_path, {"a": 3, "b": -2, "c": 5, "d": -7})
+        other = tmp_path / "other.json"
+        other_costs = {"a": -1, "b": 4, "c": -3, "d": -2}
+        jsonio.write_json(other, {"v": 1, "ground": other_costs})
+        bundle, other_bundle = tmp_path / "bundle.json", tmp_path / "other.bundle.json"
+        run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(bundle))
+        run_cli(capsys, "reduce", str(anti_file), str(other), "-o", str(other_bundle))
+        for sense in ("min", "max"):
+            code, got = run_cli(capsys, "solve", str(bundle), str(other), "--sense", sense)
+            _, want = run_cli(capsys, "solve", str(other_bundle), "--sense", sense)
+            assert code == 0 and (got["value"], got["recovered_set"]) == (want["value"], want["recovered_set"])
+            assert Fraction(*got["value"]) == min_cost_feasible(fam, other_costs, sense)[1], sense
+
+    def test_solve_rejects_bad_ground_costs_in_a_bundle(self, tmp_path, capsys):
         bundle_file = _reduction_file(tmp_path)
         data = json.loads(bundle_file.read_text())
-        for bad in (0, -2, "2", True, 1.5, None):
-            jsonio.write_json(bundle_file, {**data, "cost_scale": bad})
+        for bad in ({"zz": [-5, 1]}, {"a": [1, 0]}, {"a": [1, 2, 3]}, {"a": 1}, {"a": ["1", 2]},
+                    {"a": [1.5, 2]}, {"a": [True, 1]}, {"a": None}):
+            jsonio.write_json(bundle_file, {**data, "costs": {**data["costs"], **bad}})
             code, report = run_cli(capsys, "solve", str(bundle_file))
-            assert (code, report["kind"]) == (2, "InputError") and "cost_scale" in report["error"], bad
+            assert (code, report["kind"]) == (2, "InputError"), bad
+            assert "costs" in report["error"] and next(iter(bad)) in report["error"], (bad, report["error"])
+
+    def test_solve_rejects_a_bundle_that_stores_pair_costs(self, tmp_path, capsys):
+        """The older layout stored the transferred pair costs, and a
+        `cost_scale` when they were scaled to integers."""
+        bundle_file = _reduction_file(tmp_path)
+        data = json.loads(bundle_file.read_text())
+        bundle = jsonio.reduction_from_json(data)
+        older = {"v": 1, "extension": data["extension"], "pair_costs": jsonio.pair_costs_to_json(bundle.pair_costs)}
+        scaled = {**older, "pair_costs": jsonio.pair_costs_to_json({p: 2 * v for p, v in bundle.pair_costs.items()}),
+                  "cost_scale": 2}
+        for old in (older, scaled):
+            jsonio.write_json(bundle_file, old)
+            code, report = run_cli(capsys, "solve", str(bundle_file))
+            assert (code, report["kind"]) == (2, "InputError") and "'costs'" in report["error"]
 
     def _quad_files(self, tmp_path, ground_costs):
         anti_file = tmp_path / "anti.json"
@@ -420,14 +424,6 @@ class TestCliVariants:
         jsonio.write_json(costs_file, {"v": 1, "pairs": [["p.f1", "p.w1", 5, 1], ["p.f1", "p.w1", -5, 1]]})
         code, report = run_cli(capsys, "solve", str(market_file), str(costs_file))
         assert (code, report["kind"]) == (2, "InputError") and "'p.f1', 'p.w1'" in report["error"]
-
-    def test_solve_rejects_a_reduction_costing_pairs_outside_its_market(self, tmp_path, capsys):
-        bundle_file = _reduction_file(tmp_path)
-        data = json.loads(bundle_file.read_text())
-        data["pair_costs"].append(["nofirm", "noworker", -5, 1])
-        jsonio.write_json(bundle_file, data)
-        code, report = run_cli(capsys, "solve", str(bundle_file))
-        assert (code, report["kind"]) == (2, "InputError") and "'nofirm'" in report["error"]
 
     def test_empty_lattice_file_exits_2(self, tmp_path, capsys):
         lattice_file = tmp_path / "empty.json"
@@ -754,15 +750,14 @@ class TestBundleContract:
                  "paths": jsonio.path_poset_to_json(compute_path_poset(fam))}
         costs_file = tmp_path / "costs.json"
         jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 3, "b": -2, "c": 5, "d": -7}})
-        for flags in ([], ["--integer-costs"]):
-            bundles = []
-            for name, data in forms.items():
-                anti_file, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bundle.json"
-                jsonio.write_json(anti_file, data)
-                code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(out), *flags)
-                assert code == 0 and {"name": "antimatroid-axioms", "ok": True} in report["checks"], name
-                bundles.append(out.read_bytes())
-            assert bundles[0] == bundles[1], flags
+        bundles = []
+        for name, data in forms.items():
+            anti_file, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bundle.json"
+            jsonio.write_json(anti_file, data)
+            code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(out))
+            assert code == 0 and {"name": "antimatroid-axioms", "ok": True} in report["checks"], name
+            bundles.append(out.read_bytes())
+        assert bundles[0] == bundles[1]
 
     def test_a_bundle_of_the_full_constraints_solves_to_the_same_value(self, tmp_path, capsys):
         """A bundle written from the unrewritten constraints, one per ground
@@ -781,7 +776,7 @@ class TestBundleContract:
             assert code == 0 and report["augmentations"] == len(antimatroid_constraints(pp)) < len(fam.ground), k
             base = antichain_base(list(pp.ground))
             em = omega_extend(base, full_antimatroid_constraints(pp))
-            jsonio.write_json(full, jsonio.reduction_to_json(ReductionBundle(em, transfer_costs(base, costs))))
+            jsonio.write_json(full, jsonio.reduction_to_json(ReductionBundle(em, costs)))
             for sense in ("min", "max"):
                 _, want = run_cli(capsys, "solve", str(fresh), "--sense", sense)
                 code, got = run_cli(capsys, "solve", str(full), "--sense", sense)
@@ -806,6 +801,20 @@ class TestBundleContract:
             jsonio.write_json(anti_file, data)
             code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
             assert code == 3 and report["kind"] == "EnumerationBoundExceeded"
+
+    def test_paths_outside_the_ground_set_exit_2_before_any_union(self, tmp_path, capsys):
+        """Paths are closed over the ground set only: 40 singleton paths
+        outside it are rejected at once, not closed into 2^40 sets."""
+        paths = [{"set": [x], "endpoint": x} for x in ["a"] + [f"z{i:02}" for i in range(40)]]
+        anti_file, costs_file = tmp_path / "anti.json", tmp_path / "costs.json"
+        jsonio.write_json(anti_file, {"v": 1, "ground": ["a"], "paths": paths})
+        jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 1}})
+        out = str(tmp_path / "out.json")
+        for argv in (["reduce", str(anti_file), str(costs_file), "-o", out, "--bound-elements", "2"],
+                     ["export-dot", str(anti_file)]):
+            code, report = run_cli(capsys, *argv)
+            assert (code, report["kind"]) == (2, "InputError"), argv
+            assert "not an antimatroid: ('outside-ground', ('z" in report["error"], argv
 
     def test_bundle_with_overlapping_conclusion_agents_exits_2(self, tmp_path, capsys, seven_base, rot_ids):
         lattice_file = tmp_path / "pentagon.json"
