@@ -27,7 +27,7 @@ from .augment import (
 from .constraints import (
     JoinConstraint,
     constraints_from_lattice,
-    filter_lower_sets,
+    lower_sets_satisfying,
     validate_join_constraint,
 )
 from .markets import (
@@ -59,7 +59,6 @@ from .orders import (
     join_irreducibles,
     lattice_from_order,
     lattice_from_tables,
-    lower_sets,
     poset_from_pairs,
     validate_poset,
 )

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .constraints import JoinConstraint, constraints_from_lattice, filter_lower_sets, validate_join_constraint
+from .constraints import (
+    JoinConstraint,
+    constraints_from_lattice,
+    decision_order,
+    lower_sets_satisfying,
+    validate_join_constraint,
+)
 from .errors import (
     IsomorphismFailure,
     NotRepresentable,
@@ -35,7 +41,7 @@ from .markets import (
     firm_leq,
     is_stable,
 )
-from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_irreducibles, lower_sets, set_key
+from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_irreducibles, set_key
 from .rotations import RealizedBase, RotationPoset, antichain_base, matching_to_rotations
 
 
@@ -108,25 +114,6 @@ def _copy_list(base: RealizedBase, jc: JoinConstraint, wj: str, f0: str) -> Pref
     return PreferenceList.of(f0, *entries[max(entries.index(f) for f in candidates):])
 
 
-def _search_rank(rp: RotationPoset, constraints: tuple[JoinConstraint, ...]) -> dict[str, int]:
-    """Each base rotation id's place in the search order: a linear extension
-    of the order the single-premise constraints induce (one alpha group of
-    one id, whose beta ids come first), ties broken by id.  An id left on a
-    cycle of such constraints goes at the smallest id left."""
-    before: dict[str, set[str]] = {rid: set() for rid in rp.ids()}
-    for jc in constraints:
-        groups = jc.alpha_groups
-        if len(groups) == 1 and len(groups[0]) == 1:
-            (alpha,) = groups[0]
-            before[alpha] |= jc.beta_ids - {alpha}
-    rank: dict[str, int] = {}
-    while len(rank) < len(before):
-        left = [rid for rid in sorted(before) if rid not in rank]
-        ready = [rid for rid in left if all(b in rank for b in before[rid])]
-        rank[(ready or left)[0]] = len(rank)
-    return rank
-
-
 def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
     """Check every constraint against the base (_touched), then apply every
     augmentation to the base at once.
@@ -136,8 +123,8 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
     rotations.  Each regular firm's
     list becomes a regular choice function whose tiers are the copy classes
     of its base entries.  The market lists its workers in the enumeration's
-    search order, one segment per rotation in _search_rank's order (workers
-    in no rotation first): the base workers of the lowest-ranked rotation
+    search order, one segment per rotation in decision_order (workers in no
+    rotation first): the base workers of the lowest-ranked rotation
     they appear in, then, for each step whose constraint names that rotation
     last, the step's sorted copies directly followed by its auxiliary worker.
     A base prefix that breaks a constraint then dies inside the step that
@@ -151,7 +138,7 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
         choice[w] = m.spec(w)
     copy_map = {w: w for w in m.workers}
     aux_pairs: dict[str, tuple[tuple[str, str], ...]] = {f: () for f in m.firms}
-    rank = _search_rank(rp, constraints)
+    rank = {rid: i for i, rid in enumerate(decision_order(rp.poset, constraints))}
     segments: list[list[str]] = [[] for _ in range(len(rank) + 1)]
     moved = {rid: {w for _, w in rot.plus | rot.minus} for rid, rot in rp.rotations.items()}
     for w in sorted(m.workers):
@@ -232,11 +219,12 @@ def _extension_checks(
     rotation set of its projection, and their firm-side order (firm_leq).
 
     The expected image is read off the rotation poset, before the search:
-    the lower rotation sets satisfying every enforced constraint.  The base
-    market itself is never enumerated.
+    the lower rotation sets satisfying every enforced constraint, searched
+    by lower_sets_satisfying under the same node bound.  The base market
+    itself is never enumerated.
     """
     base, rp = em.base, em.base.rotation_poset
-    expected = filter_lower_sets(lower_sets(rp.poset), em.constraints)
+    expected = lower_sets_satisfying(rp.poset, em.constraints, node_bound)
     extended = enumerate_stable(em.market, node_bound=node_bound)
     projected = [project_to_base(em, mu, check=False) for mu in extended]
     unstable = [p.key() for p in projected if not is_stable(base.market, p)]

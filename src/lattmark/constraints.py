@@ -9,9 +9,10 @@ an empty conjunction evaluates to 1, an empty disjunction to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import AlphaArgumentsComparable, UnknownElementId
+from .errors import AlphaArgumentsComparable, SearchBoundExceeded, UnknownElementId
+from .markets import DEFAULT_NODE_BOUND
 from .orders import Lattice, Poset, canonical_partial_rep, join_irreducibles, set_key
 
 
@@ -92,7 +93,82 @@ def constraints_from_lattice(lattice: Lattice) -> tuple[JoinConstraint, ...]:
     return tuple(sorted(out, key=JoinConstraint.key))
 
 
-def filter_lower_sets(family: Sequence[frozenset[str]], omega: Iterable[JoinConstraint]) -> list[frozenset[str]]:
-    """Members of the family satisfying every constraint, order preserved."""
-    cs = tuple(omega)
-    return [t for t in family if all(c.holds(t) for c in cs)]
+def decision_order(poset: Poset, constraints: Iterable[JoinConstraint]) -> tuple[str, ...]:
+    """The poset's elements in a linear extension that also puts the beta
+    ids of each single-premise constraint (one alpha group of one id) before
+    its alpha id where it can, ties broken by id.  An element left on a cycle
+    of such constraints goes at the smallest id whose predecessors in the
+    poset are all placed."""
+    below = {x: {y for y in poset.elements if poset.lt(y, x)} for x in poset.elements}
+    before = {x: set(below[x]) for x in poset.elements}
+    for jc in constraints:
+        groups = jc.alpha_groups
+        if len(groups) == 1 and len(groups[0]) == 1:
+            (alpha,) = groups[0]
+            before[alpha] |= jc.beta_ids - {alpha}
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(before):
+        left = [x for x in sorted(before) if x not in placed]
+        ready = [x for x in left if before[x] <= placed] or [x for x in left if below[x] <= placed]
+        order.append(ready[0])
+        placed.add(ready[0])
+    return tuple(order)
+
+
+def lower_sets_satisfying(
+    poset: Poset, constraints: Iterable[JoinConstraint], node_bound: int = DEFAULT_NODE_BOUND
+) -> list[frozenset[str]]:
+    """The lower sets of the poset that satisfy every constraint, in set_key
+    order.
+
+    A depth-first search decides each element in or out along
+    decision_order, on int masks.  A branch dies as soon as something is
+    decided false: an element in with an element below it out, or a
+    constraint whose every alpha group has an id in and some beta id out.
+    A constraint can only turn false when one of its ids is decided, so it
+    is tested then: on an alpha id decided in, or a beta id decided out.
+    Each decision counts one node; node number node_bound + 1 raises
+    SearchBoundExceeded.  An id a constraint names outside the poset raises
+    UnknownElementId.
+    """
+    cs = tuple(constraints)
+    for jc in cs:
+        for x in sorted(jc.alpha_ids | jc.beta_ids):
+            if not poset.has(x):
+                raise UnknownElementId(x)
+    order = decision_order(poset, cs)
+    pos = {x: i for i, x in enumerate(order)}
+
+    def mask(ids: Iterable[str]) -> int:
+        return sum(1 << pos[x] for x in ids)
+
+    below = [mask(y for y in poset.elements if poset.lt(y, x)) for x in order]
+    on_in: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
+    on_out: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for jc in cs:
+        groups, beta = tuple(mask(g) for g in jc.alpha_groups), mask(jc.beta_ids)
+        for x in jc.alpha_ids:
+            on_in[pos[x]].append((groups, beta))
+        for x in jc.beta_ids:
+            on_out[pos[x]].append(groups)
+
+    n, nodes, found = len(order), 0, []
+    stack = [(0, 0)]
+    while stack:
+        i, inn = stack.pop()
+        if i == n:
+            found.append(inn)
+            continue
+        out, now = ((1 << i) - 1) & ~inn, inn | 1 << i
+        for decide_in in (False, True):
+            nodes += 1
+            if nodes > node_bound:
+                raise SearchBoundExceeded(nodes, node_bound, "lower-set")
+            if decide_in:
+                if below[i] & out or any(beta & out and all(g & now for g in groups) for groups, beta in on_in[i]):
+                    continue
+                stack.append((i + 1, now))
+            elif not any(all(g & inn for g in groups) for groups in on_out[i]):
+                stack.append((i + 1, inn))
+    return sorted((frozenset(x for i, x in enumerate(order) if m >> i & 1) for m in found), key=set_key)

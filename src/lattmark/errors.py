@@ -60,14 +60,14 @@ class EnumerationBoundExceeded(BoundError):
     def __init__(self, size, bound):
         self.size = size
         self.bound = bound
-        super().__init__(f"poset has {size} elements, enumeration bound is {bound}")
+        super().__init__(f"antimatroid ground set has {size} elements, --bound-elements is {bound}")
 
 
 class SearchBoundExceeded(BoundError):
-    def __init__(self, explored, bound):
+    def __init__(self, explored, bound, search="stable-matching"):
         self.explored = explored
         self.bound = bound
-        super().__init__(f"stable-matching search explored {explored} nodes, bound is {bound}")
+        super().__init__(f"{search} search explored {explored} nodes, bound is {bound}")
 
 
 class NonConvergence(BoundError):

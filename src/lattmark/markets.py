@@ -27,7 +27,7 @@ from .errors import (
     SpecError,
     UnknownPartnerId,
 )
-from .orders import Lattice, Poset, lattice_from_order, set_key
+from .orders import Lattice, Poset, _bits, lattice_from_order, set_key
 
 DEFAULT_NODE_BOUND = 10 ** 9
 
@@ -375,8 +375,9 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
         return FirmOrder.EQ
     geq = True
     leq = True
+    by1, by2, empty = mu1.by_firm, mu2.by_firm, frozenset()
     for f in market.firms:
-        a, b = mu1.workers_of(f), mu2.workers_of(f)
+        a, b = by1.get(f, empty), by2.get(f, empty)
         if a == b:
             continue
         chosen = choose(market.spec(f), a | b)
@@ -402,16 +403,6 @@ def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[
         if cmp in (FirmOrder.GEQ, FirmOrder.EQ):
             rel.add((j, i))
     return frozenset(rel)
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of a mask's set bits, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _mask_choice(spec: ChoiceSpec, names: Sequence[str], bit: Mapping[str, int], table: dict[int, int]):

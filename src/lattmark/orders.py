@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DuplicateId,
-    EnumerationBoundExceeded,
     InputError,
     NotALattice,
     NotAntisymmetric,
@@ -21,9 +20,6 @@ from .errors import (
     NotTransitive,
     UnknownElementId,
 )
-
-LOWER_SET_BOUND = 20
-
 
 def set_key(s: Iterable[str]) -> tuple:
     """Canonical sort key for a set of ids: by size, then lexicographic."""
@@ -44,6 +40,9 @@ class Poset:
             if e in seen:
                 raise DuplicateId(e)
             seen.add(e)
+        unknown = {e for pair in self.relation for e in pair} - seen
+        if unknown:
+            raise UnknownElementId(min(unknown))
 
     def leq(self, x: str, y: str) -> bool:
         return (x, y) in self.relation
@@ -59,16 +58,30 @@ class Poset:
         return frozenset(self.elements)
 
     @cached_property
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """Each element's up-set and down-set as int masks, bit i standing
+        for elements[i]."""
+        idx = {e: i for i, e in enumerate(self.elements)}
+        up, down = [0] * len(idx), [0] * len(idx)
+        for x, y in self.relation:
+            up[idx[x]] |= 1 << idx[y]
+            down[idx[y]] |= 1 << idx[x]
+        return up, down
+
+    def _members(self, mask: int) -> list[str]:
+        return [self.elements[i] for i in _bits(mask)]
+
+    @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """All cover pairs (x, y) with x strictly below y and nothing between."""
+        """All cover pairs (x, y) with x strictly below y and nothing between:
+        x's strict up-set minus everything a member of it strictly reaches."""
+        up, _ = self._masks
         out = []
-        for x in self.elements:
-            for y in self.elements:
-                if not self.lt(x, y):
-                    continue
-                if any(self.lt(x, z) and self.lt(z, y) for z in self.elements):
-                    continue
-                out.append((x, y))
+        for i, x in enumerate(self.elements):
+            strict, reached = up[i] & ~(1 << i), 0
+            for j in _bits(strict):
+                reached |= up[j] & ~(1 << j)
+            out += [(x, self.elements[j]) for j in _bits(strict & ~reached)]
         return tuple(sorted(out))
 
     def down_set(self, x: str) -> frozenset[str]:
@@ -118,23 +131,39 @@ def validate_poset(elements: Iterable[str], matrix: Iterable[Iterable[bool]]) ->
     rows = [list(r) for r in matrix]
     if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
         raise UnknownElementId("<matrix shape does not match element list>")
+    return _order_from_masks(els, [sum(1 << j for j, v in enumerate(r) if v) for r in rows])
+
+
+def _order_from_masks(els: tuple[str, ...], rows: list[int]) -> Poset:
+    """validate_poset on row masks: bit j of rows[i] means els[i] <= els[j]."""
     n = len(els)
     for i in range(n):
-        if not rows[i][i]:
+        if not rows[i] >> i & 1:
             raise NotReflexive(els[i])
+    cols = [0] * n
     for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] and rows[j][i]:
-                raise NotAntisymmetric(els[i], els[j])
+        for j in _bits(rows[i]):
+            cols[j] |= 1 << i
     for i in range(n):
-        for j in range(n):
-            if not rows[i][j]:
-                continue
-            for k in range(n):
-                if rows[j][k] and not rows[i][k]:
-                    raise NotTransitive(els[i], els[j], els[k])
-    rel = frozenset((els[i], els[j]) for i in range(n) for j in range(n) if rows[i][j])
-    return Poset(els, rel)
+        mutual = rows[i] & cols[i] & ~(1 << i)
+        if mutual:
+            raise NotAntisymmetric(els[i], els[_bits(mutual)[0]])
+    for i in range(n):
+        for j in _bits(rows[i]):
+            missing = rows[j] & ~rows[i]
+            if missing:
+                raise NotTransitive(els[i], els[j], els[_bits(missing)[0]])
+    return Poset(els, frozenset((els[i], els[j]) for i in range(n) for j in _bits(rows[i])))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], *, close: bool = False) -> Poset:
@@ -146,39 +175,18 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], 
     """
     els = tuple(elements)
     idx = {e: i for i, e in enumerate(els)}
-    n = len(els)
-    rows = [[False] * n for _ in range(n)]
+    rows = [0] * len(els)
     for (x, y) in pairs:
         if x not in idx or y not in idx:
             raise UnknownElementId(x if x not in idx else y)
-        rows[idx[x]][idx[y]] = True
+        rows[idx[x]] |= 1 << idx[y]
     if close:
-        for i in range(n):
-            rows[i][i] = True
-        for k in range(n):
-            for i in range(n):
-                if rows[i][k]:
-                    ri, rk = rows[i], rows[k]
-                    for j in range(n):
-                        if rk[j]:
-                            ri[j] = True
-    return validate_poset(els, rows)
-
-
-def lower_sets(poset: Poset) -> list[frozenset[str]]:
-    """All downward closed subsets, in canonical (size, lexicographic) order.
-
-    Elements are added in a linear extension (by down-set size), so each
-    lower set is built once: from the lower sets of the elements so far, by
-    adding the next element to those that hold everything below it.
-    """
-    if len(poset.elements) > LOWER_SET_BOUND:
-        raise EnumerationBoundExceeded(len(poset.elements), LOWER_SET_BOUND)
-    below = {e: poset.down_set(e) - {e} for e in poset.elements}
-    family = [frozenset()]
-    for e in sorted(poset.elements, key=lambda x: len(below[x])):
-        family += [s | {e} for s in family if below[e] <= s]
-    return sorted(family, key=set_key)
+        rows = [r | 1 << i for i, r in enumerate(rows)]
+        for k in range(len(rows)):
+            for i, ri in enumerate(rows):
+                if ri >> k & 1:
+                    rows[i] = ri | rows[k]
+    return _order_from_masks(els, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,24 +233,32 @@ class Lattice:
 
 
 def lattice_from_order(poset: Poset) -> Lattice:
-    """Compute join/meet tables by enumerating bounds; fail on the first bad pair."""
+    """Compute join/meet tables from up-set and down-set masks; fail on the
+    first bad pair, in element order.
+
+    The upper bounds of x and y form the up-set mask up[x] & up[y], and
+    their least element, when there is one, is the one z with up[z] equal
+    to it; meets are dual.  A failure reports the minimal upper (maximal
+    lower) bounds, computed only then.
+    """
     els = poset.elements
     if not els:
         raise InputError("a lattice needs at least one element (its bottom)")
+    up, down = poset._masks
+    least = {m: z for z, m in zip(els, up)}
+    greatest = {m: z for z, m in zip(els, down)}
     join: dict[tuple[str, str], str] = {}
     meet: dict[tuple[str, str], str] = {}
-    for x in els:
-        for y in els:
-            ub = [z for z in els if poset.leq(x, z) and poset.leq(y, z)]
-            least = [u for u in ub if all(poset.leq(u, v) for v in ub)]
-            if len(least) != 1:
-                raise NotALattice(x, y, poset.minimal_of(ub), kind="upper")
-            join[(x, y)] = least[0]
-            lb = [z for z in els if poset.leq(z, x) and poset.leq(z, y)]
-            greatest = [u for u in lb if all(poset.leq(v, u) for v in lb)]
-            if len(greatest) != 1:
-                raise NotALattice(x, y, poset.maximal_of(lb), kind="lower")
-            meet[(x, y)] = greatest[0]
+    for x, ux, dx in zip(els, up, down):
+        for y, uy, dy in zip(els, up, down):
+            z = least.get(ux & uy)
+            if z is None:
+                raise NotALattice(x, y, poset.minimal_of(poset._members(ux & uy)), kind="upper")
+            join[(x, y)] = z
+            z = greatest.get(dx & dy)
+            if z is None:
+                raise NotALattice(x, y, poset.maximal_of(poset._members(dx & dy)), kind="lower")
+            meet[(x, y)] = z
     return Lattice(poset, join, meet)
 
 
@@ -254,8 +270,7 @@ def lattice_from_tables(
     """Build a lattice from join/meet tables, deriving and cross-checking the order.
 
     The order is read off the join table (x <= y iff x v y = y); the result
-    must reproduce both tables when joins/meets are recomputed by bound
-    enumeration.
+    must reproduce both tables when joins/meets are recomputed from it.
     """
     els = tuple(elements)
     jr = [list(r) for r in join_rows]

@@ -17,7 +17,7 @@ from .antimatroids import (
     validate_antimatroid,
 )
 from .augment import synthesize_from_lattice
-from .constraints import constraints_from_lattice, filter_lower_sets
+from .constraints import constraints_from_lattice, lower_sets_satisfying
 from .fixtures import (
     four_element_antimatroid,
     hexagon_lattice,
@@ -28,7 +28,7 @@ from .fixtures import (
 )
 from .generators import random_graph
 from .markets import deferred_acceptance, enumerate_stable
-from .orders import canonical_partial_rep, join_irreducibles, lower_sets, trivial_poset
+from .orders import canonical_partial_rep, join_irreducibles, trivial_poset
 from .rotations import extract_rotations
 
 
@@ -57,8 +57,7 @@ def run(quick: bool = False, seed: int = 7) -> int:
         },
     )
     _, xj_poset = join_irreducibles(lat)
-    family = lower_sets(xj_poset)
-    filtered = filter_lower_sets(family, constraints_from_lattice(lat))
+    filtered = lower_sets_satisfying(xj_poset, constraints_from_lattice(lat))
     check("hexagon constraint filtering", set(filtered) == set(rep.values()))
 
     market = seven_pair_market()
@@ -81,7 +80,7 @@ def run(quick: bool = False, seed: int = 7) -> int:
     check("{}, {a}, {b} over {a, b} rejected as not union-closed", not ok and witness[0] == "not-union-closed")
     pp = compute_path_poset(fam)
     ground = fam.ground_set
-    occurred = filter_lower_sets(lower_sets(trivial_poset(ground)), antimatroid_constraints(pp))
+    occurred = lower_sets_satisfying(trivial_poset(ground), antimatroid_constraints(pp))
     check("four-element antimatroid constraint filtering", {ground - t for t in occurred} == set(fam.feasible))
 
     check("pentagon synthesis verifies", synthesize_from_lattice(pentagon_lattice()).report.ok)

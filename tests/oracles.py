@@ -11,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+from lattmark.errors import NotALattice
+from lattmark.orders import Lattice
+
 
 def least_upper_bound(elements, leq, x, y):
     """Scan for the unique minimum of the upper bound set; None if absent."""
@@ -34,6 +37,54 @@ def count_lower_sets(elements, leq):
     without_m = [e for e in elements if e != m]
     without_down = [e for e in elements if not leq(e, m)]
     return count_lower_sets(without_m, leq) + count_lower_sets(without_down, leq)
+
+
+def lower_sets(poset):
+    """All downward closed subsets, in (size, lexicographic) order: elements
+    are added in a linear extension (by down-set size), each to the lower
+    sets so far that hold everything below it.  Builds every lower set, so
+    it costs 2^n on an n-element antichain whatever a filter keeps."""
+    below = {e: poset.down_set(e) - {e} for e in poset.elements}
+    family = [frozenset()]
+    for e in sorted(poset.elements, key=lambda x: len(below[x])):
+        family += [s | {e} for s in family if below[e] <= s]
+    return sorted(family, key=_set_key)
+
+
+def filter_lower_sets(family, omega):
+    """Members of the family satisfying every constraint, order preserved."""
+    cs = tuple(omega)
+    return [t for t in family if all(c.holds(t) for c in cs)]
+
+
+def lattice_from_order_by_scan(poset):
+    """Join and meet tables by scanning every element for the bounds of
+    every pair; NotALattice on the first pair, in element order, whose
+    upper (then lower) bounds have no least (greatest) member."""
+    els = poset.elements
+    join, meet = {}, {}
+    for x in els:
+        for y in els:
+            ub = [z for z in els if poset.leq(x, z) and poset.leq(y, z)]
+            least = [u for u in ub if all(poset.leq(u, v) for v in ub)]
+            if len(least) != 1:
+                raise NotALattice(x, y, poset.minimal_of(ub), kind="upper")
+            join[(x, y)] = least[0]
+            lb = [z for z in els if poset.leq(z, x) and poset.leq(z, y)]
+            greatest = [u for u in lb if all(poset.leq(v, u) for v in lb)]
+            if len(greatest) != 1:
+                raise NotALattice(x, y, poset.maximal_of(lb), kind="lower")
+            meet[(x, y)] = greatest[0]
+    return Lattice(poset, join, meet)
+
+
+def covers_by_scan(poset):
+    """Cover pairs (x, y), sorted: x strictly below y, nothing between."""
+    els = poset.elements
+    return tuple(sorted(
+        (x, y) for x in els for y in els
+        if poset.lt(x, y) and not any(poset.lt(x, z) and poset.lt(z, y) for z in els)
+    ))
 
 
 def join_all(lattice, members):

@@ -29,11 +29,10 @@ from lattmark import (
     deferred_acceptance,
     enumerate_stable,
     extract_rotations,
-    filter_lower_sets,
     independent_set_antimatroid,
     is_stable,
     join_irreducibles,
-    lower_sets,
+    lower_sets_satisfying,
     min_cost_feasible,
     min_cost_stable,
     omega_extend,
@@ -129,9 +128,8 @@ def test_criterion_2_constraint_filtering():
     lat = hexagon_lattice()
     rep = canonical_partial_rep(lat)
     _, xj_poset = join_irreducibles(lat)
-    family = lower_sets(xj_poset)
-    assert len(family) == 10
-    filtered = filter_lower_sets(family, constraints_from_lattice(lat))
+    assert len(lower_sets_satisfying(xj_poset, [])) == 10
+    filtered = lower_sets_satisfying(xj_poset, constraints_from_lattice(lat))
     want = [set(), {"b"}, {"c"}, {"c", "d"}, {"c", "e"}, {"b", "c", "d", "e"}]
     assert [set(s) for s in filtered] == want
     ok, witness = check_order_isomorphism(rep, lat.poset, filtered, lambda a, b: a <= b)
@@ -297,7 +295,7 @@ def feasible_by_constraints(fam, pp):
     """The ground subsets whose complement, the rotations that occurred,
     satisfies every constraint of the reduction."""
     ground = fam.ground_set
-    occurred = filter_lower_sets(lower_sets(trivial_poset(ground)), antimatroid_constraints(pp))
+    occurred = lower_sets_satisfying(trivial_poset(ground), antimatroid_constraints(pp))
     return {ground - t for t in occurred}
 
 
@@ -369,7 +367,7 @@ def test_criterion_9_representation_round_trip(synthesized, seven_base):
     for market in fixtures:
         rp = extract_rotations(market)
         stables = enumerate_stable(market)
-        family = lower_sets(rp.poset)
+        family = lower_sets_satisfying(rp.poset, [])
         assert len(family) == len(stables)
         for r in family:
             mu = rotations_to_matching(rp, r)
@@ -392,7 +390,7 @@ def test_criterion_9_representation_round_trip(synthesized, seven_base):
         bases.append(reduce_to_matching(compute_path_poset(fam), {}).extendable.base)
     for base in bases:
         rp = base.rotation_poset
-        rebuilt = {rotations_to_matching(rp, r) for r in lower_sets(rp.poset)}
+        rebuilt = {rotations_to_matching(rp, r) for r in lower_sets_satisfying(rp.poset, [])}
         assert rebuilt == set(enumerate_stable(base.market)), sorted(rp.ids())
     report(9, time.monotonic() - t0, 60.0, f"bijection and order preserved on all fixtures, {len(bases)} bases")
 

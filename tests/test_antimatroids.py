@@ -13,9 +13,7 @@ from lattmark import (
     compute_path_poset,
     enumerate_stable,
     family_from_path_poset,
-    filter_lower_sets,
     independent_set_antimatroid,
-    lower_sets,
     min_cost_feasible,
     min_cost_stable,
     reduce_to_matching,
@@ -30,8 +28,10 @@ from lattmark.orders import trivial_poset
 from oracles import (
     antimatroid_axiom_failures,
     brute_force_satisfying_subsets,
+    filter_lower_sets,
     full_antimatroid_constraints,
     independence_number,
+    lower_sets,
     min_cost_by_matchings,
     pair_cost,
     union_irreducible_paths,

@@ -6,18 +6,27 @@ import pytest
 
 from lattmark import (
     JoinConstraint,
+    antimatroid_constraints,
     canonical_partial_rep,
     check_order_isomorphism,
+    compute_path_poset,
     constraints_from_lattice,
-    filter_lower_sets,
+    independent_set_antimatroid,
     join_irreducibles,
-    lower_sets,
+    lattice_from_order,
+    lower_sets_satisfying,
+    poset_from_pairs,
+    reduce_to_matching,
+    synthesize_from_lattice,
     validate_join_constraint,
 )
 from lattmark.errors import AlphaArgumentsComparable, UnknownElementId
 from lattmark.fixtures import boolean_lattice
-from lattmark.generators import random_lattice
+from lattmark.generators import all_lattices_upto, random_lattice
 from lattmark.orders import trivial_poset
+
+from oracles import filter_lower_sets, lower_sets
+from test_acceptance import reduction_graphs
 
 
 def hexagon_example_constraint():
@@ -113,23 +122,20 @@ class TestGeneration:
 class TestFiltering:
     def test_hexagon_filtered_family(self, hexagon):
         _, poset = join_irreducibles(hexagon)
-        family = lower_sets(poset)
-        got = filter_lower_sets(family, constraints_from_lattice(hexagon))
+        got = lower_sets_satisfying(poset, constraints_from_lattice(hexagon))
         want = [set(), {"b"}, {"c"}, {"c", "d"}, {"c", "e"}, {"b", "c", "d", "e"}]
         assert [set(s) for s in got] == want
 
     def test_empty_omega_keeps_everything(self, hexagon):
         _, poset = join_irreducibles(hexagon)
-        family = lower_sets(poset)
-        assert filter_lower_sets(family, []) == family
+        assert lower_sets_satisfying(poset, []) == lower_sets(poset)
 
     def test_extremes_always_survive(self):
         rng = random.Random(17)
         for _ in range(15):
             lat = random_lattice(rng.randint(2, 8), rng)
             xj, poset = join_irreducibles(lat)
-            family = lower_sets(poset)
-            got = filter_lower_sets(family, constraints_from_lattice(lat))
+            got = lower_sets_satisfying(poset, constraints_from_lattice(lat))
             assert frozenset() in got and frozenset(xj) in got
 
     def test_round_trip_restores_the_lattice(self, hexagon, pentagon, diamond):
@@ -138,7 +144,81 @@ class TestFiltering:
         for lat in lats:
             rep = canonical_partial_rep(lat)
             _, poset = join_irreducibles(lat)
-            got = filter_lower_sets(lower_sets(poset), constraints_from_lattice(lat))
+            got = lower_sets_satisfying(poset, constraints_from_lattice(lat))
             assert set(got) == set(rep.values())
             ok, witness = check_order_isomorphism(rep, lat.poset, got, lambda a, b: a <= b)
             assert ok, witness
+
+
+def chain(n):
+    labels = [f"c{i:02d}" for i in range(n)]
+    return lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
+
+
+def m_n(n):
+    """A bottom, n pairwise incomparable atoms and a top."""
+    atoms = [f"a{i}" for i in range(n)]
+    covers = [("bot", a) for a in atoms] + [(a, "top") for a in atoms]
+    return lattice_from_order(poset_from_pairs(["bot", *atoms, "top"], covers, close=True))
+
+
+def lattice_corpus():
+    """Every lattice of at most 5 elements, chains of 2-16 elements, M_3-M_10
+    and seeded random lattices of 10-20 elements with at most 16
+    join-irreducibles."""
+    rng = random.Random(41)
+    randoms = [random_lattice(rng.randint(10, 20), rng) for _ in range(20)]
+    lats = [*all_lattices_upto(5), *map(chain, range(2, 17)), *map(m_n, range(3, 11)), *randoms]
+    return [lat for lat in lats if len(join_irreducibles(lat)[0]) <= 16]
+
+
+class TestImageSearchAgainstTheFilter:
+    """lower_sets_satisfying equals the 2^|J| filter, set for set and in
+    order, with Horn (lattice) and non-Horn (reduction) constraints."""
+
+    def test_lattice_bases_and_join_irreducible_posets(self):
+        lats = lattice_corpus()
+        for lat in lats:
+            _, xj_poset = join_irreducibles(lat)
+            cs = constraints_from_lattice(lat)
+            assert lower_sets_satisfying(xj_poset, cs) == filter_lower_sets(lower_sets(xj_poset), cs)
+            em = synthesize_from_lattice(lat, verify=False).extendable
+            base = em.base.rotation_poset.poset
+            want = filter_lower_sets(lower_sets(base), em.constraints)
+            assert lower_sets_satisfying(base, em.constraints) == want
+            assert len(want) == len(lat.elements)
+        assert len(lats) > 50
+
+    def test_reduction_constraints(self):
+        for _, vertices, edges in reduction_graphs():
+            fam, _ = independent_set_antimatroid(vertices, edges)
+            pp = compute_path_poset(fam)
+            base = reduce_to_matching(pp, {}).extendable.base.rotation_poset.poset
+            cs = antimatroid_constraints(pp)
+            assert lower_sets_satisfying(base, cs) == filter_lower_sets(lower_sets(base), cs)
+
+    def test_random_constraints_over_the_seven_pair_rotations(self, seven_rotation_poset):
+        # the seven-pair rotation poset is not an antichain, so down-closure
+        # prunes too; alpha may be empty, hold an empty group, or groups of
+        # several ids
+        poset = seven_rotation_poset.poset
+        ids = sorted(poset.elements)
+        rng = random.Random(43)
+        family = lower_sets(poset)
+        kinds = set()
+        for _ in range(300):
+            cs = []
+            for _ in range(rng.randint(0, 4)):
+                groups = [rng.sample(ids, rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+                cs.append(JoinConstraint.make(groups, rng.sample(ids, rng.randint(0, 2))))
+                kinds |= {"empty alpha"} if not groups else set()
+                kinds |= {"empty group"} if any(not g for g in groups) else set()
+                kinds |= {"multi-id group"} if any(len(g) > 1 for g in groups) else set()
+            assert lower_sets_satisfying(poset, cs) == filter_lower_sets(family, cs), cs
+        assert kinds == {"empty alpha", "empty group", "multi-id group"}
+
+    def test_an_unknown_id_is_rejected(self):
+        for jc in (JoinConstraint.make([{"x"}], {"y"}), JoinConstraint.make([{"y"}], {"x"})):
+            with pytest.raises(UnknownElementId) as exc:
+                lower_sets_satisfying(trivial_poset(["x"]), [jc])
+            assert exc.value.element == "y"

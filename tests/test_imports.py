@@ -2,8 +2,9 @@
 whose imports are its public re-exports, excepted), and every package module
 imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
-name exists; and the stable-matching search reads the choice-spec families
-only through their choice functions."""
+name exists; the stable-matching search reads the choice-spec families
+only through their choice functions; and the 2^|J| lower-set filter stays
+out of the package."""
 
 from __future__ import annotations
 
@@ -55,7 +56,10 @@ def test_no_imports_inside_functions():
 
 
 # Public methods kept though src/ calls none of them.
-UNREFERENCED_BY_DESIGN = {"Lattice.top"}  # the dual of Lattice.bottom
+UNREFERENCED_BY_DESIGN = {
+    "Lattice.top",  # the dual of Lattice.bottom
+    "JoinConstraint.holds",  # the definition lower_sets_satisfying decides on masks
+}
 
 
 def unreferenced_definitions() -> list[str]:
@@ -132,3 +136,18 @@ def test_few_isinstance_branches_on_spec_families():
                     and any(isinstance(n, ast.Name) and n.id in SPEC_FAMILIES for n in ast.walk(node.args[1]))):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert len(found) <= 8, found
+
+
+def test_the_filtered_lower_sets_stay_out_of_the_package():
+    """The expected image is searched (constraints.lower_sets_satisfying);
+    the 2^|J| enumeration and its filter live in tests/oracles.py only."""
+    gone = {"lower_sets", "filter_lower_sets", "LOWER_SET_BOUND"}
+    found = []
+    for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else None)
+            if name in gone:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    exported = gone & set(dir(importlib.import_module("lattmark")))
+    assert not found and not exported, (found, exported)

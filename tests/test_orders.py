@@ -13,16 +13,16 @@ from lattmark import (
     join_irreducibles,
     lattice_from_order,
     lattice_from_tables,
-    lower_sets,
+    lower_sets_satisfying,
     poset_from_pairs,
     validate_poset,
 )
 from lattmark.errors import (
-    EnumerationBoundExceeded,
     NotALattice,
     NotAntisymmetric,
     NotReflexive,
     NotTransitive,
+    SearchBoundExceeded,
 )
 from lattmark.fixtures import boolean_lattice, pentagon_lattice
 from lattmark import generators
@@ -31,11 +31,15 @@ from lattmark.orders import trivial_poset
 
 from oracles import (
     count_lower_sets,
+    covers_by_scan,
     greatest_lower_bound,
     join_all,
     join_irreducibles_by_definition,
+    lattice_from_order_by_scan,
     least_upper_bound,
+    lower_sets,
 )
+from test_constraints import lattice_corpus
 
 
 def identity_matrix(n):
@@ -161,9 +165,11 @@ class TestJoinIrreducibles:
 
 
 class TestLowerSets:
+    """The lower-set search with no constraints lists every lower set."""
+
     def test_hexagon_join_irreducible_lower_sets(self, hexagon):
         _, poset = join_irreducibles(hexagon)
-        family = lower_sets(poset)
+        family = lower_sets_satisfying(poset, [])
         want = [
             set(),
             {"b"},
@@ -179,17 +185,21 @@ class TestLowerSets:
         assert [set(s) for s in family] == want
 
     def test_trivial_poset_gives_all_subsets(self):
-        family = lower_sets(trivial_poset(["x", "y", "z"]))
+        family = lower_sets_satisfying(trivial_poset(["x", "y", "z"]), [])
         assert len(family) == 8
 
     def test_chain_gives_prefixes(self):
         p = poset_from_pairs(["1", "2", "3"], [("1", "2"), ("2", "3")], close=True)
-        assert len(lower_sets(p)) == 4
+        assert len(lower_sets_satisfying(p, [])) == 4
 
     def test_bound_is_enforced(self):
-        p = trivial_poset([f"e{i}" for i in range(21)])
-        with pytest.raises(EnumerationBoundExceeded):
-            lower_sets(p)
+        # one node per decision: 2 + 4 + 8 on a three-element antichain
+        p = trivial_poset(["x", "y", "z"])
+        assert len(lower_sets_satisfying(p, [], node_bound=14)) == 8
+        with pytest.raises(SearchBoundExceeded) as exc:
+            lower_sets_satisfying(p, [], node_bound=13)
+        assert exc.value.explored == 14
+        assert str(exc.value) == "lower-set search explored 14 nodes, bound is 13"
 
     def test_counts_match_recursive_oracle(self):
         rng = random.Random(5)
@@ -197,7 +207,9 @@ class TestLowerSets:
             n = rng.randint(1, 7)
             pairs = [(f"n{i}", f"n{j}") for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
             p = poset_from_pairs([f"n{i}" for i in range(n)], pairs, close=True)
-            assert len(lower_sets(p)) == count_lower_sets(p.elements, p.leq)
+            family = lower_sets_satisfying(p, [])
+            assert len(family) == count_lower_sets(p.elements, p.leq)
+            assert family == lower_sets(p)
 
 
 class TestCanonicalPartialRep:
@@ -295,3 +307,43 @@ class TestDistributivity:
 
     def test_pentagon_is_not(self):
         assert not is_distributive(pentagon_lattice())[0]
+
+
+def random_poset(rng, n):
+    """A seeded random order on n elements: random pairs below the
+    diagonal, closed."""
+    names = [f"p{i}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    rng.shuffle(names)
+    return poset_from_pairs(names, pairs, close=True)
+
+
+class TestMasksAgainstTheScans:
+    """The mask tables and covers equal the bound scans of the oracles."""
+
+    def test_tables_on_the_corpus_and_boolean_lattice_7(self):
+        for lat in [*lattice_corpus(), boolean_lattice(7)]:
+            assert lattice_from_order(lat.poset) == lattice_from_order_by_scan(lat.poset)
+
+    def test_not_a_lattice_is_identical_on_random_posets(self):
+        rng = random.Random(47)
+        failures = kinds = 0
+        for _ in range(400):
+            poset = random_poset(rng, rng.randint(1, 8))
+            try:
+                want = lattice_from_order_by_scan(poset)
+            except NotALattice as exc:
+                with pytest.raises(NotALattice) as got:
+                    lattice_from_order(poset)
+                assert (got.value.witness, got.value.bounds, str(got.value)) == (exc.witness, exc.bounds, str(exc))
+                failures += 1
+                kinds |= 1 if "upper" in str(exc) else 2
+            else:
+                assert lattice_from_order(poset) == want
+        assert failures > 100 and kinds == 3
+
+    def test_covers_on_the_corpus_and_random_posets(self):
+        rng = random.Random(53)
+        posets = [lat.poset for lat in lattice_corpus()] + [random_poset(rng, rng.randint(1, 12)) for _ in range(200)]
+        for poset in posets:
+            assert poset.covers == covers_by_scan(poset)

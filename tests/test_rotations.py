@@ -19,10 +19,9 @@ from lattmark import (
 from lattmark.errors import DuplicateId, InputError, NotLowerClosed, NotRepresentable
 from lattmark.fixtures import seven_pair_rotations
 from lattmark.markets import MatchingMarket, PreferenceList
-from lattmark.orders import lower_sets
 from lattmark.rotations import gadget_agents
 
-from oracles import one_to_one_stable_matchings
+from oracles import lower_sets, one_to_one_stable_matchings
 
 
 class TestAntichainBase:

@@ -45,6 +45,7 @@ from lattmark.orders import Poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
 
 from oracles import full_antimatroid_constraints, union_closure, union_irreducible_paths, validate_antimatroid_pairwise
+from test_constraints import chain
 
 
 def _swap_gadgets(*gadgets):
@@ -801,6 +802,22 @@ class TestBundleContract:
             jsonio.write_json(anti_file, data)
             code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
             assert code == 3 and report["kind"] == "EnumerationBoundExceeded"
+            assert report["error"] == "antimatroid ground set has 21 elements, --bound-elements is 20"
+
+    def test_long_chains_certify(self, tmp_path, capsys):
+        """The expected image is searched, not filtered out of 2^|J| sets, so
+        chains of more than 21 elements no longer exit 3."""
+        for n in (22, 30):
+            lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, f"chain{n}", chain(n))
+            code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+            checks = {c["name"]: c["ok"] for c in report["checks"]}
+            assert code == 0 and checks["counts-match"] and all(checks.values()), n
+
+    def test_the_image_search_counts_against_bound_nodes(self, tmp_path, capsys):
+        lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, "chain20", chain(20))
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file), "--bound-nodes", "5")
+        assert code == 3 and report["kind"] == "SearchBoundExceeded"
+        assert report["error"] == "lower-set search explored 6 nodes, bound is 5"
 
     def test_paths_outside_the_ground_set_exit_2_before_any_union(self, tmp_path, capsys):
         """Paths are closed over the ground set only: 40 singleton paths
