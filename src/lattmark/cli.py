@@ -89,11 +89,7 @@ def cmd_synthesize(args) -> int:
     jsonio.write_json(args.out, jsonio.extendable_to_json(em))
     report.wrote(args.out)
     iso_table = {x: jsonio.matching_to_json(mu) for x, mu in sorted(result.iso.items())}
-    extra = {"agents": em.agent_count(), "augmentations": len(em.constraints), "iso": iso_table}
-    if args.iso:
-        jsonio.write_json(args.iso, {"v": 1, "iso": iso_table})
-        report.wrote(args.iso)
-    return report.emit(extra)
+    return report.emit({"agents": em.agent_count(), "augmentations": len(em.constraints), "iso": iso_table})
 
 
 def cmd_verify(args) -> int:
@@ -225,7 +221,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    return selftest.run(quick=args.quick, seed=args.seed)
+    return selftest.run(quick=args.quick)
 
 
 def _non_negative_int(text: str) -> int:
@@ -252,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="lattice file -> market bundle with verified isomorphism")
     p.add_argument("lattice")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--iso", help="also write the element -> matching table")
 
     p = sub.add_parser("verify", help="check a market (or bundle) against a lattice")
     p.add_argument("market")
@@ -288,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in fixture checks")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=7)
     return parser
 
 

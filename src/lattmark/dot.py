@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .antimatroids import AntimatroidFamily
-from .orders import Poset, inclusion_poset
+from .antimatroids import AntimatroidFamily, _bits, _mask, validate_antimatroid
+from .errors import InputError
+from .orders import Poset, set_key
 from .rotations import RotationPoset
 
 
@@ -14,16 +15,18 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def poset_dot(poset: Poset, labels: Mapping[str, str] | None = None, name: str = "hasse") -> str:
-    labels = labels or {}
+def _hasse_dot(name: str, nodes: Iterable[tuple[str, str]], covers: Iterable[tuple[str, str]]) -> str:
+    """A digraph of labelled nodes (id, label) and cover edges, in the given order."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for e in poset.elements:
-        label = labels.get(e, e)
-        lines.append(f"  {_quote(e)} [label={_quote(label)}];")
-    for x, y in poset.covers:
-        lines.append(f"  {_quote(x)} -> {_quote(y)};")
+    lines += [f"  {_quote(e)} [label={_quote(label)}];" for e, label in nodes]
+    lines += [f"  {_quote(x)} -> {_quote(y)};" for x, y in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def poset_dot(poset: Poset, labels: Mapping[str, str] | None = None, name: str = "hasse") -> str:
+    labels = labels or {}
+    return _hasse_dot(name, [(e, labels.get(e, e)) for e in poset.elements], poset.covers)
 
 
 def rotation_poset_dot(rp: RotationPoset) -> str:
@@ -43,7 +46,19 @@ def _set_member(x: str) -> str:
 
 def antimatroid_dot(fam: AntimatroidFamily) -> str:
     """Nodes are named by their index in set_key order and labelled with their
-    sets, so ids that contain commas cannot make two sets share a node."""
-    poset, sets = inclusion_poset(fam.feasible)
-    labels = {x: "{" + ",".join(map(_set_member, sorted(s))) + "}" for x, s in zip(poset.elements, sets)}
-    return poset_dot(poset, labels, name="feasible_sets")
+    sets, so ids that contain commas cannot make two sets share a node.
+
+    The family must be an antimatroid (InputError with the witness
+    otherwise): there A is covered by B iff B = A | {x} for some x not in A,
+    so the covers are the one-element extensions, found on int masks."""
+    ok, witness = validate_antimatroid(fam)
+    if not ok:
+        raise InputError(f"not an antimatroid: {witness}")
+    sets = sorted(set(fam.feasible), key=set_key)
+    bit = _bits(sorted(fam.ground_set))
+    index = {_mask(s, bit): i for i, s in enumerate(sets)}
+    covers = sorted(
+        (f"x{i}", f"x{index[m | b]}") for m, i in index.items() for b in bit.values() if not m & b and m | b in index
+    )
+    nodes = [(f"x{i}", "{" + ",".join(map(_set_member, sorted(s))) + "}") for i, s in enumerate(sets)]
+    return _hasse_dot("feasible_sets", nodes, covers)

@@ -35,7 +35,7 @@ from .markets import (
     Regular,
     Triggered,
 )
-from .orders import Lattice, Poset, lattice_from_order, lattice_from_tables, poset_from_pairs, set_key
+from .orders import Lattice, lattice_from_order, lattice_from_tables, poset_from_pairs, set_key
 from .rotations import RealizedBase, Rotation, RotationPoset, antichain_base, extract_rotations
 
 VERSION = 1
@@ -237,9 +237,8 @@ def rotation_poset_from_json(data: Mapping) -> RotationPoset:
             frozenset(_need(r, "plus", f"rotation {rid!r}", _pairs)),
             frozenset(_need(r, "minus", f"rotation {rid!r}", _pairs)),
         )
-    ids = tuple(sorted(rots))
-    rel = frozenset(_pairs(data.get("leq", []), "rotation poset.leq")) | frozenset((i, i) for i in ids)
-    return RotationPoset(Poset(ids, rel), rots, matching_from_json(_need(data, "worker_optimal", "rotation poset")))
+    poset = poset_from_pairs(sorted(rots), _pairs(data.get("leq", []), "rotation poset.leq"), close=True)
+    return RotationPoset(poset, rots, matching_from_json(_need(data, "worker_optimal", "rotation poset")))
 
 
 def realized_base_to_json(base: RealizedBase) -> dict:

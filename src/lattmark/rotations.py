@@ -26,7 +26,7 @@ from .markets import (
     PreferenceList,
     stable_lattice,
 )
-from .orders import Poset
+from .orders import Poset, join_irreducibles
 
 Pair = tuple[str, str]
 
@@ -118,9 +118,11 @@ def antichain_base(ids: Sequence[str]) -> RealizedBase:
 def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> RotationPoset:
     """Recover the rotation poset of a one-to-one market by enumeration.
 
-    Rotations are read off the covering pairs of the stable matching
-    lattice; the order over rotations is derived from occurrence sets (one
-    rotation sits below another when it occurs wherever the other does).
+    The rotations are the join-irreducibles of the stable matching lattice
+    (Birkhoff): each join-irreducible j has one lower cover c, its rotation
+    takes at[c] to at[j], and the rotations are ordered as their
+    join-irreducibles are.  Every cover of the lattice must carry one of
+    these rotations, and no two join-irreducibles the same one.
     """
     lat, ms = stable_lattice(market, node_bound=node_bound)
     for mu in ms:
@@ -130,40 +132,19 @@ def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOU
             raise InputError("extract_rotations requires a one-to-one market")
 
     at = dict(zip(lat.elements, ms))
-    found: dict[tuple, tuple[frozenset[Pair], frozenset[Pair]]] = {}
-    lower_covers: dict[str, list[tuple[str, tuple]]] = {x: [] for x in lat.elements}
-    for x, y in lat.poset.covers:
-        plus = at[y].pairs - at[x].pairs
-        minus = at[x].pairs - at[y].pairs
-        key = (tuple(sorted(plus)), tuple(sorted(minus)))
-        found[key] = (plus, minus)
-        lower_covers[y].append((x, key))
+    step = {(x, y): (at[x].pairs - at[y].pairs, at[y].pairs - at[x].pairs) for x, y in lat.poset.covers}
+    xj, xj_poset = join_irreducibles(lat)
+    irreducible = set(xj)
+    of = {y: minus_plus for (_, y), minus_plus in step.items() if y in irreducible}
+    labels = set(of.values())
+    if len(labels) < len(of) or not labels.issuperset(step.values()):
+        raise NonLatticeStructure("the lattice's covers do not carry one rotation per join-irreducible")
 
-    ordered = sorted(found, key=lambda key: (key[1], key[0]))
-    names = {key: f"r{k + 1}" for k, key in enumerate(ordered)}
-    rotations = {names[key]: Rotation(names[key], *found[key]) for key in ordered}
-
-    # occurrence sets, in a linear extension from the bottom; in a
-    # distributive lattice every lower cover gives the same set
-    occ_of: dict[str, frozenset[str]] = {}
-    for y in sorted(lat.elements, key=lambda e: len(lat.poset.down_set(e))):
-        via = {occ_of[x] | {names[key]} for x, key in lower_covers[y]}
-        if len(via) > 1:
-            raise NonLatticeStructure("occurrence sets depend on the chain taken")
-        occ_of[y] = via.pop() if via else frozenset()
-
-    occ = {rid: frozenset(x for x in lat.elements if rid in occ_of[x]) for rid in rotations}
-    rel = set()
-    ids = sorted(rotations)
-    for a in ids:
-        for b in ids:
-            if occ[b] <= occ[a]:
-                rel.add((a, b))  # a occurs wherever b does: a below b
-    for a in ids:
-        for b in ids:
-            if a != b and (a, b) in rel and (b, a) in rel:
-                raise NonLatticeStructure(f"rotations {a} and {b} have identical occurrence sets")
-    rp = RotationPoset(Poset(tuple(ids), frozenset(rel)), rotations, at[lat.bottom])
+    ordered = sorted(of, key=lambda j: [sorted(pairs) for pairs in of[j]])
+    name = {j: f"r{k + 1}" for k, j in enumerate(ordered)}
+    rotations = {name[j]: Rotation(name[j], plus=of[j][1], minus=of[j][0]) for j in ordered}
+    rel = frozenset((name[a], name[b]) for a, b in xj_poset.relation)
+    rp = RotationPoset(Poset(tuple(sorted(rotations)), rel), rotations, at[lat.bottom])
     for mu in ms:
         matching_to_rotations(rp, mu)  # raises NotRepresentable on mismatch
     return rp
@@ -173,37 +154,24 @@ def matching_to_rotations(rp: RotationPoset, mu: Matching) -> frozenset[str]:
     """The unique lower closed rotation set that rebuilds mu from the
     worker-optimal matching; verified by reconstruction.
 
-    Rotations touching one firm form a chain; walking each firm's chain from
-    its worker-optimal partner to its partner in mu yields the occurred
-    prefix, and the union over firms is the representation.
+    Each firm walks from its worker-optimal partner to its partner in mu,
+    each step taking the rotation whose minus pairs hold the firm's current
+    pair; the union of the walks is the representation.  A walk is tracked
+    per firm, since one rotation moves several firms.
     """
-    chains: dict[str, list[str]] = {}
-    for rid, rot in rp.rotations.items():
-        for f in {f for f, _ in rot.minus} | {f for f, _ in rot.plus}:
-            chains.setdefault(f, []).append(rid)
-
+    removed_by = {pair: rid for rid, rot in rp.rotations.items() for pair in rot.minus}
     occurred: set[str] = set()
-    for f, chain in sorted(chains.items()):
-        below = {rid: sum(1 for o in chain if rp.poset.leq(o, rid)) for rid in chain}
-        if sorted(below.values()) != list(range(1, len(chain) + 1)):
-            raise NotRepresentable(f"rotations moving firm {f!r} are not totally ordered")
-        chain.sort(key=below.__getitem__)
-        current = rp.worker_optimal.workers_of(f)
-        target = mu.workers_of(f)
-        if current == target:
-            continue
-        prefix = None
-        for i, rid in enumerate(chain):
+    for f in sorted({f for f, _ in rp.worker_optimal.pairs | mu.pairs}):
+        current, target = rp.worker_optimal.workers_of(f), mu.workers_of(f)
+        walked: set[str] = set()
+        while current != target:
+            rid = next((removed_by[(f, w)] for w in sorted(current) if (f, w) in removed_by), None)
+            if rid is None or rid in walked:
+                raise NotRepresentable(f"firm {f!r} holds {sorted(target)}, reachable by no rotation prefix")
+            walked.add(rid)
             rot = rp.rotations[rid]
-            current = (current - {w for ff, w in rot.minus if ff == f}) | {
-                w for ff, w in rot.plus if ff == f
-            }
-            if current == target:
-                prefix = chain[: i + 1]
-                break
-        if prefix is None:
-            raise NotRepresentable(f"firm {f!r} holds {sorted(target)}, reachable by no rotation prefix")
-        occurred.update(prefix)
+            current = (current - {w for ff, w in rot.minus if ff == f}) | {w for ff, w in rot.plus if ff == f}
+        occurred |= walked
 
     r = frozenset(occurred)
     try:

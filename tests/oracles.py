@@ -11,8 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from lattmark.errors import NotALattice
-from lattmark.orders import Lattice
+from lattmark.errors import InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable
+from lattmark.markets import stable_lattice
+from lattmark.orders import Lattice, Poset, lattice_from_order, poset_from_pairs
+from lattmark.rotations import Rotation, RotationPoset, rotations_to_matching
 
 
 def least_upper_bound(elements, leq, x, y):
@@ -362,3 +364,105 @@ def full_antimatroid_constraints(pp):
         JoinConstraint.make([{e for s, e in pp.paths if s <= g} for g, end in pp.paths if end == x], {x})
         for x in pp.ground
     ]
+
+
+def chain_lattice(n):
+    """The n-element chain c00 < c01 < ..."""
+    labels = [f"c{i:02d}" for i in range(n)]
+    return lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
+
+
+def m_lattice(n):
+    """M_n: a bottom, n pairwise incomparable atoms a00, a01, ... and a top."""
+    atoms = [f"a{i:02d}" for i in range(n)]
+    covers = [("bot", a) for a in atoms] + [(a, "top") for a in atoms]
+    return lattice_from_order(poset_from_pairs(["bot", *atoms, "top"], covers, close=True))
+
+
+def extract_rotations_by_occurrence(market, lat=None, ms=None):
+    """The rotation poset read off every cover of the stable matching
+    lattice, ordered by occurrence sets: one rotation sits below another
+    when it occurs wherever the other does.  The lattice is stable_lattice's
+    unless given with its matchings."""
+    if lat is None:
+        lat, ms = stable_lattice(market)
+    for mu in ms:
+        if any(len(mu.workers_of(f)) > 1 for f in market.firms) or any(
+            len(mu.firms_of(w)) > 1 for w in market.workers
+        ):
+            raise InputError("extract_rotations requires a one-to-one market")
+
+    at = dict(zip(lat.elements, ms))
+    found = {}
+    lower_covers = {x: [] for x in lat.elements}
+    for x, y in lat.poset.covers:
+        plus = at[y].pairs - at[x].pairs
+        minus = at[x].pairs - at[y].pairs
+        key = (tuple(sorted(plus)), tuple(sorted(minus)))
+        found[key] = (plus, minus)
+        lower_covers[y].append((x, key))
+
+    ordered = sorted(found, key=lambda key: (key[1], key[0]))
+    names = {key: f"r{k + 1}" for k, key in enumerate(ordered)}
+    rotations = {names[key]: Rotation(names[key], *found[key]) for key in ordered}
+
+    # occurrence sets, in a linear extension from the bottom; in a
+    # distributive lattice every lower cover gives the same set
+    occ_of = {}
+    for y in sorted(lat.elements, key=lambda e: len(lat.poset.down_set(e))):
+        via = {occ_of[x] | {names[key]} for x, key in lower_covers[y]}
+        if len(via) > 1:
+            raise NonLatticeStructure("occurrence sets depend on the chain taken")
+        occ_of[y] = via.pop() if via else frozenset()
+
+    occ = {rid: frozenset(x for x in lat.elements if rid in occ_of[x]) for rid in rotations}
+    ids = sorted(rotations)
+    rel = {(a, b) for a in ids for b in ids if occ[b] <= occ[a]}
+    for a in ids:
+        for b in ids:
+            if a != b and (a, b) in rel and (b, a) in rel:
+                raise NonLatticeStructure(f"rotations {a} and {b} have identical occurrence sets")
+    rp = RotationPoset(Poset(tuple(ids), frozenset(rel)), rotations, at[lat.bottom])
+    for mu in ms:
+        matching_to_rotations_by_chains(rp, mu)
+    return rp
+
+
+def matching_to_rotations_by_chains(rp, mu):
+    """Each firm's rotations sorted into a chain by counting the rotations
+    below each; the prefix that takes the firm from its worker-optimal
+    partner to its partner in mu occurred.  Checked by reconstruction."""
+    chains = {}
+    for rid, rot in rp.rotations.items():
+        for f in {f for f, _ in rot.minus} | {f for f, _ in rot.plus}:
+            chains.setdefault(f, []).append(rid)
+
+    occurred = set()
+    for f, chain in sorted(chains.items()):
+        below = {rid: sum(1 for o in chain if rp.poset.leq(o, rid)) for rid in chain}
+        if sorted(below.values()) != list(range(1, len(chain) + 1)):
+            raise NotRepresentable(f"rotations moving firm {f!r} are not totally ordered")
+        chain.sort(key=below.__getitem__)
+        current = rp.worker_optimal.workers_of(f)
+        target = mu.workers_of(f)
+        if current == target:
+            continue
+        prefix = None
+        for i, rid in enumerate(chain):
+            rot = rp.rotations[rid]
+            current = (current - {w for ff, w in rot.minus if ff == f}) | {w for ff, w in rot.plus if ff == f}
+            if current == target:
+                prefix = chain[: i + 1]
+                break
+        if prefix is None:
+            raise NotRepresentable(f"firm {f!r} holds {sorted(target)}, reachable by no rotation prefix")
+        occurred.update(prefix)
+
+    r = frozenset(occurred)
+    try:
+        rebuilt = rotations_to_matching(rp, r)
+    except NotLowerClosed as exc:
+        raise NotRepresentable(f"derived rotation set {sorted(r)} is not lower closed: {exc}") from exc
+    if rebuilt.pairs != mu.pairs:
+        raise NotRepresentable(f"rotation set {sorted(r)} rebuilds {sorted(rebuilt.pairs)}, not {sorted(mu.pairs)}")
+    return r

@@ -24,9 +24,9 @@ from lattmark import (
 from lattmark.errors import AlphaArgumentsComparable, OverlappingRotationAgents, UnknownElementId
 from lattmark.fixtures import boolean_lattice, diamond_lattice, hexagon_lattice, pentagon_lattice
 from lattmark.generators import all_lattices_upto, random_distributive_lattice, random_lattice
-from lattmark.orders import join_irreducibles, lattice_from_order, poset_from_pairs
+from lattmark.orders import join_irreducibles
 
-from oracles import augmentation_copies, reference_stable_matchings
+from oracles import augmentation_copies, chain_lattice, reference_stable_matchings
 from lattmark.markets import IfElse, MatchingMarket, PreferenceList, Regular, Triggered
 from lattmark.rotations import RealizedBase, extract_rotations
 
@@ -349,11 +349,6 @@ class TestDefaultOrderOnAugmentedMarkets:
         assert enumerate_stable(sorted_market) == enumerate_stable(m)
 
 
-def _chain(n: int):
-    labels = [f"c{i:02d}" for i in range(n)]
-    return lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
-
-
 class TestConstructionSearchOrder:
     def test_workers_are_declared_gadget_by_gadget_in_constraint_order(self):
         # "a occurring forces b" ranks b before a; the step names a last
@@ -377,7 +372,7 @@ class TestConstructionSearchOrder:
         assert em.market.workers == ("wz", "p.w1", "p.w2")
 
     @pytest.mark.parametrize("lattice_fn, agents", [
-        (lambda: _chain(16), 116),
+        (lambda: chain_lattice(16), 116),
         (lambda: boolean_lattice(4), 16),
         (hexagon_lattice, 64),
         (pentagon_lattice, 24),
@@ -387,7 +382,7 @@ class TestConstructionSearchOrder:
 
     def test_distributive_lattices_keep_no_lattice_constraint(self):
         rng = random.Random(12)
-        lattices = [_chain(9), boolean_lattice(3), *(random_distributive_lattice(rng.randint(2, 10), rng)
+        lattices = [chain_lattice(9), boolean_lattice(3), *(random_distributive_lattice(rng.randint(2, 10), rng)
                                                       for _ in range(8))]
         for lat in lattices:
             em = synthesize_from_lattice(lat).extendable
@@ -397,5 +392,5 @@ class TestConstructionSearchOrder:
             assert len(em.constraints) == len(xj_poset.covers)
 
     def test_a_16_chain_enumerates_in_few_nodes(self):
-        em = synthesize_from_lattice(_chain(16), verify=False).extendable
+        em = synthesize_from_lattice(chain_lattice(16), verify=False).extendable
         assert len(enumerate_stable(em.market, node_bound=4000)) == 16

@@ -13,9 +13,7 @@ from lattmark import (
     constraints_from_lattice,
     independent_set_antimatroid,
     join_irreducibles,
-    lattice_from_order,
     lower_sets_satisfying,
-    poset_from_pairs,
     reduce_to_matching,
     synthesize_from_lattice,
     validate_join_constraint,
@@ -25,7 +23,7 @@ from lattmark.fixtures import boolean_lattice
 from lattmark.generators import all_lattices_upto, random_lattice
 from lattmark.orders import trivial_poset
 
-from oracles import filter_lower_sets, lower_sets
+from oracles import chain_lattice, filter_lower_sets, lower_sets, m_lattice
 from test_acceptance import reduction_graphs
 
 
@@ -150,25 +148,13 @@ class TestFiltering:
             assert ok, witness
 
 
-def chain(n):
-    labels = [f"c{i:02d}" for i in range(n)]
-    return lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
-
-
-def m_n(n):
-    """A bottom, n pairwise incomparable atoms and a top."""
-    atoms = [f"a{i}" for i in range(n)]
-    covers = [("bot", a) for a in atoms] + [(a, "top") for a in atoms]
-    return lattice_from_order(poset_from_pairs(["bot", *atoms, "top"], covers, close=True))
-
-
 def lattice_corpus():
     """Every lattice of at most 5 elements, chains of 2-16 elements, M_3-M_10
     and seeded random lattices of 10-20 elements with at most 16
     join-irreducibles."""
     rng = random.Random(41)
     randoms = [random_lattice(rng.randint(10, 20), rng) for _ in range(20)]
-    lats = [*all_lattices_upto(5), *map(chain, range(2, 17)), *map(m_n, range(3, 11)), *randoms]
+    lats = [*all_lattices_upto(5), *map(chain_lattice, range(2, 17)), *map(m_lattice, range(3, 11)), *randoms]
     return [lat for lat in lats if len(join_irreducibles(lat)[0]) <= 16]
 
 

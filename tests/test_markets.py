@@ -26,8 +26,6 @@ from lattmark import (
     is_distributive,
     is_individually_rational,
     is_stable,
-    lattice_from_order,
-    poset_from_pairs,
     stable_lattice,
     synthesize_from_lattice,
 )
@@ -36,7 +34,7 @@ from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.errors import SearchBoundExceeded, SpecError
 from lattmark.markets import spec_universe
 
-from oracles import one_to_one_stable_matchings, path_independence_by_subsets, reference_stable_matchings
+from oracles import chain_lattice, one_to_one_stable_matchings, path_independence_by_subsets, reference_stable_matchings
 
 
 def two_list_market():
@@ -324,8 +322,6 @@ class TestEnumerate:
         passes and one less raises SearchBoundExceeded, so the loop visits
         the same nodes.  The K3 and C4 reductions are counted on their
         rewritten (narrower) join constraints."""
-        chain = [f"c{i:02d}" for i in range(16)]
-        chain16 = lattice_from_order(poset_from_pairs(chain, zip(chain, chain[1:]), close=True))
 
         def reduction(vertices, edges):
             fam, _ = independent_set_antimatroid(vertices, edges)
@@ -335,7 +331,7 @@ class TestEnumerate:
             ("seven-pair", seven_market, 112),
             ("pentagon", synthesize_from_lattice(pentagon, verify=False).extendable.market, 195),
             ("hexagon", synthesize_from_lattice(hexagon, verify=False).extendable.market, 845),
-            ("16-chain", synthesize_from_lattice(chain16, verify=False).extendable.market, 1994),
+            ("16-chain", synthesize_from_lattice(chain_lattice(16), verify=False).extendable.market, 1994),
             ("K3", reduction(["u", "v", "x"], [("u", "v"), ("v", "x"), ("u", "x")]), 1135),
             ("C4", reduction(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")]),
              4167),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lattmark import (
@@ -16,12 +18,18 @@ from lattmark import (
     rotations_to_matching,
     stable_lattice,
 )
+from lattmark import jsonio
 from lattmark.errors import DuplicateId, InputError, NotLowerClosed, NotRepresentable
-from lattmark.fixtures import seven_pair_rotations
+from lattmark.fixtures import seven_pair_market, seven_pair_rotations
 from lattmark.markets import MatchingMarket, PreferenceList
 from lattmark.rotations import gadget_agents
 
-from oracles import lower_sets, one_to_one_stable_matchings
+from oracles import (
+    extract_rotations_by_occurrence,
+    lower_sets,
+    matching_to_rotations_by_chains,
+    one_to_one_stable_matchings,
+)
 
 
 class TestAntichainBase:
@@ -221,3 +229,100 @@ class TestGadgetSemantics:
         assert deferred_acceptance(base.market, "workers") == base.rotation_poset.worker_optimal
         top = rotations_to_matching(base.rotation_poset, frozenset(base.rotation_poset.poset.elements))
         assert deferred_acceptance(base.market, "firms") == top
+
+
+def _market(firm_lists, worker_lists):
+    choice = {a: PreferenceList.of(*prefs) for a, prefs in {**firm_lists, **worker_lists}.items()}
+    return MatchingMarket(tuple(sorted(firm_lists)), tuple(sorted(worker_lists)), choice)
+
+
+def _latin_square(n, rng):
+    """Cyclic preferences: firm i ranks workers i, i+1, ..., and the worker
+    a firm ranks last ranks that firm first; agents named in a random order."""
+    f = [f"f{k}" for k in rng.sample(range(n), n)]
+    w = [f"w{k}" for k in rng.sample(range(n), n)]
+    return (
+        {f[i]: [w[(i + k) % n] for k in range(n)] for i in range(n)},
+        {w[j]: [f[(j + 1 + k) % n] for k in range(n)] for j in range(n)},
+    )
+
+
+def _opposed(n, rng):
+    """Random scores: firms rank workers by descending score, workers rank
+    firms by ascending score; some pairs are unacceptable to both sides."""
+    score = {(i, j): rng.random() for i in range(n) for j in range(n)}
+    ok = {p for p in score if rng.random() < 0.85}
+    return (
+        {f"f{i}": [f"w{j}" for j in sorted(range(n), key=lambda j: -score[i, j]) if (i, j) in ok] for i in range(n)},
+        {f"w{j}": [f"f{i}" for i in sorted(range(n), key=lambda i: score[i, j]) if (i, j) in ok] for j in range(n)},
+    )
+
+
+def _seven_pair():
+    m = seven_pair_market()
+    lists = {a: [next(iter(e)) for e in m.spec(a).entries] for a in (*m.firms, *m.workers)}
+    return {f: lists[f] for f in m.firms}, {w: lists[w] for w in m.workers}
+
+
+def _union(parts):
+    """Disjoint union of markets given as (firm lists, worker lists), each
+    part's agents prefixed with its index."""
+    firms, workers = {}, {}
+    for k, (fl, wl) in enumerate(parts):
+        firms.update({f"u{k}.{a}": [f"u{k}.{b}" for b in prefs] for a, prefs in fl.items()})
+        workers.update({f"u{k}.{a}": [f"u{k}.{b}" for b in prefs] for a, prefs in wl.items()})
+    return firms, workers
+
+
+def rotation_corpus():
+    """Seeded one-to-one markets: cyclic latin squares, random opposed
+    preferences, and disjoint unions of both with the seven-pair market."""
+    rng = random.Random(19)
+    corpus = [_latin_square(n, rng) for n in range(1, 7) for _ in range(6)]
+    corpus += [_opposed(rng.randint(2, 6), rng) for _ in range(100)]
+    for _ in range(70):
+        parts = [_seven_pair()] if rng.random() < 0.6 else []
+        parts += [rng.choice((_latin_square, _opposed))(rng.randint(2, 4), rng) for _ in range(rng.randint(1, 3))]
+        corpus.append(_union(parts))
+    return [_market(*lists) for lists in corpus]
+
+
+class TestAgainstTheOccurrenceOracle:
+    def test_rotation_posets_and_representations_agree(self):
+        corpus = rotation_corpus()
+        sizes = []
+        for market in corpus:
+            rp = extract_rotations(market)
+            lat, stables = stable_lattice(market)
+            assert jsonio.rotation_poset_to_json(rp) == jsonio.rotation_poset_to_json(
+                extract_rotations_by_occurrence(market, lat, stables)
+            )
+            sizes.append(len(rp.rotations))
+            for mu in stables:
+                assert matching_to_rotations(rp, mu) == matching_to_rotations_by_chains(rp, mu)
+            # swapping two firms' partners in the firm-optimal matching
+            top = stables[-1]
+            pairs = sorted(top.pairs)
+            if len(pairs) >= 2:
+                (f1, w1), (f2, w2) = pairs[:2]
+                swapped = Matching(top.pairs - {(f1, w1), (f2, w2)} | {(f1, w2), (f2, w1)})
+                if not is_stable(market, swapped):
+                    for derive in (matching_to_rotations, matching_to_rotations_by_chains):
+                        with pytest.raises(NotRepresentable):
+                            derive(rp, swapped)
+        assert len(corpus) >= 200 and max(sizes) >= 8
+        assert sum(size >= 8 for size in sizes) >= 10
+
+    def test_both_reject_a_market_that_is_not_one_to_one(self):
+        market = MatchingMarket(
+            ("f",),
+            ("w1", "w2"),
+            {
+                "f": PreferenceList.of({"w1", "w2"}, "w1", "w2"),
+                "w1": PreferenceList.of("f"),
+                "w2": PreferenceList.of("f"),
+            },
+        )
+        for extract in (extract_rotations, extract_rotations_by_occurrence):
+            with pytest.raises(InputError):
+                extract(market)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lattmark import antichain_base, omega_extend, JoinConstraint
-from lattmark import lattice_from_order, poset_from_pairs, synthesize_from_lattice
+from lattmark import synthesize_from_lattice
 from lattmark import cli, jsonio, markets
 from lattmark.antimatroids import (
     AntimatroidFamily,
@@ -41,11 +41,17 @@ from lattmark.fixtures import (
 )
 from lattmark.generators import random_antimatroid
 from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
-from lattmark.orders import Poset
+from lattmark.orders import Poset, inclusion_poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
 
-from oracles import full_antimatroid_constraints, union_closure, union_irreducible_paths, validate_antimatroid_pairwise
-from test_constraints import chain
+from oracles import (
+    chain_lattice,
+    full_antimatroid_constraints,
+    m_lattice,
+    union_closure,
+    union_irreducible_paths,
+    validate_antimatroid_pairwise,
+)
 
 
 def _swap_gadgets(*gadgets):
@@ -180,6 +186,15 @@ class TestDot:
     def test_antimatroid_dot(self, quad_antimatroid):
         text = antimatroid_dot(quad_antimatroid)
         assert '"{}"' in text and '"{a,b,c,d}"' in text
+
+    def test_antimatroid_dot_draws_the_inclusion_order(self):
+        """The one-element extensions are the covers of the inclusion order
+        on an antimatroid; the drawing is the inclusion poset's."""
+        rng = random.Random(5)
+        for fam in [random_antimatroid(rng.randint(1, 6), rng) for _ in range(60)]:
+            poset, sets = inclusion_poset(fam.feasible)
+            labels = {x: "{" + ",".join(sorted(s)) + "}" for x, s in zip(poset.elements, sets)}
+            assert antimatroid_dot(fam) == poset_dot(poset, labels, name="feasible_sets")
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +342,41 @@ class TestCliVariants:
         jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
         code, report = run_cli(capsys, "solve", str(market_file))
         assert code == 2
+
+    def test_rotations_file_must_be_an_order(self, tmp_path, capsys):
+        rp = extract_rotations(seven_pair_market())
+        rot_file, out_file = tmp_path / "rot.json", tmp_path / "rot.dot"
+        data = jsonio.rotation_poset_to_json(rp)
+        jsonio.write_json(rot_file, data)
+        assert jsonio.rotation_poset_from_json(jsonio.read_json(rot_file)) == rp
+        code, _ = run_cli(capsys, "export-dot", str(rot_file), "-o", str(out_file))
+        assert code == 0 and out_file.read_text(encoding="utf-8") == rotation_poset_dot(rp)
+        # cover pairs suffice, as in a lattice file
+        covers = [list(p) for p in rp.poset.covers]
+        jsonio.write_json(rot_file, {**data, "leq": covers})
+        assert jsonio.rotation_poset_from_json(jsonio.read_json(rot_file)) == rp
+        jsonio.write_json(rot_file, {**data, "leq": [["r2", "r3"], ["r3", "r2"], ["r1", "r4"], ["r4", "r2"]]})
+        code, report = run_cli(capsys, "export-dot", str(rot_file))
+        assert code == 2 and report["kind"] == "NotAntisymmetric"
+
+    def test_export_dot_checks_the_antimatroid_axioms(self, tmp_path, capsys):
+        anti_file = tmp_path / "anti.json"
+        jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "feasible": [[], ["a"], ["b"]]})
+        code, report = run_cli(capsys, "export-dot", str(anti_file))
+        assert code == 2 and "not-union-closed" in report["error"]
+        jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "paths": [{"set": ["a", "b"], "endpoint": "b"}]})
+        code, report = run_cli(capsys, "export-dot", str(anti_file))
+        assert code == 2 and "not-accessible" in report["error"]
+
+    def test_export_dot_of_a_14_element_free_path_file(self, tmp_path, capsys):
+        ground = [f"e{i:02d}" for i in range(14)]
+        anti_file, out_file = tmp_path / "free14.json", tmp_path / "free14.dot"
+        jsonio.write_json(anti_file, {"v": 1, "ground": ground, "paths": [{"set": [x], "endpoint": x} for x in ground]})
+        start = time.monotonic()
+        code, _ = run_cli(capsys, "export-dot", str(anti_file), "-o", str(out_file))
+        assert code == 0 and time.monotonic() - start < 10
+        text = out_file.read_text(encoding="utf-8")
+        assert text.count("[label=") == 2 ** 14 and text.count(" -> ") == 14 * 2 ** 13
 
     def test_export_dot_of_rotations_file(self, tmp_path, capsys):
         rot_file = tmp_path / "rot.json"
@@ -483,9 +533,7 @@ class TestCliVariants:
     def test_m12_enumerate_under_a_node_bound_exits_3(self, tmp_path, capsys):
         # M_12, twelve pairwise incomparable atoms between a bottom and a top,
         # constructs a market of 1,674 workers
-        atoms = [f"a{i:02d}" for i in range(12)]
-        covers = [("bot", a) for a in atoms] + [(a, "top") for a in atoms]
-        lattice = lattice_from_order(poset_from_pairs(["bot", *atoms, "top"], covers, close=True))
+        lattice = m_lattice(12)
         em = synthesize_from_lattice(lattice, verify=False).extendable
         assert len(em.market.workers) == 1674
         bundle_file = tmp_path / "m12.bundle.json"
@@ -668,9 +716,7 @@ class TestBundleContract:
     def test_plain_market_file_keeps_the_search_order(self, tmp_path, capsys):
         # The sorted order needs over 14,000 nodes on this market; the
         # declared order needs under 500.
-        labels = [f"e{i}" for i in range(8)]
-        chain = lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
-        market = synthesize_from_lattice(chain, verify=False).extendable.market
+        market = synthesize_from_lattice(chain_lattice(8), verify=False).extendable.market
         market_file = tmp_path / "chain8.market.json"
         jsonio.write_json(market_file, jsonio.market_to_json(market))
         code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "2000")
@@ -808,13 +854,13 @@ class TestBundleContract:
         """The expected image is searched, not filtered out of 2^|J| sets, so
         chains of more than 21 elements no longer exit 3."""
         for n in (22, 30):
-            lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, f"chain{n}", chain(n))
+            lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, f"chain{n}", chain_lattice(n))
             code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
             checks = {c["name"]: c["ok"] for c in report["checks"]}
             assert code == 0 and checks["counts-match"] and all(checks.values()), n
 
     def test_the_image_search_counts_against_bound_nodes(self, tmp_path, capsys):
-        lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, "chain20", chain(20))
+        lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, "chain20", chain_lattice(20))
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file), "--bound-nodes", "5")
         assert code == 3 and report["kind"] == "SearchBoundExceeded"
         assert report["error"] == "lower-set search explored 6 nodes, bound is 5"
@@ -906,9 +952,7 @@ class TestBundleContract:
         _sweep_mutations(capsys, mutated, [(general_file, ["enumerate", str(mutated), "--bound-nodes", "2000"])])
 
     def test_malformed_inputs_of_every_command_keep_the_exit_code_contract(self, tmp_path, capsys):
-        labels = ["c0", "c1", "c2"]
-        chain = lattice_from_order(poset_from_pairs(labels, list(zip(labels, labels[1:])), close=True))
-        chain_file, chain_bundle = _synthesized_files(tmp_path, capsys, "chain3", chain)
+        chain_file, chain_bundle = _synthesized_files(tmp_path, capsys, "chain3", chain_lattice(3))
         anti_file = tmp_path / "antimatroid.json"
         jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
         costs_file = tmp_path / "costs.json"
