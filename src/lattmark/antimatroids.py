@@ -69,7 +69,8 @@ def _mask(s: Iterable[str], bit: Mapping[str, int]) -> int:
     return sum(map(bit.__getitem__, s))
 
 
-def _bits(elements: Sequence[str]) -> dict[str, int]:
+def _bit_of(elements: Sequence[str]) -> dict[str, int]:
+    """Each element's bit, 1 << its position."""
     return {x: 1 << i for i, x in enumerate(elements)}
 
 
@@ -105,7 +106,7 @@ def validate_antimatroid(fam: AntimatroidFamily) -> tuple[bool, object | None]:
     for g in ordered:
         if not g <= ground:
             return False, ("outside-ground", tuple(sorted(g - ground)))
-    bit = _bits(sorted(ground))
+    bit = _bit_of(sorted(ground))
     masks = [_mask(g, bit) for g in ordered]
     members = set(masks)
     ends = _endpoint_masks(members)
@@ -130,7 +131,7 @@ def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
     if not ok:
         raise InputError(f"not an antimatroid: {witness}")
     elements = sorted(fam.ground_set)
-    bit = _bits(elements)
+    bit = _bit_of(elements)
     set_of = {_mask(g, bit): g for g in fam.feasible}
     ends = _endpoint_masks(set_of.keys())
     return PathPoset.of(fam.ground, [(set_of[m], elements[e.bit_length() - 1]) for m, e in ends.items() if _is_path(e)])
@@ -142,7 +143,7 @@ def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
     A path that leaves the ground set is an InputError with the
     outside-ground witness, so the family never outgrows 2^|ground| sets."""
     elements = sorted(set(pp.ground))
-    bit = _bits(elements)
+    bit = _bit_of(elements)
     family = {0}
     for s in pp.path_sets():
         if not s <= bit.keys():

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .errors import AlphaArgumentsComparable, SearchBoundExceeded, UnknownElementId
 from .markets import DEFAULT_NODE_BOUND
-from .orders import Lattice, Poset, canonical_partial_rep, join_irreducibles, set_key
+from .orders import Lattice, Poset, _bits, _uncovered, join_irreducibles, set_key
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,18 @@ def constraints_from_lattice(lattice: Lattice) -> tuple[JoinConstraint, ...]:
     are rep(x v y).  A pair with rep(x v y) == rep(x) | rep(y) is skipped: its
     beta lies in the down-set of its alpha, so the constraint holds on every
     lower set (this covers the bottom/bottom pair, whose alpha would be an
-    empty conjunction).  Exact duplicates are dropped.
+    empty conjunction).  Exact duplicates are dropped.  All of it runs on
+    the order masks (rep(x) is x's down-set mask cut to the
+    join-irreducibles); ids are decoded only for the constraints returned.
     """
-    rep = canonical_partial_rep(lattice)
-    _, xj_poset = join_irreducibles(lattice)
-    out: list[JoinConstraint] = []
-    seen = set()
-    for x in lattice.elements:
-        for y in lattice.elements:
-            union = rep[x] | rep[y]
-            x_beta = rep[lattice.join(x, y)]
-            if x_beta == union:
-                continue
-            x_alpha = xj_poset.maximal_of(union)
-            jc = JoinConstraint.make([{z} for z in sorted(x_alpha)], x_beta)
-            if jc.key() not in seen:
-                seen.add(jc.key())
-                out.append(jc)
+    poset = lattice.poset
+    els, (up, down) = poset.elements, poset.masks
+    irreducible = sum(1 << poset.index[j] for j in join_irreducibles(lattice)[0])
+    rep = [d & irreducible for d in down]
+    rep_of_up = dict(zip(up, rep))
+    found = {(_uncovered(rx | ry, down), rep_of_up[ux & uy])
+             for ux, rx in zip(up, rep) for uy, ry in zip(up, rep) if rep_of_up[ux & uy] != rx | ry}
+    out = [JoinConstraint.make([{els[i]} for i in _bits(alpha)], [els[i] for i in _bits(beta)]) for alpha, beta in found]
     return tuple(sorted(out, key=JoinConstraint.key))
 
 
@@ -99,21 +94,23 @@ def decision_order(poset: Poset, constraints: Iterable[JoinConstraint]) -> tuple
     its alpha id where it can, ties broken by id.  An element left on a cycle
     of such constraints goes at the smallest id whose predecessors in the
     poset are all placed."""
-    below = {x: {y for y in poset.elements if poset.lt(y, x)} for x in poset.elements}
-    before = {x: set(below[x]) for x in poset.elements}
+    els, idx = poset.elements, poset.index
+    below = [d & ~(1 << i) for i, d in enumerate(poset.masks[1])]
+    before = list(below)
     for jc in constraints:
         groups = jc.alpha_groups
         if len(groups) == 1 and len(groups[0]) == 1:
             (alpha,) = groups[0]
-            before[alpha] |= jc.beta_ids - {alpha}
-    order: list[str] = []
-    placed: set[str] = set()
-    while len(order) < len(before):
-        left = [x for x in sorted(before) if x not in placed]
-        ready = [x for x in left if before[x] <= placed] or [x for x in left if below[x] <= placed]
+            before[idx[alpha]] |= sum(1 << idx[b] for b in jc.beta_ids - {alpha})
+    order: list[int] = []
+    placed = 0
+    by_id = sorted(range(len(els)), key=els.__getitem__)
+    while len(order) < len(els):
+        left = [i for i in by_id if not placed >> i & 1]
+        ready = [i for i in left if not before[i] & ~placed] or [i for i in left if not below[i] & ~placed]
         order.append(ready[0])
-        placed.add(ready[0])
-    return tuple(order)
+        placed |= 1 << ready[0]
+    return tuple(els[i] for i in order)
 
 
 def lower_sets_satisfying(
@@ -143,7 +140,8 @@ def lower_sets_satisfying(
     def mask(ids: Iterable[str]) -> int:
         return sum(1 << pos[x] for x in ids)
 
-    below = [mask(y for y in poset.elements if poset.lt(y, x)) for x in order]
+    down = poset.masks[1]
+    below = [mask(poset.elements[j] for j in _bits(down[poset.index[x]])) & ~(1 << i) for i, x in enumerate(order)]
     on_in: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
     on_out: list[list[tuple[int, ...]]] = [[] for _ in order]
     for jc in cs:

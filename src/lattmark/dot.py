@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping
 
-from .antimatroids import AntimatroidFamily, _bits, _mask, validate_antimatroid
+from .antimatroids import AntimatroidFamily, _bit_of, _mask, validate_antimatroid
 from .errors import InputError
 from .orders import Poset, set_key
 from .rotations import RotationPoset
@@ -55,7 +55,7 @@ def antimatroid_dot(fam: AntimatroidFamily) -> str:
     if not ok:
         raise InputError(f"not an antimatroid: {witness}")
     sets = sorted(set(fam.feasible), key=set_key)
-    bit = _bits(sorted(fam.ground_set))
+    bit = _bit_of(sorted(fam.ground_set))
     index = {_mask(s, bit): i for i, s in enumerate(sets)}
     covers = sorted(
         (f"x{i}", f"x{index[m | b]}") for m, i in index.items() for b in bit.values() if not m & b and m | b in index

@@ -69,6 +69,13 @@ class SearchBoundExceeded(BoundError):
         self.bound = bound
         super().__init__(f"{search} search explored {explored} nodes, bound is {bound}")
 
+    @classmethod
+    def candidate_scan(cls, partners, limit):
+        """A spec too large to list the candidate subsets of; no node explored."""
+        exc = cls(0, limit)
+        exc.args = (f"a choice spec names {partners} partners, its candidate scan is limited to {limit}",)
+        return exc
+
 
 class NonConvergence(BoundError):
     def __init__(self, rounds):

@@ -39,14 +39,14 @@ def _close(family: set[frozenset], ops) -> set[frozenset]:
     return out
 
 
-def _sample_lattice(n: int, rng: random.Random, max_tries: int, ops) -> Lattice:
+def _sample_lattice(n: int, rng: random.Random, ops) -> Lattice:
     """Rejection-sample set families over a small universe, closed under ops,
-    until one has exactly n members."""
+    until one has exactly n members; InputError after 20,000 tries."""
     if n < 1:
         raise InputError("a lattice needs at least one element")
     if n == 1:
         return _family_lattice({frozenset()})
-    for _ in range(max_tries):
+    for _ in range(20000):
         u = rng.randint(2, max(2, min(n, 7)))
         universe = frozenset(range(u))
         family = {frozenset(), universe}
@@ -58,15 +58,15 @@ def _sample_lattice(n: int, rng: random.Random, max_tries: int, ops) -> Lattice:
     raise InputError(f"could not sample a lattice with {n} elements")
 
 
-def random_lattice(n: int, rng: random.Random, max_tries: int = 20000) -> Lattice:
+def random_lattice(n: int, rng: random.Random) -> Lattice:
     """A random lattice with exactly n elements, by rejection sampling over
     intersection-closed set families."""
-    return _sample_lattice(n, rng, max_tries, (and_,))
+    return _sample_lattice(n, rng, (and_,))
 
 
-def random_distributive_lattice(n: int, rng: random.Random, max_tries: int = 20000) -> Lattice:
+def random_distributive_lattice(n: int, rng: random.Random) -> Lattice:
     """Like random_lattice, but the family is closed under union too."""
-    return _sample_lattice(n, rng, max_tries, (and_, or_))
+    return _sample_lattice(n, rng, (and_, or_))
 
 
 def all_lattices_upto(n: int) -> list[Lattice]:
@@ -103,15 +103,15 @@ def all_lattices_upto(n: int) -> list[Lattice]:
     return out
 
 
-def random_antimatroid(n: int, rng: random.Random, seeds: int = 4) -> AntimatroidFamily:
-    """Seed subsets, close under union, add the ground set, then repair
+def random_antimatroid(n: int, rng: random.Random) -> AntimatroidFamily:
+    """Draw four seed subsets, close under union, add the ground set, then repair
     accessibility by deleting random elements from stuck sets."""
     if n < 1 or n > 26:
         raise InputError("ground size must be between 1 and 26")
     ground = [chr(ord("a") + i) for i in range(n)]
     full = frozenset(ground)
     fam: set[frozenset[str]] = {frozenset(), full}
-    for _ in range(seeds):
+    for _ in range(4):
         fam.add(frozenset(g for g in ground if rng.random() < 0.5))
     changed = True
     while changed:

@@ -40,9 +40,9 @@ def _subsets(items: Sequence[str]):
 
 def _every_subset(universe: frozenset[str], limit: int):
     """Every subset of a universe of at most limit partners; a larger one
-    raises SearchBoundExceeded with the number of subsets it has."""
+    raises SearchBoundExceeded naming its size and the limit."""
     if len(universe) > limit:
-        raise SearchBoundExceeded(1 << len(universe), 1 << limit)
+        raise SearchBoundExceeded.candidate_scan(len(universe), limit)
     return _subsets(sorted(universe))
 
 

@@ -7,9 +7,10 @@ ordered by (size, sorted members).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateId,
@@ -51,22 +52,23 @@ class Poset:
         return x != y and (x, y) in self.relation
 
     def has(self, x: str) -> bool:
-        return x in self._element_set
+        return x in self.index
 
     @cached_property
-    def _element_set(self) -> frozenset[str]:
-        return frozenset(self.elements)
+    def index(self) -> dict[str, int]:
+        """Each element's position in elements: its bit in the masks."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def _masks(self) -> tuple[list[int], list[int]]:
+    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Each element's up-set and down-set as int masks, bit i standing
         for elements[i]."""
-        idx = {e: i for i, e in enumerate(self.elements)}
+        idx = self.index
         up, down = [0] * len(idx), [0] * len(idx)
         for x, y in self.relation:
             up[idx[x]] |= 1 << idx[y]
             down[idx[y]] |= 1 << idx[x]
-        return up, down
+        return tuple(up), tuple(down)
 
     def _members(self, mask: int) -> list[str]:
         return [self.elements[i] for i in _bits(mask)]
@@ -75,37 +77,18 @@ class Poset:
     def covers(self) -> tuple[tuple[str, str], ...]:
         """All cover pairs (x, y) with x strictly below y and nothing between:
         x's strict up-set minus everything a member of it strictly reaches."""
-        up, _ = self._masks
-        out = []
-        for i, x in enumerate(self.elements):
-            strict, reached = up[i] & ~(1 << i), 0
-            for j in _bits(strict):
-                reached |= up[j] & ~(1 << j)
-            out += [(x, self.elements[j]) for j in _bits(strict & ~reached)]
-        return tuple(sorted(out))
-
-    def down_set(self, x: str) -> frozenset[str]:
-        return frozenset(z for z in self.elements if self.leq(z, x))
+        up, _ = self.masks
+        return tuple(sorted((x, self.elements[j]) for i, x in enumerate(self.elements)
+                            for j in _bits(_uncovered(up[i] & ~(1 << i), up))))
 
     def restrict(self, subset: Iterable[str]) -> "Poset":
         keep = set(subset)
         for s in keep:
-            if s not in self._element_set:
+            if s not in self.index:
                 raise UnknownElementId(s)
         elements = tuple(e for e in self.elements if e in keep)
         relation = frozenset(p for p in self.relation if p[0] in keep and p[1] in keep)
         return Poset(elements, relation)
-
-    def maximal_of(self, members: Iterable[str]) -> frozenset[str]:
-        ms = set(members)
-        for m in ms:
-            if m not in self._element_set:
-                raise UnknownElementId(m)
-        return frozenset(m for m in ms if not any(self.lt(m, z) for z in ms))
-
-    def minimal_of(self, members: Iterable[str]) -> frozenset[str]:
-        ms = set(members)
-        return frozenset(m for m in ms if not any(self.lt(z, m) for z in ms))
 
 
 def trivial_poset(elements: Iterable[str]) -> Poset:
@@ -166,6 +149,15 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _uncovered(mask: int, reach: Sequence[int]) -> int:
+    """The members of a mask that no other member reaches: with up-set
+    masks its minimal members, with down-set masks its maximal ones."""
+    reached = 0
+    for i in _bits(mask):
+        reached |= reach[i] & ~(1 << i)
+    return mask & ~reached
+
+
 def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], *, close: bool = False) -> Poset:
     """Build a Poset from related pairs.
 
@@ -189,13 +181,13 @@ def poset_from_pairs(elements: Iterable[str], pairs: Iterable[tuple[str, str]], 
     return _order_from_masks(els, rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Lattice:
-    """A poset with join/meet tables; built through lattice_from_order."""
+    """A poset whose every pair has a join and a meet; built through
+    lattice_from_order.  Both are read off the poset's masks: x v y is the
+    element whose up-set mask is up[x] & up[y], and meets are dual."""
 
     poset: Poset
-    join_table: Mapping[tuple[str, str], str] = field(repr=False)
-    meet_table: Mapping[tuple[str, str], str] = field(repr=False)
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -207,59 +199,52 @@ class Lattice:
     def lt(self, x: str, y: str) -> bool:
         return self.poset.lt(x, y)
 
+    @cached_property
+    def _by_up(self) -> dict[int, str]:
+        return dict(zip(self.poset.masks[0], self.elements))
+
+    @cached_property
+    def _by_down(self) -> dict[int, str]:
+        return dict(zip(self.poset.masks[1], self.elements))
+
     def join(self, x: str, y: str) -> str:
-        return self.join_table[(x, y)]
+        up, idx = self.poset.masks[0], self.poset.index
+        return self._by_up[up[idx[x]] & up[idx[y]]]
 
     def meet(self, x: str, y: str) -> str:
-        return self.meet_table[(x, y)]
+        down, idx = self.poset.masks[1], self.poset.index
+        return self._by_down[down[idx[x]] & down[idx[y]]]
 
-    @cached_property
+    @property
     def bottom(self) -> str:
-        (b,) = [e for e in self.elements if all(self.leq(e, z) for z in self.elements)]
-        return b
+        return self._by_up[(1 << len(self.elements)) - 1]
 
-    @cached_property
+    @property
     def top(self) -> str:
-        (t,) = [e for e in self.elements if all(self.leq(z, e) for z in self.elements)]
-        return t
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and self.poset == other.poset
-            and dict(self.join_table) == dict(other.join_table)
-            and dict(self.meet_table) == dict(other.meet_table)
-        )
+        return self._by_down[(1 << len(self.elements)) - 1]
 
 
 def lattice_from_order(poset: Poset) -> Lattice:
-    """Compute join/meet tables from up-set and down-set masks; fail on the
-    first bad pair, in element order.
+    """The lattice of a poset, after checking every pair in element order
+    for a join and a meet.
 
     The upper bounds of x and y form the up-set mask up[x] & up[y], and
     their least element, when there is one, is the one z with up[z] equal
-    to it; meets are dual.  A failure reports the minimal upper (maximal
-    lower) bounds, computed only then.
+    to it; meets are dual.  The first pair without one raises NotALattice
+    with its minimal upper (maximal lower) bounds, computed only then.
     """
     els = poset.elements
     if not els:
         raise InputError("a lattice needs at least one element (its bottom)")
-    up, down = poset._masks
-    least = {m: z for z, m in zip(els, up)}
-    greatest = {m: z for z, m in zip(els, down)}
-    join: dict[tuple[str, str], str] = {}
-    meet: dict[tuple[str, str], str] = {}
+    lat = Lattice(poset)
+    up, down = poset.masks
     for x, ux, dx in zip(els, up, down):
         for y, uy, dy in zip(els, up, down):
-            z = least.get(ux & uy)
-            if z is None:
-                raise NotALattice(x, y, poset.minimal_of(poset._members(ux & uy)), kind="upper")
-            join[(x, y)] = z
-            z = greatest.get(dx & dy)
-            if z is None:
-                raise NotALattice(x, y, poset.maximal_of(poset._members(dx & dy)), kind="lower")
-            meet[(x, y)] = z
-    return Lattice(poset, join, meet)
+            if ux & uy not in lat._by_up:
+                raise NotALattice(x, y, poset._members(_uncovered(ux & uy, up)), kind="upper")
+            if dx & dy not in lat._by_down:
+                raise NotALattice(x, y, poset._members(_uncovered(dx & dy, down)), kind="lower")
+    return lat
 
 
 def lattice_from_tables(
@@ -297,17 +282,17 @@ def join_irreducibles(lattice: Lattice) -> tuple[tuple[str, ...], Poset]:
     as the join of a subset excluding themselves.
     """
     poset = lattice.poset
-    lower_cover_count = {e: 0 for e in poset.elements}
-    for (_, y) in poset.covers:
-        lower_cover_count[y] += 1
-    xj = tuple(e for e in poset.elements if lower_cover_count[e] == 1)
+    lower_covers = Counter(y for _, y in poset.covers)
+    xj = tuple(e for e in poset.elements if lower_covers[e] == 1)
     return xj, poset.restrict(xj)
 
 
 def canonical_partial_rep(lattice: Lattice) -> dict[str, frozenset[str]]:
     """Map each element x to the join-irreducibles weakly below x."""
+    poset = lattice.poset
     xj, _ = join_irreducibles(lattice)
-    return {x: frozenset(j for j in xj if lattice.leq(j, x)) for x in lattice.elements}
+    irreducible = sum(1 << poset.index[j] for j in xj)
+    return {x: frozenset(poset._members(d & irreducible)) for x, d in zip(poset.elements, poset.masks[1])}
 
 
 def check_order_embedding(f: Mapping, src: Poset, leq: Callable) -> tuple[bool, tuple | None]:

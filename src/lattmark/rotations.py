@@ -186,14 +186,17 @@ def matching_to_rotations(rp: RotationPoset, mu: Matching) -> frozenset[str]:
 
 
 def rotations_to_matching(rp: RotationPoset, rotation_ids: Iterable[str]) -> Matching:
-    """Apply a lower closed rotation set to the worker-optimal matching."""
+    """Apply a lower closed rotation set to the worker-optimal matching;
+    NotLowerClosed names the first missing predecessor in element order."""
     r = frozenset(rotation_ids)
+    els, idx, down = rp.poset.elements, rp.poset.index, rp.poset.masks[1]
+    held = sum(1 << idx[rid] for rid in r if rid in idx)
     for rid in sorted(r):
-        if not rp.poset.has(rid):
+        if rid not in idx:
             raise NotLowerClosed(rid, "<unknown rotation>")
-        for below in rp.poset.down_set(rid):
-            if below not in r:
-                raise NotLowerClosed(rid, below)
+        missing = down[idx[rid]] & ~held
+        if missing:
+            raise NotLowerClosed(rid, els[(missing & -missing).bit_length() - 1])
     plus: set[Pair] = set()
     minus: set[Pair] = set()
     for rid in r:

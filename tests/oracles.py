@@ -13,7 +13,8 @@ from itertools import combinations, product
 
 from lattmark.errors import InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable
 from lattmark.markets import stable_lattice
-from lattmark.orders import Lattice, Poset, lattice_from_order, poset_from_pairs
+from lattmark.constraints import JoinConstraint
+from lattmark.orders import Poset, join_irreducibles, lattice_from_order, poset_from_pairs
 from lattmark.rotations import Rotation, RotationPoset, rotations_to_matching
 
 
@@ -46,7 +47,7 @@ def lower_sets(poset):
     are added in a linear extension (by down-set size), each to the lower
     sets so far that hold everything below it.  Builds every lower set, so
     it costs 2^n on an n-element antichain whatever a filter keeps."""
-    below = {e: poset.down_set(e) - {e} for e in poset.elements}
+    below = {e: down_set(poset, e) - {e} for e in poset.elements}
     family = [frozenset()]
     for e in sorted(poset.elements, key=lambda x: len(below[x])):
         family += [s | {e} for s in family if below[e] <= s]
@@ -59,10 +60,28 @@ def filter_lower_sets(family, omega):
     return [t for t in family if all(c.holds(t) for c in cs)]
 
 
+def down_set(poset, x):
+    """The elements weakly below x, by scanning the relation."""
+    return frozenset(z for z in poset.elements if poset.leq(z, x))
+
+
+def maximal_of(poset, members):
+    """The members with no member strictly above them."""
+    ms = set(members)
+    return frozenset(m for m in ms if not any(poset.lt(m, z) for z in ms))
+
+
+def minimal_of(poset, members):
+    """The members with no member strictly below them."""
+    ms = set(members)
+    return frozenset(m for m in ms if not any(poset.lt(z, m) for z in ms))
+
+
 def lattice_from_order_by_scan(poset):
-    """Join and meet tables by scanning every element for the bounds of
-    every pair; NotALattice on the first pair, in element order, whose
-    upper (then lower) bounds have no least (greatest) member."""
+    """Join and meet tables, as dicts keyed by ordered pairs, by scanning
+    every element for the bounds of every pair; NotALattice on the first
+    pair, in element order, whose upper (then lower) bounds have no least
+    (greatest) member."""
     els = poset.elements
     join, meet = {}, {}
     for x in els:
@@ -70,14 +89,38 @@ def lattice_from_order_by_scan(poset):
             ub = [z for z in els if poset.leq(x, z) and poset.leq(y, z)]
             least = [u for u in ub if all(poset.leq(u, v) for v in ub)]
             if len(least) != 1:
-                raise NotALattice(x, y, poset.minimal_of(ub), kind="upper")
+                raise NotALattice(x, y, minimal_of(poset, ub), kind="upper")
             join[(x, y)] = least[0]
             lb = [z for z in els if poset.leq(z, x) and poset.leq(z, y)]
             greatest = [u for u in lb if all(poset.leq(v, u) for v in lb)]
             if len(greatest) != 1:
-                raise NotALattice(x, y, poset.maximal_of(lb), kind="lower")
+                raise NotALattice(x, y, maximal_of(poset, lb), kind="lower")
             meet[(x, y)] = greatest[0]
-    return Lattice(poset, join, meet)
+    return join, meet
+
+
+def canonical_partial_rep_by_sets(lattice):
+    """Each element mapped to the join-irreducibles weakly below it, by
+    testing leq on every pair."""
+    xj, _ = join_irreducibles(lattice)
+    return {x: frozenset(j for j in xj if lattice.leq(j, x)) for x in lattice.elements}
+
+
+def constraints_from_lattice_by_sets(lattice):
+    """The lattice's join constraints on frozensets: for every ordered pair
+    (x, y) whose rep(x v y) exceeds rep(x) | rep(y), alpha is the maximal
+    members of the union in the join-irreducible poset, as singleton
+    groups, and beta is rep(x v y); duplicates dropped, sorted by key."""
+    rep = canonical_partial_rep_by_sets(lattice)
+    _, xj_poset = join_irreducibles(lattice)
+    out = {}
+    for x in lattice.elements:
+        for y in lattice.elements:
+            union, beta = rep[x] | rep[y], rep[lattice.join(x, y)]
+            if beta != union:
+                jc = JoinConstraint.make([{z} for z in sorted(maximal_of(xj_poset, union))], beta)
+                out.setdefault(jc.key(), jc)
+    return tuple(sorted(out.values(), key=JoinConstraint.key))
 
 
 def covers_by_scan(poset):
@@ -358,8 +401,6 @@ def full_antimatroid_constraints(pp):
     """The reduction's join constraints before any rewrite: for each ground
     element x, beta {x} and one alpha group per path g ending at x, the
     endpoints of g's subpaths (x among them, since g is its own subpath)."""
-    from lattmark.constraints import JoinConstraint
-
     return [
         JoinConstraint.make([{e for s, e in pp.paths if s <= g} for g, end in pp.paths if end == x], {x})
         for x in pp.ground
@@ -409,7 +450,7 @@ def extract_rotations_by_occurrence(market, lat=None, ms=None):
     # occurrence sets, in a linear extension from the bottom; in a
     # distributive lattice every lower cover gives the same set
     occ_of = {}
-    for y in sorted(lat.elements, key=lambda e: len(lat.poset.down_set(e))):
+    for y in sorted(lat.elements, key=lambda e: len(down_set(lat.poset, e))):
         via = {occ_of[x] | {names[key]} for x, key in lower_covers[y]}
         if len(via) > 1:
             raise NonLatticeStructure("occurrence sets depend on the chain taken")

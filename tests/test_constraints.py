@@ -23,7 +23,14 @@ from lattmark.fixtures import boolean_lattice
 from lattmark.generators import all_lattices_upto, random_lattice
 from lattmark.orders import trivial_poset
 
-from oracles import chain_lattice, filter_lower_sets, lower_sets, m_lattice
+from oracles import (
+    canonical_partial_rep_by_sets,
+    chain_lattice,
+    constraints_from_lattice_by_sets,
+    filter_lower_sets,
+    lower_sets,
+    m_lattice,
+)
 from test_acceptance import reduction_graphs
 
 
@@ -148,14 +155,25 @@ class TestFiltering:
             assert ok, witness
 
 
-def lattice_corpus():
+def small_lattices():
     """Every lattice of at most 5 elements, chains of 2-16 elements, M_3-M_10
-    and seeded random lattices of 10-20 elements with at most 16
-    join-irreducibles."""
+    and 20 seeded random lattices of 10-20 elements."""
     rng = random.Random(41)
     randoms = [random_lattice(rng.randint(10, 20), rng) for _ in range(20)]
-    lats = [*all_lattices_upto(5), *map(chain_lattice, range(2, 17)), *map(m_lattice, range(3, 11)), *randoms]
-    return [lat for lat in lats if len(join_irreducibles(lat)[0]) <= 16]
+    return [*all_lattices_upto(5), *map(chain_lattice, range(2, 17)), *map(m_lattice, range(3, 11)), *randoms]
+
+
+def lattice_corpus():
+    """The small lattices with at most 16 join-irreducibles."""
+    return [lat for lat in small_lattices() if len(join_irreducibles(lat)[0]) <= 16]
+
+
+def test_mask_constraints_and_partial_rep_equal_the_frozenset_oracles():
+    lats = [*small_lattices(), boolean_lattice(6)]
+    for lat in lats:
+        assert canonical_partial_rep(lat) == canonical_partial_rep_by_sets(lat)
+        assert constraints_from_lattice(lat) == constraints_from_lattice_by_sets(lat)
+    assert len(lats) == 54
 
 
 class TestImageSearchAgainstTheFilter:

@@ -38,6 +38,7 @@ from oracles import (
     lattice_from_order_by_scan,
     least_upper_bound,
     lower_sets,
+    maximal_of,
 )
 from test_constraints import lattice_corpus
 
@@ -287,14 +288,14 @@ class TestEmbeddingChecks:
 class TestMaximalElements:
     def test_hexagon_subset(self, hexagon):
         _, poset = join_irreducibles(hexagon)
-        assert poset.maximal_of({"b", "c", "d"}) == frozenset({"b", "d"})
+        assert maximal_of(poset, {"b", "c", "d"}) == frozenset({"b", "d"})
 
     def test_empty(self, hexagon):
-        assert hexagon.poset.maximal_of(set()) == frozenset()
+        assert maximal_of(hexagon.poset, set()) == frozenset()
 
     def test_trivial_order_keeps_everything(self):
         p = trivial_poset(["x", "y"])
-        assert p.maximal_of({"x", "y"}) == frozenset({"x", "y"})
+        assert maximal_of(p, {"x", "y"}) == frozenset({"x", "y"})
 
 
 class TestDistributivity:
@@ -318,12 +319,26 @@ def random_poset(rng, n):
     return poset_from_pairs(names, pairs, close=True)
 
 
+def assert_tables_equal(lat, tables):
+    join, meet = tables
+    for x in lat.elements:
+        for y in lat.elements:
+            assert (lat.join(x, y), lat.meet(x, y)) == (join[(x, y)], meet[(x, y)]), (x, y)
+
+
 class TestMasksAgainstTheScans:
-    """The mask tables and covers equal the bound scans of the oracles."""
+    """Joins, meets, bounds and covers read off the masks equal the scans
+    of the oracles."""
 
     def test_tables_on_the_corpus_and_boolean_lattice_7(self):
         for lat in [*lattice_corpus(), boolean_lattice(7)]:
-            assert lattice_from_order(lat.poset) == lattice_from_order_by_scan(lat.poset)
+            assert_tables_equal(lattice_from_order(lat.poset), lattice_from_order_by_scan(lat.poset))
+
+    def test_bottom_and_top_on_the_corpus_and_boolean_lattice_6(self):
+        for lat in [*lattice_corpus(), boolean_lattice(6)]:
+            els = lat.elements
+            assert lat.bottom == next(e for e in els if all(lat.leq(e, z) for z in els))
+            assert lat.top == next(e for e in els if all(lat.leq(z, e) for z in els))
 
     def test_not_a_lattice_is_identical_on_random_posets(self):
         rng = random.Random(47)
@@ -339,7 +354,7 @@ class TestMasksAgainstTheScans:
                 failures += 1
                 kinds |= 1 if "upper" in str(exc) else 2
             else:
-                assert lattice_from_order(poset) == want
+                assert_tables_equal(lattice_from_order(poset), want)
         assert failures > 100 and kinds == 3
 
     def test_covers_on_the_corpus_and_random_posets(self):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from lattmark.markets import MatchingMarket, PreferenceList
 from lattmark.rotations import gadget_agents
 
 from oracles import (
+    down_set,
     extract_rotations_by_occurrence,
     lower_sets,
     matching_to_rotations_by_chains,
@@ -45,7 +50,7 @@ class TestAntichainBase:
         lat, ms = stable_lattice(base.market)
         assert len(ms) == 8
         assert is_distributive(lat)[0]
-        counts = sorted(len(lat.poset.down_set(e)) for e in lat.elements)
+        counts = sorted(len(down_set(lat.poset, e)) for e in lat.elements)
         assert counts == sorted(
             len([t for t in range(8) if t & s == t]) for s in range(8)
         )
@@ -192,6 +197,28 @@ class TestRepresentation:
     def test_not_lower_closed_rejected(self, seven_rotation_poset, rot_ids):
         with pytest.raises(NotLowerClosed):
             rotations_to_matching(seven_rotation_poset, {rot_ids["rot3"]})
+
+    def test_not_lower_closed_names_the_first_missing_rotation_under_any_hash_seed(self):
+        """Rotations u, v, x, y below z: the witness for {z} is u, the first
+        missing predecessor in element order, whatever the set order."""
+        script = "\n".join([
+            "from lattmark import antichain_base, rotations_to_matching",
+            "from lattmark.errors import NotLowerClosed",
+            "from lattmark.orders import poset_from_pairs",
+            "from lattmark.rotations import RotationPoset",
+            "rp = antichain_base(['u', 'v', 'x', 'y', 'z']).rotation_poset",
+            "poset = poset_from_pairs(rp.poset.elements, [(r, 'z') for r in 'uvxy'], close=True)",
+            "try:",
+            "    rotations_to_matching(RotationPoset(poset, rp.rotations, rp.worker_optimal), {'z'})",
+            "except NotLowerClosed as exc:",
+            "    print(exc.witness)",
+        ])
+        src = str(Path(jsonio.__file__).resolve().parent.parent)
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert done.stdout.strip() == "('z', 'u')", (seed, done.stdout, done.stderr)
 
     def test_unstable_matching_not_representable(self, seven_rotation_poset):
         shuffled = Matching.of([("f1", "w2"), ("f2", "w1")])

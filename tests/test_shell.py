@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -31,7 +32,7 @@ from lattmark.antimatroids import (
     reduce_to_matching,
 )
 from lattmark.dot import antimatroid_dot, poset_dot, rotation_poset_dot
-from lattmark.errors import InputError, SearchBoundExceeded
+from lattmark.errors import InputError, NotALattice, SearchBoundExceeded
 from lattmark.fixtures import (
     diamond_lattice,
     four_element_antimatroid,
@@ -39,14 +40,15 @@ from lattmark.fixtures import (
     pentagon_lattice,
     seven_pair_market,
 )
-from lattmark.generators import random_antimatroid
-from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList
+from lattmark.generators import all_lattices_upto, random_antimatroid
+from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList, Triggered
 from lattmark.orders import Poset, inclusion_poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
 
 from oracles import (
     chain_lattice,
     full_antimatroid_constraints,
+    lattice_from_order_by_scan,
     m_lattice,
     union_closure,
     union_irreducible_paths,
@@ -496,6 +498,23 @@ class TestCliVariants:
             code, report = run_cli(capsys, "enumerate", str(market_file))
             assert code == want, report
         assert report["kind"] == "SearchBoundExceeded"
+
+    def test_candidate_scan_limit_names_the_spec_size_not_a_node_count(self, tmp_path, capsys):
+        """An if-else worker over 17 firms exits 3 before any search node,
+        whatever --bound-nodes says; a triggered spec's limit is 25."""
+        firms = tuple(f"f{i:02d}" for i in range(17))
+        choice = {f: PreferenceList.of("w") for f in firms}
+        choice["w"] = IfElse(firms[0], frozenset(firms[1:]))
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(MatchingMarket(firms, ("w",), choice)))
+        code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "5")
+        assert (code, report["kind"]) == (3, "SearchBoundExceeded")
+        assert report["error"] == "a choice spec names 17 partners, its candidate scan is limited to 16"
+        watch = frozenset(f"g{i:02d}" for i in range(25))
+        spec = Triggered(watch, "t", (frozenset({"r1"}),), (("r1", frozenset({"g00"})),))
+        with pytest.raises(SearchBoundExceeded) as exc:
+            spec.candidates()
+        assert str(exc.value) == "a choice spec names 26 partners, its candidate scan is limited to 25"
 
     def test_trigger_block_outside_the_universe_exits_2(self, tmp_path, capsys):
         firms = ["f0", "f1", "f9"]
@@ -1041,3 +1060,88 @@ def test_reduce_accepts_exactly_the_antimatroids_the_oracles_accept(case):
             code = cli.main(["reduce", str(anti_file), str(costs_file), "-o", out])
     assert code in (0, 2, 3), report.getvalue()
     assert (code == 0) == accepted, (data, report.getvalue())
+
+
+def _scan_accepts(data):
+    """Whether a lattice file holds a lattice, decided by the scan oracles:
+    distinct ids; for leq pairs, known ids whose reflexive-transitive
+    closure is antisymmetric; for tables, an order read off the join table
+    (x <= y iff x v y = y) that is one, with both tables equal to the
+    scanned ones; and joins and meets for every pair."""
+    els = data["elements"]
+    if not els or len(set(els)) < len(els):
+        return False
+    if "join" in data:
+        rel = {(x, y) for x, row in zip(els, data["join"]) for y, z in zip(els, row) if z == y}
+        if (any((x, x) not in rel for x in els) or any((y, x) in rel for x, y in rel if x != y)
+                or any((x, w) not in rel for x, y in rel for z, w in rel if y == z)):
+            return False
+    else:
+        if any(e not in els for pair in data["leq"] for e in pair):
+            return False
+        rel = {(x, x) for x in els} | {tuple(p) for p in data["leq"]}
+        while not rel >= (grown := rel | {(x, w) for x, y in rel for z, w in rel if y == z}):
+            rel = grown
+        if any((y, x) in rel for x, y in rel if x != y):
+            return False
+    try:
+        join, meet = lattice_from_order_by_scan(Poset(tuple(els), frozenset(rel)))
+    except NotALattice:
+        return False
+    if "join" in data:
+        return all(data["join"][i][j] == join[(x, y)] and data["meet"][i][j] == meet[(x, y)]
+                   for i, x in enumerate(els) for j, y in enumerate(els))
+    return True
+
+
+@functools.cache
+def _lattices_upto_5():
+    return all_lattices_upto(5)
+
+
+@st.composite
+def _lattice_files(draw):
+    """A lattice file over at most 5 elements, as leq pairs or as join/meet
+    tables, and whether the scan oracles accept it.  It starts from a
+    relabelled lattice of all_lattices_upto(5) or from drawn ids and pairs;
+    then an id may be listed twice, and one pair or table entry may be
+    replaced by drawn ids, an unknown one included."""
+    if draw(st.booleans()):
+        lat = draw(st.sampled_from(_lattices_upto_5()))
+        name = dict(zip(lat.elements, draw(st.permutations("abcde"))))
+        els = [name[e] for e in lat.elements]
+        leq = [[name[x], name[y]] for x, y in sorted(lat.poset.relation) if x != y]
+    else:
+        els = draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
+        leq = draw(st.lists(st.lists(st.sampled_from(els or ["a"]), min_size=2, max_size=2), max_size=6))
+    ids = st.sampled_from([*els, "z"])
+    if draw(st.booleans()):
+        data = {"v": 1, "elements": els, "leq": leq}
+        if leq and draw(st.booleans()):
+            leq[draw(st.integers(0, len(leq) - 1))] = [draw(ids), draw(ids)]
+    else:
+        rel = {(x, y) for x, y in leq} | {(x, x) for x in els}
+        upper = {(x, y): [z for z in els if (x, z) in rel and (y, z) in rel] for x in els for y in els}
+        lower = {(x, y): [z for z in els if (z, x) in rel and (z, y) in rel] for x in els for y in els}
+        join = [[max(upper[(x, y)], key=lambda z: len(upper[(z, z)]), default="z") for y in els] for x in els]
+        meet = [[max(lower[(x, y)], key=lambda z: len(lower[(z, z)]), default="z") for y in els] for x in els]
+        data = {"v": 1, "elements": els, "join": join, "meet": meet}
+        if els and draw(st.booleans()):
+            table = draw(st.sampled_from([join, meet]))
+            table[draw(st.integers(0, len(els) - 1))][draw(st.integers(0, len(els) - 1))] = draw(ids)
+    if els and draw(st.booleans()):
+        els.append(draw(st.sampled_from(els)))
+    return data, _scan_accepts(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_lattice_files())
+def test_export_dot_accepts_exactly_the_lattice_files_the_oracles_accept(case):
+    data, accepted = case
+    with tempfile.TemporaryDirectory() as tmp:
+        lattice_file = Path(tmp, "lattice.json")
+        jsonio.write_json(lattice_file, data)
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            code = cli.main(["export-dot", str(lattice_file)])
+    assert code == (0 if accepted else 2), (data, report.getvalue())
