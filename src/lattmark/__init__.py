@@ -14,6 +14,7 @@ from .antimatroids import (
     reduce_to_matching,
     transfer_costs,
     validate_antimatroid,
+    validate_path_poset,
 )
 from .augment import (
     ExtendableMarket,

@@ -8,22 +8,25 @@ path on its own), and transfers ground costs onto the minus pairs of the
 corresponding rotations, exactly (rational arithmetic).  Optimizers here
 are exhaustive by design.
 
-The axiom check, the path poset and the union closure of paths work on int
+The axiom checks, the path poset and the union closure of paths work on int
 masks over the sorted ground set.  Union closure is checked exactly against
-the paths alone, in O(|F| * (|ground| + |paths|)) mask lookups, and the
-paths are read off the endpoint masks in O(|F| * |ground|).
+the paths alone, in O(|F| * (|ground| + |paths|)) mask lookups, the paths
+are read off the endpoint masks in O(|F| * |ground|), and a path file is
+checked without its family in O(|paths|^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .augment import ExtendableMarket, omega_extend, project_to_base
 from .constraints import JoinConstraint
-from .errors import InputError, InvariantError
+from .errors import DuplicateId, InputError, InvariantError
 from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _leaf_matching, _stable_leaves
 from .orders import set_key
 from .rotations import RealizedBase, antichain_base, matching_to_rotations
@@ -137,17 +140,48 @@ def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
     return PathPoset.of(fam.ground, [(set_of[m], elements[e.bit_length() - 1]) for m, e in ends.items() if _is_path(e)])
 
 
-def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
-    """All unions of paths, the empty set included: the union closure, grown
-    one path at a time on int masks, so it costs O(|paths| * |family|) ORs.
-    A path that leaves the ground set is an InputError with the
-    outside-ground witness, so the family never outgrows 2^|ground| sets."""
+def validate_path_poset(pp: PathPoset) -> PathPoset:
+    """Check a path file, and return it, in O(|paths|^2) mask operations,
+    without forming the family F of all unions of its paths.  It rejects a
+    ground id listed twice, then a path outside the ground set, a path
+    listed twice, paths that miss part of the ground set, and a path p with
+    endpoint x where x is not in p or the paths strictly inside p do not
+    unite to p - x (not-accessible if no p - y is such a union either).
+
+    Exact: F is union-closed, and the paths cover the ground set.  Each
+    p - x is in F, so by induction every path, and so every member of F, is
+    reached from the empty set one element at a time.  No path is a union
+    of smaller members, so F's union-irreducible sets, its paths, are the
+    given ones; a second endpoint y would make p = (p - x) | (p - y) reducible."""
     elements = sorted(set(pp.ground))
+    if len(elements) < len(pp.ground):
+        raise DuplicateId(min(x for x in elements if pp.ground.count(x) > 1))
     bit = _bit_of(elements)
-    family = {0}
     for s in pp.path_sets():
         if not s <= bit.keys():
             raise InputError(f"not an antimatroid: {('outside-ground', tuple(sorted(s - bit.keys())))}")
+    masks = [_mask(s, bit) for s in pp.path_sets()]
+    for k, (s, m) in enumerate(zip(pp.path_sets(), masks)):
+        if masks.index(m) < k:
+            raise InputError(f"not the paths of an antimatroid: {('listed-twice', tuple(sorted(s)))}")
+    if reduce(or_, masks, 0) != (1 << len(elements)) - 1:
+        raise InputError(f"not an antimatroid: {('ground-not-feasible', tuple(pp.ground))}")
+    for (s, x), p in zip(pp.paths, masks):
+        inside = [q for q in masks if q != p and q | p == p]
+        if x not in s or reduce(or_, inside, 0) != p ^ bit[x]:
+            if s and not any(reduce(or_, (q for q in inside if not q & bit[y]), 0) == p ^ bit[y] for y in s):
+                raise InputError(f"not an antimatroid: {('not-accessible', tuple(sorted(s)))}")
+            raise InputError(f"not the paths of an antimatroid: {(tuple(sorted(s)), x)}")
+    return pp
+
+
+def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
+    """All unions of the paths once validate_path_poset accepts them, the
+    empty set included: O(|paths| * |family|) ORs on int masks."""
+    elements = sorted(validate_path_poset(pp).ground)
+    bit = _bit_of(elements)
+    family = {0}
+    for s in pp.path_sets():
         p = _mask(s, bit)
         family |= {m | p for m in family}
     return AntimatroidFamily.of(
@@ -193,31 +227,18 @@ def edge_id(u: str, v: str) -> str:
 def independent_set_antimatroid(
     vertices: Sequence[str], edges: Sequence[tuple[str, str]]
 ) -> tuple[AntimatroidFamily, dict[str, int]]:
-    """The gadget family over vertices and edges: a set is feasible when every
-    included edge has an included endpoint.  Weights make the maximum-weight
-    feasible set equal the graph's independence number."""
-    vs = sorted(set(vertices))
-    if len(vs) != len(vertices):
-        raise InputError("duplicate vertices")
-    es = []
-    degree = {v: 0 for v in vs}
-    for u, v in edges:
-        if u not in degree or v not in degree or u == v:
-            raise InputError(f"bad edge ({u!r}, {v!r})")
-        es.append((u, v))
-        degree[u] += 1
-        degree[v] += 1
-    ground = vs + sorted(edge_id(u, v) for u, v in es)
-    endpoint_map = {edge_id(u, v): (u, v) for u, v in es}
-    feasible = []
-    for mask in range(1 << len(ground)):
-        t = frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
-        ok = all(endpoint_map[e][0] in t or endpoint_map[e][1] in t for e in t if e in endpoint_map)
-        if ok:
-            feasible.append(t)
-    weights = {v: 1 - degree[v] for v in vs}
-    weights.update({e: 1 for e in endpoint_map})
-    return AntimatroidFamily.of(ground, feasible), weights
+    """The gadget family over vertices and edges: all unions of the paths {v}
+    for each vertex and {u, uv} and {v, uv} for each edge uv, so a set is
+    feasible when every included edge has an included endpoint.  Weights
+    make the maximum-weight feasible set equal the graph's independence
+    number.  The path check rejects a repeated vertex or edge (either way
+    round), a self-loop and an edge to an unknown vertex."""
+    ids = [edge_id(u, v) for u, v in edges]
+    paths = [({v}, v) for v in vertices] + [({x, e}, e) for edge, e in zip(edges, ids) for x in edge]
+    fam = family_from_path_poset(PathPoset.of([*vertices, *ids], paths))
+    weights = {v: 1 - sum(v in edge for edge in edges) for v in sorted(vertices)}
+    weights.update(dict.fromkeys(ids, 1))
+    return fam, weights
 
 
 def min_cost_feasible(

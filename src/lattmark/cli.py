@@ -24,10 +24,11 @@ from .antimatroids import (
     min_cost_stable,
     reduce_to_matching,
     transfer_costs,
+    validate_path_poset,
 )
 from .augment import certify_lattice, synthesize_from_lattice
 from .dot import antimatroid_dot, poset_dot, rotation_poset_dot
-from .errors import EnumerationBoundExceeded, InputError, LattmarkError
+from .errors import InputError, LattmarkError
 from .markets import DEFAULT_NODE_BOUND, enumerate_stable, stable_lattice
 from .orders import check_order_isomorphism
 from .rotations import extract_rotations
@@ -146,15 +147,8 @@ def cmd_rotations(args) -> int:
 def cmd_reduce(args) -> int:
     report = Report("reduce", [args.antimatroid, args.costs])
     payload = jsonio.antimatroid_from_json(jsonio.read_json(args.antimatroid))
-    if len(payload.ground) > args.bound_elements:
-        raise EnumerationBoundExceeded(len(payload.ground), args.bound_elements)
-    # A path file is checked through the family its paths generate, which
-    # must be an antimatroid whose paths are exactly the given ones.
-    fam = family_from_path_poset(payload) if isinstance(payload, PathPoset) else payload
-    # validates the axioms once; a violation raises InputError with its witness
-    pp = compute_path_poset(fam)
-    if isinstance(payload, PathPoset) and pp != payload:
-        raise InputError("antimatroid: the given paths are not the paths of the family they generate")
+    # either check raises InputError with its witness
+    pp = validate_path_poset(payload) if isinstance(payload, PathPoset) else compute_path_poset(payload)
     report.check("antimatroid-axioms", True)
     kind, costs = jsonio.costs_from_json(jsonio.read_json(args.costs))
     if kind != "ground":
@@ -269,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("antimatroid")
     p.add_argument("costs")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--bound-elements", type=_non_negative_int, default=20)
 
     p = sub.add_parser("solve", help="optimize pair costs over stable matchings")
     p.add_argument("bundle")

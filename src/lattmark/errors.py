@@ -56,13 +56,6 @@ class NotALattice(InputError):
         )
 
 
-class EnumerationBoundExceeded(BoundError):
-    def __init__(self, size, bound):
-        self.size = size
-        self.bound = bound
-        super().__init__(f"antimatroid ground set has {size} elements, --bound-elements is {bound}")
-
-
 class SearchBoundExceeded(BoundError):
     def __init__(self, explored, bound, search="stable-matching"):
         self.explored = explored

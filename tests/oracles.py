@@ -8,9 +8,11 @@ instead of choice-function machinery.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
+from lattmark.antimatroids import AntimatroidFamily, PathPoset, edge_id
 from lattmark.errors import InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable
 from lattmark.markets import stable_lattice
 from lattmark.constraints import JoinConstraint
@@ -369,6 +371,36 @@ def union_closure(sets):
         changed = grown != family
         family = grown
     return family
+
+
+def independent_set_family_by_filter(vertices, edges):
+    """The independent-set gadget family by its definition: every subset of
+    vertices and edge ids in which each included edge has an included
+    endpoint, filtered out of all 2^|ground| subsets."""
+    ends = {edge_id(u, v): (u, v) for u, v in edges}
+    ground = sorted(vertices) + sorted(ends)
+    feasible = []
+    for mask in range(1 << len(ground)):
+        t = frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
+        if all(ends[e][0] in t or ends[e][1] in t for e in t if e in ends):
+            feasible.append(t)
+    return AntimatroidFamily.of(ground, feasible)
+
+
+def independent_set_path_poset(vertices, edges):
+    """The independent-set gadget's paths, listed from its definition: {v}
+    for each vertex, and {u, uv} and {v, uv} for each edge uv."""
+    paths = [({v}, v) for v in vertices]
+    paths += [({x, edge_id(u, v)}, edge_id(u, v)) for u, v in edges for x in (u, v)]
+    return PathPoset.of([*vertices, *(edge_id(u, v) for u, v in edges)], paths)
+
+
+def path_file_accepted_by_closure(ground, paths):
+    """Whether (set, endpoint) pairs are exactly the paths of an antimatroid
+    on the ground set, each listed once: all unions of the sets form one
+    (pairwise check), and its union-irreducible paths are the given ones."""
+    fam = AntimatroidFamily.of(ground, union_closure([s for s, _ in paths]))
+    return validate_antimatroid_pairwise(fam)[0] and Counter(paths) == Counter(union_irreducible_paths(fam))
 
 
 def pair_cost(pair_costs, mu):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from lattmark import (
     AntimatroidFamily,
+    PathPoset,
     antichain_base,
     antimatroid_constraints,
     compute_path_poset,
@@ -19,6 +21,7 @@ from lattmark import (
     reduce_to_matching,
     transfer_costs,
     validate_antimatroid,
+    validate_path_poset,
 )
 from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.generators import random_antimatroid, random_graph
@@ -31,9 +34,13 @@ from oracles import (
     filter_lower_sets,
     full_antimatroid_constraints,
     independence_number,
+    independent_set_family_by_filter,
+    independent_set_path_poset,
     lower_sets,
     min_cost_by_matchings,
     pair_cost,
+    path_file_accepted_by_closure,
+    union_closure,
     union_irreducible_paths,
     validate_antimatroid_pairwise,
 )
@@ -178,6 +185,83 @@ class TestPaths:
             assert frozenset().union(*(s for s, _ in pp.paths if s <= g)) == g
 
 
+def _path_file_draw(rng):
+    """(ground, paths) over at most 5 elements: an antimatroid's paths, by
+    the oracle, with one mutation drawn (none, an endpoint restated, a path
+    dropped, listed twice, added or replaced), or 0-6 freely drawn paths.
+    A drawn set may hold z, which is outside the ground set."""
+    n = rng.randint(0, 5)
+    ground = [chr(ord("a") + i) for i in range(n)]
+    pool = ground + ["z"]
+
+    def drawn():
+        s = frozenset(x for x in pool if rng.random() < (0.1 if x == "z" else 0.4))
+        return s, rng.choice(sorted(s) or pool)
+
+    if not n or rng.random() < 0.5:
+        return ground, [drawn() for _ in range(rng.randint(0, 6))]
+    paths = sorted(union_irreducible_paths(random_antimatroid(n, rng)), key=lambda p: (sorted(p[0]), p[1]))
+    k = rng.randrange(len(paths))
+    mutation = rng.randrange(6)
+    if mutation == 1:
+        paths[k] = (paths[k][0], rng.choice(pool))
+    elif mutation == 2:
+        del paths[k]
+    elif mutation == 3:
+        paths.append(paths[k])
+    elif mutation == 4:
+        paths.append(drawn())
+    elif mutation == 5:
+        paths[k] = drawn()
+    return ground, paths
+
+
+def _names_a_fault(ground, paths, witness) -> bool:
+    """A validate_path_poset witness names a real fault of the path file."""
+    kind, what = witness
+    sets = [s for s, _ in paths]
+    family = union_closure(sets)
+    if kind == "outside-ground":
+        return any(s - set(ground) == frozenset(what) != frozenset() for s in sets)
+    if kind == "listed-twice":
+        return sets.count(frozenset(what)) > 1
+    if kind == "ground-not-feasible":
+        return frozenset().union(*sets) != frozenset(ground)
+    if kind == "not-accessible":
+        g = frozenset(what)
+        return g in family and bool(g) and not any(g - {x} in family for x in g)
+    fam = AntimatroidFamily.of(ground, family)
+    return (frozenset(kind), what) in paths and (frozenset(kind), what) not in union_irreducible_paths(fam)
+
+
+class TestPathFileCheck:
+    def test_check_agrees_with_the_closure_oracle(self):
+        """validate_path_poset accepts exactly the path files whose union
+        closure is an antimatroid with exactly the given paths, and each
+        rejection names a real fault; every rejection kind occurs."""
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(4000):
+            ground, paths = _path_file_draw(rng)
+            accepted = path_file_accepted_by_closure(ground, paths)
+            pp = PathPoset.of(ground, paths)
+            try:
+                assert validate_path_poset(pp) is pp and accepted, (ground, paths)
+                seen["accepted"] += 1
+            except InputError as exc:
+                message = str(exc)
+                witness = ast.literal_eval(message[message.index(": (") + 2:])
+                assert not accepted and _names_a_fault(ground, paths, witness), (ground, paths, message)
+                seen[witness[0] if isinstance(witness[0], str) else "not-a-path"] += 1
+        kinds = ("accepted", "outside-ground", "listed-twice", "ground-not-feasible", "not-accessible", "not-a-path")
+        assert min(seen[k] for k in kinds) >= 200, seen
+
+    def test_family_of_a_rejected_path_file_is_not_formed(self):
+        pp = PathPoset.of(["a", "b"], [({"a", "b"}, "a")])
+        with pytest.raises(InputError, match="not-accessible"):
+            family_from_path_poset(pp)
+
+
 class TestConstraints:
     def test_fixture_filtering(self, quad_antimatroid):
         pp = compute_path_poset(quad_antimatroid)
@@ -261,6 +345,15 @@ class TestIndependentSetGadget:
         fam, weights = independent_set_antimatroid(["u", "v", "x"], [("u", "v"), ("v", "x")])
         _, value = min_cost_feasible(fam, weights, sense="max")
         assert value == 2
+
+    def test_closure_equals_the_filtered_family(self):
+        """The family closed from the gadget's paths is the one its definition
+        filters out of all 2^|ground| subsets, and its paths are the given ones."""
+        for seed in range(1, 6):
+            vertices, edges = random_graph(6, random.Random(seed))
+            fam, _ = independent_set_antimatroid(vertices, edges)
+            assert fam == independent_set_family_by_filter(vertices, edges), seed
+            assert compute_path_poset(fam) == independent_set_path_poset(vertices, edges), seed
 
     def test_matches_independence_number_on_random_graphs(self):
         rng = random.Random(19)
@@ -477,6 +570,11 @@ class TestGadgetInputValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
             independent_set_antimatroid(["u", "v"], [("u", "u")])
+
+    def test_repeated_edge_rejected(self):
+        for edges in ([("u", "v"), ("v", "u")], [("u", "v"), ("u", "v")]):
+            with pytest.raises(InputError, match="duplicate id 'u~v'"):
+                independent_set_antimatroid(["u", "v"], edges)
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(InputError):

@@ -3,8 +3,8 @@ whose imports are its public re-exports, excepted), and every package module
 imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
-only through their choice functions; and the 2^|J| lower-set filter stays
-out of the package."""
+only through their choice functions; and the 2^|J| lower-set filter and
+the antimatroid element bound stay out of the package."""
 
 from __future__ import annotations
 
@@ -150,4 +150,22 @@ def test_the_filtered_lower_sets_stay_out_of_the_package():
             if name in gone:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     exported = gone & set(dir(importlib.import_module("lattmark")))
+    assert not found and not exported, (found, exported)
+
+
+def test_no_element_bound_comes_back():
+    """A path file is checked in time polynomial in its paths and a family
+    file in its own size, so no ground-set bound guards reduce: neither
+    the error nor the option may return to src/ or the package exports."""
+    gone = {"EnumerationBoundExceeded", "bound_elements", "--bound-elements"}
+    found = []
+    for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name in gone:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    modules = ["lattmark", "lattmark.errors", "lattmark.cli"]
+    exported = {name for m in modules for name in dir(importlib.import_module(m))} & gone
     assert not found and not exported, (found, exported)

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from lattmark.fixtures import (
     pentagon_lattice,
     seven_pair_market,
 )
-from lattmark.generators import all_lattices_upto, random_antimatroid
+from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph
 from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList, Triggered
 from lattmark.orders import Poset, inclusion_poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
@@ -48,9 +47,10 @@ from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_ro
 from oracles import (
     chain_lattice,
     full_antimatroid_constraints,
+    independent_set_path_poset,
     lattice_from_order_by_scan,
     m_lattice,
-    union_closure,
+    path_file_accepted_by_closure,
     union_irreducible_paths,
     validate_antimatroid_pairwise,
 )
@@ -387,15 +387,6 @@ class TestCliVariants:
         out_file = tmp_path / "rot.dot"
         code, _ = run_cli(capsys, "export-dot", str(rot_file), "-o", str(out_file))
         assert code == 0 and out_file.read_text().startswith("digraph rotations")
-
-    def test_reduce_bound_elements(self, tmp_path, capsys):
-        anti_file = tmp_path / "anti.json"
-        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
-        costs_file = tmp_path / "costs.json"
-        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in "abcd"}})
-        code, _ = run_cli(capsys, "reduce", str(anti_file), str(costs_file),
-                          "-o", str(tmp_path / "out.json"), "--bound-elements", "2")
-        assert code == 3
 
     def test_reduce_has_no_integer_costs_option(self, tmp_path, capsys):
         anti_file, costs_file = self._quad_files(tmp_path, {"a": 3, "b": -2, "c": 5, "d": -7})
@@ -810,6 +801,26 @@ class TestBundleContract:
         code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", out)
         assert code == 2 and report["kind"] == "InputError" and "paths" in report["error"]
 
+    def test_export_dot_rejects_the_path_files_reduce_rejects(self, tmp_path, capsys):
+        """The four-element antimatroid's path file with {a, c, d}'s endpoint
+        misstated, with a path listed twice, or with a ground id listed
+        twice exits 2 from both commands."""
+        anti_file, costs_file, out = tmp_path / "anti.json", tmp_path / "costs.json", str(tmp_path / "out.json")
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in "abcd"}})
+        misstated = jsonio.path_poset_to_json(compute_path_poset(four_element_antimatroid()))
+        twice, ground_twice = copy.deepcopy(misstated), copy.deepcopy(misstated)
+        (acd,) = [p for p in misstated["paths"] if p["set"] == ["a", "c", "d"]]
+        acd["endpoint"] = "c"
+        twice["paths"].append(twice["paths"][0])
+        ground_twice["ground"].append("b")
+        for data, kind, tail in ((misstated, "InputError", "(('a', 'c', 'd'), 'c')"),
+                                 (twice, "InputError", "('listed-twice', ('a',))"),
+                                 (ground_twice, "DuplicateId", "duplicate id 'b'")):
+            jsonio.write_json(anti_file, data)
+            for argv in (["reduce", str(anti_file), str(costs_file), "-o", out], ["export-dot", str(anti_file)]):
+                code, report = run_cli(capsys, *argv)
+                assert (code, report["kind"]) == (2, kind) and report["error"].endswith(tail), argv
+
     def test_path_and_feasible_files_reduce_to_the_same_bundle(self, tmp_path, capsys):
         fam = four_element_antimatroid()
         forms = {"feasible": jsonio.antimatroid_to_json(fam),
@@ -856,18 +867,32 @@ class TestBundleContract:
         constraints = json.loads(bundle_file.read_text())["constraints"]
         assert code == 0 and report["augmentations"] == len(constraints) > 0
 
-    def test_reduce_checks_the_bound_before_the_antimatroid(self, tmp_path, capsys):
+    def test_reduce_checks_21_element_files_without_a_bound(self, tmp_path, capsys):
+        """No ground-set bound stands before the checks: an invalid 21-element
+        family exits 2 with its witness, and 21 free paths, which generate
+        2^21 sets, reduce."""
         ground = [f"x{i:02}" for i in range(21)]
-        costs_file = tmp_path / "costs.json"
+        costs_file, anti_file, out = tmp_path / "costs.json", tmp_path / "anti.json", str(tmp_path / "out.json")
         jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in ground}})
-        # an invalid family, and free paths that generate 2^21 sets
-        for data in ({"v": 1, "ground": ground, "feasible": [[]]},
-                     {"v": 1, "ground": ground, "paths": [{"set": [x], "endpoint": x} for x in ground]}):
-            anti_file = tmp_path / "anti.json"
-            jsonio.write_json(anti_file, data)
-            code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
-            assert code == 3 and report["kind"] == "EnumerationBoundExceeded"
-            assert report["error"] == "antimatroid ground set has 21 elements, --bound-elements is 20"
+        jsonio.write_json(anti_file, {"v": 1, "ground": ground, "feasible": [[]]})
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", out)
+        assert (code, report["kind"]) == (2, "InputError")
+        assert report["error"] == f"not an antimatroid: {('ground-not-feasible', tuple(ground))}"
+        jsonio.write_json(anti_file, {"v": 1, "ground": ground, "paths": [{"set": [x], "endpoint": x} for x in ground]})
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", out)
+        assert code == 0 and report["augmentations"] == 0 and report["ground"] == ground
+
+    def test_reduce_of_a_920_element_path_file(self, tmp_path, capsys):
+        """The path file of the independent-set gadget of random_graph(60)
+        (seed 1) is checked and reduced in polynomial time."""
+        pp = independent_set_path_poset(*random_graph(60, random.Random(1)))
+        anti_file, costs_file = tmp_path / "anti.json", tmp_path / "costs.json"
+        jsonio.write_json(anti_file, jsonio.path_poset_to_json(pp))
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in pp.ground}})
+        start = time.monotonic()
+        code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
+        assert code == 0 and time.monotonic() - start < 3
+        assert (len(report["ground"]), report["augmentations"], report["agents"]) == (920, 860, 7120)
 
     def test_long_chains_certify(self, tmp_path, capsys):
         """The expected image is searched, not filtered out of 2^|J| sets, so
@@ -892,8 +917,7 @@ class TestBundleContract:
         jsonio.write_json(anti_file, {"v": 1, "ground": ["a"], "paths": paths})
         jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 1}})
         out = str(tmp_path / "out.json")
-        for argv in (["reduce", str(anti_file), str(costs_file), "-o", out, "--bound-elements", "2"],
-                     ["export-dot", str(anti_file)]):
+        for argv in (["reduce", str(anti_file), str(costs_file), "-o", out], ["export-dot", str(anti_file)]):
             code, report = run_cli(capsys, *argv)
             assert (code, report["kind"]) == (2, "InputError"), argv
             assert "not an antimatroid: ('outside-ground', ('z" in report["error"], argv
@@ -924,12 +948,15 @@ class TestBundleContract:
     def test_negative_bounds_exit_2(self, tmp_path, capsys):
         bundle_file = _reduction_file(tmp_path)
         for argv in (["solve", str(bundle_file), "--bound-nodes", "-5"],
-                     ["enumerate", str(bundle_file), "--bound-nodes", "-1"],
-                     ["reduce", "anti.json", "costs.json", "-o", "out.json", "--bound-elements", "-1"]):
+                     ["enumerate", str(bundle_file), "--bound-nodes", "-1"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2, argv
             assert "non-negative" in capsys.readouterr().err
+        # reduce has no bound to set
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reduce", "anti.json", "costs.json", "-o", "out.json", "--bound-elements", "2"])
+        assert exc.value.code == 2 and "--bound-elements" in capsys.readouterr().err
         code, report = run_cli(capsys, "solve", str(bundle_file), "--bound-nodes", "0")
         assert code == 3 and report["kind"] == "SearchBoundExceeded"
 
@@ -1041,25 +1068,24 @@ def _antimatroid_files(draw):
     if paths and draw(st.booleans()):
         paths[draw(st.integers(0, len(paths) - 1))] = entry(draw(subsets))
     data = {"v": 1, "ground": ground, "paths": [{"set": sorted(s), "endpoint": e} for s, e in paths]}
-    generated = AntimatroidFamily.of(ground, union_closure([s for s, _ in paths]))
-    accepted = (validate_antimatroid_pairwise(generated)[0]
-                and Counter(paths) == Counter(union_irreducible_paths(generated)))
-    return data, accepted
+    return data, path_file_accepted_by_closure(ground, paths)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_antimatroid_files())
 def test_reduce_accepts_exactly_the_antimatroids_the_oracles_accept(case):
+    """reduce and export-dot share one definition of a valid antimatroid
+    file: both exit 0 on the files the oracles accept and 2 on the rest."""
     data, accepted = case
     with tempfile.TemporaryDirectory() as tmp:
         anti_file, costs_file, out = Path(tmp, "anti.json"), Path(tmp, "costs.json"), str(Path(tmp, "out.json"))
         jsonio.write_json(anti_file, data)
         jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in data["ground"]}})
         with contextlib.redirect_stdout(io.StringIO()) as report:
-            code = cli.main(["reduce", str(anti_file), str(costs_file), "-o", out])
-    assert code in (0, 2, 3), report.getvalue()
-    assert (code == 0) == accepted, (data, report.getvalue())
+            codes = (cli.main(["reduce", str(anti_file), str(costs_file), "-o", out]),
+                     cli.main(["export-dot", str(anti_file), "-o", str(Path(tmp, "out.dot"))]))
+    assert codes == ((0, 0) if accepted else (2, 2)), (data, report.getvalue())
 
 
 def _scan_accepts(data):
