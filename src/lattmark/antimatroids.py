@@ -9,10 +9,10 @@ corresponding rotations, exactly (rational arithmetic).  Optimizers here
 are exhaustive by design.
 
 The axiom checks, the path poset and the union closure of paths work on int
-masks over the sorted ground set.  Union closure is checked exactly against
-the paths alone, in O(|F| * (|ground| + |paths|)) mask lookups, the paths
-are read off the endpoint masks in O(|F| * |ground|), and a path file is
-checked without its family in O(|paths|^2).
+masks over the sorted ground set.  compute_path_poset builds the masks and
+endpoint masks once, in O(|F| * |ground|), reads the paths off them and
+checks union closure exactly against the paths alone, in O(|F| * |paths|)
+lookups; a path file is checked without its family in O(|paths|^2).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import or_
+from operator import countOf, or_
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .augment import ExtendableMarket, omega_extend, project_to_base
@@ -41,8 +41,13 @@ class AntimatroidFamily:
 
     @staticmethod
     def of(ground: Iterable[str], feasible: Iterable[Iterable[str]]) -> "AntimatroidFamily":
-        fam = sorted({frozenset(g) for g in feasible}, key=set_key)
-        return AntimatroidFamily(tuple(sorted(ground)), tuple(fam))
+        """The distinct sets in set_key order: by size, then the set that holds
+        the least id of the two sets' difference first.  So one int key sorts
+        them, each set's mask with the least id on the highest bit."""
+        sets = {frozenset(g) for g in feasible}
+        bit = _bit_of(sorted(frozenset().union(*sets), reverse=True))
+        top = 1 << len(bit)
+        return AntimatroidFamily(tuple(sorted(ground)), tuple(sorted(sets, key=lambda g: len(g) * top - _mask(g, bit))))
 
     @property
     def ground_set(self) -> frozenset[str]:
@@ -70,6 +75,14 @@ class PathPoset:
 
 def _mask(s: Iterable[str], bit: Mapping[str, int]) -> int:
     return sum(map(bit.__getitem__, s))
+
+
+def _elements(ground: Sequence[str]) -> list[str]:
+    """The ground ids, sorted; DuplicateId names the least id listed twice."""
+    elements = sorted(set(ground))
+    if len(elements) < len(ground):
+        raise DuplicateId(min(x for x in elements if ground.count(x) > 1))
+    return elements
 
 
 def _bit_of(elements: Sequence[str]) -> dict[str, int]:
@@ -127,17 +140,27 @@ def validate_antimatroid(fam: AntimatroidFamily) -> tuple[bool, object | None]:
 
 
 def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
-    """The feasible sets with exactly one endpoint, each with it.  In an
-    antimatroid these are exactly the union-irreducible feasible sets; the
-    tests check the two definitions against each other."""
-    ok, witness = validate_antimatroid(fam)
-    if not ok:
-        raise InputError(f"not an antimatroid: {witness}")
-    elements = sorted(fam.ground_set)
+    """Check the family and return its paths, the feasible sets with exactly
+    one endpoint, each with it, in one pass on int masks (DuplicateId for a
+    ground id listed twice).  The pass tests validate_antimatroid's axioms,
+    union closure by one set operation per path; only a rejected family is
+    scanned again, by validate_antimatroid, for its InputError's witness.
+    In an antimatroid the paths are exactly the union-irreducible feasible
+    sets; the tests check the two definitions against each other."""
+    elements = _elements(fam.ground)
     bit = _bit_of(elements)
-    set_of = {_mask(g, bit): g for g in fam.feasible}
-    ends = _endpoint_masks(set_of.keys())
-    return PathPoset.of(fam.ground, [(set_of[m], elements[e.bit_length() - 1]) for m, e in ends.items() if _is_path(e)])
+    if frozenset().union(*fam.feasible) <= bit.keys():
+        set_of = {_mask(g, bit): g for g in fam.feasible}
+        members = set(set_of)
+        ends = _endpoint_masks(members)
+        paths = [m for m, e in ends.items() if _is_path(e)]
+        if (
+            countOf(ends.values(), 0) == (0 in members)
+            and all(members.issuperset(map(p.__or__, members)) for p in paths)
+            and (1 << len(elements)) - 1 in members
+        ):
+            return PathPoset.of(fam.ground, [(set_of[m], elements[ends[m].bit_length() - 1]) for m in paths])
+    raise InputError(f"not an antimatroid: {validate_antimatroid(fam)[1]}")
 
 
 def validate_path_poset(pp: PathPoset) -> PathPoset:
@@ -153,10 +176,7 @@ def validate_path_poset(pp: PathPoset) -> PathPoset:
     reached from the empty set one element at a time.  No path is a union
     of smaller members, so F's union-irreducible sets, its paths, are the
     given ones; a second endpoint y would make p = (p - x) | (p - y) reducible."""
-    elements = sorted(set(pp.ground))
-    if len(elements) < len(pp.ground):
-        raise DuplicateId(min(x for x in elements if pp.ground.count(x) > 1))
-    bit = _bit_of(elements)
+    bit = _bit_of(_elements(pp.ground))
     for s in pp.path_sets():
         if not s <= bit.keys():
             raise InputError(f"not an antimatroid: {('outside-ground', tuple(sorted(s - bit.keys())))}")
@@ -164,7 +184,7 @@ def validate_path_poset(pp: PathPoset) -> PathPoset:
     for k, (s, m) in enumerate(zip(pp.path_sets(), masks)):
         if masks.index(m) < k:
             raise InputError(f"not the paths of an antimatroid: {('listed-twice', tuple(sorted(s)))}")
-    if reduce(or_, masks, 0) != (1 << len(elements)) - 1:
+    if reduce(or_, masks, 0) != (1 << len(bit)) - 1:
         raise InputError(f"not an antimatroid: {('ground-not-feasible', tuple(pp.ground))}")
     for (s, x), p in zip(pp.paths, masks):
         inside = [q for q in masks if q != p and q | p == p]

@@ -200,6 +200,8 @@ def cmd_export_dot(args) -> int:
         payload = jsonio.antimatroid_from_json(data)
         if isinstance(payload, PathPoset):
             payload = family_from_path_poset(payload)
+        else:
+            compute_path_poset(payload)
         text = antimatroid_dot(payload)
     elif "elements" in data:
         lat = jsonio.lattice_from_json(data)

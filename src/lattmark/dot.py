@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping
 
-from .antimatroids import AntimatroidFamily, _bit_of, _mask, validate_antimatroid
-from .errors import InputError
+from .antimatroids import AntimatroidFamily, _bit_of, _mask
 from .orders import Poset, set_key
 from .rotations import RotationPoset
 
@@ -48,12 +47,10 @@ def antimatroid_dot(fam: AntimatroidFamily) -> str:
     """Nodes are named by their index in set_key order and labelled with their
     sets, so ids that contain commas cannot make two sets share a node.
 
-    The family must be an antimatroid (InputError with the witness
-    otherwise): there A is covered by B iff B = A | {x} for some x not in A,
-    so the covers are the one-element extensions, found on int masks."""
-    ok, witness = validate_antimatroid(fam)
-    if not ok:
-        raise InputError(f"not an antimatroid: {witness}")
+    The family must be an antimatroid, checked by the caller
+    (compute_path_poset, or family_from_path_poset for a path file): there
+    A is covered by B iff B = A | {x} for some x not in A, so the covers are
+    the one-element extensions, found on int masks."""
     sets = sorted(set(fam.feasible), key=set_key)
     bit = _bit_of(sorted(fam.ground_set))
     index = {_mask(s, bit): i for i, s in enumerate(sets)}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -36,7 +37,7 @@ from .markets import (
     Triggered,
 )
 from .orders import Lattice, lattice_from_order, lattice_from_tables, poset_from_pairs, set_key
-from .rotations import RealizedBase, Rotation, RotationPoset, antichain_base, extract_rotations
+from .rotations import RealizedBase, Rotation, RotationPoset, antichain_base, extract_rotations, is_gadget_bank
 
 VERSION = 1
 
@@ -243,9 +244,8 @@ def rotation_poset_from_json(data: Mapping) -> RotationPoset:
 
 def realized_base_to_json(base: RealizedBase) -> dict:
     """The gadget bank of some ids as those ids; any other base in full."""
-    ids = base.rotation_poset.ids()
-    if base == antichain_base(ids):
-        return {"v": VERSION, "gadgets": list(ids)}
+    if is_gadget_bank(base):
+        return {"v": VERSION, "gadgets": list(base.rotation_poset.ids())}
     return {
         "v": VERSION,
         "market": market_to_json(base.market),
@@ -263,7 +263,7 @@ def realized_base_from_json(data: Mapping, node_bound: int = DEFAULT_NODE_BOUND)
         market_from_json(_need(data, "market", "realized base")),
         rotation_poset_from_json(_need(data, "rotation_poset", "realized base")),
     )
-    if base == antichain_base(base.rotation_poset.ids()):
+    if is_gadget_bank(base):
         raise InputError("realized base: a gadget bank is stored as its ids; re-synthesize or re-reduce this bundle")
     try:
         agree = extract_rotations(base.market, node_bound) == base.rotation_poset
@@ -364,11 +364,24 @@ def path_poset_to_json(pp: PathPoset) -> dict:
     }
 
 
+def _feasible_sets(value) -> list[list[str]]:
+    """_str_lists in one flat pass: every entry a list, and all members
+    joined into one string (join rejects a non-string) that encodes as
+    UTF-8.  Only a rejected payload is read again, entry by entry, to name
+    its first bad entry."""
+    try:
+        if type(value) is list and {*map(type, value)} <= {list}:
+            "".join(chain.from_iterable(value)).encode("utf-8")
+            return value
+    except (TypeError, UnicodeEncodeError):
+        pass
+    return _str_lists(value, "antimatroid.feasible")
+
+
 def antimatroid_from_json(data: Mapping) -> AntimatroidFamily | PathPoset:
     ground = _need(data, "ground", "antimatroid", _strs)
     if "feasible" in data:
-        feasible = _str_lists(data["feasible"], "antimatroid.feasible")
-        return AntimatroidFamily.of(ground, [frozenset(g) for g in feasible])
+        return AntimatroidFamily.of(ground, _feasible_sets(data["feasible"]))
     if "paths" in data:
         return PathPoset.of(ground, [
             (frozenset(_need(p, "set", "path", _strs)), _need(p, "endpoint", "path", _str))

@@ -82,6 +82,19 @@ def gadget_agents(element: str) -> tuple[str, str, str, str]:
     return (f"{element}.f1", f"{element}.f2", f"{element}.w1", f"{element}.w2")
 
 
+def _gadget_bank(ids: Iterable[str]) -> tuple[dict, dict, frozenset[Pair]]:
+    """The gadget bank of ids as plain data: each agent's preference-list
+    entries, its two partners best first; each id's rotation as (id, plus,
+    minus); and the worker-optimal pairs, every firm with its second partner."""
+    entries, rotations = {}, {}
+    for i in ids:
+        f1, f2, w1, w2 = agents = gadget_agents(i)
+        F1, F2, W1, W2 = (frozenset([a]) for a in agents)
+        entries.update({f1: (W2, W1), f2: (W1, W2), w1: (F1, F2), w2: (F2, F1)})
+        rotations[i] = (i, frozenset({(f1, w2), (f2, w1)}), frozenset({(f1, w1), (f2, w2)}))
+    return entries, rotations, frozenset().union(*(minus for _, _, minus in rotations.values()))
+
+
 def antichain_base(ids: Sequence[str]) -> RealizedBase:
     """The gadget bank: one swap gadget per id, two stable matchings each,
     one rotation each, rotations mutually incomparable, rotation ids equal
@@ -90,29 +103,30 @@ def antichain_base(ids: Sequence[str]) -> RealizedBase:
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise DuplicateId(sorted(i for i in ids if ids.count(i) > 1)[0])
-    firms: list[str] = []
-    workers: list[str] = []
-    choice: dict[str, PreferenceList] = {}
-    rotations: dict[str, Rotation] = {}
-    mu_w_pairs: set[Pair] = set()
-    for i in ids:
-        f1, f2, w1, w2 = gadget_agents(i)
-        firms += [f1, f2]
-        workers += [w1, w2]
-        choice[f1] = PreferenceList.of(w2, w1)
-        choice[f2] = PreferenceList.of(w1, w2)
-        choice[w1] = PreferenceList.of(f1, f2)
-        choice[w2] = PreferenceList.of(f2, f1)
-        rotations[i] = Rotation(
-            id=i,
-            plus=frozenset({(f1, w2), (f2, w1)}),
-            minus=frozenset({(f1, w1), (f2, w2)}),
-        )
-        mu_w_pairs |= {(f1, w1), (f2, w2)}
-    market = MatchingMarket(tuple(sorted(firms)), tuple(sorted(workers)), choice)
+    entries, rotations, mu = _gadget_bank(ids)
+    choice = {a: PreferenceList(e) for a, e in entries.items()}
+    market = MatchingMarket(tuple(sorted(f for f, _ in mu)), tuple(sorted(w for _, w in mu)), choice)
     poset = Poset(tuple(sorted(ids)), frozenset((i, i) for i in ids))
-    rp = RotationPoset(poset, rotations, Matching(frozenset(mu_w_pairs)))
+    rp = RotationPoset(poset, {i: Rotation(*r) for i, r in rotations.items()}, Matching(mu))
     return RealizedBase(market, rp)
+
+
+def is_gadget_bank(base: RealizedBase) -> bool:
+    """Whether base == antichain_base(its rotation ids), decided on base's
+    own fields against the bank's plain data, without building the bank."""
+    rp, market = base.rotation_poset, base.market
+    ids = rp.ids()
+    entries, rotations, mu = _gadget_bank(ids)
+    return (
+        list(ids) == sorted(ids)
+        and rp.poset.relation == {(i, i) for i in ids}
+        and {i: (r.id, r.plus, r.minus) for i, r in rp.rotations.items()} == rotations
+        and rp.worker_optimal.pairs == mu
+        and market.firms == tuple(sorted(f for f, _ in mu))
+        and market.workers == tuple(sorted(w for _, w in mu))
+        and market.choice.keys() == entries.keys()
+        and all(type(s) is PreferenceList and s.entries == entries[a] for a, s in market.choice.items())
+    )
 
 
 def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> RotationPoset:

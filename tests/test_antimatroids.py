@@ -26,7 +26,7 @@ from lattmark import (
 from lattmark.errors import InputError, SearchBoundExceeded
 from lattmark.generators import random_antimatroid, random_graph
 from lattmark.markets import check_path_independence, spec_universe
-from lattmark.orders import trivial_poset
+from lattmark.orders import set_key, trivial_poset
 
 from oracles import (
     antimatroid_axiom_failures,
@@ -75,15 +75,16 @@ class TestValidation:
 
 
 def _one_set_mutants(fam, rng):
-    """The family with a non-empty non-ground set dropped, with a random
-    subset added, and with a copy of one set plus an element outside the
-    ground set added."""
+    """The family with a non-empty non-ground set dropped, with the ground
+    set dropped, with a random subset added, and with a copy of one set plus
+    an element outside the ground set added."""
     sets = list(fam.feasible)
     droppable = [g for g in sets if g and g != fam.ground_set]
     out = [sets + [frozenset(x for x in fam.ground if rng.random() < 0.5)]]
     if droppable:
         dropped = rng.choice(droppable)
         out.append([g for g in sets if g != dropped])
+    out.append([g for g in sets if g != fam.ground_set])
     out.append(sets + [rng.choice(sets) | {"zz"}])
     return [AntimatroidFamily.of(fam.ground, m) for m in out]
 
@@ -112,6 +113,7 @@ class TestAgainstThePairwiseOracle:
         for _ in range(500):
             fam = random_antimatroid(rng.randint(1, 6), rng)
             for f in [fam, *_one_set_mutants(fam, rng)]:
+                assert list(f.feasible) == sorted(set(f.feasible), key=set_key), f
                 ok, witness = validate_antimatroid(f)
                 failures = antimatroid_axiom_failures(f)
                 assert ok == validate_antimatroid_pairwise(f)[0] == (not failures), f
@@ -119,6 +121,10 @@ class TestAgainstThePairwiseOracle:
                     seen["ok"] += 1
                     assert set(compute_path_poset(f).paths) == union_irreducible_paths(f), f
                     continue
+                # the one-pass check raises the witness of the ordered scan
+                with pytest.raises(InputError) as raised:
+                    compute_path_poset(f)
+                assert str(raised.value) == f"not an antimatroid: {witness}", f
                 assert _is_violation(f, witness), (f, witness)
                 if len(failures) == 1:
                     seen[witness[0]] += 1
@@ -139,6 +145,8 @@ class TestAgainstThePairwiseOracle:
             assert antimatroid_axiom_failures(fam) == {kind}
             ok, witness = validate_antimatroid(fam)
             assert not ok and witness[0] == kind and _is_violation(fam, witness), kind
+            with pytest.raises(InputError, match=f"^not an antimatroid: \\('{kind}'"):
+                compute_path_poset(fam)
 
 
 class TestPaths:

@@ -25,8 +25,9 @@ from lattmark import (
 from lattmark import jsonio
 from lattmark.errors import DuplicateId, InputError, NotLowerClosed, NotRepresentable
 from lattmark.fixtures import seven_pair_market, seven_pair_rotations
-from lattmark.markets import MatchingMarket, PreferenceList
-from lattmark.rotations import gadget_agents
+from lattmark.markets import MatchingMarket, PreferenceList, Regular
+from lattmark.orders import Poset
+from lattmark.rotations import RealizedBase, Rotation, RotationPoset, gadget_agents, is_gadget_bank
 
 from oracles import (
     down_set,
@@ -95,6 +96,38 @@ class TestAntichainBase:
             for b in rp.poset.elements
             if a != b
         )
+
+    def test_is_gadget_bank_is_equality_with_the_bank(self):
+        """is_gadget_bank(base) == (base == antichain_base(its ids)) on banks
+        and on bases one agent, spec, rotation, order or worker-optimal pair
+        away from one."""
+        bank = antichain_base(["p", "q", "r"])
+        m, rp = bank.market, bank.rotation_poset
+        rot, (f1, _, w1, w2) = rp.rotations["p"], gadget_agents("p")
+        choice = dict(m.choice)
+        unordered = Poset(("q", "p", "r"), rp.poset.relation)
+        ordered = Poset(rp.poset.elements, rp.poset.relation | {("p", "q")})
+        without_r = Poset(("p", "q"), frozenset({("p", "p"), ("q", "q")}))
+        variants = [
+            bank,
+            antichain_base([]),
+            antichain_base(["a.f1", "a"]),
+            RealizedBase(MatchingMarket(m.firms, m.workers, {**choice, f1: PreferenceList.of(w1, w2)}), rp),
+            RealizedBase(MatchingMarket(m.firms, m.workers, {**choice, f1: PreferenceList.of(w2)}), rp),
+            RealizedBase(MatchingMarket(m.firms, m.workers, {**choice, f1: Regular((frozenset({w2, w1}),), ())}), rp),
+            RealizedBase(MatchingMarket((*m.firms, "z"), m.workers, choice), rp),
+            RealizedBase(MatchingMarket((*m.firms, "z"), m.workers, {**choice, "z": PreferenceList.of(w1)}), rp),
+            RealizedBase(MatchingMarket(m.firms[::-1], m.workers, choice), rp),
+            RealizedBase(m, RotationPoset(rp.poset, {**rp.rotations, "p": Rotation("p", rot.minus, rot.plus)},
+                                          rp.worker_optimal)),
+            RealizedBase(m, RotationPoset(unordered, rp.rotations, rp.worker_optimal)),
+            RealizedBase(m, RotationPoset(ordered, rp.rotations, rp.worker_optimal)),
+            RealizedBase(m, RotationPoset(without_r, {x: rp.rotations[x] for x in "pq"}, rp.worker_optimal)),
+            RealizedBase(m, RotationPoset(rp.poset, rp.rotations, Matching(rp.worker_optimal.pairs - {(f1, w1)}))),
+        ]
+        for base in variants:
+            assert is_gadget_bank(base) == (base == antichain_base(base.rotation_poset.ids())), base
+        assert [is_gadget_bank(base) for base in variants] == [True] * 3 + [False] * (len(variants) - 3)
 
     def test_gadget_plus_pairs_disjoint_from_other_minus_pairs(self):
         base = antichain_base(["p", "q", "r"])

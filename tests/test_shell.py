@@ -362,13 +362,21 @@ class TestCliVariants:
         assert code == 2 and report["kind"] == "NotAntisymmetric"
 
     def test_export_dot_checks_the_antimatroid_axioms(self, tmp_path, capsys):
-        anti_file = tmp_path / "anti.json"
-        jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "feasible": [[], ["a"], ["b"]]})
-        code, report = run_cli(capsys, "export-dot", str(anti_file))
-        assert code == 2 and "not-union-closed" in report["error"]
-        jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "paths": [{"set": ["a", "b"], "endpoint": "b"}]})
-        code, report = run_cli(capsys, "export-dot", str(anti_file))
-        assert code == 2 and "not-accessible" in report["error"]
+        """export-dot rejects what reduce rejects, a ground id listed twice
+        in either form included."""
+        anti_file, costs_file, out = tmp_path / "anti.json", tmp_path / "costs.json", str(tmp_path / "out.json")
+        jsonio.write_json(costs_file, {"v": 1, "ground": {"a": 1, "b": 1}})
+        for data, kind, text in (
+            ({"v": 1, "ground": ["a", "b"], "feasible": [[], ["a"], ["b"]]}, "InputError", "not-union-closed"),
+            ({"v": 1, "ground": ["a", "b"], "paths": [{"set": ["a", "b"], "endpoint": "b"}]},
+             "InputError", "not-accessible"),
+            ({"v": 1, "ground": ["a", "a"], "feasible": [[], ["a"]]}, "DuplicateId", "duplicate id 'a'"),
+            ({"v": 1, "ground": ["a", "a"], "paths": [{"set": ["a"], "endpoint": "a"}]}, "DuplicateId", "duplicate id 'a'"),
+        ):
+            jsonio.write_json(anti_file, data)
+            for argv in (["export-dot", str(anti_file)], ["reduce", str(anti_file), str(costs_file), "-o", out]):
+                code, report = run_cli(capsys, *argv)
+                assert (code, report["kind"]) == (2, kind) and text in report["error"], (data, argv)
 
     def test_export_dot_of_a_14_element_free_path_file(self, tmp_path, capsys):
         ground = [f"e{i:02d}" for i in range(14)]
@@ -768,17 +776,22 @@ class TestBundleContract:
             jsonio.extendable_from_json(data, node_bound=100)
 
     def test_reduce_validates_the_antimatroid_once(self, tmp_path, capsys, monkeypatch):
-        from lattmark import antimatroids
+        """One check of the family and one gadget bank per reduce: the bundle
+        writer tells a gadget bank without building a second."""
+        from lattmark import antimatroids, rotations
 
-        real, calls = antimatroids.validate_antimatroid, []
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "lattmark" and getattr(module, "validate_antimatroid", None) is real:
-                monkeypatch.setattr(module, "validate_antimatroid", lambda fam: calls.append(fam) or real(fam))
+        calls = {}
+        for owner, name in ((antimatroids, "compute_path_poset"), (rotations, "antichain_base")):
+            real, seen = getattr(owner, name), calls.setdefault(name, [])
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.partition(".")[0] == "lattmark" and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, lambda x, real=real, seen=seen: seen.append(x) or real(x))
         anti_file, costs_file = tmp_path / "anti.json", tmp_path / "costs.json"
         jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
         jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in "abcd"}})
         code, report = run_cli(capsys, "reduce", str(anti_file), str(costs_file), "-o", str(tmp_path / "out.json"))
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and {name: len(seen) for name, seen in calls.items()} == {
+            "compute_path_poset": 1, "antichain_base": 1}
         assert {"name": "antimatroid-axioms", "ok": True} in report["checks"]
 
         jsonio.write_json(anti_file, {"v": 1, "ground": ["a", "b"], "feasible": [[], ["a"], ["b"], ["a", "b"], ["c"]]})
@@ -979,6 +992,30 @@ class TestBundleContract:
                      ["rotations", str(market_file), "--dot", dot]):
             code, report = run_cli(capsys, *argv)
             assert (code, report["kind"]) == (2, "InputError"), argv
+
+    def test_malformed_feasible_lists_name_their_first_bad_entry(self, tmp_path, capsys):
+        """The family loader's one flat pass rejects exactly what the
+        per-entry readers reject, with their message: a feasible field that
+        is no list, an entry that is no list, and an int, bool, null or
+        lone-surrogate member at every position."""
+        good = jsonio.antimatroid_to_json(four_element_antimatroid())
+        feasible = good["feasible"]
+        variants = ["ab", "", 1, None, {}, {"a": ["a"]}]
+        variants += [[*feasible[:i], bad, *feasible[i + 1:]] for i in range(len(feasible)) for bad in ("a", "", 1, None, {})]
+        variants += [
+            [*feasible[:i], [*g[:j], bad, *g[j + 1:]], *feasible[i + 1:]]
+            for i, g in enumerate(feasible) for j in range(len(g)) for bad in (1, True, None, ["a"], "a\ud800")
+        ]
+        anti_file, costs_file, out = tmp_path / "anti.json", tmp_path / "costs.json", str(tmp_path / "out.json")
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: 1 for x in "abcd"}})
+        for value in variants:
+            with pytest.raises(InputError) as want:
+                jsonio._str_lists(value, "antimatroid.feasible")
+            anti_file.write_text(json.dumps({**good, "feasible": value}), encoding="utf-8")
+            for argv in (["reduce", str(anti_file), str(costs_file), "-o", out], ["export-dot", str(anti_file)]):
+                code, report = run_cli(capsys, *argv)
+                assert (code, report["kind"], report["error"]) == (2, "InputError", str(want.value)), (value, argv)
+        assert len(variants) > 100
 
     def test_malformed_files_keep_the_exit_code_contract(self, tmp_path, capsys, seven_base, rot_ids):
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
