@@ -41,12 +41,10 @@ from .markets import (
     Triggered,
     firm_leq,
     firm_order_compare,
-    blocking_pairs,
     check_path_independence,
     choose,
     deferred_acceptance,
     enumerate_stable,
-    is_individually_rational,
     is_stable,
     stable_lattice,
 )

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .antimatroids import AntimatroidFamily, _bit_of, _mask
-from .orders import Poset, set_key
+from .orders import Poset
 from .rotations import RotationPoset
 
 
@@ -14,11 +14,13 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _hasse_dot(name: str, nodes: Iterable[tuple[str, str]], covers: Iterable[tuple[str, str]]) -> str:
-    """A digraph of labelled nodes (id, label) and cover edges, in the given order."""
+def _hasse_dot(name: str, nodes: Sequence[tuple[str, str]], covers: Iterable[tuple[str, str]]) -> str:
+    """A digraph of labelled nodes (id, label) and cover edges between them,
+    in the given order; each node id is quoted once."""
+    quoted = {e: _quote(e) for e, _ in nodes}
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    lines += [f"  {_quote(e)} [label={_quote(label)}];" for e, label in nodes]
-    lines += [f"  {_quote(x)} -> {_quote(y)};" for x, y in covers]
+    lines += [f"  {quoted[e]} [label={_quote(label)}];" for e, label in nodes]
+    lines += [f"  {quoted[x]} -> {quoted[y]};" for x, y in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -50,12 +52,14 @@ def antimatroid_dot(fam: AntimatroidFamily) -> str:
     The family must be an antimatroid, checked by the caller
     (compute_path_poset, or family_from_path_poset for a path file): there
     A is covered by B iff B = A | {x} for some x not in A, so the covers are
-    the one-element extensions, found on int masks."""
-    sets = sorted(set(fam.feasible), key=set_key)
-    bit = _bit_of(sorted(fam.ground_set))
-    index = {_mask(s, bit): i for i, s in enumerate(sets)}
+    the one-element extensions, found on int masks.  fam.feasible holds
+    distinct sets in set_key order, as AntimatroidFamily.of makes it."""
+    ground = sorted(fam.ground_set)
+    bit, member = _bit_of(ground), {x: _set_member(x) for x in ground}
+    index = {_mask(s, bit): i for i, s in enumerate(fam.feasible)}
+    names = [f"x{i}" for i in range(len(index))]
     covers = sorted(
-        (f"x{i}", f"x{index[m | b]}") for m, i in index.items() for b in bit.values() if not m & b and m | b in index
+        (names[i], names[index[m | b]]) for m, i in index.items() for b in bit.values() if not m & b and m | b in index
     )
-    nodes = [(f"x{i}", "{" + ",".join(map(_set_member, sorted(s))) + "}") for i, s in enumerate(sets)]
+    nodes = [(names[i], "{" + ",".join([member[x] for x in sorted(s)]) + "}") for i, s in enumerate(fam.feasible)]
     return _hasse_dot("feasible_sets", nodes, covers)

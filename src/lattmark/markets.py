@@ -237,6 +237,11 @@ class MatchingMarket:
     def worker_set(self) -> frozenset[str]:
         return frozenset(self.workers)
 
+    @cached_property
+    def kernel(self) -> "_Masks":
+        """The market's mask kernel, built on first use and kept with its memos."""
+        return _Masks(self)
+
     def spec(self, agent: str) -> ChoiceSpec:
         return self.choice.get(agent, EMPTY_LIST)
 
@@ -273,50 +278,20 @@ class Matching:
         return tuple(sorted(self.pairs))
 
 
-def _validate_matching(market: MatchingMarket, mu: Matching) -> None:
-    for f, w in mu.pairs:
-        if f not in market.firm_set:
-            raise UnknownPartnerId(f, f)
-        if w not in market.worker_set:
-            raise UnknownPartnerId(w, w)
-
-
-def is_individually_rational(market: MatchingMarket, mu: Matching) -> tuple[bool, str | None]:
-    """Every agent keeps exactly its assigned partners when offered them."""
-    _validate_matching(market, mu)
-    for f, ws in sorted(mu.by_firm.items()):
-        if choose(market.spec(f), ws) != ws:
-            return False, f
-    for w, fs in sorted(mu.by_worker.items()):
-        if choose(market.spec(w), fs) != fs:
-            return False, w
-    return True, None
-
-
-def blocking_pairs(market: MatchingMarket, mu: Matching) -> list[tuple[str, str]]:
-    """All pairs outside the matching where each side demands the other.
-
-    Only pairs the worker finds acceptable can block (a worker never demands
-    a firm outside its spec's universe), so the scan is restricted to those.
-    """
-    _validate_matching(market, mu)
-    out = []
-    for w in market.workers:
-        w_spec = market.spec(w)
-        held = mu.firms_of(w)
-        for f in sorted(spec_universe(w_spec)):
-            if (f, w) in mu.pairs:
-                continue
-            if f not in choose(w_spec, held | {f}):
-                continue
-            if w in choose(market.spec(f), mu.workers_of(f) | {w}):
-                out.append((f, w))
-    return sorted(out)
-
-
 def is_stable(market: MatchingMarket, mu: Matching) -> bool:
-    ok, _ = is_individually_rational(market, mu)
-    return ok and not blocking_pairs(market, mu)
+    """Individual rationality on both sides and no blocking pair, decided on
+    the market's mask kernel (_Masks.stable); a pair naming an agent the
+    market does not declare on that side raises UnknownPartnerId."""
+    kernel = market.kernel
+    hold, assigned = [0] * len(market.firms), [0] * len(market.workers)
+    for f, w in mu.pairs:
+        fb, wb = kernel.firm_bit.get(f), kernel.worker_bit.get(w)
+        if fb is None or wb is None:
+            bad = w if fb else f
+            raise UnknownPartnerId(bad, bad)
+        hold[fb.bit_length() - 1] |= wb
+        assigned[wb.bit_length() - 1] |= fb
+    return kernel.stable(assigned, hold)
 
 
 def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Matching:
@@ -394,15 +369,31 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
 
 def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[int, int]]:
     """The firm-side order over a list of matchings: the index pairs (i, j)
-    with ms[i] <= ms[j], from one comparison per unordered pair."""
-    rel = {(i, i) for i in range(len(ms))}
-    for i, j in combinations(range(len(ms)), 2):
-        cmp = firm_order_compare(market, ms[i], ms[j])
-        if cmp in (FirmOrder.LEQ, FirmOrder.EQ):
-            rel.add((i, j))
-        if cmp in (FirmOrder.GEQ, FirmOrder.EQ):
-            rel.add((j, i))
-    return frozenset(rel)
+    with ms[i] <= ms[j].  Each firm groups the matchings by its partner set
+    and makes one choice per pair of distinct sets, from their union: the
+    set not chosen lies below the chosen one, and when neither is chosen
+    the two are incomparable.  ms[i] <= ms[j] when every firm puts ms[i]'s
+    set at or below ms[j]'s."""
+    down = [(1 << len(ms)) - 1] * len(ms)  # down[j]: the matchings at or below ms[j]
+    empty = frozenset()
+    for f in market.firms:
+        groups: dict[frozenset[str], int] = {}  # a partner set -> the matchings giving f that set
+        for k, mu in enumerate(ms):
+            a = mu.by_firm.get(f, empty)
+            groups[a] = groups.get(a, 0) | 1 << k
+        if len(groups) == 1:
+            continue
+        below = dict(groups)
+        for (a, in_a), (b, in_b) in combinations(groups.items(), 2):
+            chosen = choose(market.spec(f), a | b)
+            if chosen == a:
+                below[a] |= in_b
+            elif chosen == b:
+                below[b] |= in_a
+        for a, in_a in groups.items():
+            for k in _bits(in_a):
+                down[k] &= below[a]
+    return frozenset((i, j) for j, d in enumerate(down) for i in _bits(d))
 
 
 def _mask_choice(spec: ChoiceSpec, names: Sequence[str], bit: Mapping[str, int], table: dict[int, int]):
@@ -431,13 +422,14 @@ _SCAN_MEMO_LIMIT = 16
 
 
 class _Masks:
-    """One market's agents as bit positions, firms and workers each counted
-    from 0 in declared order, and a memo per agent from offer mask to choice
-    mask.  A miss decodes the offer and evaluates the spec's own choose
-    through choose(), so each family's semantics stay defined once, over
-    frozensets.  firm_choice[i] and worker_choice[j] are the memoised choice
-    functions, memo[agent] their tables; acceptable[j] lists (i, 1 << i) for
-    the firms in worker j's universe, in firm order."""
+    """A market's kernel (MatchingMarket.kernel, one per market): its agents
+    as bit positions, firms and workers each counted from 0 in declared
+    order, and a memo per agent from offer mask to choice mask.  A miss
+    decodes the offer and evaluates the spec's own choose through choose(),
+    so each family's semantics stay defined once, over frozensets.
+    firm_choice[i] and worker_choice[j] are the memoised choice functions,
+    memo[agent] their tables; acceptable[j] lists (i, 1 << i) for the firms
+    in worker j's universe, in firm order."""
 
     def __init__(self, market: MatchingMarket):
         self.firm_bit = {f: 1 << i for i, f in enumerate(market.firms)}
@@ -453,7 +445,7 @@ class _Masks:
     def stable(self, assigned: Sequence[int], hold: Sequence[int]) -> bool:
         """Stability of the matching in which worker j holds the firm mask
         assigned[j] and firm i the worker mask hold[i]: individual
-        rationality on both sides and no blocking pair, as is_stable."""
+        rationality on both sides and no blocking pair."""
         firm_choice, worker_choice = self.firm_choice, self.worker_choice
         for i, held in enumerate(hold):
             if held and firm_choice[i](held) != held:
@@ -490,13 +482,13 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     change the node count by orders of magnitude: a constructed market lists
     its workers in the order its construction is searched fastest in.
 
-    The search runs on int masks (_Masks): partner sets are bit masks and
-    every choice goes through a per-agent memo, so the search evaluates each
-    distinct offer once (a candidate scan over more than _SCAN_MEMO_LIMIT
-    partners stores nothing).  It is one loop over an explicit stack
-    (_stable_leaves), so the number of workers is bounded by memory, not by
-    the recursion limit.  Only leaves that pass the stability check become
-    Matching objects.
+    The search runs on the market's mask kernel (market.kernel): partner
+    sets are bit masks and every choice goes through a per-agent memo, kept
+    with the market, so each distinct offer is evaluated once per market (a
+    candidate scan over more than _SCAN_MEMO_LIMIT partners stores nothing).
+    It is one loop over an explicit stack (_stable_leaves), so the number of
+    workers is bounded by memory, not by the recursion limit.  Only leaves
+    that pass the stability check become Matching objects.
 
     Assumes path-independent choice functions, like deferred acceptance; the
     two deferred-acceptance anchors are stability-checked up front as a
@@ -536,13 +528,13 @@ def _stable_leaves(
     """
     mu_f = deferred_acceptance(market, "firms")
     worker_optimal = deferred_acceptance(market, "workers")
-    for anchor in (mu_f, worker_optimal):
+    for anchor in (mu_f, worker_optimal):  # checked on the kernel, so this warms its memo
         if not is_stable(market, anchor):
             raise SpecError("deferred acceptance produced an unstable matching; "
                             "choice functions are not path-independent")
 
     firms, workers = market.firms, market.workers
-    masks = _Masks(market)
+    masks = market.kernel
     firm_bit, firm_choice, worker_choice, acceptable = (
         masks.firm_bit, masks.firm_choice, masks.worker_choice, masks.acceptable)
     specs = [market.spec(w) for w in workers]

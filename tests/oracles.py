@@ -13,8 +13,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from lattmark.antimatroids import AntimatroidFamily, PathPoset, edge_id
-from lattmark.errors import InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable
-from lattmark.markets import stable_lattice
+from lattmark.errors import (
+    InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable, UnknownPartnerId,
+)
+from lattmark.markets import FirmOrder, Matching, choose, firm_order_compare, spec_universe, stable_lattice
 from lattmark.constraints import JoinConstraint
 from lattmark.orders import Poset, join_irreducibles, lattice_from_order, poset_from_pairs
 from lattmark.rotations import Rotation, RotationPoset, rotations_to_matching
@@ -231,6 +233,65 @@ def brute_force_satisfying_subsets(universe, predicate):
     return out
 
 
+def _validate_matching(market, mu):
+    for f, w in mu.pairs:
+        if f not in market.firm_set:
+            raise UnknownPartnerId(f, f)
+        if w not in market.worker_set:
+            raise UnknownPartnerId(w, w)
+
+
+def is_individually_rational(market, mu):
+    """Every agent keeps exactly its assigned partners when offered them;
+    (False, the first agent that does not) otherwise."""
+    _validate_matching(market, mu)
+    for f, ws in sorted(mu.by_firm.items()):
+        if choose(market.spec(f), ws) != ws:
+            return False, f
+    for w, fs in sorted(mu.by_worker.items()):
+        if choose(market.spec(w), fs) != fs:
+            return False, w
+    return True, None
+
+
+def blocking_pairs(market, mu):
+    """All pairs outside the matching where each side demands the other, on
+    frozensets.  Only pairs the worker finds acceptable can block (a worker
+    never demands a firm outside its spec's universe)."""
+    _validate_matching(market, mu)
+    out = []
+    for w in market.workers:
+        w_spec = market.spec(w)
+        held = mu.firms_of(w)
+        for f in sorted(spec_universe(w_spec)):
+            if (f, w) in mu.pairs:
+                continue
+            if f not in choose(w_spec, held | {f}):
+                continue
+            if w in choose(market.spec(f), mu.workers_of(f) | {w}):
+                out.append((f, w))
+    return sorted(out)
+
+
+def stable_by_blocking_pairs(market, mu):
+    """Stability by its definition on frozensets, the oracle for the
+    library's is_stable, which decides it on the market's mask kernel."""
+    return is_individually_rational(market, mu)[0] and not blocking_pairs(market, mu)
+
+
+def firm_leq_by_pairs(market, ms):
+    """The firm-side order over a list of matchings, (i, j) for ms[i] <= ms[j],
+    by one firm_order_compare per unordered pair."""
+    rel = {(i, i) for i in range(len(ms))}
+    for i, j in combinations(range(len(ms)), 2):
+        cmp = firm_order_compare(market, ms[i], ms[j])
+        if cmp in (FirmOrder.LEQ, FirmOrder.EQ):
+            rel.add((i, j))
+        if cmp in (FirmOrder.GEQ, FirmOrder.EQ):
+            rel.add((j, i))
+    return frozenset(rel)
+
+
 def reference_stable_matchings(market, node_budget=3_000_000):
     """Reference enumeration kept deliberately naive.
 
@@ -240,8 +301,6 @@ def reference_stable_matchings(market, node_budget=3_000_000):
     permanence under growth is immediate from substitutability.  Leaves are
     kept when stable.  Exponential; raises ValueError past the node budget.
     """
-    from lattmark.markets import Matching, choose, is_stable, spec_universe
-
     workers = sorted(market.workers)
     options = []
     for w in workers:
@@ -261,7 +320,7 @@ def reference_stable_matchings(market, node_budget=3_000_000):
         nonlocal nodes
         if i == len(workers):
             mu = Matching(frozenset((f, w2) for w2 in assigned for f in assigned[w2]))
-            if is_stable(market, mu):
+            if stable_by_blocking_pairs(market, mu):
                 out.append(mu)
             return
         w = workers[i]

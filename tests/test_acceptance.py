@@ -44,6 +44,7 @@ from lattmark import (
     validate_antimatroid,
 )
 from lattmark.fixtures import (
+    boolean_lattice,
     diamond_lattice,
     four_element_antimatroid,
     hexagon_lattice,
@@ -53,10 +54,18 @@ from lattmark.fixtures import (
     seven_pair_stable_matchings,
 )
 from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph, random_lattice
-from lattmark.markets import Matching, MatchingMarket, _Masks
+from lattmark.errors import UnknownPartnerId
+from lattmark.markets import Matching, MatchingMarket, _Masks, firm_leq
 from lattmark.orders import trivial_poset
 
-from oracles import augmentation_copies, independence_number
+from oracles import (
+    augmentation_copies,
+    chain_lattice,
+    firm_leq_by_pairs,
+    independence_number,
+    m_lattice,
+    stable_by_blocking_pairs,
+)
 
 AGENT_BOUND_FACTOR = 1  # agents <= factor * |X|^4 on every synthesized market
 SEED = 2024
@@ -433,6 +442,12 @@ def corpus_markets(synthesized):
     return out
 
 
+@pytest.fixture(scope="module")
+def corpus_stables(corpus_markets):
+    """Each corpus market with its stable matchings."""
+    return [(market, enumerate_stable(market)) for market in corpus_markets]
+
+
 def _bit_mask(bit, names):
     return sum(bit[x] for x in names)
 
@@ -448,7 +463,7 @@ def test_mask_kernel_choice_matches_each_spec_on_the_corpus(corpus_markets):
     t0 = time.monotonic()
     subsets = 0
     for market in corpus_markets:
-        masks = _Masks(market)
+        masks = _Masks(market)  # a kernel of its own, so the corpus markets' memos stay as the search left them
         sides = [(market.firms, masks.firm_choice, masks.worker_bit),
                  (market.workers, masks.worker_choice, masks.firm_bit)]
         for agents, memo, bit in sides:
@@ -464,17 +479,18 @@ def test_mask_kernel_choice_matches_each_spec_on_the_corpus(corpus_markets):
     print(f"mask choice: {subsets} offers, {time.monotonic() - t0:.2f}s")
 
 
-def test_mask_leaf_check_matches_is_stable_on_the_corpus(corpus_markets):
-    """The kernel's leaf check agrees with is_stable on every stable matching
-    of the corpus, on each with one pair removed, and on each with one
-    acceptable pair added; the corpus holds both verdicts."""
+def test_kernel_is_stable_matches_the_frozenset_oracle_on_the_corpus(corpus_stables):
+    """is_stable, which decides on the market's mask kernel, agrees with the
+    frozenset oracle on every stable matching of the corpus, on each with
+    one pair removed, and on each with one acceptable pair added; the
+    corpus holds both verdicts.  A pair naming an agent the market does not
+    declare on that side raises UnknownPartnerId in both."""
     t0 = time.monotonic()
     rng = random.Random(SEED)
     verdicts = {True: 0, False: 0}
-    for market in corpus_markets:
-        masks = _Masks(market)
+    for market, stables in corpus_stables:
         acceptable = sorted((f, w) for w in market.workers for f in market.spec(w).universe)
-        for mu in enumerate_stable(market):
+        for mu in stables:
             variants = [mu]
             if mu.pairs:
                 variants.append(Matching(mu.pairs - {rng.choice(sorted(mu.pairs))}))
@@ -482,10 +498,45 @@ def test_mask_leaf_check_matches_is_stable_on_the_corpus(corpus_markets):
             if outside:
                 variants.append(Matching(mu.pairs | {rng.choice(outside)}))
             for nu in variants:
-                assigned = [_bit_mask(masks.firm_bit, nu.firms_of(w)) for w in market.workers]
-                hold = [_bit_mask(masks.worker_bit, nu.workers_of(f)) for f in market.firms]
-                want = is_stable(market, nu)
-                assert masks.stable(assigned, hold) == want, sorted(nu.pairs)
+                want = stable_by_blocking_pairs(market, nu)
+                assert is_stable(market, nu) == want, sorted(nu.pairs)
                 verdicts[want] += 1
+        f, w = (market.firms or ("nobody",))[0], (market.workers or ("nobody",))[0]
+        for bad in {("nobody", w), (f, "nobody"), (w, f)}:
+            for check in (is_stable, stable_by_blocking_pairs):
+                with pytest.raises(UnknownPartnerId):
+                    check(market, Matching(frozenset({bad})))
     assert verdicts[True] and verdicts[False], verdicts
-    print(f"leaf check: {verdicts}, {time.monotonic() - t0:.2f}s")
+    print(f"kernel is_stable: {verdicts}, {time.monotonic() - t0:.2f}s")
+
+
+def test_grouped_firm_leq_matches_the_pairwise_order(corpus_stables):
+    """firm_leq, one choice per firm per pair of its partner sets, equals the
+    relation of one firm_order_compare per pair of matchings: on every
+    corpus market's stable matchings, and on the stable matchings of the
+    extended market of the hexagon, boolean_lattice(7), M_8 and the
+    30-chain and on their projections into the base market.  On the four
+    corpus markets with over 300 stable matchings (2.8M pairs, ~30 s of
+    comparisons) the pairs checked are those through 24 seeded rows."""
+    t0 = time.monotonic()
+    rng = random.Random(SEED)
+    cases = list(corpus_stables)
+    for lat in [hexagon_lattice(), boolean_lattice(7), m_lattice(8), chain_lattice(30)]:
+        em = synthesize_from_lattice(lat, verify=False).extendable
+        extended = enumerate_stable(em.market)
+        assert len(extended) == len(lat.elements)
+        cases += [(em.market, extended), (em.base.market, [project_to_base(em, mu) for mu in extended])]
+    pairs = 0
+    for market, ms in cases:
+        got = firm_leq(market, ms)
+        if len(ms) <= 300:
+            assert got == firm_leq_by_pairs(market, ms), market.firms
+            pairs += len(ms) ** 2
+            continue
+        for i in rng.sample(range(len(ms)), 24):
+            for j, mu in enumerate(ms):
+                cmp = firm_order_compare(market, ms[i], mu)
+                assert ((i, j) in got) == (cmp in (FirmOrder.LEQ, FirmOrder.EQ)), (i, j)
+                assert ((j, i) in got) == (cmp in (FirmOrder.GEQ, FirmOrder.EQ)), (j, i)
+            pairs += 2 * len(ms)
+    print(f"grouped firm_leq: {len(cases)} cases, {pairs} ordered pairs, {time.monotonic() - t0:.2f}s")

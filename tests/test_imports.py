@@ -3,8 +3,9 @@ whose imports are its public re-exports, excepted), and every package module
 imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
-only through their choice functions; and the 2^|J| lower-set filter and
-the antimatroid element bound stay out of the package."""
+only through their choice functions; the 2^|J| lower-set filter, the
+antimatroid element bound and the frozenset stability definition stay out
+of the package; and the names kept only for the benchmark go unused in it."""
 
 from __future__ import annotations
 
@@ -138,19 +139,26 @@ def test_few_isinstance_branches_on_spec_families():
     assert len(found) <= 8, found
 
 
-def test_the_filtered_lower_sets_stay_out_of_the_package():
-    """The expected image is searched (constraints.lower_sets_satisfying);
-    the 2^|J| enumeration and its filter live in tests/oracles.py only."""
-    gone = {"lower_sets", "filter_lower_sets", "LOWER_SET_BOUND"}
+def names_in_src(names: set[str]) -> list[str]:
+    """Each read, definition, import or string constant in src/ that spells
+    one of the names."""
     found = []
     for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else None)
-            if name in gone:
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name in names:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return found
+
+
+def test_the_filtered_lower_sets_stay_out_of_the_package():
+    """The expected image is searched (constraints.lower_sets_satisfying);
+    the 2^|J| enumeration and its filter live in tests/oracles.py only."""
+    gone = {"lower_sets", "filter_lower_sets", "LOWER_SET_BOUND"}
     exported = gone & set(dir(importlib.import_module("lattmark")))
-    assert not found and not exported, (found, exported)
+    assert not names_in_src(gone) and not exported, (names_in_src(gone), exported)
 
 
 def test_no_element_bound_comes_back():
@@ -158,14 +166,38 @@ def test_no_element_bound_comes_back():
     file in its own size, so no ground-set bound guards reduce: neither
     the error nor the option may return to src/ or the package exports."""
     gone = {"EnumerationBoundExceeded", "bound_elements", "--bound-elements"}
-    found = []
-    for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
-                    else node.value if isinstance(node, ast.Constant) else None)
-            if name in gone:
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     modules = ["lattmark", "lattmark.errors", "lattmark.cli"]
     exported = {name for m in modules for name in dir(importlib.import_module(m))} & gone
-    assert not found and not exported, (found, exported)
+    assert not names_in_src(gone) and not exported, (names_in_src(gone), exported)
+
+
+def test_stability_is_defined_once_in_the_package():
+    """is_stable decides on the market's mask kernel; the frozenset
+    definition (individual rationality and blocking pairs) is the test
+    oracle in tests/oracles.py and stays out of src/ and the exports."""
+    gone = {"blocking_pairs", "is_individually_rational"}
+    modules = ["lattmark", "lattmark.markets"]
+    exported = {name for m in modules for name in dir(importlib.import_module(m))} & gone
+    assert not names_in_src(gone) and not exported, (names_in_src(gone), exported)
+
+
+# Public functions src/ never calls, kept because a per-layer metric of the
+# benchmark names them.
+KEPT_FOR_BENCHMARK = {
+    "markets.firm_order_compare",  # firm_leq reads the order off grouped partner sets
+}
+
+
+def test_names_kept_for_the_benchmark_are_named_by_it_and_unused_in_src():
+    names = {".".join(m["name"].split(".")[:2])
+             for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert KEPT_FOR_BENCHMARK <= names, KEPT_FOR_BENCHMARK - names
+    for qualname in sorted(KEPT_FOR_BENCHMARK):
+        layer, name = qualname.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"lattmark.{layer}"), name))
+        # the definition and the package's re-export are its only mentions
+        uses = [entry for entry in names_in_src({name})
+                if not entry.startswith((f"src/lattmark/{layer}.py", "src/lattmark/__init__.py"))]
+        src = (ROOT / "src" / "lattmark" / f"{layer}.py").read_text(encoding="utf-8")
+        calls = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Name) and n.id == name]
+        assert not uses and not calls, (qualname, uses, len(calls))

@@ -17,14 +17,12 @@ from lattmark import (
     Triggered,
     firm_leq,
     firm_order_compare,
-    blocking_pairs,
     check_path_independence,
     choose,
     deferred_acceptance,
     enumerate_stable,
     independent_set_antimatroid,
     is_distributive,
-    is_individually_rational,
     is_stable,
     stable_lattice,
     synthesize_from_lattice,
@@ -34,7 +32,14 @@ from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from lattmark.errors import SearchBoundExceeded, SpecError
 from lattmark.markets import spec_universe
 
-from oracles import chain_lattice, one_to_one_stable_matchings, path_independence_by_subsets, reference_stable_matchings
+from oracles import (
+    blocking_pairs,
+    chain_lattice,
+    is_individually_rational,
+    one_to_one_stable_matchings,
+    path_independence_by_subsets,
+    reference_stable_matchings,
+)
 
 
 def two_list_market():
@@ -171,9 +176,9 @@ class TestDeferredAcceptance:
         assert deferred_acceptance(m, "firms") == Matching(frozenset())
 
 
-def _count_choose_outside_the_anchors(monkeypatch):
+def _count_choose_outside_deferred_acceptance(monkeypatch):
     """Count markets.choose calls per (id(spec), offer), except those made by
-    deferred_acceptance and is_stable (enumerate_stable's anchors)."""
+    deferred_acceptance, which runs on frozensets outside the kernel."""
     calls = Counter()
     counting = [True]
     reference = markets.choose
@@ -195,7 +200,6 @@ def _count_choose_outside_the_anchors(monkeypatch):
 
     monkeypatch.setattr(markets, "choose", counted)
     monkeypatch.setattr(markets, "deferred_acceptance", uncounted(markets.deferred_acceptance))
-    monkeypatch.setattr(markets, "is_stable", uncounted(markets.is_stable))
     return calls
 
 
@@ -278,13 +282,19 @@ class TestEnumerate:
         assert got == reference_stable_matchings(market) == [Matching.of([("f", "e2"), ("g", "e1")])]
 
     def test_each_offer_is_evaluated_once(self, quad_antimatroid, monkeypatch):
-        """Past its deferred-acceptance anchors, enumerate_stable evaluates
-        each agent's choice at most once per distinct offer."""
+        """Past deferred acceptance, enumerate_stable on a fresh market
+        evaluates each agent's choice at most once per distinct offer: the
+        anchors' stability checks and the search share the market's kernel,
+        and a second enumeration evaluates nothing."""
         market = reduce_to_matching(compute_path_poset(quad_antimatroid), {}).extendable.market
         want = enumerate_stable(market)
-        calls = _count_choose_outside_the_anchors(monkeypatch)
-        assert markets.enumerate_stable(market) == want
+        fresh = MatchingMarket(market.firms, market.workers, market.choice)
+        calls = _count_choose_outside_deferred_acceptance(monkeypatch)
+        assert markets.enumerate_stable(fresh) == want
         assert calls and max(calls.values()) == 1, calls.most_common(1)
+        calls.clear()
+        assert markets.enumerate_stable(fresh) == want
+        assert not calls, calls.most_common(1)
 
     def test_a_scan_above_the_memo_limit_stores_nothing(self, pentagon, monkeypatch):
         """A triggered worker searched before its firms are settled scans
@@ -292,24 +302,15 @@ class TestEnumerate:
         scanned subset; above it only the offers the search makes, and the
         output is the same."""
         built = synthesize_from_lattice(pentagon, verify=False).extendable.market
-        market = MatchingMarket(built.firms, built.workers[::-1], built.choice)
-        subsets = {w: 2 ** len(market.spec(w).universe)
-                   for w in market.workers if isinstance(market.spec(w), Triggered)}
+        within, above = (MatchingMarket(built.firms, built.workers[::-1], built.choice) for _ in range(2))
+        subsets = {w: 2 ** len(built.spec(w).universe)
+                   for w in built.workers if isinstance(built.spec(w), Triggered)}
         want = enumerate_stable(built)
-        made = []
-
-        class Recorded(markets._Masks):
-            def __init__(self, market):
-                super().__init__(market)
-                made.append(self)
-
-        monkeypatch.setattr(markets, "_Masks", Recorded)
-        assert markets.enumerate_stable(market) == want
+        assert markets.enumerate_stable(within) == want
         monkeypatch.setattr(markets, "_SCAN_MEMO_LIMIT", 0)
-        assert markets.enumerate_stable(market) == want
-        within, above = made
-        assert any(len(within.memo[w]) == n for w, n in subsets.items())
-        assert all(len(above.memo[w]) < n for w, n in subsets.items())
+        assert markets.enumerate_stable(above) == want
+        assert any(len(within.kernel.memo[w]) == n for w, n in subsets.items())
+        assert all(len(above.kernel.memo[w]) < n for w, n in subsets.items())
 
     def test_worker_permutation_does_not_change_results(self, seven_market):
         m = seven_market

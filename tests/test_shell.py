@@ -5,6 +5,7 @@ import copy
 import functools
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lattmark import antichain_base, omega_extend, JoinConstraint
-from lattmark import synthesize_from_lattice
+from lattmark import project_to_base, synthesize_from_lattice
 from lattmark import cli, jsonio, markets
 from lattmark.antimatroids import (
     AntimatroidFamily,
@@ -577,21 +578,26 @@ class TestCliVariants:
         assert code == 0 and report["outcome"] == "ok"
         assert seen == [extended]
 
-    def test_verify_compares_each_pair_of_matchings_once_per_market(self, tmp_path, capsys, monkeypatch):
-        real, calls = markets.firm_order_compare, []
-
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
-
+    def test_verify_makes_one_choice_per_firm_per_pair_of_partner_sets(self, tmp_path, capsys, monkeypatch):
+        """verify orders the extended market's stable matchings and their
+        projections by one firm_leq call each.  A call makes one choice per
+        firm per pair of distinct partner sets the firm gets, and compares
+        no pair of matchings on its own."""
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "lattmark" and getattr(module, "firm_order_compare", None) is real:
-                monkeypatch.setattr(module, "firm_order_compare", counting)
+        em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
+        extended = markets.enumerate_stable(em.market)
+        projected = [project_to_base(em, mu) for mu in extended]
+        want = [sum(math.comb(len({mu.workers_of(f) for mu in ms}), 2) for f in market.firms)
+                for market, ms in ((em.market, extended), (em.base.market, projected))]
+        choices = _choices_per_firm_leq_call(monkeypatch)
+
+        def compare(*args):
+            raise AssertionError("firm_order_compare called")
+
+        monkeypatch.setattr(markets, "firm_order_compare", compare)
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 0 and report["outcome"] == "ok"
-        # C(5, 2) pairs of stable matchings, once above and once below the projection
-        assert len(calls) == 20
+        assert len(extended) == 5 and choices == want == [26, 6]
 
     def test_verify_fails_the_isomorphism_on_a_wrong_lattice_or_order(self, tmp_path, capsys, monkeypatch):
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
@@ -600,11 +606,12 @@ class TestCliVariants:
         code, report = run_cli(capsys, "verify", str(bundle_file), str(diamond_file))
         assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
 
-        real, swap = markets.firm_order_compare, {markets.FirmOrder.LEQ: markets.FirmOrder.GEQ,
-                                                   markets.FirmOrder.GEQ: markets.FirmOrder.LEQ}
-        monkeypatch.setattr(markets, "firm_order_compare", lambda *args: swap.get(real(*args), real(*args)))
+        # reverse each firm's grouped comparison: it chooses what is left of
+        # the union of two partner sets
+        choices = _choices_per_firm_leq_call(monkeypatch, lambda offered, chosen: frozenset(offered) - chosen)
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
+        assert len(choices) == 2 and all(choices)
 
     def test_plain_market_verify_rejects_a_large_lattice_before_enumerating(self, tmp_path, capsys):
         market_file, lattice_file = tmp_path / "market.json", tmp_path / "chain9.json"
@@ -630,6 +637,35 @@ def _synthesized_files(tmp_path, capsys, name, lattice):
     code, _ = run_cli(capsys, "synthesize", str(lattice_file), "-o", str(bundle_file))
     assert code == 0
     return lattice_file, bundle_file
+
+
+def _choices_per_firm_leq_call(monkeypatch, fault=None):
+    """Patch every lattmark module's firm_leq to count the markets.choose
+    calls it makes, one count per firm_leq call in the returned list; with
+    fault, those choices return fault(offered, chosen) instead."""
+    real_leq, real_choose = markets.firm_leq, markets.choose
+    counts, inside = [], [False]
+
+    def leq(*args):
+        counts.append(0)
+        inside[0] = True
+        try:
+            return real_leq(*args)
+        finally:
+            inside[0] = False
+
+    def choose(spec, offered):
+        chosen = real_choose(spec, offered)
+        if not inside[0]:
+            return chosen
+        counts[-1] += 1
+        return chosen if fault is None else fault(offered, chosen)
+
+    monkeypatch.setattr(markets, "choose", choose)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "lattmark" and getattr(module, "firm_leq", None) is real_leq:
+            monkeypatch.setattr(module, "firm_leq", leq)
+    return counts
 
 
 def _pentagon_files(tmp_path, capsys):
