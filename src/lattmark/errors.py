@@ -70,15 +70,6 @@ class SearchBoundExceeded(BoundError):
         return exc
 
 
-class NonConvergence(BoundError):
-    def __init__(self, rounds):
-        self.rounds = rounds
-        super().__init__(
-            f"deferred acceptance did not settle within {rounds} rounds; "
-            "input choice functions are likely not path-independent"
-        )
-
-
 class UnknownElementId(InputError):
     def __init__(self, element):
         self.element = element

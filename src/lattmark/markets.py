@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InputError,
-    NonConvergence,
     NonLatticeStructure,
     NotALattice,
     SearchBoundExceeded,
@@ -46,13 +45,26 @@ def _every_subset(universe: frozenset[str], limit: int):
     return _subsets(sorted(universe))
 
 
-# Each family evaluates its choice over a frozenset offer (choose), names the
-# partners that can appear in or influence a choice (universe), and lists the
-# partner sets its agent can be assigned in enumerate_stable (candidates).
+# Each family states its choice once, on int masks (on_masks: given each
+# partner's bit, a function from offer mask to choice mask), names the
+# partners that can appear in or influence a choice (universe), and lists
+# the partner sets its agent can be assigned in enumerate_stable
+# (candidates).  _Family compiles the choice once on the sorted universe,
+# for choose().
+class _Family:
+    @cached_property
+    def _on_universe(self) -> tuple[list[str], dict[str, int], Callable[[int], int]]:
+        names = sorted(self.universe)
+        bit = {x: 1 << i for i, x in enumerate(names)}
+        return names, bit, self.on_masks(bit)
+
+
+def _mask(bit: Mapping[str, int], names: Iterable[str]) -> int:
+    return sum(map(bit.__getitem__, names))
 
 
 @dataclass(frozen=True)
-class PreferenceList:
+class PreferenceList(_Family):
     """Strictly ordered acceptable partner sets, best first; chooses the first
     entry fully contained in the offer."""
 
@@ -68,11 +80,15 @@ class PreferenceList:
     def of(*entries) -> "PreferenceList":
         return PreferenceList(tuple(frozenset([e]) if isinstance(e, str) else frozenset(e) for e in entries))
 
-    def choose(self, offered: frozenset[str]) -> frozenset[str]:
-        for entry in self.entries:
-            if entry <= offered:
-                return entry
-        return frozenset()
+    def on_masks(self, bit: Mapping[str, int]) -> Callable[[int], int]:
+        entries = [_mask(bit, e) for e in self.entries]
+
+        def chosen(offer: int) -> int:
+            for e in entries:
+                if not e & ~offer:
+                    return e
+            return 0
+        return chosen
 
     @cached_property
     def universe(self) -> frozenset[str]:
@@ -83,7 +99,7 @@ class PreferenceList:
 
 
 @dataclass(frozen=True)
-class Triggered:
+class Triggered(_Family):
     """Every watched firm offered, plus the trigger firm when the trigger
     condition fires: a CNF over rotation ids (alpha_groups), where a
     rotation counts as hidden when its firm block is disjoint from the
@@ -102,13 +118,16 @@ class Triggered:
         if outside:
             raise SpecError(f"trigger blocks name firms {sorted(outside)} outside the watch set and trigger")
 
-    def choose(self, offered: frozenset[str]) -> frozenset[str]:
-        selected = offered & self.watch
-        if self.trigger in offered:
-            hidden = {r for r, fs in self.blocks if not fs & offered}
-            if all(g & hidden for g in self.alpha_groups):
-                selected |= {self.trigger}
-        return selected
+    def on_masks(self, bit: Mapping[str, int]) -> Callable[[int], int]:
+        watch, trigger = _mask(bit, self.watch), bit[self.trigger]
+        # a group is met when one of its rotations' blocks misses the offer
+        groups = [[_mask(bit, fs) for r, fs in self.blocks if r in g] for g in self.alpha_groups]
+
+        def chosen(offer: int) -> int:
+            if offer & trigger and all(any(not b & offer for b in g) for g in groups):
+                return offer & watch | trigger
+            return offer & watch
+        return chosen
 
     @cached_property
     def universe(self) -> frozenset[str]:
@@ -119,16 +138,15 @@ class Triggered:
 
 
 @dataclass(frozen=True)
-class IfElse:
+class IfElse(_Family):
     """The priority worker alone when offered, else every offered fallback."""
 
     priority: str
     else_set: frozenset[str]
 
-    def choose(self, offered: frozenset[str]) -> frozenset[str]:
-        if self.priority in offered:
-            return frozenset([self.priority])
-        return offered & self.else_set
+    def on_masks(self, bit: Mapping[str, int]) -> Callable[[int], int]:
+        priority, fallback = bit[self.priority], _mask(bit, self.else_set)
+        return lambda offer: priority if offer & priority else offer & fallback
 
     @cached_property
     def universe(self) -> frozenset[str]:
@@ -139,7 +157,7 @@ class IfElse:
 
 
 @dataclass(frozen=True)
-class Regular:
+class Regular(_Family):
     """Ordered disjoint tiers; the best nonempty tier intersection is chosen,
     then auxiliary workers whose anchor tier is not beaten are added."""
 
@@ -159,23 +177,19 @@ class Regular:
             if anchor not in seen:
                 raise SpecError(f"aux pair anchor {anchor!r} lies in no tier")
 
-    @cached_property
-    def tier_index(self) -> dict[str, int]:
-        return {m: i for i, t in enumerate(self.tiers) for m in t}
+    def on_masks(self, bit: Mapping[str, int]) -> Callable[[int], int]:
+        tiers = [_mask(bit, t) for t in self.tiers]
+        # each aux worker's bit, and the tiers that beat its anchor's
+        at = {m: i for i, t in enumerate(self.tiers) for m in t}
+        aux = [(bit[s], sum(tiers[:at[a]])) for a, s in self.aux_pairs]
 
-    def choose(self, offered: frozenset[str]) -> frozenset[str]:
-        selected: frozenset[str] = frozenset()
-        hit_index = None
-        for i, tier in enumerate(self.tiers):
-            hit = offered & tier
-            if hit:
-                selected = hit
-                hit_index = i
-                break
-        for anchor, aux in self.aux_pairs:
-            if aux in offered and (hit_index is None or hit_index >= self.tier_index[anchor]):
-                selected |= {aux}
-        return selected
+        def chosen(offer: int) -> int:
+            out = next((offer & t for t in tiers if offer & t), 0)
+            for b, beaten_by in aux:
+                if offer & b and not offer & beaten_by:
+                    out |= b
+            return out
+        return chosen
 
     @cached_property
     def universe(self) -> frozenset[str]:
@@ -191,8 +205,14 @@ EMPTY_LIST = PreferenceList(())
 
 
 def choose(spec: ChoiceSpec, offered: Iterable[str]) -> frozenset[str]:
-    """Evaluate a choice function; always returns a subset of the offer."""
-    return spec.choose(frozenset(offered))
+    """Evaluate a choice function on names: the offer is encoded onto the
+    spec's sorted universe (partners outside it drop out) and the choice
+    decoded; always returns a subset of the offer."""
+    names, bit, chosen = spec._on_universe
+    offer = 0
+    for x in offered:
+        offer |= bit.get(x, 0)
+    return frozenset(names[i] for i in _bits(chosen(offer)))
 
 
 def spec_universe(spec: ChoiceSpec) -> frozenset[str]:
@@ -281,59 +301,57 @@ class Matching:
 def is_stable(market: MatchingMarket, mu: Matching) -> bool:
     """Individual rationality on both sides and no blocking pair, decided on
     the market's mask kernel (_Masks.stable); a pair naming an agent the
-    market does not declare on that side raises UnknownPartnerId."""
+    market does not declare on that side raises UnknownPartnerId, with the
+    pair's other member as the agent."""
     kernel = market.kernel
     hold, assigned = [0] * len(market.firms), [0] * len(market.workers)
     for f, w in mu.pairs:
         fb, wb = kernel.firm_bit.get(f), kernel.worker_bit.get(w)
         if fb is None or wb is None:
-            bad = w if fb else f
-            raise UnknownPartnerId(bad, bad)
+            raise UnknownPartnerId(w, f) if fb is None else UnknownPartnerId(f, w)
         hold[fb.bit_length() - 1] |= wb
         assigned[wb.bit_length() - 1] |= fb
     return kernel.stable(assigned, hold)
 
 
 def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Matching:
-    """Cumulative-offer deferred acceptance.
+    """Cumulative-offer deferred acceptance, on masks, through each agent's
+    compiled choice rather than the kernel's memo, which keeps to the
+    search's offers.
 
-    Each round every proposer offers its choice from the partners that have
+    Each round every proposer offers its choice from the receivers that have
     not rejected it; each receiver holds its choice from the offers received
     and permanently rejects the rest.  Stops when a round produces no new
-    rejection, at the latest after 4·|firms|·|workers| + 4 rounds.  With
-    path-independent choice functions the result is the proposer-optimal
-    stable matching.
+    rejection.  Every round that goes on adds a rejection (p, r) that is
+    new, since r was offered p, so it had not rejected p; so it stops within
+    |proposers|·|receivers| + 1 rounds.  With path-independent choice
+    functions the result is the proposer-optimal stable matching.
     """
+    kernel = market.kernel
     if proposing == "firms":
-        proposers, receivers = market.firms, market.workers
+        proposers, receivers = kernel.firm_choice, kernel.worker_choice
     elif proposing == "workers":
-        proposers, receivers = market.workers, market.firms
+        proposers, receivers = kernel.worker_choice, kernel.firm_choice
     else:
         raise InputError(f"proposing side must be 'firms' or 'workers', not {proposing!r}")
-    round_cap = 4 * len(market.firms) * len(market.workers) + 4
-    opposite = frozenset(receivers)
-    rejected: dict[str, set[str]] = {p: set() for p in proposers}
-    offers: dict[str, frozenset[str]] = {}
-    for _ in range(round_cap):
-        for p in proposers:
-            offers[p] = choose(market.spec(p), opposite - rejected[p])
-        received: dict[str, set[str]] = {r: set() for r in receivers}
-        for p in proposers:
-            for r in offers[p]:
-                received[r].add(p)
+    propose, hold = [m.chosen for m in proposers], [m.chosen for m in receivers]
+    open_to = [(1 << len(receivers)) - 1] * len(proposers)  # the receivers that have not rejected p
+    changed = True
+    while changed:
+        offers = [ch(o) for ch, o in zip(propose, open_to)]
+        received = [0] * len(receivers)
+        for p, offer in enumerate(offers):
+            for r in _bits(offer):
+                received[r] |= 1 << p
         changed = False
-        for r in receivers:
-            held = choose(market.spec(r), received[r])
-            for p in received[r] - held:
-                rejected[p].add(r)
-                changed = True
-        if not changed:
-            pairs = set()
-            for p in proposers:
-                for r in offers[p]:
-                    pairs.add((p, r) if proposing == "firms" else (r, p))
-            return Matching(frozenset(pairs))
-    raise NonConvergence(round_cap)
+        for r, got in enumerate(received):
+            if got:
+                for p in _bits(got & ~hold[r](got)):
+                    open_to[p] &= ~(1 << r)
+                    changed = True
+    firms, workers = market.firms, market.workers
+    return Matching(frozenset((firms[p], workers[r]) if proposing == "firms" else (firms[r], workers[p])
+                              for p, offer in enumerate(offers) for r in _bits(offer)))
 
 
 class FirmOrder(Enum):
@@ -350,12 +368,14 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
         return FirmOrder.EQ
     geq = True
     leq = True
+    kernel = market.kernel
     by1, by2, empty = mu1.by_firm, mu2.by_firm, frozenset()
-    for f in market.firms:
+    for i, f in enumerate(market.firms):
         a, b = by1.get(f, empty), by2.get(f, empty)
         if a == b:
             continue
-        chosen = choose(market.spec(f), a | b)
+        a, b = _mask(kernel.worker_bit, a), _mask(kernel.worker_bit, b)
+        chosen = kernel.firm_choice[i].chosen(a | b)
         if chosen != a:
             geq = False
         if chosen != b:
@@ -369,78 +389,74 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
 
 def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[int, int]]:
     """The firm-side order over a list of matchings: the index pairs (i, j)
-    with ms[i] <= ms[j].  Each firm groups the matchings by its partner set
-    and makes one choice per pair of distinct sets, from their union: the
-    set not chosen lies below the chosen one, and when neither is chosen
-    the two are incomparable.  ms[i] <= ms[j] when every firm puts ms[i]'s
-    set at or below ms[j]'s."""
+    with ms[i] <= ms[j].  Each firm groups the matchings by its partner set,
+    encodes each set once, and makes one choice per pair of distinct sets,
+    from their union: the set not chosen lies below the chosen one, and
+    when neither is chosen the two are incomparable.  ms[i] <= ms[j] when
+    every firm puts ms[i]'s set at or below ms[j]'s."""
     down = [(1 << len(ms)) - 1] * len(ms)  # down[j]: the matchings at or below ms[j]
+    kernel = market.kernel
     empty = frozenset()
-    for f in market.firms:
+    for i, f in enumerate(market.firms):
         groups: dict[frozenset[str], int] = {}  # a partner set -> the matchings giving f that set
         for k, mu in enumerate(ms):
             a = mu.by_firm.get(f, empty)
             groups[a] = groups.get(a, 0) | 1 << k
         if len(groups) == 1:
             continue
-        below = dict(groups)
-        for (a, in_a), (b, in_b) in combinations(groups.items(), 2):
-            chosen = choose(market.spec(f), a | b)
-            if chosen == a:
+        chosen = kernel.firm_choice[i].chosen
+        encoded = {_mask(kernel.worker_bit, a): in_a for a, in_a in groups.items()}
+        below = dict(encoded)
+        for (a, in_a), (b, in_b) in combinations(encoded.items(), 2):
+            c = chosen(a | b)
+            if c == a:
                 below[a] |= in_b
-            elif chosen == b:
+            elif c == b:
                 below[b] |= in_a
-        for a, in_a in groups.items():
+        for a, in_a in encoded.items():
             for k in _bits(in_a):
                 down[k] &= below[a]
     return frozenset((i, j) for j, d in enumerate(down) for i in _bits(d))
 
 
-def _mask_choice(spec: ChoiceSpec, names: Sequence[str], bit: Mapping[str, int], table: dict[int, int]):
-    """The spec's choice function on masks: bit i of an offer stands for
-    names[i], and the choice is encoded through bit.  A miss decodes the
-    offer, evaluates choose() and, with store, keeps the result in table."""
+class _Memo(dict):
+    """One agent's memo from offer mask to choice mask.  A miss, memo[offer],
+    evaluates the agent's compiled choice, chosen, and stores the result;
+    calling chosen directly stores nothing."""
 
-    def chosen(offer: int, store: bool = True) -> int:
-        out = table.get(offer)
-        if out is None:
-            out = 0
-            for x in choose(spec, [names[i] for i in _bits(offer)]):
-                out |= bit[x]
-            if store:
-                table[offer] = out
+    def __init__(self, chosen: Callable[[int], int]):
+        super().__init__()
+        self.chosen = chosen
+
+    def __missing__(self, offer: int) -> int:
+        out = self[offer] = self.chosen(offer)
         return out
-
-    return chosen
 
 
 # A candidate scan stores its evaluations in the memo only when the worker's
 # universe has at most this many partners, so at most 2^16 entries an agent.
-# A larger scan (a triggered worker scans up to 2^25 subsets) reads the memo
-# but stores nothing, and the memo keeps to the offers the search makes.
+# A larger scan (a triggered worker scans up to 2^25 subsets) calls the
+# compiled choice and stores nothing, and the memo keeps to the offers the
+# search makes.
 _SCAN_MEMO_LIMIT = 16
 
 
 class _Masks:
     """A market's kernel (MatchingMarket.kernel, one per market): its agents
     as bit positions, firms and workers each counted from 0 in declared
-    order, and a memo per agent from offer mask to choice mask.  A miss
-    decodes the offer and evaluates the spec's own choose through choose(),
-    so each family's semantics stay defined once, over frozensets.
-    firm_choice[i] and worker_choice[j] are the memoised choice functions,
-    memo[agent] their tables; acceptable[j] lists (i, 1 << i) for the firms
-    in worker j's universe, in firm order."""
+    order, and a memo per agent from offer mask to choice mask, read by
+    subscript, which evaluates the agent's choice, compiled once against
+    these bit positions, on a miss.  firm_choice[i] and worker_choice[j]
+    are the memos, also reachable as memo[agent]; acceptable[j] lists the
+    positions of the firms in worker j's universe, in firm order."""
 
     def __init__(self, market: MatchingMarket):
         self.firm_bit = {f: 1 << i for i, f in enumerate(market.firms)}
         self.worker_bit = {w: 1 << j for j, w in enumerate(market.workers)}
-        self.memo: dict[str, dict[int, int]] = {a: {} for a in (*market.firms, *market.workers)}
-        self.firm_choice = [_mask_choice(market.spec(f), market.workers, self.worker_bit, self.memo[f])
-                            for f in market.firms]
-        self.worker_choice = [_mask_choice(market.spec(w), market.firms, self.firm_bit, self.memo[w])
-                              for w in market.workers]
-        universes = [spec_universe(market.spec(w)) for w in market.workers]
-        self.acceptable = [[(i, 1 << i) for i, f in enumerate(market.firms) if f in u] for u in universes]
+        self.firm_choice = [_Memo(market.spec(f).on_masks(self.worker_bit)) for f in market.firms]
+        self.worker_choice = [_Memo(market.spec(w).on_masks(self.firm_bit)) for w in market.workers]
+        self.memo = dict(zip((*market.firms, *market.workers), (*self.firm_choice, *self.worker_choice)))
+        self.acceptable = [_bits(_mask(self.firm_bit, spec_universe(market.spec(w)))) for w in market.workers]
 
     def stable(self, assigned: Sequence[int], hold: Sequence[int]) -> bool:
         """Stability of the matching in which worker j holds the firm mask
@@ -448,15 +464,16 @@ class _Masks:
         rationality on both sides and no blocking pair."""
         firm_choice, worker_choice = self.firm_choice, self.worker_choice
         for i, held in enumerate(hold):
-            if held and firm_choice[i](held) != held:
+            if held and firm_choice[i][held] != held:
                 return False
         for j, own in enumerate(assigned):
             w_choice = worker_choice[j]
-            if own and w_choice(own) != own:
+            if own and w_choice[own] != own:
                 return False
             wb = 1 << j
-            for i, fb in self.acceptable[j]:
-                if not own & fb and w_choice(own | fb) & fb and firm_choice[i](hold[i] | wb) & wb:
+            for i in self.acceptable[j]:
+                fb = 1 << i
+                if not own & fb and w_choice[own | fb] & fb and firm_choice[i][hold[i] | wb] & wb:
                     return False
         return True
 
@@ -545,25 +562,28 @@ def _stable_leaves(
     # no leaf costs more than the positive entries, so this incumbent prunes nothing
     incumbent = sum(v for row in rows for v in row.values() if v > 0)
 
-    def firm_mask(names: Iterable[str]) -> int:
-        return sum(firm_bit[f] for f in names)
-
-    best = [firm_mask(worker_optimal.firms_of(w)) for w in workers]
-    worst = [firm_mask(mu_f.firms_of(w)) for w in workers]
+    best = [_mask(firm_bit, worker_optimal.firms_of(w)) for w in workers]
+    worst = [_mask(firm_bit, mu_f.firms_of(w)) for w in workers]
     interested: list[list[int]] = [[] for _ in firms]
     for j in range(len(workers)):
-        for i, _ in acceptable[j]:
+        for i in acceptable[j]:
             interested[i].append(j)
     triggered = [isinstance(sp, Triggered) for sp in specs]
     regular_workers = sum(1 << j for j in range(len(workers)) if not triggered[j])
-    rem_any = [len(ws) for ws in interested]
-    rem_reg = [sum(1 for j in ws if not triggered[j]) for ws in interested]
+    # Workers are placed in declared order, so firm i's offer pool is
+    # complete once worker interested[i][-1] is placed (final_at lists the
+    # firms each worker completes), and its regular workers are all placed
+    # once worker last_regular[i] is.
+    final_at: list[list[int]] = [[] for _ in workers]
+    for i, ws in enumerate(interested):
+        if ws:
+            final_at[ws[-1]].append(i)
+    last_regular = [max((j for j in ws if not triggered[j]), default=-1) for ws in interested]
     settles = [isinstance(market.spec(f), (Regular, IfElse)) for f in firms]
 
     def keep(j: int, cand: int, store: bool = True) -> bool:
-        ch = worker_choice[j]
-        return (ch(cand, store) == cand and ch(cand | best[j], store) == best[j]
-                and ch(worst[j] | cand, store) == cand)
+        ch = worker_choice[j].__getitem__ if store else worker_choice[j].chosen
+        return ch(cand) == cand and ch(cand | best[j]) == best[j] and ch(worst[j] | cand) == cand
 
     # Structural fact about if-else firms f whose fallback workers e all take
     # f from their whole universe U_e, f in ch_e(U_e): a stable matching
@@ -574,15 +594,15 @@ def _stable_leaves(
     # otherwise the firm demands the away worker, which demands the firm
     # back, a blocking pair.)
     group_firm: list[int] = []
-    member_groups: dict[int, list[int]] = {}
+    member_groups: list[list[int]] = [[] for _ in workers]
     worker_index = {w: j for j, w in enumerate(workers)}
     for i, f in enumerate(firms):
         f_spec = market.spec(f)
         if isinstance(f_spec, IfElse) and f_spec.else_set:
             members = [worker_index[e] for e in f_spec.else_set]
-            if all(worker_choice[e](sum(fb for _, fb in acceptable[e])) >> i & 1 for e in members):
+            if all(worker_choice[e][_mask(firm_bit, spec_universe(specs[e]))] >> i & 1 for e in members):
                 for e in members:
-                    member_groups.setdefault(e, []).append(len(group_firm))
+                    member_groups[e].append(len(group_firm))
                 group_firm.append(1 << i)
     group_at = [0] * len(group_firm)
     group_away = [0] * len(group_firm)
@@ -603,28 +623,29 @@ def _stable_leaves(
         # D - A is in ch_j(A | {f}) (no blocking pair); path independence then
         # gives ch_j(D) = A, so ch_j(D) is j's only possible assignment.
         wb = 1 << j
-        demand = sum(fb for i, fb in acceptable[j] if firm_choice[i](hold[i] | wb) & wb)
-        cand = worker_choice[j](demand)
+        demand = sum(1 << i for i in acceptable[j] if firm_choice[i][hold[i] | wb] & wb)
+        cand = worker_choice[j][demand]
         return [priced(j, cand)] if keep(j, cand) else []
 
-    def settled(i: int) -> bool:
+    def settled(i: int, j: int) -> bool:
         # A firm's demand for an auxiliary worker is fixed for the rest of a
-        # live branch once its offer pool is complete, or once it holds some
-        # regular worker: a later arrival could only alter the tier winner by
-        # displacing that worker, killing the branch at that point.
-        return settles[i] and (rem_reg[i] == 0 or bool(hold[i] & regular_workers))
+        # live branch, at worker j, once the regular workers of its offer
+        # pool are all placed, or once it holds some regular worker: a later
+        # arrival could only alter the tier winner by displacing that
+        # worker, killing the branch at that point.
+        return settles[i] and (last_regular[i] < j or bool(hold[i] & regular_workers))
 
     # keep(j, .) depends only on j and the two anchors, so a worker's kept
     # candidates are computed on its first visit and reused.
     kept: dict[int, list[tuple[int, list[int], int]]] = {}
 
     def candidates(j: int) -> list[tuple[int, list[int], int]]:
-        if triggered[j] and all(settled(i) for i, _ in acceptable[j]):
+        if triggered[j] and all(settled(i, j) for i in acceptable[j]):
             return mutual_demand(j)
         if j not in kept:
             store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
-            found = (s for s in specs[j].candidates() if keep(j, firm_mask(s), store))
-            kept[j] = [priced(j, firm_mask(s)) for s in sorted(found, key=set_key)]
+            found = (s for s in specs[j].candidates() if keep(j, _mask(firm_bit, s), store))
+            kept[j] = [priced(j, _mask(firm_bit, s)) for s in sorted(found, key=set_key)]
         return kept[j]
 
     def place(j: int, cand: int, held_by: list[int]) -> bool:
@@ -635,16 +656,8 @@ def _stable_leaves(
         wb = 1 << j
         for i in held_by:
             hold[i] |= wb
-        newly_final = []
-        is_reg = not triggered[j]
-        for i, _ in acceptable[j]:
-            rem_any[i] -= 1
-            if is_reg:
-                rem_reg[i] -= 1
-            if rem_any[i] == 0:
-                newly_final.append(i)
         dead = False
-        for gi in member_groups.get(j, ()):
+        for gi in member_groups[j]:
             if cand & group_firm[gi]:
                 group_at[gi] += 1
             else:
@@ -654,13 +667,13 @@ def _stable_leaves(
         if dead:
             return False
         for i in held_by:
-            if firm_choice[i](hold[i]) != hold[i]:
+            if firm_choice[i][hold[i]] != hold[i]:
                 return False
-        for i in newly_final:
+        for i in final_at[j]:
             pool, fb, f_choice = hold[i], 1 << i, firm_choice[i]
             for j2 in interested[i]:
                 own, wb2 = assigned[j2], 1 << j2
-                if not own & fb and worker_choice[j2](own | fb) & fb and f_choice(pool | wb2) & wb2:
+                if not own & fb and worker_choice[j2][own | fb] & fb and f_choice[pool | wb2] & wb2:
                     return False
         return True
 
@@ -670,12 +683,7 @@ def _stable_leaves(
         wb = 1 << j
         for i in assigned_at[j]:
             hold[i] &= ~wb
-        is_reg = not triggered[j]
-        for i, _ in acceptable[j]:
-            rem_any[i] += 1
-            if is_reg:
-                rem_reg[i] += 1
-        for gi in member_groups.get(j, ()):
+        for gi in member_groups[j]:
             if cand & group_firm[gi]:
                 group_at[gi] -= 1
             else:
@@ -746,31 +754,32 @@ def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tup
     Checks the one-element-removal forms of both properties, which imply the
     general ones by induction, on offer masks over the sorted universe (bit
     i stands for its i-th partner, so ascending bits visit partners in
-    sorted order).  The offers are every subset when the universe has at
-    most exhaustive_limit members; otherwise 512 subsets drawn by a random
-    generator seeded with 0, so the verdict is deterministic.
+    sorted order), through the spec's choice compiled on those bits and
+    memoised for the check.  The offers are every subset when the universe
+    has at most exhaustive_limit members; otherwise 512 subsets drawn by a
+    random generator seeded with 0, so the verdict is deterministic.
     """
     u = sorted(spec_universe(spec))
     n = len(u)
-    chosen = _mask_choice(spec, u, {x: 1 << i for i, x in enumerate(u)}, {})
+    chosen = _Memo(spec.on_masks({x: 1 << i for i, x in enumerate(u)}))
     if n <= exhaustive_limit:
         offers: Iterable[int] = range(1 << n)
     else:
         rng = random.Random(0)
         offers = (sum(1 << i for i in range(n) if rng.random() < 0.5) for _ in range(512))
     for s in offers:
-        picked = chosen(s)
+        picked = chosen[s]
         missing = 0  # picked partners x lost from the choice of s - {y}, y != x
         left = s
         while left:  # remove each partner y of s in turn, as its bit yb
             yb = left & -left
             left ^= yb
-            rest = chosen(s ^ yb)
+            rest = chosen[s ^ yb]
             if not picked & yb and rest != picked:
                 return False, ("consistency", tuple(u[i] for i in _bits(s)), u[yb.bit_length() - 1])
             missing |= picked & ~rest & ~yb
         if missing:
             x = _bits(missing)[0]
-            y = next(y for y in _bits(s) if y != x and not chosen(s ^ 1 << y) >> x & 1)
+            y = next(y for y in _bits(s) if y != x and not chosen[s ^ 1 << y] >> x & 1)
             return False, ("substitutability", tuple(u[i] for i in _bits(s)), (u[x], u[y]))
     return True, None

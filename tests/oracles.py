@@ -16,7 +16,9 @@ from lattmark.antimatroids import AntimatroidFamily, PathPoset, edge_id
 from lattmark.errors import (
     InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable, UnknownPartnerId,
 )
-from lattmark.markets import FirmOrder, Matching, choose, firm_order_compare, spec_universe, stable_lattice
+from lattmark.markets import (
+    FirmOrder, IfElse, Matching, PreferenceList, Regular, Triggered, firm_order_compare, spec_universe, stable_lattice,
+)
 from lattmark.constraints import JoinConstraint
 from lattmark.orders import Poset, join_irreducibles, lattice_from_order, poset_from_pairs
 from lattmark.rotations import Rotation, RotationPoset, rotations_to_matching
@@ -233,12 +235,93 @@ def brute_force_satisfying_subsets(universe, predicate):
     return out
 
 
+def choose_by_sets(spec, offered):
+    """Each choice-spec family's choice by its definition on frozensets, the
+    oracle for the families' mask definitions (on_masks) and for
+    markets.choose, derived from them.  A spec of any other type, a test
+    double, states its own choice on frozensets as spec.choose."""
+    offered = frozenset(offered)
+    if isinstance(spec, PreferenceList):
+        return next((entry for entry in spec.entries if entry <= offered), frozenset())
+    if isinstance(spec, Triggered):
+        selected = offered & spec.watch
+        if spec.trigger in offered:
+            hidden = {r for r, fs in spec.blocks if not fs & offered}
+            if all(g & hidden for g in spec.alpha_groups):
+                selected |= {spec.trigger}
+        return selected
+    if isinstance(spec, IfElse):
+        return frozenset([spec.priority]) if spec.priority in offered else offered & spec.else_set
+    if isinstance(spec, Regular):
+        tier_index = {m: i for i, t in enumerate(spec.tiers) for m in t}
+        selected, hit_index = frozenset(), None
+        for i, tier in enumerate(spec.tiers):
+            if offered & tier:
+                selected, hit_index = offered & tier, i
+                break
+        for anchor, aux in spec.aux_pairs:
+            if aux in offered and (hit_index is None or hit_index >= tier_index[anchor]):
+                selected |= {aux}
+        return selected
+    return spec.choose(offered)
+
+
+def on_masks_by_sets(choose, bit):
+    """A choice stated on frozensets as a choice on masks through bit, so a
+    test double can run through the library's mask code."""
+    name = {b: x for x, b in bit.items()}
+
+    def chosen(offer):
+        out = 0
+        for x in choose(frozenset(name[b] for b in bit.values() if offer & b)):
+            out |= bit[x]
+        return out
+    return chosen
+
+
+def wrap_compiled_choices(monkeypatch, wrap):
+    """Test instrumentation: every choice the four families compile from
+    here on is replaced by wrap(compiled choice)."""
+    for family in (PreferenceList, Triggered, IfElse, Regular):
+        def on_masks(spec, bit, compile_choice=family.on_masks):
+            return wrap(compile_choice(spec, bit))
+        monkeypatch.setattr(family, "on_masks", on_masks)
+
+
+def deferred_acceptance_by_sets(market, proposing="firms"):
+    """Cumulative-offer deferred acceptance on frozensets, through
+    choose_by_sets: the oracle for markets.deferred_acceptance."""
+    if proposing == "firms":
+        proposers, receivers = market.firms, market.workers
+    elif proposing == "workers":
+        proposers, receivers = market.workers, market.firms
+    else:
+        raise InputError(f"proposing side must be 'firms' or 'workers', not {proposing!r}")
+    opposite = frozenset(receivers)
+    rejected = {p: set() for p in proposers}
+    while True:
+        offers = {p: choose_by_sets(market.spec(p), opposite - rejected[p]) for p in proposers}
+        received = {r: set() for r in receivers}
+        for p in proposers:
+            for r in offers[p]:
+                received[r].add(p)
+        changed = False
+        for r in receivers:
+            held = choose_by_sets(market.spec(r), received[r])
+            for p in received[r] - held:
+                rejected[p].add(r)
+                changed = True
+        if not changed:
+            return Matching(frozenset((p, r) if proposing == "firms" else (r, p)
+                                      for p in proposers for r in offers[p]))
+
+
 def _validate_matching(market, mu):
     for f, w in mu.pairs:
         if f not in market.firm_set:
-            raise UnknownPartnerId(f, f)
+            raise UnknownPartnerId(w, f)
         if w not in market.worker_set:
-            raise UnknownPartnerId(w, w)
+            raise UnknownPartnerId(f, w)
 
 
 def is_individually_rational(market, mu):
@@ -246,10 +329,10 @@ def is_individually_rational(market, mu):
     (False, the first agent that does not) otherwise."""
     _validate_matching(market, mu)
     for f, ws in sorted(mu.by_firm.items()):
-        if choose(market.spec(f), ws) != ws:
+        if choose_by_sets(market.spec(f), ws) != ws:
             return False, f
     for w, fs in sorted(mu.by_worker.items()):
-        if choose(market.spec(w), fs) != fs:
+        if choose_by_sets(market.spec(w), fs) != fs:
             return False, w
     return True, None
 
@@ -266,9 +349,9 @@ def blocking_pairs(market, mu):
         for f in sorted(spec_universe(w_spec)):
             if (f, w) in mu.pairs:
                 continue
-            if f not in choose(w_spec, held | {f}):
+            if f not in choose_by_sets(w_spec, held | {f}):
                 continue
-            if w in choose(market.spec(f), mu.workers_of(f) | {w}):
+            if w in choose_by_sets(market.spec(f), mu.workers_of(f) | {w}):
                 out.append((f, w))
     return sorted(out)
 
@@ -309,7 +392,7 @@ def reference_stable_matchings(market, node_budget=3_000_000):
         options.append([
             s
             for s in brute_force_satisfying_subsets(universe, lambda t: True)
-            if choose(spec, s) == s
+            if choose_by_sets(spec, s) == s
         ])
 
     hold = {f: set() for f in market.firms}
@@ -331,7 +414,7 @@ def reference_stable_matchings(market, node_budget=3_000_000):
             for f in s:
                 hold[f].add(w)
             assigned[w] = s
-            if all(choose(market.spec(f), frozenset(hold[f])) == frozenset(hold[f]) for f in s):
+            if all(choose_by_sets(market.spec(f), hold[f]) == frozenset(hold[f]) for f in s):
                 recurse(i + 1)
             del assigned[w]
             for f in s:
@@ -351,13 +434,13 @@ def path_independence_by_subsets(spec, subsets=None):
         u = sorted(spec.universe)
         subsets = [frozenset(x for i, x in enumerate(u) if mask >> i & 1) for mask in range(1 << len(u))]
     for s in subsets:
-        chosen = spec.choose(s)
+        chosen = choose_by_sets(spec, s)
         for y in sorted(s - chosen):
-            if spec.choose(s - {y}) != chosen:
+            if choose_by_sets(spec, s - {y}) != chosen:
                 return False, ("consistency", tuple(sorted(s)), y)
         for x in sorted(chosen):
             for y in sorted(s - {x}):
-                if x not in spec.choose(s - {y}):
+                if x not in choose_by_sets(spec, s - {y}):
                     return False, ("substitutability", tuple(sorted(s)), (x, y))
     return True, None
 

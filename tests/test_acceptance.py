@@ -61,6 +61,8 @@ from lattmark.orders import trivial_poset
 from oracles import (
     augmentation_copies,
     chain_lattice,
+    choose_by_sets,
+    deferred_acceptance_by_sets,
     firm_leq_by_pairs,
     independence_number,
     m_lattice,
@@ -458,8 +460,10 @@ def _subsets_of(items):
 
 
 def test_mask_kernel_choice_matches_each_spec_on_the_corpus(corpus_markets):
-    """enumerate_stable's memoised mask choice equals the spec's own choose on
-    every subset of every universe of at most 16 partners, for every agent."""
+    """enumerate_stable's memoised mask choice equals the frozenset oracle
+    on every subset of every universe of at most 16 partners, for every
+    agent, and the compiled choice ignores every partner outside the
+    universe."""
     t0 = time.monotonic()
     subsets = 0
     for market in corpus_markets:
@@ -467,16 +471,27 @@ def test_mask_kernel_choice_matches_each_spec_on_the_corpus(corpus_markets):
         sides = [(market.firms, masks.firm_choice, masks.worker_bit),
                  (market.workers, masks.worker_choice, masks.firm_bit)]
         for agents, memo, bit in sides:
+            everyone = sum(bit.values())
             for agent, chosen in zip(agents, memo):
                 spec = market.spec(agent)
                 universe = sorted(spec.universe)
                 if len(universe) > 16:
                     continue
+                outside = everyone & ~_bit_mask(bit, universe)
                 for offered in _subsets_of(universe):
-                    want = _bit_mask(bit, spec.choose(offered))
-                    assert chosen(_bit_mask(bit, offered)) == want, (agent, sorted(offered))
+                    want = _bit_mask(bit, choose_by_sets(spec, offered))
+                    offer = _bit_mask(bit, offered)
+                    assert chosen[offer] == chosen.chosen(offer | outside) == want, (agent, sorted(offered))
                     subsets += 1
     print(f"mask choice: {subsets} offers, {time.monotonic() - t0:.2f}s")
+
+
+def test_deferred_acceptance_matches_the_frozenset_oracle_on_the_corpus(corpus_markets):
+    """deferred_acceptance, on masks, equals the frozenset oracle from both
+    sides on every corpus market."""
+    for market in corpus_markets:
+        for side in ("firms", "workers"):
+            assert deferred_acceptance(market, side) == deferred_acceptance_by_sets(market, side), side
 
 
 def test_kernel_is_stable_matches_the_frozenset_oracle_on_the_corpus(corpus_stables):

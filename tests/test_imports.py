@@ -4,8 +4,9 @@ imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
 only through their choice functions; the 2^|J| lower-set filter, the
-antimatroid element bound and the frozenset stability definition stay out
-of the package; and the names kept only for the benchmark go unused in it."""
+antimatroid element bound, the frozenset stability definition and the
+frozenset choice bodies stay out of the package; and the names kept only
+for the benchmark go unused in it."""
 
 from __future__ import annotations
 
@@ -181,10 +182,25 @@ def test_stability_is_defined_once_in_the_package():
     assert not names_in_src(gone) and not exported, (names_in_src(gone), exported)
 
 
+def test_each_choice_is_defined_once_on_masks():
+    """Each spec family states its choice once, as on_masks; choose is
+    derived from it.  The frozenset family bodies and the frozenset
+    deferred acceptance are test oracles in tests/oracles.py: no family
+    carries a choose method, and the oracles stay out of src/ and the
+    exports."""
+    families = [getattr(markets, name) for name in sorted(SPEC_FAMILIES)]
+    misdefined = [cls.__name__ for cls in families if "choose" in vars(cls) or "on_masks" not in vars(cls)]
+    gone = {"choose_by_sets", "deferred_acceptance_by_sets", "on_masks_by_sets"}
+    modules = ["lattmark", "lattmark.markets"]
+    exported = {name for m in modules for name in dir(importlib.import_module(m))} & gone
+    assert not misdefined and not names_in_src(gone) and not exported, (misdefined, names_in_src(gone), exported)
+
+
 # Public functions src/ never calls, kept because a per-layer metric of the
 # benchmark names them.
 KEPT_FOR_BENCHMARK = {
     "markets.firm_order_compare",  # firm_leq reads the order off grouped partner sets
+    "markets.choose",  # the kernel, deferred acceptance and the firm order call the compiled choices
 }
 
 

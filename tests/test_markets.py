@@ -29,16 +29,21 @@ from lattmark import (
 )
 from lattmark import markets
 from lattmark.antimatroids import compute_path_poset, reduce_to_matching
-from lattmark.errors import SearchBoundExceeded, SpecError
+from lattmark.errors import InputError, SearchBoundExceeded, SpecError, UnknownPartnerId
 from lattmark.markets import spec_universe
 
 from oracles import (
     blocking_pairs,
     chain_lattice,
+    choose_by_sets,
+    deferred_acceptance_by_sets,
     is_individually_rational,
+    on_masks_by_sets,
     one_to_one_stable_matchings,
     path_independence_by_subsets,
     reference_stable_matchings,
+    stable_by_blocking_pairs,
+    wrap_compiled_choices,
 )
 
 
@@ -53,6 +58,18 @@ def two_list_market():
             "wb": PreferenceList.of("fb", "fa"),
         },
     )
+
+
+FOUR_FAMILIES = [
+    PreferenceList.of({"p0", "p1"}, "p2", "p0"),
+    Triggered(
+        frozenset({"f1", "f2", "f3"}), "f0",
+        alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
+        blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
+    ),
+    IfElse("p0", frozenset({"p1", "p2", "p3"})),
+    Regular((frozenset({"p0", "p1"}), frozenset({"p2"})), (("p0", "p4"), ("p2", "p5"))),
+]
 
 
 class TestChoose:
@@ -98,24 +115,33 @@ class TestChoose:
             Regular(tiers=(frozenset({"w"}),), aux_pairs=(("zz", "w0"),))
 
     def test_partners_outside_the_universe_never_change_the_choice(self):
-        specs = [
-            PreferenceList.of({"p0", "p1"}, "p2", "p0"),
-            Triggered(
-                frozenset({"f1", "f2", "f3"}), "f0",
-                alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
-                blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
-            ),
-            IfElse("p0", frozenset({"p1", "p2", "p3"})),
-            Regular((frozenset({"p0", "p1"}), frozenset({"p2"})), (("p0", "p4"), ("p2", "p5"))),
-        ]
-        for spec in specs:
+        """choose, derived from each family's mask definition, equals the
+        frozenset oracle on the offer's part in the universe."""
+        for spec in FOUR_FAMILIES:
             universe = spec_universe(spec)
             offerable = sorted(universe | {"outsider"})
             for mask in range(1 << len(offerable)):
                 s = frozenset(x for i, x in enumerate(offerable) if mask >> i & 1)
                 chosen = choose(spec, s)
                 assert chosen <= s & universe, (spec, s)
-                assert chosen == choose(spec, s & universe), (spec, s)
+                assert chosen == choose_by_sets(spec, s & universe), (spec, s)
+
+    def test_each_compiled_choice_is_a_subset_of_its_offer(self):
+        """On a bit map that also holds partners outside the universe, in
+        shuffled positions, each compiled choice picks a subset of the offer,
+        ignores the outside bits and equals the frozenset oracle."""
+        rng = random.Random(5)
+        for spec in FOUR_FAMILIES:
+            names = sorted(spec_universe(spec) | {"out0", "out1"})
+            positions = rng.sample(range(len(names)), len(names))
+            bit = {x: 1 << p for x, p in zip(names, positions)}
+            inside = sum(bit[x] for x in spec_universe(spec))
+            chosen = spec.on_masks(bit)
+            for offer in range(1 << len(names)):
+                got = chosen(offer)
+                assert not got & ~offer and got == chosen(offer & inside), (spec, offer)
+                want = choose_by_sets(spec, (x for x in names if offer & bit[x]))
+                assert got == sum(bit[x] for x in want), (spec, offer)
 
     def test_choose_is_subset_and_idempotent(self):
         rng = random.Random(1)
@@ -160,6 +186,18 @@ class TestStability:
         damaged1 = Matching(seven_stables["mu1"].pairs - {("f1", "w1")})
         assert not is_stable(seven_market, damaged1)
 
+    def test_an_unknown_partner_is_named_with_the_other_member_of_its_pair(self, seven_market):
+        cases = [
+            (("f1", "zz"), "'zz' is not a declared partner for agent 'f1'"),  # unknown worker
+            (("zz", "w1"), "'zz' is not a declared partner for agent 'w1'"),  # unknown firm
+            (("w1", "f1"), "'w1' is not a declared partner for agent 'f1'"),  # reversed pair
+        ]
+        for pair, message in cases:
+            for check in (is_stable, stable_by_blocking_pairs):
+                with pytest.raises(UnknownPartnerId) as exc:
+                    check(seven_market, Matching.of([pair]))
+                assert str(exc.value) == message, check
+
 
 class TestDeferredAcceptance:
     def test_seven_pair_extremes(self, seven_market, seven_stables):
@@ -175,19 +213,26 @@ class TestDeferredAcceptance:
         m = MatchingMarket(("f",), ("w",), {})
         assert deferred_acceptance(m, "firms") == Matching(frozenset())
 
+    def test_a_bad_proposing_side_raises(self, seven_market):
+        for da in (deferred_acceptance, deferred_acceptance_by_sets):
+            with pytest.raises(InputError, match="'firms' or 'workers'"):
+                da(seven_market, "banks")
 
-def _count_choose_outside_deferred_acceptance(monkeypatch):
-    """Count markets.choose calls per (id(spec), offer), except those made by
-    deferred_acceptance, which runs on frozensets outside the kernel."""
+
+def _count_compiled_evaluations_outside_deferred_acceptance(monkeypatch):
+    """Count the evaluations of every choice compiled from here on, per
+    (compiled function, offer mask), so per agent and offer, except those
+    made by deferred_acceptance, which calls the compiled choices directly
+    rather than through the kernel's memo."""
     calls = Counter()
     counting = [True]
-    reference = markets.choose
 
-    def counted(spec, offered):
-        offered = frozenset(offered)
-        if counting[0]:
-            calls[id(spec), offered] += 1
-        return reference(spec, offered)
+    def count(chosen):
+        def counted(offer):
+            if counting[0]:
+                calls[id(counted), offer] += 1
+            return chosen(offer)
+        return counted
 
     def uncounted(fn):
         def run(*args, **kwargs):
@@ -198,7 +243,7 @@ def _count_choose_outside_deferred_acceptance(monkeypatch):
                 counting[0] = True
         return run
 
-    monkeypatch.setattr(markets, "choose", counted)
+    wrap_compiled_choices(monkeypatch, count)
     monkeypatch.setattr(markets, "deferred_acceptance", uncounted(markets.deferred_acceptance))
     return calls
 
@@ -283,13 +328,14 @@ class TestEnumerate:
 
     def test_each_offer_is_evaluated_once(self, quad_antimatroid, monkeypatch):
         """Past deferred acceptance, enumerate_stable on a fresh market
-        evaluates each agent's choice at most once per distinct offer: the
-        anchors' stability checks and the search share the market's kernel,
-        and a second enumeration evaluates nothing."""
+        evaluates each agent's compiled choice at most once per distinct
+        offer, through its memo: the anchors' stability checks and the
+        search share the market's kernel, and a second enumeration
+        evaluates nothing."""
         market = reduce_to_matching(compute_path_poset(quad_antimatroid), {}).extendable.market
         want = enumerate_stable(market)
         fresh = MatchingMarket(market.firms, market.workers, market.choice)
-        calls = _count_choose_outside_deferred_acceptance(monkeypatch)
+        calls = _count_compiled_evaluations_outside_deferred_acceptance(monkeypatch)
         assert markets.enumerate_stable(fresh) == want
         assert calls and max(calls.values()) == 1, calls.most_common(1)
         calls.clear()
@@ -433,6 +479,9 @@ class TestPathIndependence:
             def choose(self, offered):
                 return self.table[frozenset(offered)]
 
+            def on_masks(self, bit):
+                return on_masks_by_sets(self.choose, bit)
+
         rng = random.Random(11)
         kinds = Counter()
         for _ in range(300):
@@ -465,6 +514,9 @@ class TestPathIndependence:
 
             def choose(self, offered):
                 return frozenset(self.rule(sorted(offered)))
+
+            def on_masks(self, bit):
+                return on_masks_by_sets(self.choose, bit)
 
         specs = [
             Lazy(17, lambda s: s[:3]),  # responsive: the best three

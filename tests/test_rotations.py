@@ -30,6 +30,7 @@ from lattmark.orders import Poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, gadget_agents, is_gadget_bank
 
 from oracles import (
+    deferred_acceptance_by_sets,
     down_set,
     extract_rotations_by_occurrence,
     lower_sets,
@@ -372,6 +373,13 @@ class TestAgainstTheOccurrenceOracle:
                             derive(rp, swapped)
         assert len(corpus) >= 200 and max(sizes) >= 8
         assert sum(size >= 8 for size in sizes) >= 10
+
+    def test_deferred_acceptance_matches_the_frozenset_oracle(self):
+        """deferred_acceptance, on masks, equals the frozenset oracle from
+        both sides on every market of the corpus."""
+        for market in rotation_corpus():
+            for side in ("firms", "workers"):
+                assert deferred_acceptance(market, side) == deferred_acceptance_by_sets(market, side), side
 
     def test_both_reject_a_market_that_is_not_one_to_one(self):
         market = MatchingMarket(

@@ -54,6 +54,7 @@ from oracles import (
     path_file_accepted_by_closure,
     union_irreducible_paths,
     validate_antimatroid_pairwise,
+    wrap_compiled_choices,
 )
 
 
@@ -608,7 +609,7 @@ class TestCliVariants:
 
         # reverse each firm's grouped comparison: it chooses what is left of
         # the union of two partner sets
-        choices = _choices_per_firm_leq_call(monkeypatch, lambda offered, chosen: frozenset(offered) - chosen)
+        choices = _choices_per_firm_leq_call(monkeypatch, lambda offer, chosen: offer & ~chosen)
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
         assert len(choices) == 2 and all(choices)
@@ -640,10 +641,11 @@ def _synthesized_files(tmp_path, capsys, name, lattice):
 
 
 def _choices_per_firm_leq_call(monkeypatch, fault=None):
-    """Patch every lattmark module's firm_leq to count the markets.choose
-    calls it makes, one count per firm_leq call in the returned list; with
-    fault, those choices return fault(offered, chosen) instead."""
-    real_leq, real_choose = markets.firm_leq, markets.choose
+    """Patch every lattmark module's firm_leq to count the evaluations of
+    compiled choices it makes, one count per firm_leq call in the returned
+    list; with fault, those evaluations return fault(offer, chosen) on
+    masks instead.  Every choice compiled from here on is wrapped."""
+    real_leq = markets.firm_leq
     counts, inside = [], [False]
 
     def leq(*args):
@@ -654,14 +656,16 @@ def _choices_per_firm_leq_call(monkeypatch, fault=None):
         finally:
             inside[0] = False
 
-    def choose(spec, offered):
-        chosen = real_choose(spec, offered)
-        if not inside[0]:
-            return chosen
-        counts[-1] += 1
-        return chosen if fault is None else fault(offered, chosen)
+    def counted(compiled):
+        def chosen(offer):
+            out = compiled(offer)
+            if not inside[0]:
+                return out
+            counts[-1] += 1
+            return out if fault is None else fault(offer, out)
+        return chosen
 
-    monkeypatch.setattr(markets, "choose", choose)
+    wrap_compiled_choices(monkeypatch, counted)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "lattmark" and getattr(module, "firm_leq", None) is real_leq:
             monkeypatch.setattr(module, "firm_leq", leq)
