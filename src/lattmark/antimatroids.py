@@ -8,11 +8,12 @@ path on its own), and transfers ground costs onto the minus pairs of the
 corresponding rotations, exactly (rational arithmetic).  Optimizers here
 are exhaustive by design.
 
-The axiom checks, the path poset and the union closure of paths work on int
-masks over the sorted ground set.  compute_path_poset builds the masks and
-endpoint masks once, in O(|F| * |ground|), reads the paths off them and
-checks union closure exactly against the paths alone, in O(|F| * |paths|)
-lookups; a path file is checked without its family in O(|paths|^2).
+The axiom checks and the path poset share one pass on int masks over the
+sorted ground set (validate_antimatroid, compute_path_poset): it builds the
+masks and endpoint masks once, in O(|F| * |ground|), reads the paths off
+them, checks union closure exactly against the paths alone, in
+O(|F| * |paths|) lookups, and scans only a failing axiom for its witness.
+A path file is checked without its family in O(|paths|^2).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .augment import ExtendableMarket, omega_extend, project_to_base
 from .constraints import JoinConstraint
 from .errors import DuplicateId, InputError, InvariantError
 from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _leaf_matching, _stable_leaves
-from .orders import set_key
+from .orders import _bit_of, _mask, set_key
 from .rotations import RealizedBase, antichain_base, matching_to_rotations
 
 Pair = tuple[str, str]
@@ -47,7 +48,7 @@ class AntimatroidFamily:
         sets = {frozenset(g) for g in feasible}
         bit = _bit_of(sorted(frozenset().union(*sets), reverse=True))
         top = 1 << len(bit)
-        return AntimatroidFamily(tuple(sorted(ground)), tuple(sorted(sets, key=lambda g: len(g) * top - _mask(g, bit))))
+        return AntimatroidFamily(tuple(sorted(ground)), tuple(sorted(sets, key=lambda g: len(g) * top - _mask(bit, g))))
 
     @property
     def ground_set(self) -> frozenset[str]:
@@ -73,21 +74,12 @@ class PathPoset:
         return [s for s, e in self.paths if e == x]
 
 
-def _mask(s: Iterable[str], bit: Mapping[str, int]) -> int:
-    return sum(map(bit.__getitem__, s))
-
-
 def _elements(ground: Sequence[str]) -> list[str]:
     """The ground ids, sorted; DuplicateId names the least id listed twice."""
     elements = sorted(set(ground))
     if len(elements) < len(ground):
         raise DuplicateId(min(x for x in elements if ground.count(x) > 1))
     return elements
-
-
-def _bit_of(elements: Sequence[str]) -> dict[str, int]:
-    """Each element's bit, 1 << its position."""
-    return {x: 1 << i for i, x in enumerate(elements)}
 
 
 def _endpoint_masks(members: Collection[int]) -> dict[int, int]:
@@ -109,58 +101,59 @@ def _is_path(ends: int) -> bool:
     return ends != 0 and ends & (ends - 1) == 0
 
 
+def _antimatroid_pass(fam: AntimatroidFamily, elements: Sequence[str]) -> tuple[object | None, list]:
+    """validate_antimatroid's axioms, in its order, on masks over the sorted
+    distinct ground ids, each tested by set operations; only a failing one
+    is scanned, in set_key order, for its witness.  Returns the witness
+    (None for an antimatroid) and the paths, each with its endpoint."""
+    bit = _bit_of(elements)
+    if not frozenset().union(*fam.feasible) <= bit.keys():
+        g = min((g for g in fam.feasible if not g <= bit.keys()), key=set_key)
+        return ("outside-ground", tuple(sorted(g - bit.keys()))), []
+    set_of = {_mask(bit, g): g for g in fam.feasible}
+    members = set(set_of)
+    ends = _endpoint_masks(members)
+
+    def first(masks: Iterable[int]) -> int:
+        return min(masks, key=lambda m: set_key(set_of[m]))
+
+    if countOf(ends.values(), 0) != (0 in members):
+        return ("not-accessible", tuple(sorted(set_of[first(m for m, e in ends.items() if m and not e)]))), []
+    paths = [m for m, e in ends.items() if _is_path(e)]
+    if not all(members.issuperset(map(p.__or__, members)) for p in paths):
+        a = first(m for m in members if not members.issuperset(map(m.__or__, paths)))
+        p = first(p for p in paths if a | p not in members)
+        return ("not-union-closed", (tuple(sorted(set_of[a])), tuple(sorted(set_of[p])))), []
+    if (1 << len(elements)) - 1 not in members:
+        return ("ground-not-feasible", tuple(fam.ground)), []
+    return None, [(set_of[m], elements[ends[m].bit_length() - 1]) for m in paths]
+
+
 def validate_antimatroid(fam: AntimatroidFamily) -> tuple[bool, object | None]:
     """Check, in this order, that every feasible set lies in the ground set,
-    accessibility, closure under union, and that the ground set is feasible.
+    accessibility, closure under union, and that the ground set is feasible;
+    the witness names the first failing set, or pair of sets, in set_key
+    order.
 
     Union closure is checked against the paths only, which is exact: in an
     accessible family a member g with endpoints x != y is (g - x) | (g - y),
     so every member is a union of paths, and the family is union-closed iff
     a | p is feasible for every feasible a and path p."""
-    ground = fam.ground_set
-    ordered = sorted(set(fam.feasible), key=set_key)
-    for g in ordered:
-        if not g <= ground:
-            return False, ("outside-ground", tuple(sorted(g - ground)))
-    bit = _bit_of(sorted(ground))
-    masks = [_mask(g, bit) for g in ordered]
-    members = set(masks)
-    ends = _endpoint_masks(members)
-    for g, m in zip(ordered, masks):
-        if m and not ends[m]:
-            return False, ("not-accessible", tuple(sorted(g)))
-    paths = [(p, m) for p, m in zip(ordered, masks) if _is_path(ends[m])]
-    for a, am in zip(ordered, masks):
-        for p, pm in paths:
-            if am | pm not in members:
-                return False, ("not-union-closed", (tuple(sorted(a)), tuple(sorted(p))))
-    if (1 << len(ground)) - 1 not in members:
-        return False, ("ground-not-feasible", tuple(fam.ground))
-    return True, None
+    witness = _antimatroid_pass(fam, sorted(fam.ground_set))[0]
+    return witness is None, witness
 
 
 def compute_path_poset(fam: AntimatroidFamily) -> PathPoset:
     """Check the family and return its paths, the feasible sets with exactly
-    one endpoint, each with it, in one pass on int masks (DuplicateId for a
-    ground id listed twice).  The pass tests validate_antimatroid's axioms,
-    union closure by one set operation per path; only a rejected family is
-    scanned again, by validate_antimatroid, for its InputError's witness.
-    In an antimatroid the paths are exactly the union-irreducible feasible
-    sets; the tests check the two definitions against each other."""
-    elements = _elements(fam.ground)
-    bit = _bit_of(elements)
-    if frozenset().union(*fam.feasible) <= bit.keys():
-        set_of = {_mask(g, bit): g for g in fam.feasible}
-        members = set(set_of)
-        ends = _endpoint_masks(members)
-        paths = [m for m, e in ends.items() if _is_path(e)]
-        if (
-            countOf(ends.values(), 0) == (0 in members)
-            and all(members.issuperset(map(p.__or__, members)) for p in paths)
-            and (1 << len(elements)) - 1 in members
-        ):
-            return PathPoset.of(fam.ground, [(set_of[m], elements[ends[m].bit_length() - 1]) for m in paths])
-    raise InputError(f"not an antimatroid: {validate_antimatroid(fam)[1]}")
+    one endpoint, each with it, by validate_antimatroid's pass (DuplicateId
+    first, for a ground id listed twice; InputError with the pass's witness
+    for a rejected family).  In an antimatroid the paths are exactly the
+    union-irreducible feasible sets; the tests check the two definitions
+    against each other."""
+    witness, paths = _antimatroid_pass(fam, _elements(fam.ground))
+    if witness is not None:
+        raise InputError(f"not an antimatroid: {witness}")
+    return PathPoset.of(fam.ground, paths)
 
 
 def validate_path_poset(pp: PathPoset) -> PathPoset:
@@ -180,7 +173,7 @@ def validate_path_poset(pp: PathPoset) -> PathPoset:
     for s in pp.path_sets():
         if not s <= bit.keys():
             raise InputError(f"not an antimatroid: {('outside-ground', tuple(sorted(s - bit.keys())))}")
-    masks = [_mask(s, bit) for s in pp.path_sets()]
+    masks = [_mask(bit, s) for s in pp.path_sets()]
     for k, (s, m) in enumerate(zip(pp.path_sets(), masks)):
         if masks.index(m) < k:
             raise InputError(f"not the paths of an antimatroid: {('listed-twice', tuple(sorted(s)))}")
@@ -202,7 +195,7 @@ def family_from_path_poset(pp: PathPoset) -> AntimatroidFamily:
     bit = _bit_of(elements)
     family = {0}
     for s in pp.path_sets():
-        p = _mask(s, bit)
+        p = _mask(bit, s)
         family |= {m | p for m in family}
     return AntimatroidFamily.of(
         pp.ground, (frozenset(x for i, x in enumerate(elements) if m >> i & 1) for m in family)

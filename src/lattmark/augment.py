@@ -45,7 +45,7 @@ from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_
 from .rotations import RealizedBase, RotationPoset, antichain_base, matching_to_rotations
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExtendableMarket:
     """A one-to-one base market plus the join constraints over its rotation
     ids enforced on it, in order; construction rejects a constraint the base
@@ -58,19 +58,12 @@ class ExtendableMarket:
 
     base: RealizedBase
     constraints: tuple[JoinConstraint, ...] = ()
-    market: MatchingMarket = field(init=False, repr=False)
-    copy_map: Mapping[str, str] = field(init=False, repr=False)
+    market: MatchingMarket = field(init=False, repr=False, compare=False)
+    copy_map: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in zip(("market", "copy_map"), _grow(self.base, self.constraints)):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtendableMarket)
-            and self.base == other.base
-            and self.constraints == other.constraints
-        )
 
     def agent_count(self) -> int:
         return len(self.market.firms) + len(self.market.workers)

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .errors import AlphaArgumentsComparable, SearchBoundExceeded, UnknownElementId
 from .markets import DEFAULT_NODE_BOUND
-from .orders import Lattice, Poset, _bits, _uncovered, join_irreducibles, set_key
+from .orders import Lattice, Poset, _bit_of, _bits, _mask, _uncovered, join_irreducibles, set_key
 
 
 @dataclass(frozen=True)
@@ -135,21 +135,16 @@ def lower_sets_satisfying(
             if not poset.has(x):
                 raise UnknownElementId(x)
     order = decision_order(poset, cs)
-    pos = {x: i for i, x in enumerate(order)}
-
-    def mask(ids: Iterable[str]) -> int:
-        return sum(1 << pos[x] for x in ids)
-
-    down = poset.masks[1]
-    below = [mask(poset.elements[j] for j in _bits(down[poset.index[x]])) & ~(1 << i) for i, x in enumerate(order)]
+    bit, down = _bit_of(order), poset.masks[1]
+    below = [_mask(bit, poset._members(down[poset.index[x]])) & ~(1 << i) for i, x in enumerate(order)]
     on_in: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
     on_out: list[list[tuple[int, ...]]] = [[] for _ in order]
     for jc in cs:
-        groups, beta = tuple(mask(g) for g in jc.alpha_groups), mask(jc.beta_ids)
-        for x in jc.alpha_ids:
-            on_in[pos[x]].append((groups, beta))
-        for x in jc.beta_ids:
-            on_out[pos[x]].append(groups)
+        groups, beta = tuple(_mask(bit, g) for g in jc.alpha_groups), _mask(bit, jc.beta_ids)
+        for i in _bits(_mask(bit, jc.alpha_ids)):
+            on_in[i].append((groups, beta))
+        for i in _bits(beta):
+            on_out[i].append(groups)
 
     n, nodes, found = len(order), 0, []
     stack = [(0, 0)]

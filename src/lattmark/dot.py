@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from .antimatroids import AntimatroidFamily, _bit_of, _mask
-from .orders import Poset
+from .antimatroids import AntimatroidFamily
+from .orders import Poset, _bit_of, _mask
 from .rotations import RotationPoset
 
 
@@ -56,7 +56,7 @@ def antimatroid_dot(fam: AntimatroidFamily) -> str:
     distinct sets in set_key order, as AntimatroidFamily.of makes it."""
     ground = sorted(fam.ground_set)
     bit, member = _bit_of(ground), {x: _set_member(x) for x in ground}
-    index = {_mask(s, bit): i for i, s in enumerate(fam.feasible)}
+    index = {_mask(bit, s): i for i, s in enumerate(fam.feasible)}
     names = [f"x{i}" for i in range(len(index))]
     covers = sorted(
         (names[i], names[index[m | b]]) for m, i in index.items() for b in bit.values() if not m & b and m | b in index

@@ -82,6 +82,13 @@ class UnknownPartnerId(InputError):
         self.partner = partner
         super().__init__(f"{partner!r} is not a declared partner for agent {agent!r}")
 
+    @classmethod
+    def reversed_pair(cls, worker, firm):
+        """A pair given as (worker, firm), both agents declared."""
+        exc = cls(firm, worker)
+        exc.args = (f"pair ({worker!r}, {firm!r}) is reversed: {worker!r} is a worker, where the firm goes",)
+        return exc
+
 
 class DuplicateId(InputError):
     def __init__(self, element):

@@ -26,23 +26,19 @@ from .errors import (
     SpecError,
     UnknownPartnerId,
 )
-from .orders import Lattice, Poset, _bits, lattice_from_order, set_key
+from .orders import Lattice, Poset, _bit_of, _bits, _mask, lattice_from_order, set_key
 
 DEFAULT_NODE_BOUND = 10 ** 9
 
 
-def _subsets(items: Sequence[str]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
-
-
-def _every_subset(universe: frozenset[str], limit: int):
-    """Every subset of a universe of at most limit partners; a larger one
-    raises SearchBoundExceeded naming its size and the limit."""
+def _every_subset(universe: frozenset[str], limit: int) -> Iterator[frozenset[str]]:
+    """Every subset of a universe of at most limit partners, decoded from
+    the masks in ascending order; a larger one raises SearchBoundExceeded
+    naming its size and the limit."""
     if len(universe) > limit:
         raise SearchBoundExceeded.candidate_scan(len(universe), limit)
-    return _subsets(sorted(universe))
+    items = sorted(universe)
+    return (frozenset(items[i] for i in _bits(m)) for m in range(1 << len(items)))
 
 
 # Each family states its choice once, on int masks (on_masks: given each
@@ -55,12 +51,8 @@ class _Family:
     @cached_property
     def _on_universe(self) -> tuple[list[str], dict[str, int], Callable[[int], int]]:
         names = sorted(self.universe)
-        bit = {x: 1 << i for i, x in enumerate(names)}
+        bit = _bit_of(names)
         return names, bit, self.on_masks(bit)
-
-
-def _mask(bit: Mapping[str, int], names: Iterable[str]) -> int:
-    return sum(map(bit.__getitem__, names))
 
 
 @dataclass(frozen=True)
@@ -220,7 +212,7 @@ def spec_universe(spec: ChoiceSpec) -> frozenset[str]:
     return spec.universe
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MatchingMarket:
     firms: tuple[str, ...]
     workers: tuple[str, ...]
@@ -240,14 +232,6 @@ class MatchingMarket:
             bad = spec_universe(spec) - allowed
             if bad:
                 raise SpecError(f"spec of {agent!r} references non-partners {sorted(bad)}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatchingMarket)
-            and self.firms == other.firms
-            and self.workers == other.workers
-            and dict(self.choice) == dict(other.choice)
-        )
 
     @cached_property
     def firm_set(self) -> frozenset[str]:
@@ -300,14 +284,16 @@ class Matching:
 
 def is_stable(market: MatchingMarket, mu: Matching) -> bool:
     """Individual rationality on both sides and no blocking pair, decided on
-    the market's mask kernel (_Masks.stable); a pair naming an agent the
-    market does not declare on that side raises UnknownPartnerId, with the
-    pair's other member as the agent."""
+    the market's mask kernel (_Masks.stable).  A pair naming an agent the
+    market does not declare on that side raises UnknownPartnerId: reversed
+    for a (worker, firm) pair, else with the pair's other member as agent."""
     kernel = market.kernel
     hold, assigned = [0] * len(market.firms), [0] * len(market.workers)
     for f, w in mu.pairs:
         fb, wb = kernel.firm_bit.get(f), kernel.worker_bit.get(w)
         if fb is None or wb is None:
+            if f in kernel.worker_bit and w in kernel.firm_bit:
+                raise UnknownPartnerId.reversed_pair(f, w)
             raise UnknownPartnerId(w, f) if fb is None else UnknownPartnerId(f, w)
         hold[fb.bit_length() - 1] |= wb
         assigned[wb.bit_length() - 1] |= fb
@@ -451,8 +437,8 @@ class _Masks:
     positions of the firms in worker j's universe, in firm order."""
 
     def __init__(self, market: MatchingMarket):
-        self.firm_bit = {f: 1 << i for i, f in enumerate(market.firms)}
-        self.worker_bit = {w: 1 << j for j, w in enumerate(market.workers)}
+        self.firm_bit = _bit_of(market.firms)
+        self.worker_bit = _bit_of(market.workers)
         self.firm_choice = [_Memo(market.spec(f).on_masks(self.worker_bit)) for f in market.firms]
         self.worker_choice = [_Memo(market.spec(w).on_masks(self.firm_bit)) for w in market.workers]
         self.memo = dict(zip((*market.firms, *market.workers), (*self.firm_choice, *self.worker_choice)))
@@ -592,20 +578,16 @@ def _stable_leaves(
     # fine.  One there, one away: if the priority worker is held the firm
     # keeps only it, breaking the first one's individual rationality;
     # otherwise the firm demands the away worker, which demands the firm
-    # back, a blocking pair.)
-    group_firm: list[int] = []
-    member_groups: list[list[int]] = [[] for _ in workers]
-    worker_index = {w: j for j, w in enumerate(workers)}
+    # back, a blocking pair.)  Workers are placed in declared order, so a later
+    # member j must agree with the group's first: follows[j] holds (first, f's bit).
+    follows: list[list[tuple[int, int]]] = [[] for _ in workers]
     for i, f in enumerate(firms):
         f_spec = market.spec(f)
         if isinstance(f_spec, IfElse) and f_spec.else_set:
-            members = [worker_index[e] for e in f_spec.else_set]
+            members = _bits(_mask(masks.worker_bit, f_spec.else_set))
             if all(worker_choice[e][_mask(firm_bit, spec_universe(specs[e]))] >> i & 1 for e in members):
-                for e in members:
-                    member_groups[e].append(len(group_firm))
-                group_firm.append(1 << i)
-    group_at = [0] * len(group_firm)
-    group_away = [0] * len(group_firm)
+                for e in members[1:]:
+                    follows[e].append((members[0], 1 << i))
 
     hold = [0] * len(firms)
     assigned = [0] * len(workers)
@@ -656,16 +638,9 @@ def _stable_leaves(
         wb = 1 << j
         for i in held_by:
             hold[i] |= wb
-        dead = False
-        for gi in member_groups[j]:
-            if cand & group_firm[gi]:
-                group_at[gi] += 1
-            else:
-                group_away[gi] += 1
-            if group_at[gi] and group_away[gi]:
-                dead = True
-        if dead:
-            return False
+        for first, fb in follows[j]:
+            if (assigned[first] ^ cand) & fb:
+                return False
         for i in held_by:
             if firm_choice[i][hold[i]] != hold[i]:
                 return False
@@ -678,16 +653,10 @@ def _stable_leaves(
         return True
 
     def unplace(j: int) -> None:
-        cand = assigned[j]
         assigned[j] = 0
         wb = 1 << j
         for i in assigned_at[j]:
             hold[i] &= ~wb
-        for gi in member_groups[j]:
-            if cand & group_firm[gi]:
-                group_at[gi] -= 1
-            else:
-                group_away[gi] -= 1
 
     if not workers:
         if masks.stable(assigned, hold):
@@ -761,7 +730,7 @@ def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tup
     """
     u = sorted(spec_universe(spec))
     n = len(u)
-    chosen = _Memo(spec.on_masks({x: 1 << i for i, x in enumerate(u)}))
+    chosen = _Memo(spec.on_masks(_bit_of(u)))
     if n <= exhaustive_limit:
         offers: Iterable[int] = range(1 << n)
     else:

@@ -149,6 +149,16 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _bit_of(names: Iterable[str]) -> dict[str, int]:
+    """Each name's bit, 1 << its position."""
+    return {x: 1 << i for i, x in enumerate(names)}
+
+
+def _mask(bit: Mapping[str, int], names: Iterable[str]) -> int:
+    """The names' bits, ORed."""
+    return sum(map(bit.__getitem__, names))
+
+
 def _uncovered(mask: int, reach: Sequence[int]) -> int:
     """The members of a mask that no other member reaches: with up-set
     masks its minimal members, with down-set masks its maximal ones."""

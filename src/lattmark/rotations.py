@@ -50,19 +50,11 @@ class Rotation:
         return frozenset(w for _, w in self.plus)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RotationPoset:
     poset: Poset
     rotations: Mapping[str, Rotation]
     worker_optimal: Matching
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RotationPoset)
-            and self.poset == other.poset
-            and dict(self.rotations) == dict(other.rotations)
-            and self.worker_optimal == other.worker_optimal
-        )
 
     def ids(self) -> tuple[str, ...]:
         return self.poset.elements

@@ -318,6 +318,8 @@ def deferred_acceptance_by_sets(market, proposing="firms"):
 
 def _validate_matching(market, mu):
     for f, w in mu.pairs:
+        if f in market.worker_set and w in market.firm_set:
+            raise UnknownPartnerId.reversed_pair(f, w)
         if f not in market.firm_set:
             raise UnknownPartnerId(w, f)
         if w not in market.worker_set:

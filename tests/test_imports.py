@@ -5,8 +5,9 @@ private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
 only through their choice functions; the 2^|J| lower-set filter, the
 antimatroid element bound, the frozenset stability definition and the
-frozenset choice bodies stay out of the package; and the names kept only
-for the benchmark go unused in it."""
+frozenset choice bodies stay out of the package; the names kept only for
+the benchmark go unused in it; names become bits only in orders; and no
+class writes its own __eq__."""
 
 from __future__ import annotations
 
@@ -194,6 +195,31 @@ def test_each_choice_is_defined_once_on_masks():
     modules = ["lattmark", "lattmark.markets"]
     exported = {name for m in modules for name in dir(importlib.import_module(m))} & gone
     assert not misdefined and not names_in_src(gone) and not exported, (misdefined, names_in_src(gone), exported)
+
+
+def test_names_become_bits_only_in_orders():
+    """Every name-to-bit encoding goes through orders._bit_of and
+    orders._mask: no other module under src/ defines either name."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in sorted((ROOT / "src" / "lattmark").glob("*.py")) if path.name != "orders.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in {"_bit_of", "_mask"}
+    ]
+    assert not found, found
+
+
+def test_no_class_writes_its_own_equality():
+    """Classes under src/ compare by their dataclass fields (compare=False
+    leaves a derived field out); none defines __eq__ in its body."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in sorted((ROOT / "src" / "lattmark").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(fn, ast.FunctionDef) and fn.name == "__eq__" for fn in node.body)
+    ]
+    assert not found, found
 
 
 # Public functions src/ never calls, kept because a per-layer metric of the

@@ -190,7 +190,7 @@ class TestStability:
         cases = [
             (("f1", "zz"), "'zz' is not a declared partner for agent 'f1'"),  # unknown worker
             (("zz", "w1"), "'zz' is not a declared partner for agent 'w1'"),  # unknown firm
-            (("w1", "f1"), "'w1' is not a declared partner for agent 'f1'"),  # reversed pair
+            (("w1", "f1"), "pair ('w1', 'f1') is reversed: 'w1' is a worker, where the firm goes"),
         ]
         for pair, message in cases:
             for check in (is_stable, stable_by_blocking_pairs):

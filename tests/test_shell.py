@@ -243,6 +243,15 @@ class TestCli:
         assert len(report["rotations"]) == 4
         assert dot_file.read_text().startswith("digraph")
 
+    def test_rotations_command_writes_the_reported_poset(self, tmp_path, capsys):
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(seven_pair_market()))
+        out_file = tmp_path / "rotations.json"
+        code, report = run_cli(capsys, "rotations", str(market_file), "-o", str(out_file))
+        written = json.loads(out_file.read_text())
+        assert code == 0 and len(report["rotations"]) == 4
+        assert (written["rotations"], written["leq"]) == (report["rotations"], report["leq"])
+
     def test_reduce_and_solve(self, tmp_path, capsys):
         anti_file = tmp_path / "anti.json"
         jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
@@ -321,6 +330,15 @@ class TestCli:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_selftest_full(self, capsys):
+        """The full selftest adds the hexagon synthesis and an
+        independent-set reduction to the quick checks, and passes them."""
+        code = cli.main(["selftest"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and not [line for line in lines if line.startswith("FAIL")]
+        for name in ("hexagon synthesis verifies", "independent-set reduction optimum agrees"):
+            assert f"PASS  {name}" in lines, name
+
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -346,6 +364,20 @@ class TestCliVariants:
         jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
         code, report = run_cli(capsys, "solve", str(market_file))
         assert code == 2
+
+    def test_solve_ground_costs_need_a_reduction_bundle(self, tmp_path, capsys):
+        """Ground costs name rotations of a reduction; given with a synthesis
+        bundle or a plain market, solve exits 2."""
+        lattice_file, bundle_file = tmp_path / "pentagon.json", tmp_path / "bundle.json"
+        jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
+        assert run_cli(capsys, "synthesize", str(lattice_file), "-o", str(bundle_file))[0] == 0
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
+        costs_file = tmp_path / "costs.json"
+        jsonio.write_json(costs_file, {"v": 1, "ground": {"p": 1}})
+        for target in (bundle_file, market_file):
+            code, report = run_cli(capsys, "solve", str(target), str(costs_file))
+            assert (code, report["error"]) == (2, "ground costs require a reduction bundle"), target
 
     def test_rotations_file_must_be_an_order(self, tmp_path, capsys):
         rp = extract_rotations(seven_pair_market())
