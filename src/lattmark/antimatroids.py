@@ -28,7 +28,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 from .augment import ExtendableMarket, omega_extend, project_to_base
 from .constraints import JoinConstraint
 from .errors import DuplicateId, InputError, InvariantError
-from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _leaf_matching, _stable_leaves
+from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _stable_leaves
 from .orders import _bit_of, _mask, set_key
 from .rotations import RealizedBase, antichain_base, matching_to_rotations
 
@@ -354,8 +354,8 @@ def min_cost_stable(
         if v:
             rows.setdefault(worker_at[w], {})[firm_at[f]] = sign * v.numerator * (scale // v.denominator)
     best = best_key = best_val = None
-    for at, val in _stable_leaves(market, node_bound, rows):
-        mu = _leaf_matching(market, at)
+    for hold, val in _stable_leaves(market, node_bound, rows):
+        mu = market.kernel.decode(hold)
         key = mu.key()
         if best_val is None or val < best_val or key < best_key:
             best, best_key, best_val = mu, key, val

@@ -12,7 +12,7 @@ the full lattice synthesis pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import (
     JoinConstraint,
@@ -38,11 +38,9 @@ from .markets import (
     Triggered,
     deferred_acceptance,
     enumerate_stable,
-    firm_leq,
-    is_stable,
 )
-from .orders import Lattice, canonical_partial_rep, check_order_embedding, join_irreducibles, set_key
-from .rotations import RealizedBase, RotationPoset, antichain_base, matching_to_rotations
+from .orders import Lattice, _bits, canonical_partial_rep, check_order_embedding, join_irreducibles, set_key
+from .rotations import RealizedBase, RotationPoset, _RotationMasks, antichain_base
 
 
 @dataclass(frozen=True)
@@ -167,17 +165,30 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
 
 def project_to_base(em: ExtendableMarket, mu: Matching, check: bool = True) -> Matching:
     """Project all the way to the base market: base firms only, copies folded
-    onto base workers, auxiliary agents dropped."""
-    base_market = em.base.market
-    base_firms = base_market.firm_set
-    pairs = set()
-    for f, w in mu.pairs:
-        if f in base_firms and w in em.copy_map:
-            pairs.add((f, em.copy_map[w]))
-    out = Matching(frozenset(pairs))
-    if check and not is_stable(base_market, out):
+    onto base workers, auxiliary agents dropped (_project, on masks)."""
+    [(assigned, hold)] = _project(em, [em.market.kernel.encode(mu)[1]])
+    out = em.base.market.kernel.decode(hold)
+    if check and not em.base.market.kernel.stable(assigned, hold):
         raise ProjectionNotStable(f"projected pairs {sorted(out.pairs)}")
     return out
+
+
+def _project(em: ExtendableMarket, holds: Iterable[Sequence[int]]) -> Iterator[tuple[list[int], list[int]]]:
+    """Matchings of em's market, given by their hold masks, projected onto
+    the base market's kernel as (assigned, hold) through one map: each base
+    firm's position in em's market, and each worker's base worker bit
+    through copy_map, 0 for an auxiliary worker."""
+    base, firm_bit = em.base.market.kernel, em.market.kernel.firm_bit
+    firm_at = [firm_bit[f].bit_length() - 1 for f in base.firms]
+    worker_to = [base.worker_bit[em.copy_map[w]] if w in em.copy_map else 0 for w in em.market.workers]
+    for hold in holds:
+        assigned, held_by = [0] * len(base.workers), [0] * len(base.firms)
+        for i, at in enumerate(firm_at):
+            for j in _bits(hold[at]):
+                if worker_to[j]:
+                    held_by[i] |= worker_to[j]
+                    assigned[worker_to[j].bit_length() - 1] |= 1 << i
+        yield assigned, held_by
 
 
 def omega_extend(base: RealizedBase, constraints: Iterable[JoinConstraint]) -> ExtendableMarket:
@@ -209,25 +220,29 @@ def _extension_checks(
 ) -> tuple[list[Check], list[Matching], dict, frozenset]:
     """Enumerate the extended market once and run the four extension checks;
     also returns the stable matchings, the index of each keyed by the base
-    rotation set of its projection, and their firm-side order (firm_leq).
+    rotation set of its projection, and their firm-side order (_Masks.order).
 
-    The expected image is read off the rotation poset, before the search:
-    the lower rotation sets satisfying every enforced constraint, searched
-    by lower_sets_satisfying under the same node bound.  The base market
-    itself is never enumerated.
-    """
+    Each stable matching is encoded once and projected to base masks
+    (_project), which every check reads.  The expected image, the lower
+    rotation sets satisfying every enforced constraint, is searched by
+    lower_sets_satisfying under the same node bound; the base market itself
+    is never enumerated."""
     base, rp = em.base, em.base.rotation_poset
+    kernel, base_kernel = em.market.kernel, base.market.kernel
     expected = lower_sets_satisfying(rp.poset, em.constraints, node_bound)
     extended = enumerate_stable(em.market, node_bound=node_bound)
-    projected = [project_to_base(em, mu, check=False) for mu in extended]
-    unstable = [p.key() for p in projected if not is_stable(base.market, p)]
-    checks = [Check("projections-stable-in-base", not unstable, unstable[0] if unstable else None)]
+    holds = [kernel.encode(mu)[1] for mu in extended]
+    projected = list(_project(em, holds))
+    unstable = [hold for at, hold in projected if not base_kernel.stable(at, hold)]
+    checks = [Check("projections-stable-in-base", not unstable,
+                    base_kernel.decode(unstable[0]).key() if unstable else None)]
 
     by_rep: dict[frozenset[str], int] = {}
     unrepresentable = []
-    for k, p in enumerate(projected):
+    walk = _RotationMasks(rp, base_kernel)
+    for k, (_, hold) in enumerate(projected):
         try:
-            by_rep.setdefault(matching_to_rotations(rp, p), k)
+            by_rep.setdefault(walk.rotation_set(hold), k)
         except NotRepresentable as exc:
             unrepresentable.append(str(exc))
     image_ok = not unrepresentable and set(by_rep) == set(expected)
@@ -239,15 +254,16 @@ def _extension_checks(
 
     # witness: the first index pair (i, j) on which the two orders disagree,
     # with whether extended[i] <= extended[j] above and below the projection
-    up, down = firm_leq(em.market, extended), firm_leq(base.market, projected)
+    up, down = kernel.order(holds), base_kernel.order([hold for _, hold in projected])
     diff = min(up ^ down, default=None)
     checks.append(Check("projection-order-embedding", diff is None, None if diff is None else (
         extended[diff[0]].key(), extended[diff[1]].key(), diff in up, diff in down)))
 
-    keys = {p.key() for p in projected}
-    extremes = (deferred_acceptance(base.market, "firms").key(), deferred_acceptance(base.market, "workers").key())
-    extremes_ok = all(k in keys for k in extremes)
-    checks.append(Check("base-extremes-in-image", extremes_ok, None if extremes_ok else extremes))
+    seen = {tuple(hold) for _, hold in projected}
+    extremes = [deferred_acceptance(base.market, side) for side in ("firms", "workers")]
+    extremes_ok = all(tuple(base_kernel.encode(mu)[1]) in seen for mu in extremes)
+    checks.append(Check("base-extremes-in-image", extremes_ok,
+                        None if extremes_ok else tuple(mu.key() for mu in extremes)))
     return checks, extended, by_rep, up
 
 

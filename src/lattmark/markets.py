@@ -258,46 +258,14 @@ class Matching:
     def of(pairs: Iterable[tuple[str, str]]) -> "Matching":
         return Matching(frozenset((f, w) for f, w in pairs))
 
-    @cached_property
-    def by_firm(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {}
-        for f, w in self.pairs:
-            out.setdefault(f, set()).add(w)
-        return {f: frozenset(ws) for f, ws in out.items()}
-
-    @cached_property
-    def by_worker(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {}
-        for f, w in self.pairs:
-            out.setdefault(w, set()).add(f)
-        return {w: frozenset(fs) for w, fs in out.items()}
-
-    def workers_of(self, firm: str) -> frozenset[str]:
-        return self.by_firm.get(firm, frozenset())
-
-    def firms_of(self, worker: str) -> frozenset[str]:
-        return self.by_worker.get(worker, frozenset())
-
     def key(self) -> tuple:
         return tuple(sorted(self.pairs))
 
 
 def is_stable(market: MatchingMarket, mu: Matching) -> bool:
     """Individual rationality on both sides and no blocking pair, decided on
-    the market's mask kernel (_Masks.stable).  A pair naming an agent the
-    market does not declare on that side raises UnknownPartnerId: reversed
-    for a (worker, firm) pair, else with the pair's other member as agent."""
-    kernel = market.kernel
-    hold, assigned = [0] * len(market.firms), [0] * len(market.workers)
-    for f, w in mu.pairs:
-        fb, wb = kernel.firm_bit.get(f), kernel.worker_bit.get(w)
-        if fb is None or wb is None:
-            if f in kernel.worker_bit and w in kernel.firm_bit:
-                raise UnknownPartnerId.reversed_pair(f, w)
-            raise UnknownPartnerId(w, f) if fb is None else UnknownPartnerId(f, w)
-        hold[fb.bit_length() - 1] |= wb
-        assigned[wb.bit_length() - 1] |= fb
-    return kernel.stable(assigned, hold)
+    the market's mask kernel: _Masks.encode, then _Masks.stable."""
+    return market.kernel.stable(*market.kernel.encode(mu))
 
 
 def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Matching:
@@ -352,22 +320,14 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
     out of the union of its partners under both matchings."""
     if mu1.pairs == mu2.pairs:
         return FirmOrder.EQ
-    geq = True
-    leq = True
+    geq = leq = True
     kernel = market.kernel
-    by1, by2, empty = mu1.by_firm, mu2.by_firm, frozenset()
-    for i, f in enumerate(market.firms):
-        a, b = by1.get(f, empty), by2.get(f, empty)
-        if a == b:
-            continue
-        a, b = _mask(kernel.worker_bit, a), _mask(kernel.worker_bit, b)
-        chosen = kernel.firm_choice[i].chosen(a | b)
-        if chosen != a:
-            geq = False
-        if chosen != b:
-            leq = False
-        if not geq and not leq:
-            return FirmOrder.INCOMPARABLE
+    for i, (a, b) in enumerate(zip(kernel.encode(mu1)[1], kernel.encode(mu2)[1])):
+        if a != b:
+            chosen = kernel.firm_choice[i].chosen(a | b)
+            geq, leq = geq and chosen == a, leq and chosen == b
+            if not geq and not leq:
+                return FirmOrder.INCOMPARABLE
     # distinct matchings cannot compare equal: some firm has a != b, and the
     # chosen set matches at most one of them
     return FirmOrder.GEQ if geq else FirmOrder.LEQ
@@ -375,34 +335,8 @@ def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> 
 
 def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[int, int]]:
     """The firm-side order over a list of matchings: the index pairs (i, j)
-    with ms[i] <= ms[j].  Each firm groups the matchings by its partner set,
-    encodes each set once, and makes one choice per pair of distinct sets,
-    from their union: the set not chosen lies below the chosen one, and
-    when neither is chosen the two are incomparable.  ms[i] <= ms[j] when
-    every firm puts ms[i]'s set at or below ms[j]'s."""
-    down = [(1 << len(ms)) - 1] * len(ms)  # down[j]: the matchings at or below ms[j]
-    kernel = market.kernel
-    empty = frozenset()
-    for i, f in enumerate(market.firms):
-        groups: dict[frozenset[str], int] = {}  # a partner set -> the matchings giving f that set
-        for k, mu in enumerate(ms):
-            a = mu.by_firm.get(f, empty)
-            groups[a] = groups.get(a, 0) | 1 << k
-        if len(groups) == 1:
-            continue
-        chosen = kernel.firm_choice[i].chosen
-        encoded = {_mask(kernel.worker_bit, a): in_a for a, in_a in groups.items()}
-        below = dict(encoded)
-        for (a, in_a), (b, in_b) in combinations(encoded.items(), 2):
-            c = chosen(a | b)
-            if c == a:
-                below[a] |= in_b
-            elif c == b:
-                below[b] |= in_a
-        for a, in_a in encoded.items():
-            for k in _bits(in_a):
-                down[k] &= below[a]
-    return frozenset((i, j) for j, d in enumerate(down) for i in _bits(d))
+    with ms[i] <= ms[j], read by _Masks.order off their encodings."""
+    return market.kernel.order([market.kernel.encode(mu)[1] for mu in ms])
 
 
 class _Memo(dict):
@@ -437,12 +371,62 @@ class _Masks:
     positions of the firms in worker j's universe, in firm order."""
 
     def __init__(self, market: MatchingMarket):
+        self.firms, self.workers = market.firms, market.workers
         self.firm_bit = _bit_of(market.firms)
         self.worker_bit = _bit_of(market.workers)
         self.firm_choice = [_Memo(market.spec(f).on_masks(self.worker_bit)) for f in market.firms]
         self.worker_choice = [_Memo(market.spec(w).on_masks(self.firm_bit)) for w in market.workers]
         self.memo = dict(zip((*market.firms, *market.workers), (*self.firm_choice, *self.worker_choice)))
         self.acceptable = [_bits(_mask(self.firm_bit, spec_universe(market.spec(w)))) for w in market.workers]
+
+    def encode(self, mu: Matching) -> tuple[list[int], list[int]]:
+        """mu as (assigned, hold): worker j holds the firm mask assigned[j],
+        firm i the worker mask hold[i].  A pair naming an agent the market
+        does not declare on that side raises UnknownPartnerId: reversed for
+        a (worker, firm) pair, else with the pair's other member as agent."""
+        firm_bit, worker_bit = self.firm_bit, self.worker_bit
+        assigned, hold = [0] * len(worker_bit), [0] * len(firm_bit)
+        try:
+            for f, w in mu.pairs:
+                fb, wb = firm_bit[f], worker_bit[w]
+                hold[fb.bit_length() - 1] |= wb
+                assigned[wb.bit_length() - 1] |= fb
+        except KeyError:
+            if f in worker_bit and w in firm_bit:
+                raise UnknownPartnerId.reversed_pair(f, w) from None
+            raise (UnknownPartnerId(w, f) if f not in firm_bit else UnknownPartnerId(f, w)) from None
+        return assigned, hold
+
+    def decode(self, hold: Sequence[int]) -> Matching:
+        """The matching in which firm i holds the workers of the mask hold[i]."""
+        return Matching(frozenset((self.firms[i], self.workers[j]) for i, held in enumerate(hold) for j in _bits(held)))
+
+    def order(self, holds: Sequence[Sequence[int]]) -> frozenset[tuple[int, int]]:
+        """The firm-side order over matchings given by their hold masks
+        (holds[k][i] is firm i's worker mask in matching k): the index pairs
+        (k, l) with matching k <= matching l.  Each firm groups the matchings
+        by its mask and makes one choice per pair of distinct masks, from
+        their union: the mask not chosen lies below the chosen one, and when
+        neither is chosen the two are incomparable.  k <= l when every firm
+        puts k's mask at or below l's."""
+        down = [(1 << len(holds)) - 1] * len(holds)  # down[l]: the matchings at or below matching l
+        for f_choice, masks in zip(self.firm_choice, zip(*holds)):
+            groups: dict[int, int] = {}  # a worker mask -> the matchings giving this firm that mask
+            for k, a in enumerate(masks):
+                groups[a] = groups.get(a, 0) | 1 << k
+            if len(groups) == 1:
+                continue
+            below = dict(groups)
+            for (a, in_a), (b, in_b) in combinations(groups.items(), 2):
+                c = f_choice.chosen(a | b)
+                if c == a:
+                    below[a] |= in_b
+                elif c == b:
+                    below[b] |= in_a
+            for a, in_a in groups.items():
+                for k in _bits(in_a):
+                    down[k] &= below[a]
+        return frozenset((k, l) for l, d in enumerate(down) for k in _bits(d))
 
     def stable(self, assigned: Sequence[int], hold: Sequence[int]) -> bool:
         """Stability of the matching in which worker j holds the firm mask
@@ -490,38 +474,33 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     with the market, so each distinct offer is evaluated once per market (a
     candidate scan over more than _SCAN_MEMO_LIMIT partners stores nothing).
     It is one loop over an explicit stack (_stable_leaves), so the number of
-    workers is bounded by memory, not by the recursion limit.  Only leaves
-    that pass the stability check become Matching objects.
+    workers is bounded by memory, not by the recursion limit.  The two
+    deferred-acceptance anchors are encoded once (_Masks.encode) and every
+    check reads masks; only leaves that pass the stability check are
+    decoded into Matching objects.
 
-    Assumes path-independent choice functions, like deferred acceptance; the
-    two deferred-acceptance anchors are stability-checked up front as a
-    guard, and an unstable one raises SpecError.  The output is canonically
-    sorted.
+    Assumes path-independent choice functions, like deferred acceptance; an
+    unstable anchor raises SpecError.  The output is canonically sorted.
     """
     leaves = _stable_leaves(market, node_bound, {})
-    return sorted((_leaf_matching(market, at) for at, _ in leaves), key=Matching.key)
-
-
-def _leaf_matching(market: MatchingMarket, at: Sequence[Sequence[int]]) -> Matching:
-    """The matching in which worker j holds the firms at positions at[j]."""
-    firms = market.firms
-    return Matching(frozenset((firms[i], w) for w, held_by in zip(market.workers, at) for i in held_by))
+    return sorted((market.kernel.decode(hold) for hold, _ in leaves), key=Matching.key)
 
 
 def _stable_leaves(
     market: MatchingMarket, node_bound: int, costs: Mapping[int, Mapping[int, int]]
-) -> Iterator[tuple[list[list[int]], int]]:
+) -> Iterator[tuple[list[int], int]]:
     """enumerate_stable's search, as branch and bound on an int cost table:
     costs[j][i] is what worker j pays for holding firm i (worker and firm
     positions; a missing entry is 0).  It yields (leaf, cost) in search order,
-    the leaf as the list whose entry j holds worker j's firm positions
-    (ascending indexes into market.firms).  The list is the search's own
-    state, valid until the generator resumes.
+    the leaf as the list whose entry i is firm i's worker mask.  The list is
+    the search's own state, valid until the generator resumes.
 
     A candidate is skipped, uncounted as a node, when the cost spent on the
     workers before it, plus its own cost, plus the floor of the workers after
     it (the sum of their rows' negative entries, which no firm set can
-    undercut) is strictly above the cheapest stable leaf yielded so far.  So
+    undercut) is strictly above the incumbent: the cheapest stable leaf
+    yielded so far, and before the first the cheaper of the two
+    deferred-acceptance anchors, which are stable leaves themselves.  So
     every leaf of least cost is yielded, and each yielded leaf costs no more
     than those yielded before it.  With no costs nothing is skipped, and the
     leaves are all the stable matchings.
@@ -529,15 +508,15 @@ def _stable_leaves(
     Raises SearchBoundExceeded on node number node_bound + 1 and SpecError on
     an unstable anchor, as enumerate_stable.
     """
-    mu_f = deferred_acceptance(market, "firms")
-    worker_optimal = deferred_acceptance(market, "workers")
-    for anchor in (mu_f, worker_optimal):  # checked on the kernel, so this warms its memo
-        if not is_stable(market, anchor):
+    firms, workers, masks = market.firms, market.workers, market.kernel
+    # Each anchor is encoded once, for its stability guard (which warms the
+    # memo the search reads) and for each worker's worst and best firm masks.
+    (worst, _), (best, _) = anchors = [masks.encode(deferred_acceptance(market, side)) for side in ("firms", "workers")]
+    for anchor in anchors:
+        if not masks.stable(*anchor):
             raise SpecError("deferred acceptance produced an unstable matching; "
                             "choice functions are not path-independent")
 
-    firms, workers = market.firms, market.workers
-    masks = market.kernel
     firm_bit, firm_choice, worker_choice, acceptable = (
         masks.firm_bit, masks.firm_choice, masks.worker_choice, masks.acceptable)
     specs = [market.spec(w) for w in workers]
@@ -545,11 +524,8 @@ def _stable_leaves(
     floor = [0] * (len(workers) + 1)  # floor[j]: the least workers j, j + 1, ... can cost
     for j in reversed(range(len(workers))):
         floor[j] = floor[j + 1] + sum(v for v in rows[j].values() if v < 0)
-    # no leaf costs more than the positive entries, so this incumbent prunes nothing
-    incumbent = sum(v for row in rows for v in row.values() if v > 0)
+    incumbent = min(sum(v for j, row in enumerate(rows) for i, v in row.items() if at[j] >> i & 1) for at, _ in anchors)
 
-    best = [_mask(firm_bit, worker_optimal.firms_of(w)) for w in workers]
-    worst = [_mask(firm_bit, mu_f.firms_of(w)) for w in workers]
     interested: list[list[int]] = [[] for _ in firms]
     for j in range(len(workers)):
         for i in acceptable[j]:
@@ -630,37 +606,28 @@ def _stable_leaves(
             kept[j] = [priced(j, _mask(firm_bit, s)) for s in sorted(found, key=set_key)]
         return kept[j]
 
-    def place(j: int, cand: int, held_by: list[int]) -> bool:
-        """Assign worker j the firms cand, at positions held_by; returns
-        whether the branch lives.  Either way unplace(j) undoes it."""
-        assigned[j] = cand
-        assigned_at[j] = held_by
-        wb = 1 << j
-        for i in held_by:
-            hold[i] |= wb
+    def dies(j: int, cand: int, held_by: list[int]) -> bool:
+        """Whether worker j, just placed on the firms cand (at positions
+        held_by), kills the branch: it splits an if-else group, a firm does
+        not keep all it holds, or a firm whose offer pool j completes forms
+        a blocking pair."""
         for first, fb in follows[j]:
             if (assigned[first] ^ cand) & fb:
-                return False
+                return True
         for i in held_by:
             if firm_choice[i][hold[i]] != hold[i]:
-                return False
+                return True
         for i in final_at[j]:
             pool, fb, f_choice = hold[i], 1 << i, firm_choice[i]
             for j2 in interested[i]:
                 own, wb2 = assigned[j2], 1 << j2
                 if not own & fb and worker_choice[j2][own | fb] & fb and f_choice[pool | wb2] & wb2:
-                    return False
-        return True
-
-    def unplace(j: int) -> None:
-        assigned[j] = 0
-        wb = 1 << j
-        for i in assigned_at[j]:
-            hold[i] &= ~wb
+                    return True
+        return False
 
     if not workers:
         if masks.stable(assigned, hold):
-            yield assigned_at, 0
+            yield hold, 0
         return
     # Level j of the stack is an iterator over worker j's candidates and the
     # cost of workers 0..j-1; every level below the top has placed its worker.
@@ -677,24 +644,30 @@ def _stable_leaves(
             pending.pop()
             spent.pop()
             j -= 1
-            unplace(j)
-            continue
-        cand, held_by, cost = step
-        if spent[j] + cost + floor[j + 1] > incumbent:
-            continue
-        nodes += 1
-        if nodes > node_bound:
-            raise SearchBoundExceeded(nodes, node_bound)
-        if place(j, cand, held_by):
-            if j < last:
-                spent.append(spent[j] + cost)
-                j += 1
-                pending.append(iter(candidates(j)))
+        else:
+            cand, held_by, cost = step
+            if spent[j] + cost + floor[j + 1] > incumbent:
                 continue
-            if masks.stable(assigned, hold):
-                incumbent = spent[j] + cost  # at most the old incumbent, by the skip test
-                yield assigned_at, incumbent
-        unplace(j)
+            nodes += 1
+            if nodes > node_bound:
+                raise SearchBoundExceeded(nodes, node_bound)
+            assigned[j], assigned_at[j] = cand, held_by
+            wb = 1 << j
+            for i in held_by:
+                hold[i] |= wb
+            if not dies(j, cand, held_by):
+                if j < last:
+                    spent.append(spent[j] + cost)
+                    j += 1
+                    pending.append(iter(candidates(j)))
+                    continue
+                if masks.stable(assigned, hold):
+                    incumbent = spent[j] + cost  # at most the old incumbent, by the skip test
+                    yield hold, incumbent
+        assigned[j] = 0  # take worker j's placement back
+        wb = 1 << j
+        for i in assigned_at[j]:
+            hold[i] &= ~wb
 
 
 def stable_lattice(
@@ -723,14 +696,15 @@ def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tup
     Checks the one-element-removal forms of both properties, which imply the
     general ones by induction, on offer masks over the sorted universe (bit
     i stands for its i-th partner, so ascending bits visit partners in
-    sorted order), through the spec's choice compiled on those bits and
-    memoised for the check.  The offers are every subset when the universe
-    has at most exhaustive_limit members; otherwise 512 subsets drawn by a
-    random generator seeded with 0, so the verdict is deterministic.
+    sorted order), through the spec's choice compiled on those bits (the
+    compile _Family._on_universe caches for choose), memoised for the
+    check.  The offers are every subset when the universe has at most
+    exhaustive_limit members; otherwise 512 subsets drawn by a random
+    generator seeded with 0, so the verdict is deterministic.
     """
-    u = sorted(spec_universe(spec))
+    u, _, compiled = spec._on_universe
     n = len(u)
-    chosen = _Memo(spec.on_masks(_bit_of(u)))
+    chosen = _Memo(compiled)
     if n <= exhaustive_limit:
         offers: Iterable[int] = range(1 << n)
     else:

@@ -24,9 +24,10 @@ from .markets import (
     Matching,
     MatchingMarket,
     PreferenceList,
+    _Masks,
     stable_lattice,
 )
-from .orders import Poset, join_irreducibles
+from .orders import Poset, _bits, join_irreducibles
 
 Pair = tuple[str, str]
 
@@ -131,11 +132,8 @@ def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOU
     these rotations, and no two join-irreducibles the same one.
     """
     lat, ms = stable_lattice(market, node_bound=node_bound)
-    for mu in ms:
-        if any(len(mu.workers_of(f)) > 1 for f in market.firms) or any(
-            len(mu.firms_of(w)) > 1 for w in market.workers
-        ):
-            raise InputError("extract_rotations requires a one-to-one market")
+    if any(m & m - 1 for mu in ms for side in market.kernel.encode(mu) for m in side):
+        raise InputError("extract_rotations requires a one-to-one market")
 
     at = dict(zip(lat.elements, ms))
     step = {(x, y): (at[x].pairs - at[y].pairs, at[y].pairs - at[x].pairs) for x, y in lat.poset.covers}
@@ -158,55 +156,86 @@ def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOU
 
 def matching_to_rotations(rp: RotationPoset, mu: Matching) -> frozenset[str]:
     """The unique lower closed rotation set that rebuilds mu from the
-    worker-optimal matching; verified by reconstruction.
-
-    Each firm walks from its worker-optimal partner to its partner in mu,
-    each step taking the rotation whose minus pairs hold the firm's current
-    pair; the union of the walks is the representation.  A walk is tracked
-    per firm, since one rotation moves several firms.
-    """
-    removed_by = {pair: rid for rid, rot in rp.rotations.items() for pair in rot.minus}
-    occurred: set[str] = set()
-    for f in sorted({f for f, _ in rp.worker_optimal.pairs | mu.pairs}):
-        current, target = rp.worker_optimal.workers_of(f), mu.workers_of(f)
-        walked: set[str] = set()
-        while current != target:
-            rid = next((removed_by[(f, w)] for w in sorted(current) if (f, w) in removed_by), None)
-            if rid is None or rid in walked:
-                raise NotRepresentable(f"firm {f!r} holds {sorted(target)}, reachable by no rotation prefix")
-            walked.add(rid)
-            rot = rp.rotations[rid]
-            current = (current - {w for ff, w in rot.minus if ff == f}) | {w for ff, w in rot.plus if ff == f}
-        occurred |= walked
-
-    r = frozenset(occurred)
-    try:
-        rebuilt = rotations_to_matching(rp, r)
-    except NotLowerClosed as exc:
-        raise NotRepresentable(f"derived rotation set {sorted(r)} is not lower closed: {exc}") from exc
-    if rebuilt.pairs != mu.pairs:
-        raise NotRepresentable(
-            f"rotation set {sorted(r)} rebuilds {sorted(rebuilt.pairs)}, not {sorted(mu.pairs)}"
-        )
-    return r
+    worker-optimal matching (_RotationMasks.rotation_set)."""
+    masks = _RotationMasks.on_names(rp, mu.pairs)
+    return masks.rotation_set(masks.kernel.encode(mu)[1])
 
 
 def rotations_to_matching(rp: RotationPoset, rotation_ids: Iterable[str]) -> Matching:
-    """Apply a lower closed rotation set to the worker-optimal matching;
-    NotLowerClosed names the first missing predecessor in element order."""
-    r = frozenset(rotation_ids)
-    els, idx, down = rp.poset.elements, rp.poset.index, rp.poset.masks[1]
-    held = sum(1 << idx[rid] for rid in r if rid in idx)
-    for rid in sorted(r):
-        if rid not in idx:
-            raise NotLowerClosed(rid, "<unknown rotation>")
-        missing = down[idx[rid]] & ~held
-        if missing:
-            raise NotLowerClosed(rid, els[(missing & -missing).bit_length() - 1])
-    plus: set[Pair] = set()
-    minus: set[Pair] = set()
-    for rid in r:
-        plus |= rp.rotations[rid].plus
-        minus |= rp.rotations[rid].minus
-    return Matching(frozenset((rp.worker_optimal.pairs | plus) - minus))
+    """Apply a lower closed rotation set to the worker-optimal matching (_RotationMasks.apply)."""
+    masks = _RotationMasks.on_names(rp)
+    return masks.kernel.decode(masks.apply(frozenset(rotation_ids)))
 
+
+class _RotationMasks:
+    """A rotation poset on a market kernel's masks: start[i] is firm i's
+    worker mask in the worker-optimal matching; moves[k] maps each firm
+    that rotation k (its position in rp.poset.elements) moves to the firm's
+    (minus, plus) worker masks; removed_by[i] maps each worker position to
+    the last rotation in rp.rotations whose minus pairs hold it with firm i."""
+
+    def __init__(self, rp: RotationPoset, kernel: _Masks):
+        self.rp, self.kernel, self.start = rp, kernel, kernel.encode(rp.worker_optimal)[1]
+        self.moves: list[dict[int, tuple[int, int]]] = [{} for _ in rp.poset.elements]
+        self.removed_by: list[dict[int, int]] = [{} for _ in self.start]
+        for rid, rot in rp.rotations.items():
+            k = rp.poset.index[rid]
+            minus, plus = (kernel.encode(Matching(pairs))[1] for pairs in (rot.minus, rot.plus))
+            self.moves[k] = {i: (m, p) for i, (m, p) in enumerate(zip(minus, plus)) if m | p}
+            for i, (m, _) in self.moves[k].items():
+                self.removed_by[i].update(dict.fromkeys(_bits(m), k))
+
+    @staticmethod
+    def on_names(rp: RotationPoset, pairs: Iterable[Pair] = ()) -> "_RotationMasks":
+        """rp on the kernel of a market of the sorted firms and workers in
+        its pairs and the given ones, so bit order is name order."""
+        pairs = {*pairs, *rp.worker_optimal.pairs, *(p for rot in rp.rotations.values() for p in rot.minus | rot.plus)}
+        firms, workers = (tuple(sorted({pair[k] for pair in pairs})) for k in (0, 1))
+        return _RotationMasks(rp, MatchingMarket(firms, workers, {}).kernel)
+
+    def apply(self, r: frozenset[str]) -> list[int]:
+        """The hold masks of the matching the lower closed rotation set r
+        rebuilds from the worker-optimal one; NotLowerClosed names the first
+        missing predecessor in element order."""
+        els, idx, down = self.rp.poset.elements, self.rp.poset.index, self.rp.poset.masks[1]
+        held = sum(1 << idx[rid] for rid in r if rid in idx)
+        for rid in sorted(r):
+            if rid not in idx:
+                raise NotLowerClosed(rid, "<unknown rotation>")
+            missing = down[idx[rid]] & ~held
+            if missing:
+                raise NotLowerClosed(rid, els[(missing & -missing).bit_length() - 1])
+        minus, plus = [0] * len(self.start), [0] * len(self.start)
+        for k in _bits(held):
+            for i, (m, p) in self.moves[k].items():
+                minus[i] |= m
+                plus[i] |= p
+        return [(s | p) & ~m for s, m, p in zip(self.start, minus, plus)]
+
+    def rotation_set(self, hold: Sequence[int]) -> frozenset[str]:
+        """The rotation set of the matching in which firm i holds hold[i],
+        verified by reconstruction: the union of one walk per firm from its
+        worker-optimal mask to hold[i], each step taking the last rotation in
+        rp.rotations whose minus pairs hold the firm's lowest current worker."""
+        occurred = 0
+        for i, (current, target) in enumerate(zip(self.start, hold)):
+            walked, removed_by = 0, self.removed_by[i]
+            while current != target:
+                k = next((removed_by[j] for j in _bits(current) if j in removed_by), None)
+                if k is None or walked >> k & 1:
+                    held = sorted(self.kernel.workers[j] for j in _bits(target))
+                    firm = self.kernel.firms[i]
+                    raise NotRepresentable(f"firm {firm!r} holds {held}, reachable by no rotation prefix")
+                walked |= 1 << k
+                minus, plus = self.moves[k][i]
+                current = current & ~minus | plus
+            occurred |= walked
+        r = frozenset(self.rp.poset.elements[k] for k in _bits(occurred))
+        try:
+            rebuilt = self.apply(r)
+        except NotLowerClosed as exc:
+            raise NotRepresentable(f"derived rotation set {sorted(r)} is not lower closed: {exc}") from exc
+        if rebuilt != list(hold):
+            rebuilt_pairs, pairs = (sorted(self.kernel.decode(h).pairs) for h in (rebuilt, hold))
+            raise NotRepresentable(f"rotation set {sorted(r)} rebuilds {rebuilt_pairs}, not {pairs}")
+        return r

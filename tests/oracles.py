@@ -326,14 +326,32 @@ def _validate_matching(market, mu):
             raise UnknownPartnerId(f, w)
 
 
+def partner_sets(pairs):
+    """Each first member of the pairs with the frozenset of its second
+    members: on mu.pairs each firm's workers, on the reversed pairs each
+    worker's firms."""
+    out = {}
+    for a, b in pairs:
+        out.setdefault(a, set()).add(b)
+    return {a: frozenset(bs) for a, bs in out.items()}
+
+
+def workers_of(mu, firm):
+    return frozenset(w for f, w in mu.pairs if f == firm)
+
+
+def firms_of(mu, worker):
+    return frozenset(f for f, w in mu.pairs if w == worker)
+
+
 def is_individually_rational(market, mu):
     """Every agent keeps exactly its assigned partners when offered them;
     (False, the first agent that does not) otherwise."""
     _validate_matching(market, mu)
-    for f, ws in sorted(mu.by_firm.items()):
+    for f, ws in sorted(partner_sets(mu.pairs).items()):
         if choose_by_sets(market.spec(f), ws) != ws:
             return False, f
-    for w, fs in sorted(mu.by_worker.items()):
+    for w, fs in sorted(partner_sets((w, f) for f, w in mu.pairs).items()):
         if choose_by_sets(market.spec(w), fs) != fs:
             return False, w
     return True, None
@@ -344,16 +362,17 @@ def blocking_pairs(market, mu):
     frozensets.  Only pairs the worker finds acceptable can block (a worker
     never demands a firm outside its spec's universe)."""
     _validate_matching(market, mu)
+    by_firm, by_worker = partner_sets(mu.pairs), partner_sets((w, f) for f, w in mu.pairs)
     out = []
     for w in market.workers:
         w_spec = market.spec(w)
-        held = mu.firms_of(w)
+        held = by_worker.get(w, frozenset())
         for f in sorted(spec_universe(w_spec)):
             if (f, w) in mu.pairs:
                 continue
             if f not in choose_by_sets(w_spec, held | {f}):
                 continue
-            if w in choose_by_sets(market.spec(f), mu.workers_of(f) | {w}):
+            if w in choose_by_sets(market.spec(f), by_firm.get(f, frozenset()) | {w}):
                 out.append((f, w))
     return sorted(out)
 
@@ -604,9 +623,7 @@ def extract_rotations_by_occurrence(market, lat=None, ms=None):
     if lat is None:
         lat, ms = stable_lattice(market)
     for mu in ms:
-        if any(len(mu.workers_of(f)) > 1 for f in market.firms) or any(
-            len(mu.firms_of(w)) > 1 for w in market.workers
-        ):
+        if any(len({pair[k] for pair in mu.pairs}) < len(mu.pairs) for k in (0, 1)):
             raise InputError("extract_rotations requires a one-to-one market")
 
     at = dict(zip(lat.elements, ms))
@@ -660,8 +677,8 @@ def matching_to_rotations_by_chains(rp, mu):
         if sorted(below.values()) != list(range(1, len(chain) + 1)):
             raise NotRepresentable(f"rotations moving firm {f!r} are not totally ordered")
         chain.sort(key=below.__getitem__)
-        current = rp.worker_optimal.workers_of(f)
-        target = mu.workers_of(f)
+        current = workers_of(rp.worker_optimal, f)
+        target = workers_of(mu, f)
         if current == target:
             continue
         prefix = None

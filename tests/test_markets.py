@@ -24,6 +24,7 @@ from lattmark import (
     independent_set_antimatroid,
     is_distributive,
     is_stable,
+    min_cost_stable,
     stable_lattice,
     synthesize_from_lattice,
 )
@@ -37,12 +38,14 @@ from oracles import (
     chain_lattice,
     choose_by_sets,
     deferred_acceptance_by_sets,
+    firms_of,
     is_individually_rational,
     on_masks_by_sets,
     one_to_one_stable_matchings,
     path_independence_by_subsets,
     reference_stable_matchings,
     stable_by_blocking_pairs,
+    workers_of,
     wrap_compiled_choices,
 )
 
@@ -311,7 +314,7 @@ class TestEnumerate:
         got = enumerate_stable(market)
         assert got == reference_stable_matchings(market)
         assert len(got) == 2
-        assert {mu.workers_of("f") for mu in got} == {frozenset({"p"}), frozenset({"e1", "e2"})}
+        assert {workers_of(mu, "f") for mu in got} == {frozenset({"p"}), frozenset({"e1", "e2"})}
 
     def test_if_else_fallback_workers_split_when_one_prefers_another_firm(self):
         """e1 takes g before f, so the group rule must not apply: the one
@@ -389,6 +392,27 @@ class TestEnumerate:
                 enumerate_stable(market, node_bound=nodes - 1)
             assert exc.value.explored == nodes, name
 
+    def test_solve_node_counts_are_pinned(self):
+        """The smallest node_bound under which min_cost_stable completes on the
+        K3 and C4 reductions with independent-set costs, under min and max.
+        Branch and bound starts from the cheaper deferred-acceptance anchor
+        (from the sum of the positive costs, these were 352, 184, 535 and
+        339), and the optimum does not move."""
+        cases = [
+            ("K3", ["u", "v", "x"], [("u", "v"), ("v", "x"), ("u", "x")], {"min": (352, -1), "max": (183, 3)}),
+            ("C4", ["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")],
+             {"min": (535, -2), "max": (338, 4)}),
+        ]
+        for name, vertices, edges, pins in cases:
+            fam, weights = independent_set_antimatroid(vertices, edges)
+            bundle = reduce_to_matching(compute_path_poset(fam), {x: -w for x, w in weights.items()})
+            market, pair_costs = bundle.extendable.market, bundle.pair_costs
+            for sense, (nodes, value) in pins.items():
+                assert min_cost_stable(market, pair_costs, sense, node_bound=nodes)[1] == value, (name, sense)
+                with pytest.raises(SearchBoundExceeded) as exc:
+                    min_cost_stable(market, pair_costs, sense, node_bound=nodes - 1)
+                assert exc.value.explored == nodes, (name, sense)
+
 
 class TestFirmOrder:
     def test_top_dominates(self, seven_market, seven_stables):
@@ -413,8 +437,8 @@ class TestFirmOrder:
                 if firm_order_compare(seven_market, m1, m2) is not FirmOrder.GEQ:
                     continue
                 for w in seven_market.workers:
-                    union = m1.firms_of(w) | m2.firms_of(w)
-                    assert choose(seven_market.spec(w), union) == m2.firms_of(w)
+                    union = firms_of(m1, w) | firms_of(m2, w)
+                    assert choose(seven_market.spec(w), union) == firms_of(m2, w)
 
     def test_firm_leq_is_the_pairwise_order(self, seven_market, seven_stables):
         ms = [*seven_stables.values(), seven_stables["mu4"]]  # one matching twice
@@ -472,7 +496,7 @@ class TestPathIndependence:
         """The mask table returns the frozenset reference's verdict and
         witness on random choice tables, which break either property."""
 
-        class Table:
+        class Table(markets._Family):
             def __init__(self, universe, table):
                 self.universe, self.table = frozenset(universe), table
 
@@ -506,7 +530,7 @@ class TestPathIndependence:
         """Above exhaustive_limit partners the check returns the frozenset
         reference's verdict and witness on the same 512 seeded subsets."""
 
-        class Lazy:
+        class Lazy(markets._Family):
             """A choice rule over the offer sorted best first."""
 
             def __init__(self, n, rule):

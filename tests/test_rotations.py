@@ -33,9 +33,11 @@ from oracles import (
     deferred_acceptance_by_sets,
     down_set,
     extract_rotations_by_occurrence,
+    firms_of,
     lower_sets,
     matching_to_rotations_by_chains,
     one_to_one_stable_matchings,
+    workers_of,
 )
 
 
@@ -70,9 +72,9 @@ class TestAntichainBase:
         base = antichain_base(["p", "q"])
         for mu in enumerate_stable(base.market):
             for agent in base.market.firms:
-                assert len(mu.workers_of(agent)) == 1
+                assert len(workers_of(mu, agent)) == 1
             for agent in base.market.workers:
-                assert len(mu.firms_of(agent)) == 1
+                assert len(firms_of(mu, agent)) == 1
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateId):

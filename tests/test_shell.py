@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from lattmark import antichain_base, omega_extend, JoinConstraint
 from lattmark import project_to_base, synthesize_from_lattice
 from lattmark import cli, jsonio, markets
+from lattmark.augment import certify_lattice
 from lattmark.antimatroids import (
     AntimatroidFamily,
     ReductionBundle,
@@ -54,6 +56,7 @@ from oracles import (
     path_file_accepted_by_closure,
     union_irreducible_paths,
     validate_antimatroid_pairwise,
+    workers_of,
     wrap_compiled_choices,
 )
 
@@ -613,16 +616,16 @@ class TestCliVariants:
 
     def test_verify_makes_one_choice_per_firm_per_pair_of_partner_sets(self, tmp_path, capsys, monkeypatch):
         """verify orders the extended market's stable matchings and their
-        projections by one firm_leq call each.  A call makes one choice per
+        projections by one order-core call each.  A call makes one choice per
         firm per pair of distinct partner sets the firm gets, and compares
         no pair of matchings on its own."""
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
         em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
         extended = markets.enumerate_stable(em.market)
         projected = [project_to_base(em, mu) for mu in extended]
-        want = [sum(math.comb(len({mu.workers_of(f) for mu in ms}), 2) for f in market.firms)
+        want = [sum(math.comb(len({workers_of(mu, f) for mu in ms}), 2) for f in market.firms)
                 for market, ms in ((em.market, extended), (em.base.market, projected))]
-        choices = _choices_per_firm_leq_call(monkeypatch)
+        choices = _choices_per_order_call(monkeypatch)
 
         def compare(*args):
             raise AssertionError("firm_order_compare called")
@@ -641,10 +644,92 @@ class TestCliVariants:
 
         # reverse each firm's grouped comparison: it chooses what is left of
         # the union of two partner sets
-        choices = _choices_per_firm_leq_call(monkeypatch, lambda offer, chosen: offer & ~chosen)
+        choices = _choices_per_order_call(monkeypatch, lambda offer, chosen: offer & ~chosen)
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
         assert len(choices) == 2 and all(choices)
+
+    def test_verify_encodes_each_extended_stable_matching_once(self, tmp_path, capsys, monkeypatch):
+        """On the extended market's kernel, verify encodes each stable
+        matching once, for every check of the certificate, plus the two
+        deferred-acceptance anchors of the search.  On the base market's
+        kernel it encodes what the lattice does not change: the rotation
+        walk's worker-optimal start, each rotation's minus and plus pairs
+        and the two base extremes."""
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+        em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
+        extended = markets.enumerate_stable(em.market)
+        anchors = [markets.deferred_acceptance(em.market, side) for side in ("firms", "workers")]
+        real_encode, seen = markets._Masks.encode, []
+
+        def encode(kernel, mu):
+            seen.append((kernel.workers == em.market.workers, mu))
+            return real_encode(kernel, mu)
+
+        monkeypatch.setattr(markets._Masks, "encode", encode)
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+        assert code == 0 and report["outcome"] == "ok"
+        assert Counter(mu for on_extended, mu in seen if on_extended) == Counter([*extended, *anchors])
+        assert len(extended) == 5 and len(seen) == 5 + 2 + 1 + 2 * 3 + 2
+
+    def test_failed_certificate_witnesses_are_pinned(self, tmp_path, capsys):
+        """The witnesses of three failed certificates, as recorded before the
+        certificate read masks: a bundle whose market was grown with one
+        order constraint more than it states, the pentagon bundle against
+        the diamond, and a base whose rotation q1 has plus and minus swapped."""
+        lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
+
+        def checks(report):
+            return [(c.name, c.ok, c.witness) for c in report.checks]
+
+        em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
+        object.__setattr__(em, "constraints", em.constraints[1:])
+        assert [c.key() for c in em.constraints] == [JoinConstraint.make([{"p"}, {"q1"}], {"p", "q1", "q2"}).key()]
+        report, _ = certify_lattice(em, pentagon_lattice())
+        assert checks(report) == [
+            ("projections-stable-in-base", True, None),
+            ("image-equals-constrained-base", False, {
+                "image": [[], ["p"], ["q1"], ["q1", "q2"], ["p", "q1", "q2"]],
+                "expected": [[], ["p"], ["q1"], ["q2"], ["p", "q2"], ["q1", "q2"], ["p", "q1", "q2"]],
+                "unrepresentable": []}),
+            ("projection-order-embedding", True, None),
+            ("base-extremes-in-image", True, None),
+            ("counts-match", True, {"stable": 5, "lattice": 5}),
+            ("order-isomorphism", True, None),
+        ]
+
+        diamond_file = tmp_path / "diamond.json"
+        jsonio.write_json(diamond_file, jsonio.lattice_to_json(diamond_lattice()))
+        code, report = run_cli(capsys, "verify", str(bundle_file), str(diamond_file))
+        assert code == 4 and report["checks"] == [
+            {"name": "projections-stable-in-base", "ok": True},
+            {"name": "image-equals-constrained-base", "ok": True},
+            {"name": "projection-order-embedding", "ok": True},
+            {"name": "base-extremes-in-image", "ok": True},
+            {"name": "counts-match", "ok": True},
+            {"name": "order-isomorphism", "ok": False, "witness": "no representation-based mapping"},
+        ]
+
+        em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
+        rp = em.base.rotation_poset
+        q1 = rp.rotations["q1"]
+        swapped = RotationPoset(rp.poset, {**rp.rotations, "q1": Rotation("q1", q1.minus, q1.plus)}, rp.worker_optimal)
+        object.__setattr__(em, "base", RealizedBase(em.base.market, swapped))
+        report, iso = certify_lattice(em, pentagon_lattice())
+        unreachable = ("matching is not representable by a rotation set: "
+                       "firm 'q1.f1' holds ['q1.w2'], reachable by no rotation prefix")
+        assert checks(report) == [
+            ("projections-stable-in-base", True, None),
+            ("image-equals-constrained-base", False, {
+                "image": [[], ["p"]],
+                "expected": [[], ["p"], ["q1"], ["q1", "q2"], ["p", "q1", "q2"]],
+                "unrepresentable": [unreachable] * 3}),
+            ("projection-order-embedding", True, None),
+            ("base-extremes-in-image", True, None),
+            ("counts-match", True, {"stable": 5, "lattice": 5}),
+            ("order-isomorphism", False, "no representation-based mapping"),
+        ]
+        assert sorted(iso) == ["bot", "p"]
 
     def test_plain_market_verify_rejects_a_large_lattice_before_enumerating(self, tmp_path, capsys):
         market_file, lattice_file = tmp_path / "market.json", tmp_path / "chain9.json"
@@ -672,19 +757,20 @@ def _synthesized_files(tmp_path, capsys, name, lattice):
     return lattice_file, bundle_file
 
 
-def _choices_per_firm_leq_call(monkeypatch, fault=None):
-    """Patch every lattmark module's firm_leq to count the evaluations of
-    compiled choices it makes, one count per firm_leq call in the returned
-    list; with fault, those evaluations return fault(offer, chosen) on
-    masks instead.  Every choice compiled from here on is wrapped."""
-    real_leq = markets.firm_leq
+def _choices_per_order_call(monkeypatch, fault=None):
+    """Patch the order core, markets._Masks.order, which firm_leq and the
+    certificate both call, to count the evaluations of compiled choices it
+    makes, one count per call in the returned list; with fault, those
+    evaluations return fault(offer, chosen) on masks instead.  Every choice
+    compiled from here on is wrapped."""
+    real_order = markets._Masks.order
     counts, inside = [], [False]
 
-    def leq(*args):
+    def order(*args):
         counts.append(0)
         inside[0] = True
         try:
-            return real_leq(*args)
+            return real_order(*args)
         finally:
             inside[0] = False
 
@@ -698,9 +784,7 @@ def _choices_per_firm_leq_call(monkeypatch, fault=None):
         return chosen
 
     wrap_compiled_choices(monkeypatch, counted)
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "lattmark" and getattr(module, "firm_leq", None) is real_leq:
-            monkeypatch.setattr(module, "firm_leq", leq)
+    monkeypatch.setattr(markets._Masks, "order", order)
     return counts
 
 
