@@ -30,7 +30,7 @@ from .constraints import JoinConstraint
 from .errors import DuplicateId, InputError, InvariantError
 from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _stable_leaves
 from .orders import _bit_of, _mask, set_key
-from .rotations import RealizedBase, antichain_base, matching_to_rotations
+from .rotations import RealizedBase, _RotationMasks, antichain_base
 
 Pair = tuple[str, str]
 
@@ -310,9 +310,9 @@ class ReductionBundle:
     def recover(self, mu: Matching) -> frozenset[str]:
         """Map a stable matching of the reduced market back to a ground subset:
         the elements whose rotation did not occur."""
-        rp = self.extendable.base.rotation_poset
-        occurred = matching_to_rotations(rp, project_to_base(self.extendable, mu))
-        return frozenset(self.ground) - occurred
+        base = self.extendable.base
+        hold = base.market.kernel.encode(project_to_base(self.extendable, mu))[1]
+        return frozenset(self.ground) - _RotationMasks(base.rotation_poset, base.market.kernel).rotation_set(hold)
 
 
 def reduce_to_matching(pp: PathPoset, costs: Mapping[str, int | Fraction]) -> ReductionBundle:
@@ -342,17 +342,17 @@ def min_cost_stable(
     scale."""
     if sense not in ("min", "max"):
         raise InputError(f"sense must be 'min' or 'max', not {sense!r}")
+    firm_bit, worker_bit = market.kernel.firm_bit, market.kernel.worker_bit
     for f, w in sorted(pair_costs):
-        if f not in market.firm_set or w not in market.worker_set:
+        if f not in firm_bit or w not in worker_bit:
             raise InputError(f"pair cost ({f!r}, {w!r}) names an agent outside the market")
     scale = lcm(*(v.denominator for v in pair_costs.values()))
     sign = 1 if sense == "min" else -1
-    firm_at = {f: i for i, f in enumerate(market.firms)}
-    worker_at = {w: j for j, w in enumerate(market.workers)}
     rows: dict[int, dict[int, int]] = {}
     for (f, w), v in pair_costs.items():
         if v:
-            rows.setdefault(worker_at[w], {})[firm_at[f]] = sign * v.numerator * (scale // v.denominator)
+            rows.setdefault(worker_bit[w].bit_length() - 1, {})[firm_bit[f].bit_length() - 1] = (
+                sign * v.numerator * (scale // v.denominator))
     best = best_key = best_val = None
     for hold, val in _stable_leaves(market, node_bound, rows):
         mu = market.kernel.decode(hold)

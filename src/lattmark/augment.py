@@ -163,12 +163,12 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
     return market, copy_map
 
 
-def project_to_base(em: ExtendableMarket, mu: Matching, check: bool = True) -> Matching:
+def project_to_base(em: ExtendableMarket, mu: Matching) -> Matching:
     """Project all the way to the base market: base firms only, copies folded
     onto base workers, auxiliary agents dropped (_project, on masks)."""
     [(assigned, hold)] = _project(em, [em.market.kernel.encode(mu)[1]])
     out = em.base.market.kernel.decode(hold)
-    if check and not em.base.market.kernel.stable(assigned, hold):
+    if not em.base.market.kernel.stable(assigned, hold):
         raise ProjectionNotStable(f"projected pairs {sorted(out.pairs)}")
     return out
 

@@ -234,14 +234,6 @@ class MatchingMarket:
                 raise SpecError(f"spec of {agent!r} references non-partners {sorted(bad)}")
 
     @cached_property
-    def firm_set(self) -> frozenset[str]:
-        return frozenset(self.firms)
-
-    @cached_property
-    def worker_set(self) -> frozenset[str]:
-        return frozenset(self.workers)
-
-    @cached_property
     def kernel(self) -> "_Masks":
         """The market's mask kernel, built on first use and kept with its memos."""
         return _Masks(self)
@@ -276,10 +268,11 @@ def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Mat
     Each round every proposer offers its choice from the receivers that have
     not rejected it; each receiver holds its choice from the offers received
     and permanently rejects the rest.  Stops when a round produces no new
-    rejection.  Every round that goes on adds a rejection (p, r) that is
-    new, since r was offered p, so it had not rejected p; so it stops within
-    |proposers|·|receivers| + 1 rounds.  With path-independent choice
-    functions the result is the proposer-optimal stable matching.
+    rejection, so each receiver holds all it received.  Every round that
+    goes on adds a rejection (p, r) that is new, since r was offered p, so
+    it had not rejected p; so it stops within |proposers|·|receivers| + 1
+    rounds.  With path-independent choice functions the result is the
+    proposer-optimal stable matching.
     """
     kernel = market.kernel
     if proposing == "firms":
@@ -303,9 +296,7 @@ def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Mat
                 for p in _bits(got & ~hold[r](got)):
                     open_to[p] &= ~(1 << r)
                     changed = True
-    firms, workers = market.firms, market.workers
-    return Matching(frozenset((firms[p], workers[r]) if proposing == "firms" else (firms[r], workers[p])
-                              for p, offer in enumerate(offers) for r in _bits(offer)))
+    return kernel.decode(offers if proposing == "firms" else received)
 
 
 class FirmOrder(Enum):
@@ -367,8 +358,8 @@ class _Masks:
     order, and a memo per agent from offer mask to choice mask, read by
     subscript, which evaluates the agent's choice, compiled once against
     these bit positions, on a miss.  firm_choice[i] and worker_choice[j]
-    are the memos, also reachable as memo[agent]; acceptable[j] lists the
-    positions of the firms in worker j's universe, in firm order."""
+    are the memos; acceptable[j] lists the positions of the firms in worker
+    j's universe, in firm order."""
 
     def __init__(self, market: MatchingMarket):
         self.firms, self.workers = market.firms, market.workers
@@ -376,7 +367,6 @@ class _Masks:
         self.worker_bit = _bit_of(market.workers)
         self.firm_choice = [_Memo(market.spec(f).on_masks(self.worker_bit)) for f in market.firms]
         self.worker_choice = [_Memo(market.spec(w).on_masks(self.firm_bit)) for w in market.workers]
-        self.memo = dict(zip((*market.firms, *market.workers), (*self.firm_choice, *self.worker_choice)))
         self.acceptable = [_bits(_mask(self.firm_bit, spec_universe(market.spec(w)))) for w in market.workers]
 
     def encode(self, mu: Matching) -> tuple[list[int], list[int]]:
@@ -458,11 +448,12 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     rationality is pruned incrementally (substitutability makes a violation
     permanent), pairs are checked for blocking as soon as a firm's offer pool
     is complete, and full stability is re-verified at every leaf.  Two more
-    rules follow from stability and path independence and are stated through
-    the choice functions: a triggered worker whose firms' demands for it are
-    fixed gets its choice from the firms that demand it, and the fallback
-    workers of an if-else firm that each take the firm from their whole
-    universe are matched to it all or none.
+    rules follow from stability and path independence, stated through the
+    choice functions alone, so they hold on any path-independent market: a
+    triggered worker whose firms' demands for it are fixed gets its choice
+    from the firms that demand it, and the workers an if-else firm does not
+    choose from its whole universe, when each takes the firm from its own
+    whole universe, are matched to it all or none.
 
     Workers are searched in the market's declared order, market.workers.  The
     order only affects search performance, never the result, but it can
@@ -530,37 +521,33 @@ def _stable_leaves(
     for j in range(len(workers)):
         for i in acceptable[j]:
             interested[i].append(j)
+    pool = [sum(1 << j for j in ws) for ws in interested]  # firm i's offer pool, as a worker mask
     triggered = [isinstance(sp, Triggered) for sp in specs]
-    regular_workers = sum(1 << j for j in range(len(workers)) if not triggered[j])
     # Workers are placed in declared order, so firm i's offer pool is
     # complete once worker interested[i][-1] is placed (final_at lists the
-    # firms each worker completes), and its regular workers are all placed
-    # once worker last_regular[i] is.
+    # firms each worker completes).
     final_at: list[list[int]] = [[] for _ in workers]
     for i, ws in enumerate(interested):
         if ws:
             final_at[ws[-1]].append(i)
-    last_regular = [max((j for j in ws if not triggered[j]), default=-1) for ws in interested]
-    settles = [isinstance(market.spec(f), (Regular, IfElse)) for f in firms]
 
     def keep(j: int, cand: int, store: bool = True) -> bool:
         ch = worker_choice[j].__getitem__ if store else worker_choice[j].chosen
         return ch(cand) == cand and ch(cand | best[j]) == best[j] and ch(worst[j] | cand) == cand
 
-    # Structural fact about if-else firms f whose fallback workers e all take
-    # f from their whole universe U_e, f in ch_e(U_e): a stable matching
-    # matches either all of them or none of them to f.  (By substitutability
-    # each e then takes f from every offer that contains f.  All there is
-    # fine.  One there, one away: if the priority worker is held the firm
-    # keeps only it, breaking the first one's individual rationality;
-    # otherwise the firm demands the away worker, which demands the firm
-    # back, a blocking pair.)  Workers are placed in declared order, so a later
-    # member j must agree with the group's first: follows[j] holds (first, f's bit).
+    # The if-else group rule.  The group of an if-else firm f is the workers
+    # f does not choose from its whole universe (all but the priority one).
+    # When each takes f from its whole universe, so from every offer with f
+    # (substitutability), a stable matching matches all or none of them to
+    # f: with one there and one away, f either holds the priority worker and
+    # rejects the first, or demands the away one, which demands f back.
+    # Workers are placed in declared order, so a later member j must agree
+    # with the group's first: follows[j] holds (first, f's bit).
     follows: list[list[tuple[int, int]]] = [[] for _ in workers]
     for i, f in enumerate(firms):
-        f_spec = market.spec(f)
-        if isinstance(f_spec, IfElse) and f_spec.else_set:
-            members = _bits(_mask(masks.worker_bit, f_spec.else_set))
+        if isinstance(market.spec(f), IfElse):
+            everyone = _mask(masks.worker_bit, spec_universe(market.spec(f)))
+            members = _bits(everyone & ~firm_choice[i][everyone])
             if all(worker_choice[e][_mask(firm_bit, spec_universe(specs[e]))] >> i & 1 for e in members):
                 for e in members[1:]:
                     follows[e].append((members[0], 1 << i))
@@ -574,32 +561,43 @@ def _stable_leaves(
         held_by = _bits(cand)
         return cand, held_by, sum(rows[j].get(i, 0) for i in held_by)
 
-    def mutual_demand(j: int) -> list[tuple[int, list[int], int]]:
-        # Sound only once every firm in j's universe has a fixed demand for j
-        # (settled below).  Let D be the firms that demand j.  j's firms A lie
-        # in D (firm individual rationality), ch_j(A) = A, and no firm f of
-        # D - A is in ch_j(A | {f}) (no blocking pair); path independence then
-        # gives ch_j(D) = A, so ch_j(D) is j's only possible assignment.
-        wb = 1 << j
-        demand = sum(1 << i for i in acceptable[j] if firm_choice[i][hold[i] | wb] & wb)
-        cand = worker_choice[j][demand]
-        return [priced(j, cand)] if keep(j, cand) else []
+    joinable: list[dict[int, int]] = [{} for _ in firms]  # [i][h]: i's pool workers u after h with ch_i(h | u) = h | u
 
-    def settled(i: int, j: int) -> bool:
-        # A firm's demand for an auxiliary worker is fixed for the rest of a
-        # live branch, at worker j, once the regular workers of its offer
-        # pool are all placed, or once it holds some regular worker: a later
-        # arrival could only alter the tier winner by displacing that
-        # worker, killing the branch at that point.
-        return settles[i] and (last_regular[i] < j or bool(hold[i] & regular_workers))
+    def fixed_demand(j: int) -> int | None:
+        """The firms that demand worker j, the next placed, as a mask, if
+        each one's demand for j is fixed for the rest of a live branch, else
+        None.  Let H be firm i's hold and U the unplaced workers u of its
+        pool with ch_i(H | u) = H | u.  i never demands j once j is not in
+        ch_i(H | j), since holds only grow; it always demands j once j is in
+        ch_i(H | U | j), since any other arrival makes i reject a held worker
+        for good, so every live final hold lies in H | U (both by
+        substitutability).  All unplaced pool workers, a superset of U, go first."""
+        wb, demand = 1 << j, 0
+        for i in acceptable[j]:
+            h, f_choice = hold[i], firm_choice[i]
+            if not f_choice[h | wb] & wb:
+                continue
+            unplaced = pool[i] & -wb
+            if not f_choice[h | unplaced] & wb:
+                if h not in joinable[i]:
+                    after = pool[i] >> h.bit_length() << h.bit_length()
+                    joinable[i][h] = sum(1 << u for u in _bits(after) if f_choice[h | 1 << u] == h | 1 << u)
+                if not f_choice[h | joinable[i][h] & unplaced | wb] & wb:
+                    return None
+            demand |= 1 << i
+        return demand
 
     # keep(j, .) depends only on j and the two anchors, so a worker's kept
     # candidates are computed on its first visit and reused.
     kept: dict[int, list[tuple[int, list[int], int]]] = {}
 
     def candidates(j: int) -> list[tuple[int, list[int], int]]:
-        if triggered[j] and all(settled(i, j) for i in acceptable[j]):
-            return mutual_demand(j)
+        # Mutual demand: j's firms A lie in the demanders D, ch_j(A) = A (both
+        # individual rationality), and no f of D - A is in ch_j(A | {f}) (no
+        # blocking pair); path independence gives ch_j(D) = A, j's only option.
+        if triggered[j] and (demand := fixed_demand(j)) is not None:
+            cand = worker_choice[j][demand]
+            return [priced(j, cand)] if keep(j, cand) else []
         if j not in kept:
             store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
             found = (s for s in specs[j].candidates() if keep(j, _mask(firm_bit, s), store))
@@ -618,10 +616,10 @@ def _stable_leaves(
             if firm_choice[i][hold[i]] != hold[i]:
                 return True
         for i in final_at[j]:
-            pool, fb, f_choice = hold[i], 1 << i, firm_choice[i]
+            held, fb, f_choice = hold[i], 1 << i, firm_choice[i]
             for j2 in interested[i]:
                 own, wb2 = assigned[j2], 1 << j2
-                if not own & fb and worker_choice[j2][own | fb] & fb and f_choice[pool | wb2] & wb2:
+                if not own & fb and worker_choice[j2][own | fb] & fb and f_choice[held | wb2] & wb2:
                     return True
         return False
 

@@ -132,7 +132,8 @@ def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOU
     these rotations, and no two join-irreducibles the same one.
     """
     lat, ms = stable_lattice(market, node_bound=node_bound)
-    if any(m & m - 1 for mu in ms for side in market.kernel.encode(mu) for m in side):
+    encoded = [market.kernel.encode(mu) for mu in ms]
+    if any(m & m - 1 for sides in encoded for side in sides for m in side):
         raise InputError("extract_rotations requires a one-to-one market")
 
     at = dict(zip(lat.elements, ms))
@@ -149,8 +150,9 @@ def extract_rotations(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOU
     rotations = {name[j]: Rotation(name[j], plus=of[j][1], minus=of[j][0]) for j in ordered}
     rel = frozenset((name[a], name[b]) for a, b in xj_poset.relation)
     rp = RotationPoset(Poset(tuple(sorted(rotations)), rel), rotations, at[lat.bottom])
-    for mu in ms:
-        matching_to_rotations(rp, mu)  # raises NotRepresentable on mismatch
+    walk = _RotationMasks(rp, market.kernel)
+    for _, hold in encoded:
+        walk.rotation_set(hold)  # raises NotRepresentable on mismatch
     return rp
 
 

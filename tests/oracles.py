@@ -17,7 +17,7 @@ from lattmark.errors import (
     InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable, UnknownPartnerId,
 )
 from lattmark.markets import (
-    FirmOrder, IfElse, Matching, PreferenceList, Regular, Triggered, firm_order_compare, spec_universe, stable_lattice,
+    IfElse, Matching, PreferenceList, Regular, Triggered, spec_universe, stable_lattice,
 )
 from lattmark.constraints import JoinConstraint
 from lattmark.orders import Poset, join_irreducibles, lattice_from_order, poset_from_pairs
@@ -317,12 +317,13 @@ def deferred_acceptance_by_sets(market, proposing="firms"):
 
 
 def _validate_matching(market, mu):
+    firms, workers = set(market.firms), set(market.workers)
     for f, w in mu.pairs:
-        if f in market.worker_set and w in market.firm_set:
+        if f in workers and w in firms:
             raise UnknownPartnerId.reversed_pair(f, w)
-        if f not in market.firm_set:
+        if f not in firms:
             raise UnknownPartnerId(w, f)
-        if w not in market.worker_set:
+        if w not in workers:
             raise UnknownPartnerId(f, w)
 
 
@@ -383,15 +384,31 @@ def stable_by_blocking_pairs(market, mu):
     return is_individually_rational(market, mu)[0] and not blocking_pairs(market, mu)
 
 
+def firm_order_by_masks(kernel, a, b):
+    """(a <= b, b <= a) for two matchings given by their hold masks on a
+    market's kernel: a <= b when every firm chooses its b mask from the
+    union of its two masks, by the firm's compiled choice."""
+    leq = geq = True
+    for f_choice, x, y in zip(kernel.firm_choice, a, b):
+        if x != y:
+            chosen = f_choice.chosen(x | y)
+            leq, geq = leq and chosen == y, geq and chosen == x
+            if not leq and not geq:
+                break
+    return leq, geq
+
+
 def firm_leq_by_pairs(market, ms):
     """The firm-side order over a list of matchings, (i, j) for ms[i] <= ms[j],
-    by one firm_order_compare per unordered pair."""
+    by one firm_order_by_masks per unordered pair; each matching is encoded
+    once on the market's kernel."""
+    holds = [market.kernel.encode(mu)[1] for mu in ms]
     rel = {(i, i) for i in range(len(ms))}
     for i, j in combinations(range(len(ms)), 2):
-        cmp = firm_order_compare(market, ms[i], ms[j])
-        if cmp in (FirmOrder.LEQ, FirmOrder.EQ):
+        leq, geq = firm_order_by_masks(market.kernel, holds[i], holds[j])
+        if leq:
             rel.add((i, j))
-        if cmp in (FirmOrder.GEQ, FirmOrder.EQ):
+        if geq:
             rel.add((j, i))
     return frozenset(rel)
 

@@ -64,6 +64,7 @@ from oracles import (
     choose_by_sets,
     deferred_acceptance_by_sets,
     firm_leq_by_pairs,
+    firm_order_by_masks,
     independence_number,
     m_lattice,
     stable_by_blocking_pairs,
@@ -527,7 +528,8 @@ def test_kernel_is_stable_matches_the_frozenset_oracle_on_the_corpus(corpus_stab
 
 def test_grouped_firm_leq_matches_the_pairwise_order(corpus_stables):
     """firm_leq, one choice per firm per pair of its partner sets, equals the
-    relation of one firm_order_compare per pair of matchings: on every
+    relation of one pairwise comparison of hold masks per pair of
+    matchings (firm_order_by_masks), each matching encoded once: on every
     corpus market's stable matchings, and on the stable matchings of the
     extended market of the hexagon, boolean_lattice(7), M_8 and the
     30-chain and on their projections into the base market.  On the four
@@ -548,10 +550,11 @@ def test_grouped_firm_leq_matches_the_pairwise_order(corpus_stables):
             assert got == firm_leq_by_pairs(market, ms), market.firms
             pairs += len(ms) ** 2
             continue
+        holds = [market.kernel.encode(mu)[1] for mu in ms]
         for i in rng.sample(range(len(ms)), 24):
-            for j, mu in enumerate(ms):
-                cmp = firm_order_compare(market, ms[i], mu)
-                assert ((i, j) in got) == (cmp in (FirmOrder.LEQ, FirmOrder.EQ)), (i, j)
-                assert ((j, i) in got) == (cmp in (FirmOrder.GEQ, FirmOrder.EQ)), (j, i)
+            for j, hold in enumerate(holds):
+                leq, geq = firm_order_by_masks(market.kernel, holds[i], hold)
+                assert ((i, j) in got) == leq, (i, j)
+                assert ((j, i) in got) == geq, (j, i)
             pairs += 2 * len(ms)
     print(f"grouped firm_leq: {len(cases)} cases, {pairs} ordered pairs, {time.monotonic() - t0:.2f}s")

@@ -174,7 +174,7 @@ class TestProjections:
         em0, em1 = worked
         # folding the copies adds no pair: the projection of a stable
         # matching is its pairs among base agents
-        base_firms, base_workers = em0.market.firm_set, em0.market.worker_set
+        base_firms, base_workers = set(em0.market.firms), set(em0.market.workers)
         for mu2 in enumerate_stable(em1.market):
             mu0 = project_to_base(em1, mu2)
             assert mu0.pairs == {(f, w) for f, w in mu2.pairs if f in base_firms and w in base_workers}

@@ -3,11 +3,11 @@ whose imports are its public re-exports, excepted), and every package module
 imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
-only through their choice functions; the 2^|J| lower-set filter, the
-antimatroid element bound, the frozenset stability definition and the
-frozenset choice bodies stay out of the package; the names kept only for
-the benchmark go unused in it; names become bits only in orders; and no
-class writes its own __eq__."""
+only through their choice functions; markets.py builds a Matching in two
+places; the 2^|J| lower-set filter, the antimatroid element bound, the
+frozenset stability definition and the frozenset choice bodies stay out of
+the package; the names kept only for the benchmark go unused in it; names
+become bits only in orders; and no class writes its own __eq__."""
 
 from __future__ import annotations
 
@@ -122,15 +122,15 @@ def test_search_reads_no_spec_family_fields():
     choice functions, not through the fields of one spec family."""
     tree = ast.parse((ROOT / "src" / "lattmark" / "markets.py").read_text(encoding="utf-8"))
     search = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_stable_leaves")
-    fields = {"watch", "trigger", "entries", "tiers", "aux_pairs", "alpha_groups", "blocks"}
+    fields = {"watch", "trigger", "entries", "tiers", "aux_pairs", "alpha_groups", "blocks", "else_set", "priority"}
     read = sorted({n.attr for n in ast.walk(search) if isinstance(n, ast.Attribute) and n.attr in fields})
     assert not read, read
 
 
 def test_few_isinstance_branches_on_spec_families():
-    """At most 8 isinstance tests against the four spec families remain in
-    src/: the spec codec in jsonio (4), the search's triggered, settles and
-    if-else checks (3), and augment's input validation (1)."""
+    """At most 7 isinstance tests against the four spec families remain in
+    src/: the spec codec in jsonio (4), the search's triggered and if-else
+    checks (2), and augment's input validation (1)."""
     found = []
     for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -138,7 +138,21 @@ def test_few_isinstance_branches_on_spec_families():
                     and len(node.args) == 2
                     and any(isinstance(n, ast.Name) and n.id in SPEC_FAMILIES for n in ast.walk(node.args[1]))):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert len(found) <= 8, found
+    assert len(found) <= 7, found
+
+
+def test_markets_builds_a_matching_in_two_places():
+    """In markets.py a Matching is built only by _Masks.decode, from hold
+    masks, and by Matching.of, from pairs."""
+    tree = ast.parse((ROOT / "src" / "lattmark" / "markets.py").read_text(encoding="utf-8"))
+    found = set()
+    for cls in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Matching"
+                    for n in ast.walk(fn)):
+                found.add(f"{cls.name}.{fn.name}" if isinstance(cls, ast.ClassDef) else fn.name)
+    assert found == {"_Masks.decode", "Matching.of"}, found
 
 
 def names_in_src(names: set[str]) -> list[str]:

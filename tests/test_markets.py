@@ -329,6 +329,34 @@ class TestEnumerate:
         got = enumerate_stable(market)
         assert got == reference_stable_matchings(market) == [Matching.of([("f", "e2"), ("g", "e1")])]
 
+    def test_an_if_else_group_leaves_out_a_priority_worker_listed_as_a_fallback(self):
+        """f's else-set also names its priority worker p.  The group is what
+        f does not choose from its universe, {e} alone, so p with f and e
+        unmatched is not split off as half a group: it is the one stable
+        matching."""
+        market = MatchingMarket(("f",), ("p", "e"), {
+            "f": IfElse("p", frozenset({"e", "p"})),
+            "p": PreferenceList.of("f"),
+            "e": PreferenceList.of("f"),
+        })
+        got = enumerate_stable(market)
+        assert got == reference_stable_matchings(market) == [Matching.of([("f", "p")])]
+
+    def test_a_triggered_worker_is_not_forced_while_a_later_arrival_can_displace_it(self):
+        """f takes t2 over t1, and the trigger firm g accepts no one.  When t1
+        is placed f demands it, but t2 comes later and would displace it, so
+        f's demand for t1 is not fixed and t1 is not forced onto f: the one
+        stable matching gives f only t2."""
+        triggered = Triggered(frozenset({"f"}), "g", (), ())
+        market = MatchingMarket(("f", "g"), ("t1", "t2"), {
+            "f": IfElse("t2", frozenset({"t1"})),
+            "g": Regular((), ()),
+            "t1": triggered,
+            "t2": triggered,
+        })
+        got = enumerate_stable(market)
+        assert got == reference_stable_matchings(market) == [Matching.of([("f", "t2")])]
+
     def test_each_offer_is_evaluated_once(self, quad_antimatroid, monkeypatch):
         """Past deferred acceptance, enumerate_stable on a fresh market
         evaluates each agent's compiled choice at most once per distinct
@@ -358,8 +386,9 @@ class TestEnumerate:
         assert markets.enumerate_stable(within) == want
         monkeypatch.setattr(markets, "_SCAN_MEMO_LIMIT", 0)
         assert markets.enumerate_stable(above) == want
-        assert any(len(within.kernel.memo[w]) == n for w, n in subsets.items())
-        assert all(len(above.kernel.memo[w]) < n for w, n in subsets.items())
+        memo_within, memo_above = (dict(zip(m.workers, m.kernel.worker_choice)) for m in (within, above))
+        assert any(len(memo_within[w]) == n for w, n in subsets.items())
+        assert all(len(memo_above[w]) < n for w, n in subsets.items())
 
     def test_worker_permutation_does_not_change_results(self, seven_market):
         m = seven_market

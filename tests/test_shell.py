@@ -362,6 +362,19 @@ class TestCliVariants:
         code, report = run_cli(capsys, "solve", str(market_file), str(costs_file), "--sense", "max")
         assert code == 0 and report["value"] == [5, 1]
 
+    def test_enumerate_and_solve_an_if_else_firm_whose_else_set_names_its_priority(self, tmp_path, capsys):
+        """The one stable matching {(f, p)} is counted by enumerate and is
+        solve's optimum."""
+        market = MatchingMarket(("f",), ("p", "e"), {
+            "f": IfElse("p", frozenset({"e", "p"})), "p": PreferenceList.of("f"), "e": PreferenceList.of("f")})
+        market_file, costs_file = tmp_path / "market.json", tmp_path / "pair_costs.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(market))
+        jsonio.write_json(costs_file, {"v": 1, "pairs": [["f", "p", 3, 1]]})
+        code, report = run_cli(capsys, "enumerate", str(market_file))
+        assert code == 0 and report["count"] == 1
+        code, report = run_cli(capsys, "solve", str(market_file), str(costs_file))
+        assert code == 0 and report["value"] == [3, 1]
+
     def test_solve_without_costs_on_plain_market_fails(self, tmp_path, capsys):
         market_file = tmp_path / "market.json"
         jsonio.write_json(market_file, jsonio.market_to_json(antichain_base(["p"]).market))
