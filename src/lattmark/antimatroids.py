@@ -25,7 +25,7 @@ from math import lcm
 from operator import countOf, or_
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .augment import ExtendableMarket, omega_extend, project_to_base
+from .augment import ExtendableMarket, _stable_projection, omega_extend
 from .constraints import JoinConstraint
 from .errors import DuplicateId, InputError, InvariantError
 from .markets import DEFAULT_NODE_BOUND, Matching, MatchingMarket, _stable_leaves
@@ -311,7 +311,7 @@ class ReductionBundle:
         """Map a stable matching of the reduced market back to a ground subset:
         the elements whose rotation did not occur."""
         base = self.extendable.base
-        hold = base.market.kernel.encode(project_to_base(self.extendable, mu))[1]
+        hold = _stable_projection(self.extendable, mu)
         return frozenset(self.ground) - _RotationMasks(base.rotation_poset, base.market.kernel).rotation_set(hold)
 
 
@@ -336,10 +336,11 @@ def min_cost_stable(
     and bound: a branch whose exact lower bound is strictly above the
     cheapest stable leaf found so far is cut, so every leaf of least cost is
     still reached.  Each leaf the search yields costs no more than the ones
-    before it, so it becomes a Matching that replaces the incumbent when it
-    is cheaper or ties with a smaller Matching.key().  node_bound counts the
-    pruned search's nodes.  The optimum is returned as that int over the
-    scale."""
+    before it, so a copy of its hold masks replaces the incumbent when it is
+    cheaper or ties with a smaller _Masks.key (Matching.key's order, on
+    masks); the incumbent is decoded once, at the end.  node_bound counts
+    the pruned search's nodes.  The optimum is returned as that int over
+    the scale."""
     if sense not in ("min", "max"):
         raise InputError(f"sense must be 'min' or 'max', not {sense!r}")
     firm_bit, worker_bit = market.kernel.firm_bit, market.kernel.worker_bit
@@ -353,12 +354,11 @@ def min_cost_stable(
         if v:
             rows.setdefault(worker_bit[w].bit_length() - 1, {})[firm_bit[f].bit_length() - 1] = (
                 sign * v.numerator * (scale // v.denominator))
-    best = best_key = best_val = None
+    best = best_val = None
+    key = market.kernel.key
     for hold, val in _stable_leaves(market, node_bound, rows):
-        mu = market.kernel.decode(hold)
-        key = mu.key()
-        if best_val is None or val < best_val or key < best_key:
-            best, best_key, best_val = mu, key, val
+        if best_val is None or val < best_val or key(hold) < key(best):
+            best, best_val = list(hold), val
     if best is None:
         raise InvariantError("no stable matchings found")
-    return best, Fraction(sign * best_val, scale)
+    return market.kernel.decode(best), Fraction(sign * best_val, scale)

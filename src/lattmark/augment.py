@@ -37,7 +37,7 @@ from .markets import (
     Regular,
     Triggered,
     deferred_acceptance,
-    enumerate_stable,
+    stable_holds,
 )
 from .orders import Lattice, _bits, canonical_partial_rep, check_order_embedding, join_irreducibles, set_key
 from .rotations import RealizedBase, RotationPoset, _RotationMasks, antichain_base
@@ -165,12 +165,18 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
 
 def project_to_base(em: ExtendableMarket, mu: Matching) -> Matching:
     """Project all the way to the base market: base firms only, copies folded
-    onto base workers, auxiliary agents dropped (_project, on masks)."""
+    onto base workers, auxiliary agents dropped (_stable_projection)."""
+    return em.base.market.kernel.decode(_stable_projection(em, mu))
+
+
+def _stable_projection(em: ExtendableMarket, mu: Matching) -> list[int]:
+    """mu projected to the base kernel's hold masks by _project;
+    ProjectionNotStable if the projection is unstable in the base."""
+    base = em.base.market.kernel
     [(assigned, hold)] = _project(em, [em.market.kernel.encode(mu)[1]])
-    out = em.base.market.kernel.decode(hold)
-    if not em.base.market.kernel.stable(assigned, hold):
-        raise ProjectionNotStable(f"projected pairs {sorted(out.pairs)}")
-    return out
+    if not base.stable(assigned, hold):
+        raise ProjectionNotStable(f"projected pairs {sorted(base.decode(hold).pairs)}")
+    return hold
 
 
 def _project(em: ExtendableMarket, holds: Iterable[Sequence[int]]) -> Iterator[tuple[list[int], list[int]]]:
@@ -217,21 +223,21 @@ class ExtensionReport:
 
 def _extension_checks(
     em: ExtendableMarket, node_bound: int = DEFAULT_NODE_BOUND
-) -> tuple[list[Check], list[Matching], dict, frozenset]:
+) -> tuple[list[Check], list[list[int]], dict, frozenset]:
     """Enumerate the extended market once and run the four extension checks;
-    also returns the stable matchings, the index of each keyed by the base
-    rotation set of its projection, and their firm-side order (_Masks.order).
+    also returns the stable matchings as hold masks (stable_holds), the
+    index of each keyed by the base rotation set of its projection, and
+    their firm-side order (_Masks.order).
 
-    Each stable matching is encoded once and projected to base masks
-    (_project), which every check reads.  The expected image, the lower
-    rotation sets satisfying every enforced constraint, is searched by
-    lower_sets_satisfying under the same node bound; the base market itself
-    is never enumerated."""
+    The checks read the search's own leaf masks, projected to base masks
+    (_project); only a failure witness is decoded.  The expected image, the
+    lower rotation sets satisfying every enforced constraint, is searched
+    by lower_sets_satisfying under the same node bound; the base market
+    itself is never enumerated."""
     base, rp = em.base, em.base.rotation_poset
     kernel, base_kernel = em.market.kernel, base.market.kernel
     expected = lower_sets_satisfying(rp.poset, em.constraints, node_bound)
-    extended = enumerate_stable(em.market, node_bound=node_bound)
-    holds = [kernel.encode(mu)[1] for mu in extended]
+    holds = stable_holds(em.market, node_bound)
     projected = list(_project(em, holds))
     unstable = [hold for at, hold in projected if not base_kernel.stable(at, hold)]
     checks = [Check("projections-stable-in-base", not unstable,
@@ -253,18 +259,18 @@ def _extension_checks(
     }))
 
     # witness: the first index pair (i, j) on which the two orders disagree,
-    # with whether extended[i] <= extended[j] above and below the projection
+    # with whether holds[i] <= holds[j] above and below the projection
     up, down = kernel.order(holds), base_kernel.order([hold for _, hold in projected])
     diff = min(up ^ down, default=None)
     checks.append(Check("projection-order-embedding", diff is None, None if diff is None else (
-        extended[diff[0]].key(), extended[diff[1]].key(), diff in up, diff in down)))
+        kernel.decode(holds[diff[0]]).key(), kernel.decode(holds[diff[1]]).key(), diff in up, diff in down)))
 
     seen = {tuple(hold) for _, hold in projected}
     extremes = [deferred_acceptance(base.market, side) for side in ("firms", "workers")]
     extremes_ok = all(tuple(base_kernel.encode(mu)[1]) in seen for mu in extremes)
     checks.append(Check("base-extremes-in-image", extremes_ok,
                         None if extremes_ok else tuple(mu.key() for mu in extremes)))
-    return checks, extended, by_rep, up
+    return checks, holds, by_rep, up
 
 
 def verify_extension(em: ExtendableMarket) -> ExtensionReport:
@@ -284,17 +290,17 @@ def certify_lattice(
     matching whose projection is represented by the join-irreducibles below
     x, which the base realizes as rotations of the same ids; the map must be
     a bijection that agrees with the firm-side order."""
-    checks, extended, by_rep, up = _extension_checks(em, node_bound)
+    checks, holds, by_rep, up = _extension_checks(em, node_bound)
     n = len(lattice.elements)
-    checks.append(Check("counts-match", len(extended) == n, {"stable": len(extended), "lattice": n}))
+    checks.append(Check("counts-match", len(holds) == n, {"stable": len(holds), "lattice": n}))
     rep = canonical_partial_rep(lattice)
     at = {x: by_rep[rep[x]] for x in lattice.elements if rep[x] in by_rep}
-    if len(at) == n == len(extended):
+    if len(at) == n == len(holds):
         ok, witness = check_order_embedding(at, lattice.poset, lambda i, j: (i, j) in up)
     else:
         ok, witness = False, "no representation-based mapping"
     checks.append(Check("order-isomorphism", ok, witness))
-    return ExtensionReport(tuple(checks)), {x: extended[k] for x, k in at.items()}
+    return ExtensionReport(tuple(checks)), {x: em.market.kernel.decode(holds[k]) for x, k in at.items()}
 
 
 @dataclass(frozen=True)

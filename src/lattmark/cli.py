@@ -1,7 +1,7 @@
 """Command line interface.
 
 Every command validates its inputs, emits a machine-readable run report to
-stdout, and exits 0 on success, 2 on a validation failure, 3 on an exceeded
+stdout as one line of JSON, and exits 0 on success, 2 on a validation failure, 3 on an exceeded
 search bound, and 4 on an internal invariant breach.
 """
 
@@ -64,7 +64,7 @@ class Report:
         self.payload["elapsed_s"] = round(time.monotonic() - self.start, 3)
         if extra:
             self.payload.update(extra)
-        print(json.dumps(self.payload, sort_keys=True, indent=2, default=str))
+        print(json.dumps(self.payload, sort_keys=True, default=str))
         return 0 if self.payload["outcome"] == "ok" else 4
 
 

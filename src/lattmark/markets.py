@@ -368,6 +368,12 @@ class _Masks:
         self.firm_choice = [_Memo(market.spec(f).on_masks(self.worker_bit)) for f in market.firms]
         self.worker_choice = [_Memo(market.spec(w).on_masks(self.firm_bit)) for w in market.workers]
         self.acceptable = [_bits(_mask(self.firm_bit, spec_universe(market.spec(w)))) for w in market.workers]
+        # each agent's position among its side's names in sorted order (a
+        # declared order need not be name order), a firm's times the number
+        # of workers, so the sum of a pair's ranks orders pairs as names do
+        f_at, w_at = ({x: r for r, x in enumerate(sorted(names))} for names in (self.firms, self.workers))
+        self.firm_rank = [f_at[f] * len(self.workers) for f in self.firms]
+        self.worker_rank = [w_at[w] for w in self.workers]
 
     def encode(self, mu: Matching) -> tuple[list[int], list[int]]:
         """mu as (assigned, hold): worker j holds the firm mask assigned[j],
@@ -390,6 +396,12 @@ class _Masks:
     def decode(self, hold: Sequence[int]) -> Matching:
         """The matching in which firm i holds the workers of the mask hold[i]."""
         return Matching(frozenset((self.firms[i], self.workers[j]) for i, held in enumerate(hold) for j in _bits(held)))
+
+    def key(self, hold: Sequence[int]) -> list[int]:
+        """decode(hold).key() on ints, in the same order: each pair as the
+        sum of its firm's and its worker's rank."""
+        firm_rank, worker_rank = self.firm_rank, self.worker_rank
+        return sorted(firm_rank[i] + worker_rank[j] for i, held in enumerate(hold) for j in _bits(held))
 
     def order(self, holds: Sequence[Sequence[int]]) -> frozenset[tuple[int, int]]:
         """The firm-side order over matchings given by their hold masks
@@ -467,14 +479,19 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     It is one loop over an explicit stack (_stable_leaves), so the number of
     workers is bounded by memory, not by the recursion limit.  The two
     deferred-acceptance anchors are encoded once (_Masks.encode) and every
-    check reads masks; only leaves that pass the stability check are
-    decoded into Matching objects.
+    check reads masks.  The leaves that pass the stability check are sorted
+    on their masks (stable_holds), and each is decoded once into a Matching.
 
     Assumes path-independent choice functions, like deferred acceptance; an
     unstable anchor raises SpecError.  The output is canonically sorted.
     """
-    leaves = _stable_leaves(market, node_bound, {})
-    return sorted((market.kernel.decode(hold) for hold, _ in leaves), key=Matching.key)
+    return [market.kernel.decode(hold) for hold in stable_holds(market, node_bound)]
+
+
+def stable_holds(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUND) -> list[list[int]]:
+    """enumerate_stable's matchings, in its order, as copies of their hold
+    masks (entry i is firm i's worker mask), sorted by _Masks.key."""
+    return sorted((list(hold) for hold, _ in _stable_leaves(market, node_bound, {})), key=market.kernel.key)
 
 
 def _stable_leaves(
@@ -524,12 +541,13 @@ def _stable_leaves(
     pool = [sum(1 << j for j in ws) for ws in interested]  # firm i's offer pool, as a worker mask
     triggered = [isinstance(sp, Triggered) for sp in specs]
     # Workers are placed in declared order, so firm i's offer pool is
-    # complete once worker interested[i][-1] is placed (final_at lists the
-    # firms each worker completes).
-    final_at: list[list[int]] = [[] for _ in workers]
+    # complete once worker interested[i][-1] is placed.  completes[j] lists
+    # the firms worker j completes, each as (position, bit, memo, and its
+    # pool's (worker bit, position, memo)).
+    completes: list[list[tuple]] = [[] for _ in workers]
     for i, ws in enumerate(interested):
         if ws:
-            final_at[ws[-1]].append(i)
+            completes[ws[-1]].append((i, 1 << i, firm_choice[i], [(1 << u, u, worker_choice[u]) for u in ws]))
 
     def keep(j: int, cand: int, store: bool = True) -> bool:
         ch = worker_choice[j].__getitem__ if store else worker_choice[j].chosen
@@ -588,40 +606,30 @@ def _stable_leaves(
         return demand
 
     # keep(j, .) depends only on j and the two anchors, so a worker's kept
-    # candidates are computed on its first visit and reused.
+    # candidates are computed on its first visit and reused.  A triggered
+    # worker's forced move depends also on the holds of its firms, the only
+    # state fixed_demand reads, so it is memoised by those holds (None when
+    # j's demand is not fixed).
     kept: dict[int, list[tuple[int, list[int], int]]] = {}
+    forced: list[dict[tuple[int, ...], list[tuple[int, list[int], int]] | None]] = [{} for _ in workers]
 
     def candidates(j: int) -> list[tuple[int, list[int], int]]:
-        # Mutual demand: j's firms A lie in the demanders D, ch_j(A) = A (both
-        # individual rationality), and no f of D - A is in ch_j(A | {f}) (no
-        # blocking pair); path independence gives ch_j(D) = A, j's only option.
-        if triggered[j] and (demand := fixed_demand(j)) is not None:
-            cand = worker_choice[j][demand]
-            return [priced(j, cand)] if keep(j, cand) else []
+        if triggered[j]:
+            at = tuple(map(hold.__getitem__, acceptable[j]))
+            if at not in forced[j]:
+                # Mutual demand: j's firms A lie in the demanders D, ch_j(A) = A
+                # (both individual rationality), and no f of D - A is in
+                # ch_j(A | {f}) (no blocking pair); path independence gives
+                # ch_j(D) = A, j's only option.
+                cand = None if (demand := fixed_demand(j)) is None else worker_choice[j][demand]
+                forced[j][at] = None if cand is None else [priced(j, cand)] if keep(j, cand) else []
+            if forced[j][at] is not None:
+                return forced[j][at]
         if j not in kept:
             store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
-            found = (s for s in specs[j].candidates() if keep(j, _mask(firm_bit, s), store))
-            kept[j] = [priced(j, _mask(firm_bit, s)) for s in sorted(found, key=set_key)]
+            found = [(s, m) for s in specs[j].candidates() if keep(j, m := _mask(firm_bit, s), store)]
+            kept[j] = [priced(j, m) for _, m in sorted(found, key=lambda sm: set_key(sm[0]))]
         return kept[j]
-
-    def dies(j: int, cand: int, held_by: list[int]) -> bool:
-        """Whether worker j, just placed on the firms cand (at positions
-        held_by), kills the branch: it splits an if-else group, a firm does
-        not keep all it holds, or a firm whose offer pool j completes forms
-        a blocking pair."""
-        for first, fb in follows[j]:
-            if (assigned[first] ^ cand) & fb:
-                return True
-        for i in held_by:
-            if firm_choice[i][hold[i]] != hold[i]:
-                return True
-        for i in final_at[j]:
-            held, fb, f_choice = hold[i], 1 << i, firm_choice[i]
-            for j2 in interested[i]:
-                own, wb2 = assigned[j2], 1 << j2
-                if not own & fb and worker_choice[j2][own | fb] & fb and f_choice[held | wb2] & wb2:
-                    return True
-        return False
 
     if not workers:
         if masks.stable(assigned, hold):
@@ -650,10 +658,24 @@ def _stable_leaves(
             if nodes > node_bound:
                 raise SearchBoundExceeded(nodes, node_bound)
             assigned[j], assigned_at[j] = cand, held_by
+            # The branch dies if j splits an if-else group, a firm does not
+            # keep all it holds, or a firm whose offer pool j completes forms
+            # a blocking pair.
+            dead = False
+            for first, fb in follows[j]:
+                dead = dead or (assigned[first] ^ cand) & fb
             wb = 1 << j
             for i in held_by:
                 hold[i] |= wb
-            if not dies(j, cand, held_by):
+                dead = dead or firm_choice[i][hold[i]] != hold[i]
+            for i, fb, f_choice, members in () if dead else completes[j]:
+                held = hold[i]
+                for ub, u, w_choice in members:
+                    own = assigned[u]
+                    if not own & fb and w_choice[own | fb] & fb and f_choice[held | ub] & ub:
+                        dead = True
+                        break
+            if not dead:
                 if j < last:
                     spent.append(spent[j] + cost)
                     j += 1

@@ -7,7 +7,8 @@ only through their choice functions; markets.py builds a Matching in two
 places; the 2^|J| lower-set filter, the antimatroid element bound, the
 frozenset stability definition and the frozenset choice bodies stay out of
 the package; the names kept only for the benchmark go unused in it; names
-become bits only in orders; and no class writes its own __eq__."""
+become bits only in orders; no class writes its own __eq__; only written
+files are indented; and the certificate reads the search's leaf masks."""
 
 from __future__ import annotations
 
@@ -153,6 +154,31 @@ def test_markets_builds_a_matching_in_two_places():
                     for n in ast.walk(fn)):
                 found.add(f"{cls.name}.{fn.name}" if isinstance(cls, ast.ClassDef) else fn.name)
     assert found == {"_Masks.decode", "Matching.of"}, found
+
+
+def test_only_written_files_are_indented():
+    """Run reports print as one line through json's C encoder: the one
+    indent= argument in src/ is jsonio.dumps', which formats written files."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "lattmark").glob("*.py"))}
+    dumps = next(n for n in trees["jsonio.py"].body if isinstance(n, ast.FunctionDef) and n.name == "dumps")
+    inside = {id(n) for n in ast.walk(dumps)}
+    found = [(name, node.lineno, id(node) in inside) for name, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg == "indent"]
+    assert [inside for *_, inside in found] == [True], found
+
+
+def test_the_certificate_reads_the_search_leaf_masks():
+    """augment._extension_checks takes the extended market's stable
+    matchings as hold masks from stable_holds: it calls no enumerate_stable,
+    and its only encode calls are on the base kernel, for the base market's
+    two deferred-acceptance extremes."""
+    tree = ast.parse((ROOT / "src" / "lattmark" / "augment.py").read_text(encoding="utf-8"))
+    checks = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_extension_checks")
+    calls = [n.func for n in ast.walk(checks) if isinstance(n, ast.Call)]
+    named = {f.id if isinstance(f, ast.Name) else f.attr for f in calls if isinstance(f, (ast.Name, ast.Attribute))}
+    encodes = [ast.unparse(f.value) for f in calls if isinstance(f, ast.Attribute) and f.attr == "encode"]
+    assert "stable_holds" in named and "enumerate_stable" not in named and encodes == ["base_kernel"], (named, encodes)
 
 
 def names_in_src(names: set[str]) -> list[str]:

@@ -291,6 +291,19 @@ class TestEnumerate:
             want = one_to_one_stable_matchings(fl, wl)
             assert sorted(want, key=sorted) == got
 
+    def test_stable_holds_are_in_key_order_when_declared_order_is_not_name_order(self):
+        """stable_holds sorts on masks by each agent's rank among its side's
+        names, so its order is Matching.key's, not the declared positions'
+        (f2, f10, f1 and wc, wa, wb)."""
+        firms, workers = ("f2", "f10", "f1"), ("wc", "wa", "wb")
+        choice = {f: PreferenceList.of(*(workers[(i + k) % 3] for k in range(3))) for i, f in enumerate(firms)}
+        choice.update({w: PreferenceList.of(*(firms[(j + 1 + k) % 3] for k in range(3))) for j, w in enumerate(workers)})
+        market = MatchingMarket(firms, workers, choice)
+        holds = markets.stable_holds(market)
+        assert [market.kernel.decode(h) for h in holds] == sorted(reference_stable_matchings(market), key=Matching.key)
+        by_position = sorted(holds, key=lambda h: sorted((i, j) for i, held in enumerate(h) for j in range(3) if held >> j & 1))
+        assert len(holds) == 3 and holds != by_position
+
     def test_empty_market(self):
         m = MatchingMarket((), (), {})
         assert enumerate_stable(m) == [Matching(frozenset())]

@@ -281,6 +281,41 @@ class TestCli:
         code, report = run_cli(capsys, "solve", str(bundle_file))
         assert (code, report["value"], report["recovered_set"]) == (0, [0, 1], [])
 
+    def test_each_success_report_is_one_line(self, tmp_path, capsys, monkeypatch):
+        """Every command prints its run report as exactly one line of JSON,
+        which parses to the payload the indented form parses to."""
+        real_emit, reports = cli.Report.emit, []
+
+        def emit(report, extra=None):
+            reports.append(report)
+            return real_emit(report, extra)
+
+        monkeypatch.setattr(cli.Report, "emit", emit)
+        lattice_file = tmp_path / "pentagon.json"
+        jsonio.write_json(lattice_file, jsonio.lattice_to_json(pentagon_lattice()))
+        market_file = tmp_path / "market.json"
+        jsonio.write_json(market_file, jsonio.market_to_json(seven_pair_market()))
+        anti_file, costs_file = tmp_path / "anti.json", tmp_path / "costs.json"
+        jsonio.write_json(anti_file, jsonio.antimatroid_to_json(four_element_antimatroid()))
+        jsonio.write_json(costs_file, {"v": 1, "ground": {x: -1 for x in "abcd"}})
+        bundle, reduction = str(tmp_path / "bundle.json"), str(tmp_path / "reduction.json")
+        commands = [
+            ["synthesize", str(lattice_file), "-o", bundle],
+            ["verify", bundle, str(lattice_file)],
+            ["enumerate", bundle],
+            ["rotations", str(market_file)],
+            ["reduce", str(anti_file), str(costs_file), "-o", reduction],
+            ["solve", reduction],
+            ["export-dot", str(lattice_file), "-o", str(tmp_path / "pentagon.dot")],
+        ]
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+            out = capsys.readouterr().out
+            indented = json.dumps(reports[-1].payload, sort_keys=True, indent=2, default=str)
+            assert out.count("\n") == 1 and out.endswith("}\n"), argv
+            assert json.loads(out) == json.loads(indented) and json.loads(out)["outcome"] == "ok", argv
+        assert len(reports) == len(commands)
+
     def test_export_dot(self, tmp_path, capsys):
         lattice_file = tmp_path / "hexagon.json"
         jsonio.write_json(lattice_file, jsonio.lattice_to_json(hexagon_lattice()))
@@ -610,22 +645,26 @@ class TestCliVariants:
         assert code == 3 and report["kind"] == "SearchBoundExceeded"
 
     def test_synthesize_and_verify_enumerate_only_the_extended_market_once(self, tmp_path, capsys, monkeypatch):
-        real, seen = markets.enumerate_stable, []
+        """Each command searches the extended market once, through
+        stable_holds; the certificate makes no enumerate_stable call."""
+        seen = {"stable_holds": [], "enumerate_stable": []}
+        for fn_name, calls in seen.items():
+            real = getattr(markets, fn_name)
 
-        def counting(market, *args, **kwargs):
-            seen.append(market)
-            return real(market, *args, **kwargs)
+            def counting(market, *args, real=real, calls=calls, **kwargs):
+                calls.append(market)
+                return real(market, *args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "lattmark" and getattr(module, "enumerate_stable", None) is real:
-                monkeypatch.setattr(module, "enumerate_stable", counting)
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] == "lattmark" and getattr(module, fn_name, None) is real:
+                    monkeypatch.setattr(module, fn_name, counting)
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
         extended = jsonio.extendable_from_json(jsonio.read_json(bundle_file)).market
-        assert seen == [extended]
-        seen.clear()
+        assert seen == {"stable_holds": [extended], "enumerate_stable": []}
+        seen["stable_holds"].clear()
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 0 and report["outcome"] == "ok"
-        assert seen == [extended]
+        assert seen == {"stable_holds": [extended], "enumerate_stable": []}
 
     def test_verify_makes_one_choice_per_firm_per_pair_of_partner_sets(self, tmp_path, capsys, monkeypatch):
         """verify orders the extended market's stable matchings and their
@@ -662,16 +701,14 @@ class TestCliVariants:
         assert code == 4 and {c["name"]: c["ok"] for c in report["checks"]}["order-isomorphism"] is False
         assert len(choices) == 2 and all(choices)
 
-    def test_verify_encodes_each_extended_stable_matching_once(self, tmp_path, capsys, monkeypatch):
-        """On the extended market's kernel, verify encodes each stable
-        matching once, for every check of the certificate, plus the two
-        deferred-acceptance anchors of the search.  On the base market's
-        kernel it encodes what the lattice does not change: the rotation
-        walk's worker-optimal start, each rotation's minus and plus pairs
-        and the two base extremes."""
+    def test_verify_encodes_only_the_anchors_on_the_extended_kernel(self, tmp_path, capsys, monkeypatch):
+        """On the extended market's kernel, verify encodes only the two
+        deferred-acceptance anchors of the search: the certificate reads the
+        search's leaf masks.  On the base market's kernel it encodes what the
+        lattice does not change: the rotation walk's worker-optimal start,
+        each rotation's minus and plus pairs and the two base extremes."""
         lattice_file, bundle_file = _pentagon_files(tmp_path, capsys)
         em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
-        extended = markets.enumerate_stable(em.market)
         anchors = [markets.deferred_acceptance(em.market, side) for side in ("firms", "workers")]
         real_encode, seen = markets._Masks.encode, []
 
@@ -682,8 +719,8 @@ class TestCliVariants:
         monkeypatch.setattr(markets._Masks, "encode", encode)
         code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
         assert code == 0 and report["outcome"] == "ok"
-        assert Counter(mu for on_extended, mu in seen if on_extended) == Counter([*extended, *anchors])
-        assert len(extended) == 5 and len(seen) == 5 + 2 + 1 + 2 * 3 + 2
+        assert Counter(mu for on_extended, mu in seen if on_extended) == Counter(anchors)
+        assert len(seen) == 2 + 1 + 2 * 3 + 2
 
     def test_failed_certificate_witnesses_are_pinned(self, tmp_path, capsys):
         """The witnesses of three failed certificates, as recorded before the

@@ -157,6 +157,22 @@ def test_union_markets_agree_with_the_oracles():
           f"in a stable matching, {time.monotonic() - t0:.2f}s")
 
 
+def test_stable_holds_are_the_stable_leaves_in_key_order():
+    """stable_holds returns the search's leaves sorted as their decodings
+    sort by Matching.key, on the union corpus and on each of its markets
+    with both declared orders reversed, so that declared order is not name
+    order."""
+    corpus = union_corpus()
+    corpus += [MatchingMarket(m.firms[::-1], m.workers[::-1], m.choice) for m in corpus]
+    reordered = 0
+    for market in corpus:
+        leaves = [market.kernel.decode(hold) for hold, _ in markets._stable_leaves(market, markets.DEFAULT_NODE_BOUND, {})]
+        decoded = [market.kernel.decode(hold) for hold in markets.stable_holds(market)]
+        assert decoded == sorted(leaves, key=Matching.key), market
+        reordered += decoded != leaves
+    assert len(corpus) == 600 and reordered >= 50, reordered
+
+
 def random_spec(partners, rng):
     """A spec of one of the four families, picked uniformly, over some of
     the partners, with random fields (any of them may leave the spec not
