@@ -283,13 +283,14 @@ def verify_extension(em: ExtendableMarket) -> ExtensionReport:
 
 def certify_lattice(
     em: ExtendableMarket, lattice: Lattice, node_bound: int = DEFAULT_NODE_BOUND
-) -> tuple[ExtensionReport, dict[str, Matching]]:
+) -> tuple[ExtensionReport, dict[str, list[int]]]:
     """The certificate that em's market realizes the lattice, from one
     enumeration of the extended market: the four extension checks, then
     counts-match and order-isomorphism.  Each element x maps to the stable
     matching whose projection is represented by the join-irreducibles below
     x, which the base realizes as rotations of the same ids; the map must be
-    a bijection that agrees with the firm-side order."""
+    a bijection that agrees with the firm-side order.  The map is returned
+    on the search's leaf masks (stable_holds), undecoded."""
     checks, holds, by_rep, up = _extension_checks(em, node_bound)
     n = len(lattice.elements)
     checks.append(Check("counts-match", len(holds) == n, {"stable": len(holds), "lattice": n}))
@@ -300,7 +301,7 @@ def certify_lattice(
     else:
         ok, witness = False, "no representation-based mapping"
     checks.append(Check("order-isomorphism", ok, witness))
-    return ExtensionReport(tuple(checks)), {x: em.market.kernel.decode(holds[k]) for x, k in at.items()}
+    return ExtensionReport(tuple(checks)), {x: holds[k] for x, k in at.items()}
 
 
 @dataclass(frozen=True)
@@ -335,4 +336,4 @@ def synthesize_from_lattice(lattice: Lattice, verify: bool = True) -> SynthesisR
     report, iso = certify_lattice(em, lattice)
     if not report.ok:
         raise IsomorphismFailure("; ".join(f"{c.name}: {c.witness}" for c in report.failures()))
-    return SynthesisResult(em, iso, report)
+    return SynthesisResult(em, {x: em.market.kernel.decode(hold) for x, hold in iso.items()}, report)

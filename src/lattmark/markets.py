@@ -308,20 +308,13 @@ class FirmOrder(Enum):
 
 def firm_order_compare(market: MatchingMarket, mu1: Matching, mu2: Matching) -> FirmOrder:
     """Firm-side comparison: mu1 >= mu2 iff every firm picks its mu1 partners
-    out of the union of its partners under both matchings."""
-    if mu1.pairs == mu2.pairs:
+    out of the union of its partners under both matchings, read off
+    firm_leq on the two."""
+    order = firm_leq(market, (mu1, mu2))
+    geq, leq = (1, 0) in order, (0, 1) in order
+    if geq and leq:
         return FirmOrder.EQ
-    geq = leq = True
-    kernel = market.kernel
-    for i, (a, b) in enumerate(zip(kernel.encode(mu1)[1], kernel.encode(mu2)[1])):
-        if a != b:
-            chosen = kernel.firm_choice[i].chosen(a | b)
-            geq, leq = geq and chosen == a, leq and chosen == b
-            if not geq and not leq:
-                return FirmOrder.INCOMPARABLE
-    # distinct matchings cannot compare equal: some firm has a != b, and the
-    # chosen set matches at most one of them
-    return FirmOrder.GEQ if geq else FirmOrder.LEQ
+    return FirmOrder.GEQ if geq else FirmOrder.LEQ if leq else FirmOrder.INCOMPARABLE
 
 
 def firm_leq(market: MatchingMarket, ms: Sequence[Matching]) -> frozenset[tuple[int, int]]:
@@ -460,12 +453,14 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     rationality is pruned incrementally (substitutability makes a violation
     permanent), pairs are checked for blocking as soon as a firm's offer pool
     is complete, and full stability is re-verified at every leaf.  Two more
-    rules follow from stability and path independence, stated through the
-    choice functions alone, so they hold on any path-independent market: a
-    triggered worker whose firms' demands for it are fixed gets its choice
-    from the firms that demand it, and the workers an if-else firm does not
-    choose from its whole universe, when each takes the firm from its own
-    whole universe, are matched to it all or none.
+    rules follow from stability and path independence, stated and gated
+    through the choice functions alone, so they hold on any path-independent
+    market whatever its families: a worker that chooses several firms from
+    its whole universe, once its firms' demands for it are fixed, gets its
+    choice from the firms that demand it; and when a firm's pool splits into
+    its choice S and the rest G, with |G| >= 2, G chosen whole, no member
+    of G kept beside a worker of S, and each member taking the firm from
+    its own whole universe, G is matched to the firm all or none.
 
     Workers are searched in the market's declared order, market.workers.  The
     order only affects search performance, never the result, but it can
@@ -527,7 +522,6 @@ def _stable_leaves(
 
     firm_bit, firm_choice, worker_choice, acceptable = (
         masks.firm_bit, masks.firm_choice, masks.worker_choice, masks.acceptable)
-    specs = [market.spec(w) for w in workers]
     rows = [costs.get(j, {}) for j in range(len(workers))]
     floor = [0] * (len(workers) + 1)  # floor[j]: the least workers j, j + 1, ... can cost
     for j in reversed(range(len(workers))):
@@ -539,7 +533,8 @@ def _stable_leaves(
         for i in acceptable[j]:
             interested[i].append(j)
     pool = [sum(1 << j for j in ws) for ws in interested]  # firm i's offer pool, as a worker mask
-    triggered = [isinstance(sp, Triggered) for sp in specs]
+    # takes[j]: worker j's choice from its whole universe, as a firm mask
+    takes = [worker_choice[j][sum(1 << i for i in acceptable[j])] for j in range(len(workers))]
     # Workers are placed in declared order, so firm i's offer pool is
     # complete once worker interested[i][-1] is placed.  completes[j] lists
     # the firms worker j completes, each as (position, bit, memo, and its
@@ -553,22 +548,24 @@ def _stable_leaves(
         ch = worker_choice[j].__getitem__ if store else worker_choice[j].chosen
         return ch(cand) == cand and ch(cand | best[j]) == best[j] and ch(worst[j] | cand) == cand
 
-    # The if-else group rule.  The group of an if-else firm f is the workers
-    # f does not choose from its whole universe (all but the priority one).
-    # When each takes f from its whole universe, so from every offer with f
-    # (substitutability), a stable matching matches all or none of them to
-    # f: with one there and one away, f either holds the priority worker and
-    # rejects the first, or demands the away one, which demands f back.
-    # Workers are placed in declared order, so a later member j must agree
-    # with the group's first: follows[j] holds (first, f's bit).
+    # The group rule.  Firm i's pool splits into S = ch_i(pool) and the group
+    # G, the rest.  Let |G| >= 2, ch_i(G) = G, no x of G lie in ch_i({u, x})
+    # for a u of S (for each u, one test: ch_i({u} | G) misses G, by
+    # substitutability and consistency), and each member take i from its
+    # whole universe, so from every offer with i.  A stable hold H = ch_i(H)
+    # meeting G then lies in G (substitutability carries the pair test up to
+    # H), so i demands any absent member, which demands i back: G goes to i
+    # all or none.  Workers are placed in declared order, so a later member
+    # j must agree with the group's first: follows[j] holds (first, i's bit).
     follows: list[list[tuple[int, int]]] = [[] for _ in workers]
-    for i, f in enumerate(firms):
-        if isinstance(market.spec(f), IfElse):
-            everyone = _mask(masks.worker_bit, spec_universe(market.spec(f)))
-            members = _bits(everyone & ~firm_choice[i][everyone])
-            if all(worker_choice[e][_mask(firm_bit, spec_universe(specs[e]))] >> i & 1 for e in members):
-                for e in members[1:]:
-                    follows[e].append((members[0], 1 << i))
+    for i, f_choice in enumerate(firm_choice):
+        chosen = f_choice[pool[i]]
+        group = pool[i] & ~chosen
+        members = _bits(group)
+        if (len(members) > 1 and all(takes[e] >> i & 1 for e in members) and f_choice[group] == group
+                and not any(f_choice[1 << u | group] & group for u in _bits(chosen))):
+            for e in members[1:]:
+                follows[e].append((members[0], 1 << i))
 
     hold = [0] * len(firms)
     assigned = [0] * len(workers)
@@ -606,15 +603,15 @@ def _stable_leaves(
         return demand
 
     # keep(j, .) depends only on j and the two anchors, so a worker's kept
-    # candidates are computed on its first visit and reused.  A triggered
-    # worker's forced move depends also on the holds of its firms, the only
-    # state fixed_demand reads, so it is memoised by those holds (None when
-    # j's demand is not fixed).
+    # candidates are computed on its first visit and reused.  A worker's
+    # forced move depends also on the holds of its firms, the only state
+    # fixed_demand reads, so it is memoised by those holds (None when j's
+    # demand is not fixed).
     kept: dict[int, list[tuple[int, list[int], int]]] = {}
     forced: list[dict[tuple[int, ...], list[tuple[int, list[int], int]] | None]] = [{} for _ in workers]
 
     def candidates(j: int) -> list[tuple[int, list[int], int]]:
-        if triggered[j]:
+        if takes[j] & takes[j] - 1:  # mutual demand runs on a worker that takes several firms
             at = tuple(map(hold.__getitem__, acceptable[j]))
             if at not in forced[j]:
                 # Mutual demand: j's firms A lie in the demanders D, ch_j(A) = A
@@ -626,8 +623,8 @@ def _stable_leaves(
             if forced[j][at] is not None:
                 return forced[j][at]
         if j not in kept:
-            store = len(spec_universe(specs[j])) <= _SCAN_MEMO_LIMIT
-            found = [(s, m) for s in specs[j].candidates() if keep(j, m := _mask(firm_bit, s), store)]
+            store = len(acceptable[j]) <= _SCAN_MEMO_LIMIT
+            found = [(s, m) for s in market.spec(workers[j]).candidates() if keep(j, m := _mask(firm_bit, s), store)]
             kept[j] = [priced(j, m) for _, m in sorted(found, key=lambda sm: set_key(sm[0]))]
         return kept[j]
 
@@ -658,9 +655,9 @@ def _stable_leaves(
             if nodes > node_bound:
                 raise SearchBoundExceeded(nodes, node_bound)
             assigned[j], assigned_at[j] = cand, held_by
-            # The branch dies if j splits an if-else group, a firm does not
-            # keep all it holds, or a firm whose offer pool j completes forms
-            # a blocking pair.
+            # The branch dies if j splits a group, a firm does not keep all it
+            # holds, or a firm whose offer pool j completes forms a blocking
+            # pair.
             dead = False
             for first, fb in follows[j]:
                 dead = dead or (assigned[first] ^ cand) & fb
@@ -696,18 +693,19 @@ def stable_lattice(
     """Enumerate the stable matchings and organize them as a lattice.
 
     Returns the lattice over synthetic ids m000, m001, ... aligned with the
-    returned canonical matching list.  Raises NonLatticeStructure if the
-    comparison order fails to produce joins and meets.
+    returned canonical matching list, ordered by _Masks.order on the leaf
+    masks of stable_holds, each decoded once.  Raises NonLatticeStructure if
+    the comparison order fails to produce joins and meets.
     """
-    ms = enumerate_stable(market, node_bound=node_bound)
-    width = max(3, len(str(max(len(ms) - 1, 0))))
-    ids = tuple(f"m{i:0{width}d}" for i in range(len(ms)))
-    poset = Poset(ids, frozenset((ids[i], ids[j]) for i, j in firm_leq(market, ms)))
+    holds = stable_holds(market, node_bound)
+    width = max(3, len(str(max(len(holds) - 1, 0))))
+    ids = tuple(f"m{i:0{width}d}" for i in range(len(holds)))
+    poset = Poset(ids, frozenset((ids[i], ids[j]) for i, j in market.kernel.order(holds)))
     try:
         lat = lattice_from_order(poset)
     except NotALattice as exc:
         raise NonLatticeStructure(str(exc)) from exc
-    return lat, ms
+    return lat, [market.kernel.decode(hold) for hold in holds]
 
 
 def check_path_independence(spec: ChoiceSpec, exhaustive_limit: int = 16) -> tuple[bool, tuple | None]:

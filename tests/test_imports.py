@@ -3,12 +3,14 @@ whose imports are its public re-exports, excepted), and every package module
 imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
-only through their choice functions; markets.py builds a Matching in two
-places; the 2^|J| lower-set filter, the antimatroid element bound, the
-frozenset stability definition and the frozenset choice bodies stay out of
-the package; the names kept only for the benchmark go unused in it; names
-become bits only in orders; no class writes its own __eq__; only written
-files are indented; and the certificate reads the search's leaf masks."""
+only through their choice functions and names none of them, and src/
+holds exactly five isinstance tests on them; markets.py builds a Matching
+in two places; the 2^|J| lower-set filter, the antimatroid element bound,
+the frozenset stability definition and the frozenset choice bodies stay
+out of the package; the names kept only for the benchmark go unused in
+it; names become bits only in orders; no class writes its own __eq__; only
+written files are indented; and the certificate reads the search's leaf
+masks."""
 
 from __future__ import annotations
 
@@ -120,26 +122,28 @@ SPEC_FAMILIES = {"PreferenceList", "Triggered", "IfElse", "Regular"}
 
 def test_search_reads_no_spec_family_fields():
     """markets._stable_leaves states its prune rules through the memoised
-    choice functions, not through the fields of one spec family."""
+    choice functions: it reads no field of a spec family and names no
+    family."""
     tree = ast.parse((ROOT / "src" / "lattmark" / "markets.py").read_text(encoding="utf-8"))
     search = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_stable_leaves")
     fields = {"watch", "trigger", "entries", "tiers", "aux_pairs", "alpha_groups", "blocks", "else_set", "priority"}
     read = sorted({n.attr for n in ast.walk(search) if isinstance(n, ast.Attribute) and n.attr in fields})
-    assert not read, read
+    named = sorted({n.id for n in ast.walk(search) if isinstance(n, ast.Name) and n.id in SPEC_FAMILIES})
+    assert not read and not named, (read, named)
 
 
 def test_few_isinstance_branches_on_spec_families():
-    """At most 7 isinstance tests against the four spec families remain in
-    src/: the spec codec in jsonio (4), the search's triggered and if-else
-    checks (2), and augment's input validation (1)."""
+    """Exactly 5 isinstance tests against the four spec families remain in
+    src/: the spec codec in jsonio (4) and augment's input validation (1).
+    The search tests none."""
     found = []
     for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
                     and len(node.args) == 2
                     and any(isinstance(n, ast.Name) and n.id in SPEC_FAMILIES for n in ast.walk(node.args[1]))):
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert len(found) <= 7, found
+                found.append(path.name)
+    assert sorted(found) == ["augment.py", "jsonio.py", "jsonio.py", "jsonio.py", "jsonio.py"], found
 
 
 def test_markets_builds_a_matching_in_two_places():

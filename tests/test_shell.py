@@ -722,6 +722,31 @@ class TestCliVariants:
         assert Counter(mu for on_extended, mu in seen if on_extended) == Counter(anchors)
         assert len(seen) == 2 + 1 + 2 * 3 + 2
 
+    def test_verify_decodes_only_the_deferred_acceptance_outcomes(self, tmp_path, capsys, monkeypatch):
+        """verify turns no stable matching of the built market back into
+        pairs: its only decodes are the four deferred-acceptance outcomes
+        (the search's two anchors and the two base extremes), so a 9-element
+        chain decodes as many as a 4-element one."""
+        real_decode, seen = markets._Masks.decode, []
+
+        def decode(kernel, hold):
+            seen.append(real_decode(kernel, hold))
+            return seen[-1]
+
+        monkeypatch.setattr(markets._Masks, "decode", decode)
+        counts = []
+        for n in (4, 9):
+            lattice_file, bundle_file = _synthesized_files(tmp_path, capsys, f"chain{n}", chain_lattice(n))
+            em = jsonio.extendable_from_json(jsonio.read_json(bundle_file))
+            outcomes = [markets.deferred_acceptance(market, side)
+                        for market in (em.market, em.base.market) for side in ("firms", "workers")]
+            seen.clear()
+            code, report = run_cli(capsys, "verify", str(bundle_file), str(lattice_file))
+            assert code == 0 and report["outcome"] == "ok"
+            assert Counter(seen) == Counter(outcomes), n
+            counts.append(len(seen))
+        assert counts == [4, 4]
+
     def test_failed_certificate_witnesses_are_pinned(self, tmp_path, capsys):
         """The witnesses of three failed certificates, as recorded before the
         certificate read masks: a bundle whose market was grown with one
