@@ -338,7 +338,8 @@ def min_cost_stable(
     still reached.  Each leaf the search yields costs no more than the ones
     before it, so a copy of its hold masks replaces the incumbent when it is
     cheaper or ties with a smaller _Masks.key (Matching.key's order, on
-    masks); the incumbent is decoded once, at the end.  node_bound counts
+    masks); the incumbent's key is computed at its first tie and kept
+    beside it, and the incumbent is decoded once, at the end.  node_bound counts
     the pruned search's nodes.  The optimum is returned as that int over
     the scale."""
     if sense not in ("min", "max"):
@@ -354,11 +355,16 @@ def min_cost_stable(
         if v:
             rows.setdefault(worker_bit[w].bit_length() - 1, {})[firm_bit[f].bit_length() - 1] = (
                 sign * v.numerator * (scale // v.denominator))
-    best = best_val = None
+    best = best_val = best_key = None
     key = market.kernel.key
     for hold, val in _stable_leaves(market, node_bound, rows):
-        if best_val is None or val < best_val or key(hold) < key(best):
-            best, best_val = list(hold), val
+        if best_val is None or val < best_val:
+            best, best_val, best_key = list(hold), val, None
+        else:
+            if best_key is None:
+                best_key = key(best)
+            if (hold_key := key(hold)) < best_key:
+                best, best_key = list(hold), hold_key
     if best is None:
         raise InvariantError("no stable matchings found")
     return market.kernel.decode(best), Fraction(sign * best_val, scale)

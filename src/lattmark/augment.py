@@ -36,7 +36,6 @@ from .markets import (
     PreferenceList,
     Regular,
     Triggered,
-    deferred_acceptance,
     stable_holds,
 )
 from .orders import Lattice, _bits, canonical_partial_rep, check_order_embedding, join_irreducibles, set_key
@@ -230,7 +229,8 @@ def _extension_checks(
     their firm-side order (_Masks.order).
 
     The checks read the search's own leaf masks, projected to base masks
-    (_project); only a failure witness is decoded.  The expected image, the
+    (_project), and the base market's two deferred-acceptance extremes as
+    masks; only a failure witness is decoded.  The expected image, the
     lower rotation sets satisfying every enforced constraint, is searched
     by lower_sets_satisfying under the same node bound; the base market
     itself is never enumerated."""
@@ -266,10 +266,10 @@ def _extension_checks(
         kernel.decode(holds[diff[0]]).key(), kernel.decode(holds[diff[1]]).key(), diff in up, diff in down)))
 
     seen = {tuple(hold) for _, hold in projected}
-    extremes = [deferred_acceptance(base.market, side) for side in ("firms", "workers")]
-    extremes_ok = all(tuple(base_kernel.encode(mu)[1]) in seen for mu in extremes)
+    extremes = [base_kernel.deferred_acceptance(side)[1] for side in ("firms", "workers")]
+    extremes_ok = all(tuple(hold) in seen for hold in extremes)
     checks.append(Check("base-extremes-in-image", extremes_ok,
-                        None if extremes_ok else tuple(mu.key() for mu in extremes)))
+                        None if extremes_ok else tuple(base_kernel.decode(hold).key() for hold in extremes)))
     return checks, holds, by_rep, up
 
 

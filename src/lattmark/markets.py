@@ -176,7 +176,11 @@ class Regular(_Family):
         aux = [(bit[s], sum(tiers[:at[a]])) for a, s in self.aux_pairs]
 
         def chosen(offer: int) -> int:
-            out = next((offer & t for t in tiers if offer & t), 0)
+            out = 0
+            for t in tiers:
+                if offer & t:
+                    out = offer & t
+                    break
             for b, beaten_by in aux:
                 if offer & b and not offer & beaten_by:
                     out |= b
@@ -261,42 +265,10 @@ def is_stable(market: MatchingMarket, mu: Matching) -> bool:
 
 
 def deferred_acceptance(market: MatchingMarket, proposing: str = "firms") -> Matching:
-    """Cumulative-offer deferred acceptance, on masks, through each agent's
-    compiled choice rather than the kernel's memo, which keeps to the
-    search's offers.
-
-    Each round every proposer offers its choice from the receivers that have
-    not rejected it; each receiver holds its choice from the offers received
-    and permanently rejects the rest.  Stops when a round produces no new
-    rejection, so each receiver holds all it received.  Every round that
-    goes on adds a rejection (p, r) that is new, since r was offered p, so
-    it had not rejected p; so it stops within |proposers|·|receivers| + 1
-    rounds.  With path-independent choice functions the result is the
-    proposer-optimal stable matching.
-    """
-    kernel = market.kernel
-    if proposing == "firms":
-        proposers, receivers = kernel.firm_choice, kernel.worker_choice
-    elif proposing == "workers":
-        proposers, receivers = kernel.worker_choice, kernel.firm_choice
-    else:
-        raise InputError(f"proposing side must be 'firms' or 'workers', not {proposing!r}")
-    propose, hold = [m.chosen for m in proposers], [m.chosen for m in receivers]
-    open_to = [(1 << len(receivers)) - 1] * len(proposers)  # the receivers that have not rejected p
-    changed = True
-    while changed:
-        offers = [ch(o) for ch, o in zip(propose, open_to)]
-        received = [0] * len(receivers)
-        for p, offer in enumerate(offers):
-            for r in _bits(offer):
-                received[r] |= 1 << p
-        changed = False
-        for r, got in enumerate(received):
-            if got:
-                for p in _bits(got & ~hold[r](got)):
-                    open_to[p] &= ~(1 << r)
-                    changed = True
-    return kernel.decode(offers if proposing == "firms" else received)
+    """Cumulative-offer deferred acceptance (_Masks.deferred_acceptance),
+    decoded into a Matching: with path-independent choice functions, the
+    proposer-optimal stable matching."""
+    return market.kernel.decode(market.kernel.deferred_acceptance(proposing)[1])
 
 
 class FirmOrder(Enum):
@@ -371,8 +343,7 @@ class _Masks:
     def encode(self, mu: Matching) -> tuple[list[int], list[int]]:
         """mu as (assigned, hold): worker j holds the firm mask assigned[j],
         firm i the worker mask hold[i].  A pair naming an agent the market
-        does not declare on that side raises UnknownPartnerId: reversed for
-        a (worker, firm) pair, else with the pair's other member as agent."""
+        does not declare on that side raises UnknownPartnerId (unknown_pair)."""
         firm_bit, worker_bit = self.firm_bit, self.worker_bit
         assigned, hold = [0] * len(worker_bit), [0] * len(firm_bit)
         try:
@@ -381,14 +352,57 @@ class _Masks:
                 hold[fb.bit_length() - 1] |= wb
                 assigned[wb.bit_length() - 1] |= fb
         except KeyError:
-            if f in worker_bit and w in firm_bit:
-                raise UnknownPartnerId.reversed_pair(f, w) from None
-            raise (UnknownPartnerId(w, f) if f not in firm_bit else UnknownPartnerId(f, w)) from None
+            raise self.unknown_pair(f, w) from None
         return assigned, hold
+
+    def unknown_pair(self, f: str, w: str) -> UnknownPartnerId:
+        """The error for a pair (f, w) that names an agent the market does
+        not declare on that side: reversed for a (worker, firm) pair, else
+        with the pair's other member as agent."""
+        if f in self.worker_bit and w in self.firm_bit:
+            return UnknownPartnerId.reversed_pair(f, w)
+        return UnknownPartnerId(w, f) if f not in self.firm_bit else UnknownPartnerId(f, w)
 
     def decode(self, hold: Sequence[int]) -> Matching:
         """The matching in which firm i holds the workers of the mask hold[i]."""
         return Matching(frozenset((self.firms[i], self.workers[j]) for i, held in enumerate(hold) for j in _bits(held)))
+
+    def deferred_acceptance(self, proposing: str = "firms") -> tuple[list[int], list[int]]:
+        """Cumulative-offer deferred acceptance, as (assigned, hold) like
+        encode, through each agent's compiled choice rather than its memo,
+        which keeps to the search's offers.
+
+        Each round every proposer offers its choice from the receivers that
+        have not rejected it; each receiver holds its choice from the offers
+        received and permanently rejects the rest.  Stops when a round
+        produces no new rejection, so each receiver holds all it received.
+        Every round that goes on adds a rejection (p, r) that is new, since r
+        was offered p, so it had not rejected p; so it stops within
+        |proposers|·|receivers| + 1 rounds.  With path-independent choice
+        functions the result is the proposer-optimal stable matching.
+        """
+        if proposing == "firms":
+            proposers, receivers = self.firm_choice, self.worker_choice
+        elif proposing == "workers":
+            proposers, receivers = self.worker_choice, self.firm_choice
+        else:
+            raise InputError(f"proposing side must be 'firms' or 'workers', not {proposing!r}")
+        propose, hold = [m.chosen for m in proposers], [m.chosen for m in receivers]
+        open_to = [(1 << len(receivers)) - 1] * len(proposers)  # the receivers that have not rejected p
+        changed = True
+        while changed:
+            offers = [ch(o) for ch, o in zip(propose, open_to)]
+            received = [0] * len(receivers)
+            for p, offer in enumerate(offers):
+                for r in _bits(offer):
+                    received[r] |= 1 << p
+            changed = False
+            for r, got in enumerate(received):
+                if got:
+                    for p in _bits(got & ~hold[r](got)):
+                        open_to[p] &= ~(1 << r)
+                        changed = True
+        return (received, offers) if proposing == "firms" else (offers, received)
 
     def key(self, hold: Sequence[int]) -> list[int]:
         """decode(hold).key() on ints, in the same order: each pair as the
@@ -473,9 +487,12 @@ def enumerate_stable(market: MatchingMarket, node_bound: int = DEFAULT_NODE_BOUN
     candidate scan over more than _SCAN_MEMO_LIMIT partners stores nothing).
     It is one loop over an explicit stack (_stable_leaves), so the number of
     workers is bounded by memory, not by the recursion limit.  The two
-    deferred-acceptance anchors are encoded once (_Masks.encode) and every
-    check reads masks.  The leaves that pass the stability check are sorted
-    on their masks (stable_holds), and each is decoded once into a Matching.
+    deferred-acceptance anchors come as masks (_Masks.deferred_acceptance),
+    so nothing is decoded or encoded before the search, and every check
+    reads masks.  A candidate is tested before it is placed, and only a
+    live one is written into the search's state.  The leaves that pass the
+    stability check are sorted on their masks (stable_holds), and each is
+    decoded once into a Matching.
 
     Assumes path-independent choice functions, like deferred acceptance; an
     unstable anchor raises SpecError.  The output is canonically sorted.
@@ -508,13 +525,20 @@ def _stable_leaves(
     than those yielded before it.  With no costs nothing is skipped, and the
     leaves are all the stable matchings.
 
+    Every other candidate is a node.  The group rule and each of its firms'
+    individual rationality are tested on the holds it would make before
+    anything is written, so a candidate that fails them is never placed.  A
+    live candidate is placed, then its completed firms are checked for
+    blocking pairs, and it is taken back when its branch is done; once the
+    generator is exhausted every hold is empty again.
+
     Raises SearchBoundExceeded on node number node_bound + 1 and SpecError on
     an unstable anchor, as enumerate_stable.
     """
     firms, workers, masks = market.firms, market.workers, market.kernel
-    # Each anchor is encoded once, for its stability guard (which warms the
-    # memo the search reads) and for each worker's worst and best firm masks.
-    (worst, _), (best, _) = anchors = [masks.encode(deferred_acceptance(market, side)) for side in ("firms", "workers")]
+    # The anchors, as masks, serve their stability guard (which warms the
+    # memo the search reads) and each worker's worst and best firm masks.
+    (worst, _), (best, _) = anchors = [masks.deferred_acceptance(side) for side in ("firms", "workers")]
     for anchor in anchors:
         if not masks.stable(*anchor):
             raise SpecError("deferred acceptance produced an unstable matching; "
@@ -603,15 +627,18 @@ def _stable_leaves(
         return demand
 
     # keep(j, .) depends only on j and the two anchors, so a worker's kept
-    # candidates are computed on its first visit and reused.  A worker's
-    # forced move depends also on the holds of its firms, the only state
+    # candidates are computed on its first visit and reused; the loop pushes
+    # them without a call once they are, unless j takes several firms from
+    # its universe (several[j]), the workers mutual demand runs on.  Their
+    # forced move depends also on the holds of their firms, the only state
     # fixed_demand reads, so it is memoised by those holds (None when j's
     # demand is not fixed).
-    kept: dict[int, list[tuple[int, list[int], int]]] = {}
+    kept: list[list[tuple[int, list[int], int]] | None] = [None] * len(workers)
     forced: list[dict[tuple[int, ...], list[tuple[int, list[int], int]] | None]] = [{} for _ in workers]
+    several = [takes[j] & takes[j] - 1 for j in range(len(workers))]
 
     def candidates(j: int) -> list[tuple[int, list[int], int]]:
-        if takes[j] & takes[j] - 1:  # mutual demand runs on a worker that takes several firms
+        if several[j]:
             at = tuple(map(hold.__getitem__, acceptable[j]))
             if at not in forced[j]:
                 # Mutual demand: j's firms A lie in the demanders D, ch_j(A) = A
@@ -622,7 +649,7 @@ def _stable_leaves(
                 forced[j][at] = None if cand is None else [priced(j, cand)] if keep(j, cand) else []
             if forced[j][at] is not None:
                 return forced[j][at]
-        if j not in kept:
+        if kept[j] is None:
             store = len(acceptable[j]) <= _SCAN_MEMO_LIMIT
             found = [(s, m) for s in market.spec(workers[j]).candidates() if keep(j, m := _mask(firm_bit, s), store)]
             kept[j] = [priced(j, m) for _, m in sorted(found, key=lambda sm: set_key(sm[0]))]
@@ -654,18 +681,29 @@ def _stable_leaves(
             nodes += 1
             if nodes > node_bound:
                 raise SearchBoundExceeded(nodes, node_bound)
-            assigned[j], assigned_at[j] = cand, held_by
-            # The branch dies if j splits a group, a firm does not keep all it
-            # holds, or a firm whose offer pool j completes forms a blocking
-            # pair.
-            dead = False
-            for first, fb in follows[j]:
-                dead = dead or (assigned[first] ^ cand) & fb
+            # The candidate dies unplaced if j splits a group or one of its
+            # firms would not keep all it holds beside j.
             wb = 1 << j
+            live = True
+            for first, fb in follows[j]:
+                if (assigned[first] ^ cand) & fb:
+                    live = False
+                    break
+            if live:
+                for i in held_by:
+                    h = hold[i] | wb
+                    if firm_choice[i][h] != h:
+                        live = False
+                        break
+            if not live:
+                continue
+            assigned[j], assigned_at[j] = cand, held_by
             for i in held_by:
                 hold[i] |= wb
-                dead = dead or firm_choice[i][hold[i]] != hold[i]
-            for i, fb, f_choice, members in () if dead else completes[j]:
+            # Placed, it dies if a firm whose offer pool j completes forms a
+            # blocking pair.
+            dead = False
+            for i, fb, f_choice, members in completes[j]:
                 held = hold[i]
                 for ub, u, w_choice in members:
                     own = assigned[u]
@@ -676,7 +714,8 @@ def _stable_leaves(
                 if j < last:
                     spent.append(spent[j] + cost)
                     j += 1
-                    pending.append(iter(candidates(j)))
+                    ready = kept[j]
+                    pending.append(iter(candidates(j) if ready is None or several[j] else ready))
                     continue
                 if masks.stable(assigned, hold):
                     incumbent = spent[j] + cost  # at most the old incumbent, by the skip test

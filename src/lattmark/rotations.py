@@ -174,17 +174,30 @@ class _RotationMasks:
     worker mask in the worker-optimal matching; moves[k] maps each firm
     that rotation k (its position in rp.poset.elements) moves to the firm's
     (minus, plus) worker masks; removed_by[i] maps each worker position to
-    the last rotation in rp.rotations whose minus pairs hold it with firm i."""
+    the last rotation in rp.rotations whose minus pairs hold it with firm i.
+
+    The moves are read off each rotation's minus and plus pairs through the
+    kernel's bit maps, one lookup a pair; a pair naming an agent the market
+    does not declare on that side raises UnknownPartnerId, as encode."""
 
     def __init__(self, rp: RotationPoset, kernel: _Masks):
         self.rp, self.kernel, self.start = rp, kernel, kernel.encode(rp.worker_optimal)[1]
         self.moves: list[dict[int, tuple[int, int]]] = [{} for _ in rp.poset.elements]
         self.removed_by: list[dict[int, int]] = [{} for _ in self.start]
+        firm_bit, worker_bit = kernel.firm_bit, kernel.worker_bit
         for rid, rot in rp.rotations.items():
             k = rp.poset.index[rid]
-            minus, plus = (kernel.encode(Matching(pairs))[1] for pairs in (rot.minus, rot.plus))
-            self.moves[k] = {i: (m, p) for i, (m, p) in enumerate(zip(minus, plus)) if m | p}
-            for i, (m, _) in self.moves[k].items():
+            minus: dict[int, int] = {}
+            plus: dict[int, int] = {}
+            try:
+                for masks, pairs in ((minus, rot.minus), (plus, rot.plus)):
+                    for f, w in pairs:
+                        i = firm_bit[f].bit_length() - 1
+                        masks[i] = masks.get(i, 0) | worker_bit[w]
+            except KeyError:
+                raise kernel.unknown_pair(f, w) from None
+            self.moves[k] = {i: (minus.get(i, 0), plus.get(i, 0)) for i in minus.keys() | plus.keys()}
+            for i, m in minus.items():
                 self.removed_by[i].update(dict.fromkeys(_bits(m), k))
 
     @staticmethod

@@ -174,15 +174,17 @@ def test_only_written_files_are_indented():
 
 def test_the_certificate_reads_the_search_leaf_masks():
     """augment._extension_checks takes the extended market's stable
-    matchings as hold masks from stable_holds: it calls no enumerate_stable,
-    and its only encode calls are on the base kernel, for the base market's
-    two deferred-acceptance extremes."""
+    matchings as hold masks from stable_holds and the base market's two
+    deferred-acceptance extremes as masks from the base kernel: it calls no
+    enumerate_stable, no encode and no decoding deferred_acceptance."""
     tree = ast.parse((ROOT / "src" / "lattmark" / "augment.py").read_text(encoding="utf-8"))
     checks = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_extension_checks")
     calls = [n.func for n in ast.walk(checks) if isinstance(n, ast.Call)]
     named = {f.id if isinstance(f, ast.Name) else f.attr for f in calls if isinstance(f, (ast.Name, ast.Attribute))}
-    encodes = [ast.unparse(f.value) for f in calls if isinstance(f, ast.Attribute) and f.attr == "encode"]
-    assert "stable_holds" in named and "enumerate_stable" not in named and encodes == ["base_kernel"], (named, encodes)
+    extremes = [ast.unparse(f) for f in calls if isinstance(f, (ast.Name, ast.Attribute))
+                and (f.id if isinstance(f, ast.Name) else f.attr) == "deferred_acceptance"]
+    assert "stable_holds" in named and not {"enumerate_stable", "encode"} & named, named
+    assert extremes == ["base_kernel.deferred_acceptance"], extremes
 
 
 def names_in_src(names: set[str]) -> list[str]:

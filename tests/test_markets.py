@@ -229,8 +229,9 @@ class TestDeferredAcceptance:
 def _count_compiled_evaluations_outside_deferred_acceptance(monkeypatch):
     """Count the evaluations of every choice compiled from here on, per
     (compiled function, offer mask), so per agent and offer, except those
-    made by deferred_acceptance, which calls the compiled choices directly
-    rather than through the kernel's memo."""
+    made by deferred acceptance, which calls the compiled choices directly
+    rather than through the kernel's memo: its mask core, which the search
+    calls, and deferred_acceptance, which decodes the core's outcome."""
     calls = Counter()
     counting = [True]
 
@@ -252,6 +253,7 @@ def _count_compiled_evaluations_outside_deferred_acceptance(monkeypatch):
 
     wrap_compiled_choices(monkeypatch, count)
     monkeypatch.setattr(markets, "deferred_acceptance", uncounted(markets.deferred_acceptance))
+    monkeypatch.setattr(markets._Masks, "deferred_acceptance", uncounted(markets._Masks.deferred_acceptance))
     return calls
 
 

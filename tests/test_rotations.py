@@ -23,11 +23,11 @@ from lattmark import (
     stable_lattice,
 )
 from lattmark import jsonio
-from lattmark.errors import DuplicateId, InputError, NotLowerClosed, NotRepresentable
+from lattmark.errors import DuplicateId, InputError, NotLowerClosed, NotRepresentable, UnknownPartnerId
 from lattmark.fixtures import seven_pair_market, seven_pair_rotations
 from lattmark.markets import MatchingMarket, PreferenceList, Regular
 from lattmark.orders import Poset
-from lattmark.rotations import RealizedBase, Rotation, RotationPoset, gadget_agents, is_gadget_bank
+from lattmark.rotations import RealizedBase, Rotation, RotationPoset, _RotationMasks, gadget_agents, is_gadget_bank
 
 from oracles import (
     deferred_acceptance_by_sets,
@@ -260,6 +260,25 @@ class TestRepresentation:
         shuffled = Matching.of([("f1", "w2"), ("f2", "w1")])
         with pytest.raises(NotRepresentable):
             matching_to_rotations(seven_rotation_poset, shuffled)
+
+
+    def test_a_rotation_pair_naming_an_undeclared_agent_is_named_as_encode_names_it(
+            self, seven_market, seven_rotation_poset):
+        """_RotationMasks reads each rotation's pairs through the kernel's bit
+        maps; a minus or plus pair naming an agent the market does not
+        declare on that side raises UnknownPartnerId with encode's message:
+        an unknown worker, an unknown firm, a reversed pair."""
+        kernel = seven_market.kernel
+        rid, rot = sorted(seven_rotation_poset.rotations.items())[0]
+        for pair in (("f1", "zz"), ("zz", "w1"), ("w1", "f1")):
+            with pytest.raises(UnknownPartnerId) as want:
+                kernel.encode(Matching.of([pair]))
+            for minus, plus in ((rot.minus | {pair}, rot.plus), (rot.minus, rot.plus | {pair})):
+                rotations = {**seven_rotation_poset.rotations, rid: Rotation(rid, plus, minus)}
+                rp = RotationPoset(seven_rotation_poset.poset, rotations, seven_rotation_poset.worker_optimal)
+                with pytest.raises(UnknownPartnerId) as got:
+                    _RotationMasks(rp, kernel)
+                assert str(got.value) == str(want.value), pair
 
 
 class TestGadgetSemantics:

@@ -35,8 +35,10 @@ from lattmark import (
     is_stable,
     min_cost_stable,
     stable_lattice,
+    synthesize_from_lattice,
 )
 from lattmark import markets
+from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 
 from oracles import (
     choose_by_sets,
@@ -171,6 +173,26 @@ def test_stable_holds_are_the_stable_leaves_in_key_order():
         assert decoded == sorted(leaves, key=Matching.key), market
         reordered += decoded != leaves
     assert len(corpus) == 600 and reordered >= 50, reordered
+
+
+def test_the_search_takes_back_every_placement(pentagon, hexagon, quad_antimatroid):
+    """Once _stable_leaves is exhausted, the hold list it yielded, the
+    search's own state, is empty again: every placement was taken back.
+    With and without an int cost table, on the union corpus, the pentagon's
+    and the hexagon's built markets and a reduction bundle's market."""
+    rng = random.Random(5)
+    corpus = union_corpus()
+    corpus += [synthesize_from_lattice(lat, verify=False).extendable.market for lat in (pentagon, hexagon)]
+    corpus.append(reduce_to_matching(compute_path_poset(quad_antimatroid), {}).extendable.market)
+    for market in corpus:
+        acceptable = market.kernel.acceptable
+        costs = {j: {i: rng.randint(-9, 9) for i in acceptable[j] if rng.random() < 0.7}
+                 for j in range(len(market.workers))}
+        for table in ({}, costs):
+            yielded = [hold for hold, _ in markets._stable_leaves(market, markets.DEFAULT_NODE_BOUND, table)]
+            assert yielded and all(hold is yielded[0] for hold in yielded), market
+            assert not any(yielded[0]), (market, table)
+    assert len(corpus) == 303
 
 
 def random_spec(partners, rng):
