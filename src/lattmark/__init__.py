@@ -33,7 +33,6 @@ from .constraints import (
 )
 from .markets import (
     FirmOrder,
-    IfElse,
     Matching,
     MatchingMarket,
     PreferenceList,

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .markets import (
     DEFAULT_NODE_BOUND,
-    IfElse,
     Matching,
     MatchingMarket,
     PreferenceList,
@@ -50,8 +49,8 @@ class ExtendableMarket:
     pass and are never passed in: the grown market and the copy map (every
     copy and base worker onto its base worker).  Augmentation k adds the
     auxiliary worker w0#k, the auxiliary firm f0#k and the copies that make
-    up f0#k's IfElse else_set.  Each base firm's auxiliary pair table is its
-    Regular spec's aux_pairs."""
+    up the second of f0#k's two Regular tiers ({w0#k}, copies).  Each base
+    firm's auxiliary pair table is its Regular spec's aux_pairs."""
 
     base: RealizedBase
     constraints: tuple[JoinConstraint, ...] = ()
@@ -147,7 +146,7 @@ def _grow(base: RealizedBase, constraints: tuple[JoinConstraint, ...]) -> tuple:
                 aux_pairs[f] += ((w, w0),)
         choice[w0] = Triggered(watch=frozenset().union(*f_rho.values()), trigger=f0,
                                alpha_groups=jc.alpha_groups, blocks=tuple(f_rho.items()))
-        choice[f0] = IfElse(priority=w0, else_set=frozenset(copies))
+        choice[f0] = Regular((frozenset({w0}), frozenset(copies)), ())
         firms.append(f0)
         named = jc.alpha_ids | jc.beta_ids
         segments[1 + max((rank[rid] for rid in named), default=-1)] += [*sorted(copies), w0]

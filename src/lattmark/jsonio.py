@@ -25,11 +25,10 @@ from typing import Any, Callable, Mapping
 from .antimatroids import AntimatroidFamily, PathPoset, ReductionBundle
 from .augment import ExtendableMarket, omega_extend
 from .constraints import JoinConstraint
-from .errors import InputError, InvariantError
+from .errors import DuplicateId, InputError, InvariantError
 from .markets import (
     DEFAULT_NODE_BOUND,
     ChoiceSpec,
-    IfElse,
     Matching,
     MatchingMarket,
     PreferenceList,
@@ -151,8 +150,6 @@ def _spec_to_json(spec: ChoiceSpec) -> dict:
             "alpha": _sorted_sets(spec.alpha_groups),
             "f_rho": {r: sorted(fs) for r, fs in spec.blocks},
         }
-    if isinstance(spec, IfElse):
-        return {"kind": "if_else", "priority": spec.priority, "else_set": sorted(spec.else_set)}
     if isinstance(spec, Regular):
         return {
             "kind": "regular",
@@ -175,8 +172,9 @@ def _spec_from_json(data, where: str) -> ChoiceSpec:
                 (r, frozenset(fs)) for r, fs in _need(data, "f_rho", where, partial(_map, _strs)).items()
             )),
         )
-    if kind == "if_else":
-        return IfElse(_need(data, "priority", where, _str), frozenset(_need(data, "else_set", where, _strs)))
+    if kind == "if_else":  # an older file's spelling of Regular's two-tier case
+        priority = _need(data, "priority", where, _str)
+        return Regular((frozenset({priority}), frozenset(_need(data, "else_set", where, _strs)) - {priority}), ())
     if kind == "regular":
         return Regular(
             tuple(frozenset(t) for t in _need(data, "tiers", where, _str_lists)),
@@ -233,6 +231,8 @@ def rotation_poset_from_json(data: Mapping) -> RotationPoset:
     rots = {}
     for r in _need(data, "rotations", "rotation poset", _list):
         rid = _need(r, "id", "rotation", _str)
+        if rid in rots:
+            raise DuplicateId(rid)
         rots[rid] = Rotation(
             rid,
             frozenset(_need(r, "plus", f"rotation {rid!r}", _pairs)),

@@ -1,12 +1,13 @@
 """Matching markets under path-independent choice functions.
 
-Four data-driven choice-function families are supported: explicit preference
-lists, triggered choice (a watch set plus a trigger firm gated by a boolean
-function of the offer), if-else choice (a priority worker, else a fallback
-set), and regular choice (ordered disjoint tiers plus conditional auxiliary
-additions).  On top of them: stability checking, deferred acceptance, the
-firm-side comparison order over stable matchings, and an exhaustive
-stable-matching enumeration oracle.
+Three data-driven choice-function families are supported: explicit
+preference lists, triggered choice (a watch set plus a trigger firm gated by
+a boolean function of the offer), and regular choice (ordered disjoint tiers
+plus conditional auxiliary additions; two tiers ({p}, E) make the if-else
+choice of p alone when offered, else every offered member of E).  On top of
+them: stability checking, deferred acceptance, the firm-side comparison
+order over stable matchings, and an exhaustive stable-matching enumeration
+oracle.
 """
 
 from __future__ import annotations
@@ -130,25 +131,6 @@ class Triggered(_Family):
 
 
 @dataclass(frozen=True)
-class IfElse(_Family):
-    """The priority worker alone when offered, else every offered fallback."""
-
-    priority: str
-    else_set: frozenset[str]
-
-    def on_masks(self, bit: Mapping[str, int]) -> Callable[[int], int]:
-        priority, fallback = bit[self.priority], _mask(bit, self.else_set)
-        return lambda offer: priority if offer & priority else offer & fallback
-
-    @cached_property
-    def universe(self) -> frozenset[str]:
-        return self.else_set | {self.priority}
-
-    def candidates(self) -> Iterable[frozenset[str]]:
-        return _every_subset(self.universe, 16)
-
-
-@dataclass(frozen=True)
 class Regular(_Family):
     """Ordered disjoint tiers; the best nonempty tier intersection is chosen,
     then auxiliary workers whose anchor tier is not beaten are added."""
@@ -195,7 +177,7 @@ class Regular(_Family):
         return _every_subset(self.universe, 16)
 
 
-ChoiceSpec = PreferenceList | Triggered | IfElse | Regular
+ChoiceSpec = PreferenceList | Triggered | Regular
 
 EMPTY_LIST = PreferenceList(())
 

@@ -17,7 +17,7 @@ from lattmark.errors import (
     InputError, NonLatticeStructure, NotALattice, NotLowerClosed, NotRepresentable, UnknownPartnerId,
 )
 from lattmark.markets import (
-    IfElse, Matching, PreferenceList, Regular, Triggered, spec_universe, stable_lattice,
+    Matching, PreferenceList, Regular, Triggered, spec_universe, stable_lattice,
 )
 from lattmark.constraints import JoinConstraint
 from lattmark.orders import Poset, join_irreducibles, lattice_from_order, poset_from_pairs
@@ -250,8 +250,6 @@ def choose_by_sets(spec, offered):
             if all(g & hidden for g in spec.alpha_groups):
                 selected |= {spec.trigger}
         return selected
-    if isinstance(spec, IfElse):
-        return frozenset([spec.priority]) if spec.priority in offered else offered & spec.else_set
     if isinstance(spec, Regular):
         tier_index = {m: i for i, t in enumerate(spec.tiers) for m in t}
         selected, hit_index = frozenset(), None
@@ -264,6 +262,19 @@ def choose_by_sets(spec, offered):
                 selected |= {aux}
         return selected
     return spec.choose(offered)
+
+
+def if_else_by_sets(priority, else_set, offered):
+    """The if-else choice by its definition on frozensets: the priority
+    partner alone when offered, else every offered member of else_set."""
+    offered = frozenset(offered)
+    return frozenset([priority]) if priority in offered else offered & else_set
+
+
+def if_else(priority, else_set):
+    """The if-else choice as the library states it: Regular's two-tier
+    case, tiers ({priority}, else_set - {priority})."""
+    return Regular((frozenset([priority]), frozenset(else_set) - {priority}), ())
 
 
 def on_masks_by_sets(choose, bit):
@@ -280,9 +291,9 @@ def on_masks_by_sets(choose, bit):
 
 
 def wrap_compiled_choices(monkeypatch, wrap):
-    """Test instrumentation: every choice the four families compile from
+    """Test instrumentation: every choice the three families compile from
     here on is replaced by wrap(compiled choice)."""
-    for family in (PreferenceList, Triggered, IfElse, Regular):
+    for family in (PreferenceList, Triggered, Regular):
         def on_masks(spec, bit, compile_choice=family.on_masks):
             return wrap(compile_choice(spec, bit))
         monkeypatch.setattr(family, "on_masks", on_masks)

@@ -183,7 +183,7 @@ def test_criterion_4_worked_augmentation(worked_augmentation):
     _, em, _, _ = worked_augmentation
     (_,) = em.constraints
     assert em.market.spec("w0#1").watch == frozenset({"f1", "f2", "f3", "f4", "f5"})
-    assert em.market.spec("f0#1").else_set == augmentation_copies(em, 1)
+    assert em.market.spec("f0#1").tiers[1] == augmentation_copies(em, 1)
     assert {em.copy_map[c] for c in augmentation_copies(em, 1)} == {"w3", "w4", "w6", "w7"}
 
     assert {f: em.market.spec(f).aux_pairs for f in em.base.market.firms} == {

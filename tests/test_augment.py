@@ -27,7 +27,7 @@ from lattmark.generators import all_lattices_upto, random_distributive_lattice, 
 from lattmark.orders import join_irreducibles
 
 from oracles import augmentation_copies, chain_lattice, reference_stable_matchings
-from lattmark.markets import IfElse, MatchingMarket, PreferenceList, Regular, Triggered
+from lattmark.markets import MatchingMarket, PreferenceList, Regular, Triggered
 from lattmark.rotations import RealizedBase, extract_rotations
 
 
@@ -40,10 +40,10 @@ def worked(seven_base, rot_ids):
 
 def conclusion_workers(em: ExtendableMarket) -> frozenset[str]:
     """The base workers a one-augmentation market copies, read off the
-    market: the base workers behind the else-set of its auxiliary firm, which
-    must be the copies its constraint's beta rotations name."""
+    market: the base workers behind the second tier of its auxiliary firm,
+    which must be the copies its constraint's beta rotations name."""
     (_,) = em.constraints
-    copies = em.market.spec("f0#1").else_set
+    copies = em.market.spec("f0#1").tiers[1]
     assert copies == augmentation_copies(em, 1)
     return frozenset(em.copy_map[c] for c in copies)
 
@@ -124,7 +124,7 @@ class TestAugment:
     def test_aux_firm_choice_behaviour(self, worked):
         _, em1 = worked
         spec = em1.market.spec("f0#1")
-        assert isinstance(spec, IfElse)
+        assert spec == Regular((frozenset({"w0#1"}), augmentation_copies(em1, 1)), ())
         assert choose(spec, {"w0#1", "w3#1"}) == frozenset({"w0#1"})
         assert choose(spec, {"w3#1", "w7#1"}) == frozenset({"w3#1", "w7#1"})
 
@@ -226,7 +226,7 @@ class TestOmegaExtend:
     def test_beta_empty_constraint_is_vacuous(self):
         base = antichain_base(["p", "q"])
         em = omega_extend(base, [JoinConstraint.make([{"q"}], set())])
-        assert em.market.spec("f0#1").else_set == augmentation_copies(em, 1) == frozenset()
+        assert em.market.spec("f0#1").tiers[1] == augmentation_copies(em, 1) == frozenset()
         assert em.agent_count() == 8 + 2
         stables = enumerate_stable(em.market)
         assert len(stables) == 4

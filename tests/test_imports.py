@@ -4,7 +4,7 @@ imports at module level, never inside a function body; every method and
 private function is used; every function the benchmark's per-layer metrics
 name exists; the stable-matching search reads the choice-spec families
 only through their choice functions and names none of them, and src/
-holds exactly five isinstance tests on them; markets.py builds a Matching
+holds exactly four isinstance tests on them; markets.py builds a Matching
 in two places; the 2^|J| lower-set filter, the antimatroid element bound,
 the frozenset stability definition and the frozenset choice bodies stay
 out of the package; the names kept only for the benchmark go unused in
@@ -18,6 +18,7 @@ import ast
 import importlib
 import inspect
 import json
+import typing
 from pathlib import Path
 
 from lattmark import markets
@@ -117,7 +118,7 @@ def test_benchmark_per_layer_names_resolve():
     assert inspect.isfunction(markets.spec_universe) and markets.spec_universe.__module__ == "lattmark.markets"
 
 
-SPEC_FAMILIES = {"PreferenceList", "Triggered", "IfElse", "Regular"}
+SPEC_FAMILIES = {"PreferenceList", "Triggered", "Regular"}
 
 
 def test_search_reads_no_spec_family_fields():
@@ -126,15 +127,15 @@ def test_search_reads_no_spec_family_fields():
     family."""
     tree = ast.parse((ROOT / "src" / "lattmark" / "markets.py").read_text(encoding="utf-8"))
     search = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_stable_leaves")
-    fields = {"watch", "trigger", "entries", "tiers", "aux_pairs", "alpha_groups", "blocks", "else_set", "priority"}
+    fields = {"watch", "trigger", "entries", "tiers", "aux_pairs", "alpha_groups", "blocks"}
     read = sorted({n.attr for n in ast.walk(search) if isinstance(n, ast.Attribute) and n.attr in fields})
     named = sorted({n.id for n in ast.walk(search) if isinstance(n, ast.Name) and n.id in SPEC_FAMILIES})
     assert not read and not named, (read, named)
 
 
 def test_few_isinstance_branches_on_spec_families():
-    """Exactly 5 isinstance tests against the four spec families remain in
-    src/: the spec codec in jsonio (4) and augment's input validation (1).
+    """Exactly 4 isinstance tests against the three spec families remain in
+    src/: the spec codec in jsonio (3) and augment's input validation (1).
     The search tests none."""
     found = []
     for path in sorted((ROOT / "src" / "lattmark").glob("*.py")):
@@ -143,7 +144,7 @@ def test_few_isinstance_branches_on_spec_families():
                     and len(node.args) == 2
                     and any(isinstance(n, ast.Name) and n.id in SPEC_FAMILIES for n in ast.walk(node.args[1]))):
                 found.append(path.name)
-    assert sorted(found) == ["augment.py", "jsonio.py", "jsonio.py", "jsonio.py", "jsonio.py"], found
+    assert sorted(found) == ["augment.py", "jsonio.py", "jsonio.py", "jsonio.py"], found
 
 
 def test_markets_builds_a_matching_in_two_places():
@@ -230,14 +231,19 @@ def test_stability_is_defined_once_in_the_package():
 
 
 def test_each_choice_is_defined_once_on_masks():
-    """Each spec family states its choice once, as on_masks; choose is
-    derived from it.  The frozenset family bodies and the frozenset
-    deferred acceptance are test oracles in tests/oracles.py: no family
-    carries a choose method, and the oracles stay out of src/ and the
-    exports."""
+    """Each of the three spec families states its choice once, as
+    on_masks; choose is derived from it.  They are the _Family subclasses
+    markets defines and the members of ChoiceSpec: the if-else choice is
+    Regular's two-tier case, not a family of its own.  The frozenset family
+    bodies and the frozenset deferred acceptance are test oracles in
+    tests/oracles.py: no family carries a choose method, and the oracles
+    stay out of src/ and the exports."""
     families = [getattr(markets, name) for name in sorted(SPEC_FAMILIES)]
+    defined = {cls.__name__ for cls in markets._Family.__subclasses__() if cls.__module__ == markets.__name__}
+    assert defined == SPEC_FAMILIES, defined
+    assert set(typing.get_args(markets.ChoiceSpec)) == set(families)
     misdefined = [cls.__name__ for cls in families if "choose" in vars(cls) or "on_masks" not in vars(cls)]
-    gone = {"choose_by_sets", "deferred_acceptance_by_sets", "on_masks_by_sets"}
+    gone = {"choose_by_sets", "deferred_acceptance_by_sets", "on_masks_by_sets", "if_else_by_sets", "IfElse"}
     modules = ["lattmark", "lattmark.markets"]
     exported = {name for m in modules for name in dir(importlib.import_module(m))} & gone
     assert not misdefined and not names_in_src(gone) and not exported, (misdefined, names_in_src(gone), exported)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lattmark import (
     FirmOrder,
-    IfElse,
     Matching,
     MatchingMarket,
     PreferenceList,
@@ -41,6 +40,8 @@ from oracles import (
     deferred_acceptance_by_sets,
     firm_leq_by_pairs,
     firms_of,
+    if_else,
+    if_else_by_sets,
     is_individually_rational,
     min_cost_by_matchings,
     on_masks_by_sets,
@@ -67,14 +68,14 @@ def two_list_market():
     )
 
 
-FOUR_FAMILIES = [
+FAMILY_SPECS = [
     PreferenceList.of({"p0", "p1"}, "p2", "p0"),
     Triggered(
         frozenset({"f1", "f2", "f3"}), "f0",
         alpha_groups=(frozenset({"r1"}), frozenset({"r2"})),
         blocks=(("r1", frozenset({"f2", "f3"})), ("r2", frozenset({"f1"}))),
     ),
-    IfElse("p0", frozenset({"p1", "p2", "p3"})),
+    if_else("p0", {"p1", "p2", "p3"}),
     Regular((frozenset({"p0", "p1"}), frozenset({"p2"})), (("p0", "p4"), ("p2", "p5"))),
 ]
 
@@ -87,9 +88,23 @@ class TestChoose:
         assert choose(spec, {"w3"}) == frozenset()
 
     def test_if_else(self):
-        spec = IfElse("w0", frozenset({"w3", "w4"}))
+        spec = if_else("w0", {"w3", "w4"})
         assert choose(spec, {"w0", "w3"}) == frozenset({"w0"})
         assert choose(spec, {"w3", "w9"}) == frozenset({"w3"})
+
+    def test_if_else_is_the_two_tier_regular_choice(self):
+        """Regular's tiers ({p}, E - {p}) choose what the if-else definition
+        does, with p inside E and outside it, on every offer over universes
+        of up to 5 partners, and name the same universe."""
+        for n in range(1, 6):
+            partners = [f"x{i}" for i in range(n)]
+            subsets = [frozenset(x for i, x in enumerate(partners) if m >> i & 1) for m in range(1 << n)]
+            for else_set in subsets:
+                for p in partners:
+                    spec = if_else(p, else_set)
+                    assert spec_universe(spec) == else_set | {p}
+                    for offer in subsets:
+                        assert choose(spec, offer) == if_else_by_sets(p, else_set, offer), (p, else_set, offer)
 
     def test_triggered_selects_watch_and_gates_the_trigger(self):
         spec = Triggered(
@@ -124,7 +139,7 @@ class TestChoose:
     def test_partners_outside_the_universe_never_change_the_choice(self):
         """choose, derived from each family's mask definition, equals the
         frozenset oracle on the offer's part in the universe."""
-        for spec in FOUR_FAMILIES:
+        for spec in FAMILY_SPECS:
             universe = spec_universe(spec)
             offerable = sorted(universe | {"outsider"})
             for mask in range(1 << len(offerable)):
@@ -138,7 +153,7 @@ class TestChoose:
         shuffled positions, each compiled choice picks a subset of the offer,
         ignores the outside bits and equals the frozenset oracle."""
         rng = random.Random(5)
-        for spec in FOUR_FAMILIES:
+        for spec in FAMILY_SPECS:
             names = sorted(spec_universe(spec) | {"out0", "out1"})
             positions = rng.sample(range(len(names)), len(names))
             bit = {x: 1 << p for x, p in zip(names, positions)}
@@ -155,7 +170,7 @@ class TestChoose:
         universe = [f"p{i}" for i in range(6)]
         specs = [
             PreferenceList.of({"p0", "p1"}, "p0", {"p2"}),
-            IfElse("p0", frozenset({"p1", "p2", "p3"})),
+            if_else("p0", {"p1", "p2", "p3"}),
             Regular((frozenset({"p0", "p1"}), frozenset({"p2"})), (("p2", "p4"),)),
         ]
         for spec in specs:
@@ -323,7 +338,7 @@ class TestEnumerate:
         one of them is not a list whose first entry is {f}: the if-else group
         rule applies, and f holds either its priority worker p or both."""
         market = MatchingMarket(("f", "g", "h"), ("p", "e1", "e2"), {
-            "f": IfElse("p", frozenset({"e1", "e2"})),
+            "f": if_else("p", {"e1", "e2"}),
             "g": PreferenceList.of("e1", "p"),
             "h": PreferenceList.of("e2"),
             "p": PreferenceList.of("g", "f"),
@@ -339,7 +354,7 @@ class TestEnumerate:
         """e1 takes g before f, so the group rule must not apply: the one
         stable matching gives f only e2."""
         market = MatchingMarket(("f", "g"), ("p", "e1", "e2"), {
-            "f": IfElse("p", frozenset({"e1", "e2"})),
+            "f": if_else("p", {"e1", "e2"}),
             "g": PreferenceList.of("e1", "p"),
             "p": PreferenceList.of("g"),
             "e1": Regular((frozenset({"g"}), frozenset({"f"})), ()),
@@ -354,7 +369,7 @@ class TestEnumerate:
         unmatched is not split off as half a group: it is the one stable
         matching."""
         market = MatchingMarket(("f",), ("p", "e"), {
-            "f": IfElse("p", frozenset({"e", "p"})),
+            "f": if_else("p", {"e", "p"}),
             "p": PreferenceList.of("f"),
             "e": PreferenceList.of("f"),
         })
@@ -368,7 +383,7 @@ class TestEnumerate:
         stable matching gives f only t2."""
         triggered = Triggered(frozenset({"f"}), "g", (), ())
         market = MatchingMarket(("f", "g"), ("t1", "t2"), {
-            "f": IfElse("t2", frozenset({"t1"})),
+            "f": if_else("t2", {"t1"}),
             "g": Regular((), ()),
             "t1": triggered,
             "t2": triggered,
@@ -573,11 +588,11 @@ class TestPathIndependence:
         ok, witness = check_path_independence(PreferenceList.of({"w1", "w2"}, "w1"))
         assert not ok and witness[0] == "substitutability"
 
-    def test_all_four_families_pass(self):
+    def test_every_family_passes(self):
         specs = [
             PreferenceList.of("a", "b", "c"),
             Triggered(frozenset({"f1", "f2"}), "f0", (frozenset({"r1"}),), (("r1", frozenset({"f1", "f2"})),)),
-            IfElse("w0", frozenset({"w1", "w2"})),
+            if_else("w0", {"w1", "w2"}),
             Regular((frozenset({"w1", "w1x"}), frozenset({"w2"})), (("w2", "w0"),)),
         ]
         for spec in specs:

@@ -42,13 +42,14 @@ from lattmark.fixtures import (
     seven_pair_market,
 )
 from lattmark.generators import all_lattices_upto, random_antimatroid, random_graph
-from lattmark.markets import IfElse, Matching, MatchingMarket, PreferenceList, Triggered
+from lattmark.markets import Matching, MatchingMarket, PreferenceList, Regular, Triggered
 from lattmark.orders import Poset, inclusion_poset
 from lattmark.rotations import RealizedBase, Rotation, RotationPoset, extract_rotations
 
 from oracles import (
     chain_lattice,
     full_antimatroid_constraints,
+    if_else,
     independent_set_path_poset,
     lattice_from_order_by_scan,
     m_lattice,
@@ -397,12 +398,21 @@ class TestCliVariants:
         assert code == 0 and report["value"] == [5, 1]
 
     def test_enumerate_and_solve_an_if_else_firm_whose_else_set_names_its_priority(self, tmp_path, capsys):
-        """The one stable matching {(f, p)} is counted by enumerate and is
-        solve's optimum."""
-        market = MatchingMarket(("f",), ("p", "e"), {
-            "f": IfElse("p", frozenset({"e", "p"})), "p": PreferenceList.of("f"), "e": PreferenceList.of("f")})
+        """A market file may still spell a choice as the older if_else kind;
+        here f's else-set names its priority worker p.  It loads as
+        Regular's tiers ({p}, {e}) and writes back as regular, and the one
+        stable matching {(f, p)} is counted by enumerate and is solve's
+        optimum."""
+        data = {"v": 1, "firms": ["f"], "workers": ["p", "e"], "choice": {
+            "f": {"kind": "if_else", "priority": "p", "else_set": ["e", "p"]},
+            "p": {"kind": "preference_list", "list": [["f"]]},
+            "e": {"kind": "preference_list", "list": [["f"]]},
+        }}
+        market = jsonio.market_from_json(data)
+        assert market.spec("f") == Regular((frozenset({"p"}), frozenset({"e"})), ())
+        assert jsonio.market_to_json(market)["choice"]["f"] == {"kind": "regular", "tiers": [["p"], ["e"]], "aux_pairs": []}
         market_file, costs_file = tmp_path / "market.json", tmp_path / "pair_costs.json"
-        jsonio.write_json(market_file, jsonio.market_to_json(market))
+        jsonio.write_json(market_file, data)
         jsonio.write_json(costs_file, {"v": 1, "pairs": [["f", "p", 3, 1]]})
         code, report = run_cli(capsys, "enumerate", str(market_file))
         assert code == 0 and report["count"] == 1
@@ -444,6 +454,27 @@ class TestCliVariants:
         jsonio.write_json(rot_file, {**data, "leq": [["r2", "r3"], ["r3", "r2"], ["r1", "r4"], ["r4", "r2"]]})
         code, report = run_cli(capsys, "export-dot", str(rot_file))
         assert code == 2 and report["kind"] == "NotAntisymmetric"
+
+    def test_export_dot_rejects_a_rotation_id_listed_twice(self, tmp_path, capsys):
+        rp = extract_rotations(seven_pair_market())
+        data = jsonio.rotation_poset_to_json(rp)
+        data["rotations"].append(data["rotations"][0])
+        rot_file = tmp_path / "rot.json"
+        jsonio.write_json(rot_file, data)
+        code, report = run_cli(capsys, "export-dot", str(rot_file))
+        assert (code, report["kind"]) == (2, "DuplicateId") and data["rotations"][0]["id"] in report["error"]
+
+    def test_enumerate_rejects_a_base_rotation_id_listed_twice(self, tmp_path, capsys):
+        """A bundle whose base is stored in full must not list a rotation
+        twice, even one identical to the first listing."""
+        ab, _ = _swap_gadgets(*AB_GADGETS)
+        data = jsonio.extendable_to_json(omega_extend(RealizedBase(ab, extract_rotations(ab)), []))
+        rotations = data["base"]["rotation_poset"]["rotations"]
+        rotations.append(copy.deepcopy(rotations[1]))
+        bundle_file = tmp_path / "bundle.json"
+        jsonio.write_json(bundle_file, data)
+        code, report = run_cli(capsys, "enumerate", str(bundle_file))
+        assert (code, report["kind"]) == (2, "DuplicateId"), report
 
     def test_export_dot_checks_the_antimatroid_axioms(self, tmp_path, capsys):
         """export-dot rejects what reduce rejects, a ground id listed twice
@@ -576,7 +607,7 @@ class TestCliVariants:
         for partners, want in ((16, 0), (17, 3)):
             firms = tuple(f"f{i}" for i in range(partners))
             choice = {f: PreferenceList.of("w") for f in firms}
-            choice["w"] = IfElse(firms[0], frozenset(firms[1:]))
+            choice["w"] = if_else(firms[0], firms[1:])
             jsonio.write_json(market_file, jsonio.market_to_json(MatchingMarket(firms, ("w",), choice)))
             code, report = run_cli(capsys, "enumerate", str(market_file))
             assert code == want, report
@@ -587,7 +618,7 @@ class TestCliVariants:
         whatever --bound-nodes says; a triggered spec's limit is 25."""
         firms = tuple(f"f{i:02d}" for i in range(17))
         choice = {f: PreferenceList.of("w") for f in firms}
-        choice["w"] = IfElse(firms[0], frozenset(firms[1:]))
+        choice["w"] = if_else(firms[0], firms[1:])
         market_file = tmp_path / "market.json"
         jsonio.write_json(market_file, jsonio.market_to_json(MatchingMarket(firms, ("w",), choice)))
         code, report = run_cli(capsys, "enumerate", str(market_file), "--bound-nodes", "5")

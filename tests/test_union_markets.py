@@ -8,10 +8,11 @@ path-independent choice functions is path-independent, so the search's
 generic rules (the anchor interval, permanent firm individual rationality,
 the pool-complete blocking check) must hold on every such market.
 
-A second corpus draws every spec from the four families with random fields
-and keeps a market only when each spec is path-independent: the search's
-family-aware rules (mutual demand, the if-else group) must hold there too,
-also on markets the construction never builds.
+A second corpus draws every spec from the three families, the if-else
+choice as Regular's two-tier case among them, with random fields and keeps a
+market only when each spec is path-independent: the search's rules gated on
+what a choice does (mutual demand, the group rule) must hold there too, also
+on markets the construction never builds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from lattmark import (
-    IfElse,
     Matching,
     MatchingMarket,
     PreferenceList,
@@ -43,6 +43,7 @@ from lattmark.antimatroids import compute_path_poset, reduce_to_matching
 from oracles import (
     choose_by_sets,
     firm_leq_by_pairs,
+    if_else,
     min_cost_by_matchings,
     reference_stable_matchings,
     stable_by_blocking_pairs,
@@ -196,9 +197,11 @@ def test_the_search_takes_back_every_placement(pentagon, hexagon, quad_antimatro
 
 
 def random_spec(partners, rng):
-    """A spec of one of the four families, picked uniformly, over some of
-    the partners, with random fields (any of them may leave the spec not
-    path-independent)."""
+    """A spec of one of four kinds, picked uniformly, over some of the
+    partners, with random fields (any of them may leave the spec not
+    path-independent): a preference list, a triggered spec, an if-else
+    choice (Regular's two-tier case) or a Regular spec of up to three
+    tiers."""
     def some(pool):
         return frozenset(x for x in pool if rng.random() < 0.5)
     family = rng.randrange(4)
@@ -212,7 +215,7 @@ def random_spec(partners, rng):
         groups = tuple(some(ids) or frozenset(ids[:1]) for _ in range(rng.randint(0, 2))) if ids else ()
         return Triggered(watch, trigger, groups, blocks)
     if family == 2:
-        return IfElse(rng.choice(partners), some(partners))
+        return if_else(rng.choice(partners), some(partners))
     tiers = [set() for _ in range(rng.randint(1, 3))]
     for x in partners:
         if rng.random() < 0.7:
@@ -240,16 +243,16 @@ def family_corpus(n, seed):
 
 
 def test_random_family_markets_agree_with_the_reference():
-    """On 3,000 path-independent markets of the four families, enumerate_stable
-    equals the naive reference search.  Each of two rules that read a
-    family's fields, not its choice, fails here on its own: an if-else
-    group that counts a priority worker also listed in the else-set (115
-    markets wrong), and a firm's demand taken as fixed because the firm is
-    Regular or IfElse (5 wrong)."""
+    """On 3,000 path-independent markets of the three families,
+    enumerate_stable equals the naive reference search.  Each of two rules
+    that read a family's fields, not its choice, fails here on its own: an
+    if-else group that counts a priority worker also listed in the else-set
+    (115 markets wrong), and a firm's demand taken as fixed because the firm
+    is Regular or if-else (5 wrong)."""
     t0 = time.monotonic()
     corpus = family_corpus(3000, 2)
     for market in corpus:
         assert enumerate_stable(market) == reference_stable_matchings(market), market
     families = {type(spec).__name__ for market in corpus for spec in market.choice.values()}
-    assert families == {"PreferenceList", "Triggered", "IfElse", "Regular"}
+    assert families == {"PreferenceList", "Triggered", "Regular"}
     print(f"random family markets: {len(corpus)}, {time.monotonic() - t0:.2f}s")
